@@ -215,6 +215,12 @@ class PolySuperFunc:
         for item in data:
             if not isinstance(item, dict) or set(item) != {"exps", "ext", "coeff"}:
                 raise ValueError("superfunction term needs exps, ext and coeff")
+            for field in ("exps", "ext"):
+                v = item[field]
+                if not isinstance(v, list) or any(
+                        isinstance(x, bool) or not isinstance(x, int) for x in v):
+                    raise ValueError("superfunction term %s must be a list of integers, got %r"
+                                     % (field, v))
             key = (MultiDegree(item["exps"]), IndexSet(item["ext"]))
             if key in terms:
                 raise ValueError("duplicate term %r" % (key,))
@@ -240,10 +246,13 @@ class SuperMapData:
 
     coord_images[j] is where target coordinate j + 1 goes (even),
     odd_images[a] is where target odd generator a + 1 goes (odd).
-    Parity violations are rejected at construction time.
+    Parity violations are rejected at construction time.  The images of
+    target monomials are memoized per instance as apply_map meets them,
+    so the generator images are treated as immutable after construction.
     """
 
-    __slots__ = ("coord_images", "odd_images", "source_nvars", "source_odd")
+    __slots__ = ("coord_images", "odd_images", "source_nvars", "source_odd",
+                 "_mono_images")
 
     def __init__(self, coord_images, odd_images):
         coord_images = tuple(coord_images)
@@ -262,6 +271,36 @@ class SuperMapData:
                 raise ValueError("generator image %d has even-degree terms" % a)
         self.coord_images = coord_images
         self.odd_images = odd_images
+        one = ((0,) * len(coord_images), ())
+        self._mono_images = {one: PolySuperFunc.unit(self.source_nvars, self.source_odd)}
+
+    def _monomial_image(self, exps, key):
+        """Image of the target monomial x^exps * ds_key, memoized.
+
+        A new entry is one product with a cached neighbour: the last odd
+        generator is split off on the right, which keeps the left-to-right
+        order of the odd images, and once none is left the last nonzero
+        exponent is lowered by one.  The chain down to a cached entry is
+        walked iteratively, so high degrees never recurse.  The returned
+        element is shared and must not be mutated.
+        """
+        table = self._mono_images
+        mono = (exps, key)
+        chain = []
+        while mono not in table:
+            exps, key = mono
+            if key:
+                chain.append((mono, self.odd_images[key[-1] - 1]))
+                mono = (exps, key[:-1])
+            else:
+                j = max(i for i, e in enumerate(exps) if e)
+                chain.append((mono, self.coord_images[j]))
+                mono = (exps[:j] + (exps[j] - 1,) + exps[j + 1:], key)
+        img = table[mono]
+        for mono, factor in reversed(chain):
+            img = img * factor
+            table[mono] = img
+        return img
 
     @property
     def target_nvars(self):
@@ -289,6 +328,9 @@ class SuperMapData:
     def from_json(cls, source_nvars, source_odd, data):
         if not isinstance(data, dict) or set(data) != {"coord_images", "odd_images"}:
             raise ValueError("morphism JSON needs coord_images and odd_images")
+        for name, v in (("source_nvars", source_nvars), ("source_odd", source_odd)):
+            if isinstance(v, bool) or not isinstance(v, int) or v < 0:
+                raise ValueError("%s must be a non-negative integer, got %r" % (name, v))
         coords = [PolySuperFunc.from_json(source_nvars, source_odd, d)
                   for d in data["coord_images"]]
         odds = [PolySuperFunc.from_json(source_nvars, source_odd, d)
@@ -304,20 +346,21 @@ def apply_map(phi, f):
     """Push a target superfunction through the morphism.
 
     Unital multiplicative substitution; nilpotency of the odd images
-    truncates everything after finitely many terms.
+    truncates everything after finitely many terms.  The map is linear,
+    so the result is the coefficient-weighted sum of the memoized
+    monomial images, collected in a fresh element.
     """
     if f.nvars != phi.target_nvars or f.odd_dim != phi.target_odd:
         raise ValueError("superfunction does not live on the target algebra")
-    out = PolySuperFunc.zero(phi.source_nvars, phi.source_odd)
+    out = {}
     for (exps, key), c in f.terms.items():
-        term = PolySuperFunc.constant(phi.source_nvars, phi.source_odd, c)
-        for j, e in enumerate(exps):
-            if e:
-                term = term * phi.coord_images[j] ** e
-        for a in key:
-            term = term * phi.odd_images[a - 1]
-        out = out + term
-    return out
+        for k, v in phi._monomial_image(exps, key).terms.items():
+            v = out.get(k, _ZERO) + c * v
+            if v:
+                out[k] = v
+            else:
+                out.pop(k, None)
+    return PolySuperFunc._raw(phi.source_nvars, phi.source_odd, out)
 
 
 def pull_function(phi, f):

@@ -52,6 +52,38 @@ def _bump(row, c, v):
         row.pop(c, None)
 
 
+def _superfunc_mul(a, b):
+    """Product of superfunctions given as dicts (exps, odd index tuple) -> value."""
+    out = {}
+    for (e1, k1), c1 in a.items():
+        for (e2, k2), c2 in b.items():
+            key, sign = wedge_mono(k1, k2)
+            if key is not None:
+                _bump(out, (tuple(x + y for x, y in zip(e1, e2)), key), sign * c1 * c2)
+    return out
+
+
+def naive_apply_map(coord_images, odd_images, source_nvars, f):
+    """Image of f under the unital algebra map sending target coordinate j + 1
+    to coord_images[j] and target odd generator a + 1 to odd_images[a].
+
+    All superfunctions are dicts (exps, odd index tuple) -> value.  Each term
+    of f is expanded as the plain product of one image per factor: coordinates
+    first, then the odd generators in increasing order, left to right.
+    """
+    out = {}
+    for (exps, key), c in f.items():
+        term = {((0,) * source_nvars, ()): Fraction(c)}
+        for j, e in enumerate(exps):
+            for _ in range(e):
+                term = _superfunc_mul(term, coord_images[j])
+        for a in key:
+            term = _superfunc_mul(term, odd_images[a - 1])
+        for k, v in term.items():
+            _bump(out, k, v)
+    return out
+
+
 def leibniz_solution_dim(n, mode):
     """Dimension of the space of operators on the rank-n exterior algebra
     solving the Leibniz linear system, set up over the full matrix space.

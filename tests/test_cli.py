@@ -204,6 +204,59 @@ def test_supermap_check_passes(capsys, tmp_path):
         "order-bound-vanishing"}
 
 
+# A criterion-9 shaped morphism 1|4 -> 2|2: both coordinate images carry a
+# nilpotent correction and both generator images a degree-3 term.
+JUNK_MAP = {"source_nvars": 1, "source_odd": 4, "map": {
+    "coord_images": [
+        [{"exps": [0], "ext": [], "coeff": "-2"}, {"exps": [1], "ext": [], "coeff": "-1"},
+         {"exps": [0], "ext": [2, 4], "coeff": "-3"}],
+        [{"exps": [0], "ext": [], "coeff": "-2"}, {"exps": [1], "ext": [], "coeff": "-3"},
+         {"exps": [1], "ext": [1, 2], "coeff": "-3"}]],
+    "odd_images": [
+        [{"exps": [1], "ext": [1], "coeff": "1"}, {"exps": [0], "ext": [2], "coeff": "-1"},
+         {"exps": [1], "ext": [3], "coeff": "3"}, {"exps": [0], "ext": [4], "coeff": "3"},
+         {"exps": [0], "ext": [2, 3, 4], "coeff": "-2"}],
+        [{"exps": [0], "ext": [1], "coeff": "-1"}, {"exps": [1], "ext": [2], "coeff": "3"},
+         {"exps": [0], "ext": [3], "coeff": "-2"}, {"exps": [1], "ext": [4], "coeff": "3"},
+         {"exps": [0], "ext": [1, 3, 4], "coeff": "-2"}]]}}
+
+JUNK_MAP_REPORT = (
+    '{"checks":[{"detail":"sub-seed 9301755849945824352, 4 polynomials",'
+    '"name":"base-projection-intertwines","passed":true},'
+    '{"detail":"0 failures","name":"filtration-preserved","passed":true},'
+    '{"detail":"sub-seed 4090342519634239721, defect depth 3",'
+    '"name":"order-bound-vanishing","passed":true}],'
+    '"command":"supermap-check","order_zero_criterion":false,"passed":true,'
+    '"seed":1,"source":[1,4],"target":[2,2]}\n')
+
+
+def test_supermap_check_junk_map_report_frozen(capsys, tmp_path):
+    p = write(tmp_path, "phi.json", JUNK_MAP)
+    code, out, err = run_cli(capsys, ["supermap-check", p, "--seed", "1"])
+    assert (code, out, err) == (0, JUNK_MAP_REPORT, "")
+
+
+def _spoil(doc, edit):
+    doc = json.loads(json.dumps(doc))
+    edit(doc)
+    return doc
+
+
+@pytest.mark.parametrize("edit, field", [
+    (lambda d: d["map"]["coord_images"][0][0].update(exps=[1.5]), "exps"),
+    (lambda d: d["map"]["coord_images"][0][0].update(exps=["1"]), "exps"),
+    (lambda d: d["map"]["odd_images"][0][0].update(ext=[True]), "ext"),
+    (lambda d: d.update(source_nvars=-1), "source_nvars"),
+    (lambda d: d.update(source_odd=-1), "source_odd"),
+], ids=["float-exponent", "string-exponent", "bool-odd-index",
+        "negative-source-nvars", "negative-source-odd"])
+def test_supermap_check_rejects_loose_fields(capsys, tmp_path, edit, field):
+    p = write(tmp_path, "phi.json", _spoil(JUNK_MAP, edit))
+    code, out, err = run_cli(capsys, ["supermap-check", p])
+    assert code == 2 and out == ""
+    assert " %s " % field in err
+
+
 def test_sderham_d_and_d_squared(capsys, tmp_path):
     conn = write(tmp_path, "c.json", {"dim_base": 2, "dim_odd": 1,
         "entries": [[[[{"exps": [0, 1], "coeff": "1"}], []]]]})

@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import naive_apply_map
 from superalg.poly import Poly
 from superalg.scalars import IndexSet, MultiDegree
 from superalg.supermaps import (
@@ -90,6 +91,28 @@ def supermapdatas(draw, m=1, p=3, n=2, q=2, defects=True):
     return SuperMapData(coords, odds)
 
 
+def junk_maps():
+    """Maps 1|p -> 2|2, p <= 4, with nilpotent coordinate corrections from
+    p = 2 and degree-3 odd junk from p = 3."""
+    return st.integers(1, 4).flatmap(lambda p: supermapdatas(p=p, defects=p >= 2))
+
+
+def deep_superfuncs(max_deg=7, max_terms=4):
+    """Superfunctions on 2|2 of total degree up to max_deg."""
+    exps = st.integers(0, max_deg).flatmap(
+        lambda a: st.tuples(st.just(a), st.integers(0, max_deg - a)))
+    keys = st.sampled_from([(), (1,), (2,), (1, 2)])
+    coeffs = st.integers(-3, 3).filter(bool)
+    return st.dictionaries(st.tuples(exps, keys), coeffs, max_size=max_terms).map(
+        lambda d: sf(2, 2, d))
+
+
+def oracle_image(phi, f):
+    return naive_apply_map([dict(g.terms) for g in phi.coord_images],
+                           [dict(g.terms) for g in phi.odd_images],
+                           phi.source_nvars, dict(f.terms))
+
+
 # ------------------------------------------------------------------- algebra
 
 def test_superfunc_product_signs():
@@ -159,6 +182,79 @@ def test_apply_multiplicative(phi, f):
 def test_body_map_commutes_with_apply(phi, f):
     # the degree-0 part of the image is the pullback of the degree-0 part
     assert apply_map(phi, f).epsilon() == f.epsilon().compose(list(phi.base_map()))
+
+
+def test_apply_matches_oracle_at_depth_seven():
+    # criterion-9 shaped: both coordinates carry nilpotent corrections and
+    # both generator images carry degree-3 junk, so the odd order shows
+    x = PolySuperFunc.coordinate(1, 4, 1)
+    one = PolySuperFunc.unit(1, 4)
+
+    def mono(key, c=1):
+        return PolySuperFunc.monomial(1, 4, (0,), key, c)
+
+    coords = [one.scale(2) - x + mono((2, 4), -3), x.scale(3) + x * mono((1, 2), -3)]
+    odds = [x * mono((1,)) - mono((2,)) + mono((2, 3, 4), -2) + mono((4,), 3),
+            mono((1,), -1) + x * mono((2,)).scale(3) + mono((1, 3, 4), -2)]
+    phi = SuperMapData(coords, odds)
+    f = sf(2, 2, {((4, 3), (1, 2)): 1, ((7, 0), (2,)): -2, ((0, 7), ()): 3,
+                  ((2, 5), (1,)): 1})
+    got = apply_map(phi, f)
+    assert got.terms == oracle_image(phi, f)
+    assert got.lambda_degrees() == [0, 1, 2, 3, 4]
+
+
+@given(junk_maps(), deep_superfuncs())
+@settings(max_examples=60, deadline=None)
+def test_apply_matches_oracle(phi, f):
+    assert apply_map(phi, f).terms == oracle_image(phi, f)
+
+
+def test_high_degree_does_not_recurse():
+    phi = SuperMapData.identity(1, 0)
+    f = PolySuperFunc.monomial(1, 0, (2000,), ())
+    assert apply_map(phi, f) == f
+
+
+# ------------------------------------------------------------ cache safety
+
+@given(junk_maps(), st.lists(deep_superfuncs(max_deg=4), min_size=2, max_size=6))
+@settings(max_examples=30, deadline=None)
+def test_reused_map_agrees_with_fresh_map(phi, fs):
+    first = [apply_map(phi, f) for f in fs]
+    again = [apply_map(phi, f) for f in reversed(fs)][::-1]
+    fresh = [apply_map(SuperMapData.from_json(phi.source_nvars, phi.source_odd,
+                                              phi.to_json()), f) for f in fs]
+    assert first == again == fresh
+
+
+def test_mutating_a_result_leaves_later_results_alone():
+    psi = odd_junk_map()
+    for f in (PolySuperFunc.unit(1, 3), PolySuperFunc.odd_generator(1, 3, 1),
+              PolySuperFunc.monomial(1, 3, (2,), (1, 2))):
+        want = apply_map(psi, f)
+        got = apply_map(psi, f)
+        assert got is not want and got.terms is not want.terms
+        got.terms.clear()
+        spoiled = apply_map(psi, f)
+        for k in spoiled.terms:
+            spoiled.terms[k] = Fraction(99)
+        assert apply_map(psi, f) == want
+
+
+def test_maps_never_share_images():
+    shifted = nilpotent_shift_map()
+    plain = SuperMapData([PolySuperFunc.coordinate(1, 2, 1)], [])
+    twin = nilpotent_shift_map()
+    y_sq = PolySuperFunc.from_poly(X * X, 0)
+    want = (PolySuperFunc.from_poly(X * X, 2)
+            + PolySuperFunc.monomial(1, 2, (1,), (1, 2), 2))
+    assert apply_map(shifted, y_sq) == want
+    assert apply_map(plain, y_sq) == PolySuperFunc.from_poly(X * X, 2)
+    assert apply_map(twin, y_sq) == want
+    assert apply_map(shifted, y_sq) == want
+    tables = [phi._mono_images for phi in (shifted, plain, twin)]
+    assert len({id(t) for t in tables}) == 3
 
 
 # --------------------------------------------------------------- commutators
