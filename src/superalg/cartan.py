@@ -12,6 +12,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
+from .lincomb import LinComb, add_term, contract, merge_sign, replace, sym_ext_product
 from .linalg import invert, mat_mul, rank, rref, sparse_rank
 from .scalars import IndexSet, MultiDegree, iter_multidegrees, sym_dim
 
@@ -23,9 +24,10 @@ def as_matrix(rows, nrows, ncols):
     return mat
 
 
-class BigradedElem:
+class BigradedElem(LinComb):
 
-    __slots__ = ("sym_dim", "ext_dim", "terms")
+    __slots__ = ("sym_dim", "ext_dim")
+    _DIMS = ("sym_dim", "ext_dim")
 
     def __init__(self, sym_dim_, ext_dim, terms=None):
         self.sym_dim = sym_dim_
@@ -45,18 +47,6 @@ class BigradedElem:
         self.terms = out
 
     @classmethod
-    def _raw(cls, n, m, terms):
-        e = cls.__new__(cls)
-        e.sym_dim = n
-        e.ext_dim = m
-        e.terms = terms
-        return e
-
-    @classmethod
-    def zero(cls, n, m):
-        return cls._raw(n, m, {})
-
-    @classmethod
     def unit(cls, n, m, coeff=1):
         return cls.monomial(n, m, (0,) * n, (), coeff)
 
@@ -64,66 +54,8 @@ class BigradedElem:
     def monomial(cls, n, m, alpha, key, coeff=1):
         return cls(n, m, {(tuple(alpha), tuple(key)): coeff})
 
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, BigradedElem):
-            return NotImplemented
-        return (self.sym_dim == other.sym_dim and self.ext_dim == other.ext_dim
-                and self.terms == other.terms)
-
-    __hash__ = None
-
-    def _check(self, other):
-        if not isinstance(other, BigradedElem) or (other.sym_dim, other.ext_dim) != \
-                (self.sym_dim, self.ext_dim):
-            raise ValueError("operands live in different bigraded algebras")
-
-    def __add__(self, other):
-        self._check(other)
-        terms = dict(self.terms)
-        for k, v in other.terms.items():
-            c = terms.get(k, 0) + v
-            if c:
-                terms[k] = c
-            elif k in terms:
-                del terms[k]
-        return BigradedElem._raw(self.sym_dim, self.ext_dim, terms)
-
-    def __neg__(self):
-        return BigradedElem._raw(self.sym_dim, self.ext_dim,
-                                 {k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        c = Fraction(c)
-        if not c:
-            return BigradedElem.zero(self.sym_dim, self.ext_dim)
-        return BigradedElem._raw(self.sym_dim, self.ext_dim,
-                                 {k: c * v for k, v in self.terms.items()})
-
-    def __rmul__(self, c):
-        return self.scale(c)
-
-    def mul(self, other):
-        """Algebra product: Sym degrees add, the Λ factors wedge."""
-        self._check(other)
-        terms = {}
-        for (a1, k1), c1 in self.terms.items():
-            for (a2, k2), c2 in other.terms.items():
-                merged, sign = _merge(k1, k2)
-                if merged is None:
-                    continue
-                key = (MultiDegree(x + y for x, y in zip(a1, a2)), merged)
-                c = terms.get(key, 0) + sign * c1 * c2
-                if c:
-                    terms[key] = c
-                elif key in terms:
-                    del terms[key]
-        return BigradedElem._raw(self.sym_dim, self.ext_dim, terms)
+    # algebra product: Sym degrees add, the Λ factors wedge
+    mul = sym_ext_product
 
     def __mul__(self, other):
         if isinstance(other, BigradedElem):
@@ -152,31 +84,13 @@ class BigradedElem:
         return " + ".join(bits)
 
 
-def _merge(a, b):
-    if set(a) & set(b):
-        return None, 0
-    seq = list(a) + list(b)
-    inv = 0
-    for i in range(len(a)):
-        for j in range(len(a), len(seq)):
-            if seq[i] > seq[j]:
-                inv += 1
-    return IndexSet(sorted(seq)), -1 if inv % 2 else 1
-
-
-def _insert_sign(key, i):
-    # ds_i ∧ ds_key, i not in key
-    below = sum(1 for x in key if x < i)
-    return -1 if below % 2 else 1
-
-
 def sym_multiply(i, x):
     """v_i · on the Sym factor."""
     terms = {}
     for (alpha, key), c in x.terms.items():
         na = MultiDegree(alpha[t] + (1 if t == i - 1 else 0) for t in range(len(alpha)))
         terms[(na, key)] = terms.get((na, key), 0) + c
-    return BigradedElem._raw(x.sym_dim, x.ext_dim, {k: v for k, v in terms.items() if v})
+    return x._like({k: v for k, v in terms.items() if v})
 
 
 def sym_contract(mu, x):
@@ -188,31 +102,27 @@ def sym_contract(mu, x):
             continue
         na = MultiDegree(alpha[t] - (1 if t == mu - 1 else 0) for t in range(len(alpha)))
         terms[(na, key)] = terms.get((na, key), 0) + a * c
-    return BigradedElem._raw(x.sym_dim, x.ext_dim, {k: v for k, v in terms.items() if v})
+    return x._like({k: v for k, v in terms.items() if v})
 
 
 def ext_wedge(i, x):
     """w_i ∧ on the Λ factor."""
     terms = {}
     for (alpha, key), c in x.terms.items():
-        if i in key:
-            continue
-        nk = IndexSet(sorted(key + (i,)))
-        terms[(alpha, nk)] = terms.get((alpha, nk), 0) + _insert_sign(key, i) * c
-    return BigradedElem._raw(x.sym_dim, x.ext_dim, {k: v for k, v in terms.items() if v})
+        nk, sign = merge_sign((i,), key)
+        if nk is not None:
+            add_term(terms, (alpha, nk), sign * c)
+    return x._like(terms)
 
 
 def ext_contract(mu, x):
     """dw_mu ⌟ on the Λ factor (alternating interior product)."""
     terms = {}
     for (alpha, key), c in x.terms.items():
-        if mu not in key:
-            continue
-        t = key.index(mu)
-        nk = key[:t] + key[t + 1:]
-        sign = -1 if t % 2 else 1
-        terms[(alpha, IndexSet(nk))] = terms.get((alpha, IndexSet(nk)), 0) + sign * c
-    return BigradedElem._raw(x.sym_dim, x.ext_dim, {k: v for k, v in terms.items() if v})
+        nk, sign = contract(key, mu)
+        if nk is not None:
+            add_term(terms, (alpha, nk), sign * c)
+    return x._like(terms)
 
 
 def _shape_FG(mat, x, direction):
@@ -281,21 +191,15 @@ def ext_derivation(M, x):
     m = x.ext_dim
     terms = {}
     for (alpha, key), c in x.terms.items():
-        for t, mu in enumerate(key):
-            rest = key[:t] + key[t + 1:]
+        for mu in key:
             for i in range(1, m + 1):
                 cm = M[i - 1][mu - 1]
-                if not cm or i in rest:
+                if not cm:
                     continue
-                below = sum(1 for z in rest if z < i)
-                sign = -1 if (t + below) % 2 else 1
-                nk = (alpha, IndexSet(sorted(rest + (i,))))
-                nv = terms.get(nk, 0) + sign * cm * c
-                if nv:
-                    terms[nk] = nv
-                elif nk in terms:
-                    del terms[nk]
-    return BigradedElem._raw(x.sym_dim, m, terms)
+                nk, sign = replace(key, mu, i)
+                if nk is not None:
+                    add_term(terms, (alpha, nk), sign * cm * c)
+    return x._like(terms)
 
 
 def delta_via_derivations(F, G, x):
@@ -343,11 +247,11 @@ def dF_columns_direct(F, n, m, k, l):
             na = tuple(alpha[t] - (1 if t == mu else 0) for t in range(n))
             for i in range(1, m + 1):
                 c = F[i - 1][mu]
-                if not c or i in key:
+                nk, sign = merge_sign((i,), key)
+                if not c or nk is None:
                     continue
-                below = sum(1 for z in key if z < i)
-                row = dst_index[(MultiDegree(na), IndexSet(sorted(key + (i,))))]
-                col[row] = col.get(row, 0) + (a * c if below % 2 == 0 else -a * c)
+                row = dst_index[(MultiDegree(na), nk)]
+                col[row] = col.get(row, 0) + sign * a * c
         cols.append({r: v for r, v in col.items() if v})
     return cols
 

@@ -55,6 +55,7 @@ from .liesuper import (
     check_lie_superalgebra,
     check_structure_conditions,
 )
+from .linalg import mat_mul
 from .poly import Poly
 from .scalars import IndexSet, MultiDegree, Permutation, parse_scalar, sym_dim
 from .sderham import (
@@ -504,12 +505,6 @@ def _fuzz_cartan_homology(rng, rounds):
     return True, "%d matrices, dims <= 3" % rounds
 
 
-def _mat_mul(a, b):
-    n = len(a)
-    return [[sum((a[i][t] * b[t][j] for t in range(n)), Fraction(0))
-             for j in range(n)] for i in range(n)]
-
-
 def _fuzz_cartan_shifts(rng, rounds):
     n = 3
     for _ in range(rounds):
@@ -523,7 +518,7 @@ def _fuzz_cartan_shifts(rng, rounds):
             + twisted_shift_right(B, twisted_shift_right(A, x))
         mixed = twisted_shift_right(A, twisted_shift_left(B, x)) \
             + twisted_shift_left(B, twisted_shift_right(A, x))
-        want = sym_transport(_mat_mul(A, B), x) + ext_transport(_mat_mul(B, A), x)
+        want = sym_transport(mat_mul(A, B), x) + ext_transport(mat_mul(B, A), x)
         if not (left == z and right == z and mixed == want):
             return False, "matrices %r, %r" % (A, B)
     return True, "%d pairs, dim 3" % rounds
@@ -917,9 +912,8 @@ def build_parser():
                      help="polynomial coefficient degree cut")
     sdr.add_argument("--form", help="superform JSON, required for --op d")
 
-    fz = sub.add_parser("fuzz-all", parents=[common],
-                        help="randomized identity suite across every module")
-    del fz
+    sub.add_parser("fuzz-all", parents=[common],
+                   help="randomized identity suite across every module")
     return parser
 
 

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
+from .lincomb import LinComb, add_term, contract, merge_sign
 from .scalars import IndexSet, format_scalar, parse_scalar
 
 
@@ -40,29 +41,9 @@ class ExtSpace:
                 yield IndexSet(c)
 
 
-def _merge_sign(a, b):
-    # merge two strictly increasing tuples, counting inversions of the
-    # concatenation; a repeated index kills the monomial
-    i, j = 0, 0
-    out = []
-    inv = 0
-    while i < len(a) and j < len(b):
-        if a[i] == b[j]:
-            return None, 0
-        if a[i] < b[j]:
-            out.append(a[i])
-            i += 1
-        else:
-            out.append(b[j])
-            inv += len(a) - i
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out), (-1 if inv % 2 else 1)
-
-
-class ExtElem:
-    __slots__ = ("space", "terms")
+class ExtElem(LinComb):
+    __slots__ = ("space",)
+    _DIMS = ("space",)
 
     def __init__(self, space, terms=None):
         self.space = space
@@ -76,18 +57,6 @@ class ExtElem:
                 raise ValueError("index %d out of range for dim %d" % (k[-1], space.dim))
             clean[k] = v
         self.terms = clean
-
-    @classmethod
-    def _raw(cls, space, terms):
-        # internal: terms already canonical (valid keys, no zeros)
-        e = cls.__new__(cls)
-        e.space = space
-        e.terms = terms
-        return e
-
-    @classmethod
-    def zero(cls, space):
-        return cls._raw(space, {})
 
     @classmethod
     def unit(cls, space, coeff=1):
@@ -110,65 +79,20 @@ class ExtElem:
             raise ValueError("index out of range")
         return cls._raw(space, {k: c})
 
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, ExtElem):
-            return NotImplemented
-        return self.space == other.space and self.terms == other.terms
-
-    __hash__ = None
-
-    def __add__(self, other):
-        self._check(other)
-        terms = dict(self.terms)
-        for k, v in other.terms.items():
-            c = terms.get(k, 0) + v
-            if c:
-                terms[k] = c
-            elif k in terms:
-                del terms[k]
-        return ExtElem._raw(self.space, terms)
-
-    def __neg__(self):
-        return ExtElem._raw(self.space, {k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        c = Fraction(c)
-        if not c:
-            return ExtElem.zero(self.space)
-        return ExtElem._raw(self.space, {k: c * v for k, v in self.terms.items()})
-
     def __mul__(self, other):
         if isinstance(other, ExtElem):
             return self.wedge(other)
         return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def _check(self, other):
-        if not isinstance(other, ExtElem) or other.space != self.space:
-            raise ValueError("operands live in different spaces")
 
     def wedge(self, other):
         self._check(other)
         terms = {}
         for ka, va in self.terms.items():
             for kb, vb in other.terms.items():
-                k, s = _merge_sign(ka, kb)
-                if k is None:
-                    continue
-                c = terms.get(k, 0) + s * va * vb
-                if c:
-                    terms[k] = c
-                elif k in terms:
-                    del terms[k]
-        return ExtElem._raw(self.space, {IndexSet(k): v for k, v in terms.items()})
+                k, s = merge_sign(ka, kb)
+                if k is not None:
+                    add_term(terms, k, va * vb if s > 0 else -(va * vb))
+        return ExtElem._raw(self.space, terms)
 
     def insert(self, v):
         """Interior product v ⌟ self for v given by its coefficients over the
@@ -178,18 +102,11 @@ class ExtElem:
         v = [Fraction(c) for c in v]
         terms = {}
         for k, coeff in self.terms.items():
-            sign = 1
-            for t in range(len(k)):
-                cv = v[k[t] - 1]
-                if cv:
-                    nk = k[:t] + k[t + 1:]
-                    c = terms.get(nk, 0) + sign * cv * coeff
-                    if c:
-                        terms[nk] = c
-                    elif nk in terms:
-                        del terms[nk]
-                sign = -sign
-        return ExtElem._raw(self.space, {IndexSet(k): v_ for k, v_ in terms.items()})
+            for i in k:
+                if v[i - 1]:
+                    nk, sign = contract(k, i)
+                    add_term(terms, nk, sign * v[i - 1] * coeff)
+        return ExtElem._raw(self.space, terms)
 
     def augmentation(self):
         return Fraction(self.terms.get((), 0))
@@ -260,20 +177,8 @@ class ExtElem:
         return " + ".join(bits)
 
 
-def wedge(a, b):
-    return a.wedge(b)
-
-
-def insert(v, a):
-    return a.insert(v)
-
-
 def augmentation(a):
     return a.augmentation()
-
-
-def filtration_degree(a):
-    return a.filtration_degree()
 
 
 def invert_unit(a):

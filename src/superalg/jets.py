@@ -38,7 +38,7 @@ class PolySection:
     def __eq__(self, other):
         if not isinstance(other, PolySection):
             return NotImplemented
-        return self.polys == other.polys
+        return self.nvars == other.nvars and self.polys == other.polys
 
     __hash__ = None
 
@@ -229,10 +229,6 @@ def iter_leq(alpha):
     ranges = [range(a + 1) for a in alpha]
     for tup in product(*ranges):
         yield MultiDegree(tup)
-
-
-def apply_op(D, s):
-    return D.apply(s)
 
 
 def commutator(D, f):
@@ -472,7 +468,8 @@ class PolyOpAlong:
     def __eq__(self, other):
         if not isinstance(other, PolyOpAlong):
             return NotImplemented
-        return (self.phi, self.rank_in, self.rank_out) == \
+        return self.src_nvars == other.src_nvars and \
+            (self.phi, self.rank_in, self.rank_out) == \
             (other.phi, other.rank_in, other.rank_out) and self.terms == other.terms
 
     __hash__ = None

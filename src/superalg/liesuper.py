@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
+from .linalg import mat_mul
 from .scalars import format_scalar, parse_scalar
 
 
@@ -200,12 +201,6 @@ class RepAndForm:
                      for g in range(self.odd_dim))
 
 
-def _mat_mul(a, b):
-    n = len(a)
-    return tuple(tuple(sum((a[i][k] * b[k][j] for k in range(n)), Fraction(0))
-                       for j in range(n)) for i in range(n))
-
-
 def _mat_sub(a, b):
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
@@ -236,8 +231,8 @@ def _validate_representation(data):
     q = data.odd_dim
     for a in range(p):
         for b in range(p):
-            comm = _mat_sub(_mat_mul(data.rho[a], data.rho[b]),
-                            _mat_mul(data.rho[b], data.rho[a]))
+            comm = _mat_sub(mat_mul(data.rho[a], data.rho[b]),
+                            mat_mul(data.rho[b], data.rho[a]))
             want = tuple(tuple(sum((data.even_brackets[a][b][l] * data.rho[l][g][d]
                                     for l in range(p)), Fraction(0))
                                for d in range(q)) for g in range(q))

@@ -2,14 +2,19 @@
 
 from fractions import Fraction
 from math import comb
+from operator import add
 
+from .lincomb import LinComb, add_term
 from .scalars import MultiDegree, format_scalar, parse_scalar
 
+_new = tuple.__new__
 
-class Poly:
+
+class Poly(LinComb):
     """Finite support map from exponent vectors to rational coefficients."""
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars",)
+    _DIMS = ("nvars",)
 
     def __init__(self, nvars, terms=None):
         self.nvars = nvars
@@ -23,17 +28,6 @@ class Poly:
                 raise ValueError("exponent vector needs %d slots" % nvars)
             out[exps] = c
         self.terms = out
-
-    @classmethod
-    def _raw(cls, nvars, terms):
-        p = cls.__new__(cls)
-        p.nvars = nvars
-        p.terms = terms
-        return p
-
-    @classmethod
-    def zero(cls, nvars):
-        return cls._raw(nvars, {})
 
     @classmethod
     def constant(cls, nvars, c):
@@ -51,54 +45,15 @@ class Poly:
     def monomial(cls, nvars, exps, coeff=1):
         return cls(nvars, {MultiDegree(exps): coeff})
 
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
-
-    __hash__ = None
-
-    def _check(self, other):
-        if not isinstance(other, Poly) or other.nvars != self.nvars:
-            raise ValueError("operands live in different polynomial rings")
-
-    def __add__(self, other):
-        self._check(other)
-        terms = dict(self.terms)
-        for k, v in other.terms.items():
-            c = terms.get(k, 0) + v
-            if c:
-                terms[k] = c
-            elif k in terms:
-                del terms[k]
-        return Poly._raw(self.nvars, terms)
-
-    def __neg__(self):
-        return Poly._raw(self.nvars, {k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        c = Fraction(c)
-        if not c:
-            return Poly.zero(self.nvars)
-        return Poly._raw(self.nvars, {k: c * v for k, v in self.terms.items()})
+    def __bool__(self):
+        return bool(self.terms)
 
     def __mul__(self, other):
         self._check(other)
         terms = {}
         for ka, va in self.terms.items():
             for kb, vb in other.terms.items():
-                k = MultiDegree(x + y for x, y in zip(ka, kb))
-                c = terms.get(k, 0) + va * vb
-                if c:
-                    terms[k] = c
-                elif k in terms:
-                    del terms[k]
+                add_term(terms, _new(MultiDegree, map(add, ka, kb)), va * vb)
         return Poly._raw(self.nvars, terms)
 
     def __pow__(self, n):

@@ -69,11 +69,14 @@ class IndexSet(tuple):
 
     def __new__(cls, indices=()):
         t = tuple(indices)
-        for a, b in zip(t, t[1:]):
-            if a >= b:
-                raise ValueError("indices must be strictly increasing: %r" % (t,))
-        if t and t[0] < 1:
-            raise ValueError("indices are 1-based: %r" % (t,))
+        prev = 0
+        for i in t:
+            if isinstance(i, bool) or not isinstance(i, int):
+                raise ValueError("indices must be integers: %r" % (t,))
+            if i <= prev:
+                raise ValueError(("indices are 1-based: %r" if i < 1 else
+                                  "indices must be strictly increasing: %r") % (t,))
+            prev = i
         return super().__new__(cls, t)
 
     @property
@@ -86,8 +89,11 @@ class MultiDegree(tuple):
 
     def __new__(cls, exponents=()):
         t = tuple(exponents)
-        if any(e < 0 for e in t):
-            raise ValueError("exponents must be non-negative: %r" % (t,))
+        for e in t:
+            if isinstance(e, bool) or not isinstance(e, int):
+                raise ValueError("exponents must be integers: %r" % (t,))
+            if e < 0:
+                raise ValueError("exponents must be non-negative: %r" % (t,))
         return super().__new__(cls, t)
 
     @property

@@ -19,64 +19,18 @@ cross-validate each other.
 from fractions import Fraction
 from itertools import combinations
 
+from .lincomb import LinComb, add_term, contract, merge_sign, replace
 from .scalars import IndexSet, MultiDegree, iter_multidegrees, inversion_sign
 from .poly import Poly
 from .supermaps import PolySuperFunc
 from .linalg import sparse_rank
 
 
-def _merge(a, b):
-    """Concatenation sign for two disjoint sorted index sets, (None, 0) on overlap."""
-    if set(a) & set(b):
-        return None, 0
-    inv = sum(1 for x in a for y in b if x > y)
-    return IndexSet(sorted(a + b)), (-1 if inv % 2 else 1)
-
-
-def _insert(key, mu):
-    # wedge ds_mu from the left into an exterior key
-    if mu in key:
-        return None, 0
-    below = sum(1 for x in key if x < mu)
-    return IndexSet(sorted(key + (mu,))), (-1 if below % 2 else 1)
-
-
-def _contract(key, mu):
-    # alternating removal, sign (-1)^position
-    if mu not in key:
-        return None, 0
-    t = key.index(mu)
-    return IndexSet(key[:t] + key[t + 1:]), (-1 if t % 2 else 1)
-
-
-def _subst(key, t, beta):
-    """Replace slot t of an exterior key by generator beta, resorting.
-
-    The sign is contract-at-t followed by wedge-beta; collisions kill the term.
-    """
-    rest = key[:t] + key[t + 1:]
-    if beta in rest:
-        return None, 0
-    below = sum(1 for x in rest if x < beta)
-    return IndexSet(sorted(rest + (beta,))), (-1 if (t + below) % 2 else 1)
-
-
-def _acc(acc, key, p):
-    if p.is_zero():
-        return
-    cur = acc.get(key)
-    cur = p if cur is None else cur + p
-    if cur.is_zero():
-        acc.pop(key, None)
-    else:
-        acc[key] = cur
-
-
 def _sym_bump(sym, alpha, delta):
     return MultiDegree(e + (delta if k == alpha - 1 else 0) for k, e in enumerate(sym))
 
 
-class SuperForm:
+class SuperForm(LinComb):
     """Superdifferential form with exact Poly coefficients.
 
     terms maps (dxs: IndexSet, sym: MultiDegree, ext: IndexSet) to a Poly in
@@ -84,7 +38,8 @@ class SuperForm:
     ranges over 1..n.
     """
 
-    __slots__ = ("dim_base", "dim_odd", "terms")
+    __slots__ = ("dim_base", "dim_odd")
+    _DIMS = ("dim_base", "dim_odd")
 
     def __init__(self, dim_base, dim_odd, terms=None):
         m = int(dim_base)
@@ -109,22 +64,8 @@ class SuperForm:
                 p = Poly.constant(m, p)
             if p.nvars != m:
                 raise ValueError("coefficient has wrong number of variables")
-            if not p.is_zero():
-                k = (dxs, sym, ext)
-                clean[k] = clean[k] + p if k in clean else p
-        self.terms = {k: v for k, v in clean.items() if not v.is_zero()}
-
-    @classmethod
-    def _raw(cls, m, n, terms):
-        out = object.__new__(cls)
-        out.dim_base = m
-        out.dim_odd = n
-        out.terms = terms
-        return out
-
-    @classmethod
-    def zero(cls, m, n):
-        return cls._raw(m, n, {})
+            add_term(clean, (dxs, sym, ext), p)
+        self.terms = clean
 
     @classmethod
     def monomial(cls, m, n, dxs, sym, ext, coeff=1):
@@ -141,7 +82,7 @@ class SuperForm:
         zero_sym = MultiDegree((0,) * g.odd_dim)
         terms = {}
         for (exps, key), c in g.terms.items():
-            _acc(terms, (IndexSet(), zero_sym, key), Poly.monomial(g.nvars, exps, c))
+            add_term(terms, (IndexSet(), zero_sym, key), Poly.monomial(g.nvars, exps, c))
         return cls._raw(g.nvars, g.odd_dim, terms)
 
     def superfunc_part(self):
@@ -154,48 +95,10 @@ class SuperForm:
                 out[(exps, ext)] = out.get((exps, ext), Fraction(0)) + c
         return PolySuperFunc(self.dim_base, self.dim_odd, out)
 
-    def is_zero(self):
-        return not self.terms
-
-    def _check(self, other):
-        if not isinstance(other, SuperForm):
-            raise TypeError("expected a SuperForm")
-        if (self.dim_base, self.dim_odd) != (other.dim_base, other.dim_odd):
-            raise ValueError("forms live on different models")
-
-    def __eq__(self, other):
-        if not isinstance(other, SuperForm):
-            return NotImplemented
-        return (self.dim_base, self.dim_odd) == (other.dim_base, other.dim_odd) \
-            and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.dim_base, self.dim_odd, frozenset(self.terms.items())))
-
-    def __add__(self, other):
-        self._check(other)
-        acc = dict(self.terms)
-        for k, p in other.terms.items():
-            _acc(acc, k, p)
-        return SuperForm._raw(self.dim_base, self.dim_odd, acc)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        c = Fraction(c)
-        if c == 0:
-            return SuperForm.zero(self.dim_base, self.dim_odd)
-        return SuperForm._raw(self.dim_base, self.dim_odd,
-                              {k: p.scale(c) for k, p in self.terms.items()})
-
     def mul_poly(self, q):
         acc = {}
         for k, p in self.terms.items():
-            _acc(acc, k, p * q)
+            add_term(acc, k, p * q)
         return SuperForm._raw(self.dim_base, self.dim_odd, acc)
 
     def wedge(self, other):
@@ -210,17 +113,17 @@ class SuperForm:
         acc = {}
         for (a1, b1, c1), f1 in self.terms.items():
             for (a2, b2, c2), f2 in other.terms.items():
-                na, s1 = _merge(a1, a2)
+                na, s1 = merge_sign(a1, a2)
                 if na is None:
                     continue
-                nc, s2 = _merge(c1, c2)
+                nc, s2 = merge_sign(c1, c2)
                 if nc is None:
                     continue
                 sgn = s1 * s2
                 if (b1.total * len(a2) + len(c1) * b2.total) % 2:
                     sgn = -sgn
                 nb = MultiDegree(x + y for x, y in zip(b1, b2))
-                _acc(acc, (na, nb, nc), (f1 * f2).scale(sgn))
+                add_term(acc, (na, nb, nc), (f1 * f2).scale(sgn))
         return SuperForm._raw(self.dim_base, self.dim_odd, acc)
 
     def form_degrees(self):
@@ -366,17 +269,6 @@ def curvature(conn):
     return out
 
 
-def _comp_acc(comp, key, p):
-    if p.is_zero():
-        return
-    cur = comp.get(key)
-    cur = p if cur is None else cur + p
-    if cur.is_zero():
-        comp.pop(key, None)
-    else:
-        comp[key] = cur
-
-
 def base_d(m, comp):
     """Plain exterior derivative of a base form {dx IndexSet: Poly} on R^m."""
     out = {}
@@ -385,10 +277,10 @@ def base_d(m, comp):
             dp = p.partial(i)
             if dp.is_zero():
                 continue
-            nk, sgn = _merge(IndexSet((i,)), key)
+            nk, sgn = merge_sign((i,), key)
             if nk is None:
                 continue
-            _comp_acc(out, nk, dp.scale(sgn))
+            add_term(out, nk, dp.scale(sgn))
     return out
 
 
@@ -396,10 +288,10 @@ def base_wedge(c1, c2):
     out = {}
     for k1, p1 in c1.items():
         for k2, p2 in c2.items():
-            nk, sgn = _merge(k1, k2)
+            nk, sgn = merge_sign(k1, k2)
             if nk is None:
                 continue
-            _comp_acc(out, nk, (p1 * p2).scale(sgn))
+            add_term(out, nk, (p1 * p2).scale(sgn))
     return out
 
 
@@ -419,7 +311,7 @@ def twisted_d(conn, omega):
                       if not conn.entry(g, b, i).is_zero()}
             if a_form:
                 for key, p in base_wedge(a_form, omega[b - 1]).items():
-                    _comp_acc(out[g - 1], key, p)
+                    add_term(out[g - 1], key, p)
     return out
 
 
@@ -431,7 +323,7 @@ def curvature_apply(curv, omega):
         for b in range(n):
             if curv[g][b]:
                 for key, p in base_wedge(curv[g][b], omega[b]).items():
-                    _comp_acc(out[g], key, p)
+                    add_term(out[g], key, p)
     return out
 
 
@@ -450,15 +342,15 @@ def twisted_d_end(conn, mat):
         for b in range(n):
             for k in range(n):
                 for key, p in base_wedge(a_forms[g][k], mat[k][b]).items():
-                    _comp_acc(out[g][b], key, p)
+                    add_term(out[g][b], key, p)
                 # per-term degree sign for the right wedge
                 for mk, mp in mat[g][k].items():
                     sgn0 = -1 if len(mk) % 2 else 1
                     for ak, ap in a_forms[k][b].items():
-                        nk, sgn = _merge(mk, ak)
+                        nk, sgn = merge_sign(mk, ak)
                         if nk is None:
                             continue
-                        _comp_acc(out[g][b], nk, (mp * ap).scale(-sgn0 * sgn))
+                        add_term(out[g][b], nk, (mp * ap).scale(-sgn0 * sgn))
     return out
 
 
@@ -482,12 +374,12 @@ def super_d(conn, omega):
         b = sym.total
         # twisted exterior derivative
         for i in range(1, m + 1):
-            nk, msign = _merge(IndexSet((i,)), dxs)
+            nk, msign = merge_sign((i,), dxs)
             if nk is None:
                 continue
             dp = f.partial(i)
             if not dp.is_zero():
-                _acc(acc, (nk, sym, ext), dp.scale(msign))
+                add_term(acc, (nk, sym, ext), dp.scale(msign))
             for al in range(1, n + 1):
                 e = sym[al - 1]
                 if not e:
@@ -497,32 +389,28 @@ def super_d(conn, omega):
                     if c.is_zero():
                         continue
                     nsym = _sym_bump(_sym_bump(sym, al, -1), be, 1)
-                    _acc(acc, (nk, nsym, ext), (f * c).scale(-e * msign))
-            for t in range(len(ext)):
-                g = ext[t]
+                    add_term(acc, (nk, nsym, ext), (f * c).scale(-e * msign))
+            for g in ext:
                 for be in range(1, n + 1):
                     c = conn.entry(g, be, i)
                     if c.is_zero():
                         continue
-                    next_, ssign = _subst(ext, t, be)
+                    next_, ssign = replace(ext, g, be)
                     if next_ is None:
                         continue
-                    _acc(acc, (nk, sym, next_), (f * c).scale(-ssign * msign))
+                    add_term(acc, (nk, sym, next_), (f * c).scale(-ssign * msign))
         # identity left shift, ext slot to sym
         nsign = -1 if (a + b) % 2 else 1
-        for t in range(len(ext)):
-            mu = ext[t]
-            csign = -1 if t % 2 else 1
-            nsym = _sym_bump(sym, mu, 1)
-            next_ = IndexSet(ext[:t] + ext[t + 1:])
-            _acc(acc, (dxs, nsym, next_), f.scale(nsign * csign))
+        for mu in ext:
+            next_, csign = contract(ext, mu)
+            add_term(acc, (dxs, _sym_bump(sym, mu, 1), next_), f.scale(nsign * csign))
         # curvature right shift, sym slot to ext under the 2-form
         if b:
             if curv is None:
                 curv = curvature(conn)
             rsign = -1 if (a + b - 1) % 2 else 1
             for mu in range(1, n + 1):
-                next_, isign = _insert(ext, mu)
+                next_, isign = merge_sign((mu,), ext)
                 if next_ is None:
                     continue
                 for nu in range(1, n + 1):
@@ -534,10 +422,10 @@ def super_d(conn, omega):
                         continue
                     nsym = _sym_bump(sym, nu, -1)
                     for dkey, rp in two.items():
-                        nk, msign = _merge(dkey, dxs)
+                        nk, msign = merge_sign(dkey, dxs)
                         if nk is None:
                             continue
-                        _acc(acc, (nk, nsym, next_),
+                        add_term(acc, (nk, nsym, next_),
                              (f * rp).scale(rsign * e * msign * isign))
     return SuperForm._raw(m, n, acc)
 
@@ -591,12 +479,12 @@ def field_apply(conn, field, g):
             p = Poly.monomial(m, exps, c).partial(i)
             for e2, c2 in p.terms.items():
                 out[(e2, key)] = out.get((e2, key), Fraction(0)) + c2
-            for t in range(len(key)):
+            for g in key:
                 for be in range(1, n + 1):
-                    ap = conn.entry(key[t], be, i)
+                    ap = conn.entry(g, be, i)
                     if ap.is_zero():
                         continue
-                    nk, ssign = _subst(key, t, be)
+                    nk, ssign = replace(key, g, be)
                     if nk is None:
                         continue
                     prod = Poly.monomial(m, exps, -c * ssign) * ap
@@ -607,7 +495,7 @@ def field_apply(conn, field, g):
         if j > n:
             raise ValueError("odd generator index out of range")
         for (exps, key), c in g.terms.items():
-            nk, sgn = _contract(key, j)
+            nk, sgn = contract(key, j)
             if nk is None:
                 continue
             out[(exps, nk)] = out.get((exps, nk), Fraction(0)) + sgn * c
@@ -772,10 +660,9 @@ def shift_left_plain(omega):
     """Fiberwise ds_mu multiplication tensor contraction, no crossing signs."""
     acc = {}
     for (dxs, sym, ext), f in omega.terms.items():
-        for t in range(len(ext)):
-            csign = -1 if t % 2 else 1
-            nsym = _sym_bump(sym, ext[t], 1)
-            _acc(acc, (dxs, nsym, IndexSet(ext[:t] + ext[t + 1:])), f.scale(csign))
+        for mu in ext:
+            next_, csign = contract(ext, mu)
+            add_term(acc, (dxs, _sym_bump(sym, mu, 1), next_), f.scale(csign))
     return SuperForm._raw(omega.dim_base, omega.dim_odd, acc)
 
 
@@ -787,10 +674,10 @@ def shift_right_plain(omega):
             e = sym[mu - 1]
             if not e:
                 continue
-            next_, isign = _insert(ext, mu)
+            next_, isign = merge_sign((mu,), ext)
             if next_ is None:
                 continue
-            _acc(acc, (dxs, _sym_bump(sym, mu, -1), next_), f.scale(e * isign))
+            add_term(acc, (dxs, _sym_bump(sym, mu, -1), next_), f.scale(e * isign))
     return SuperForm._raw(omega.dim_base, omega.dim_odd, acc)
 
 
@@ -803,10 +690,10 @@ def shift_right_signed(omega):
             e = sym[mu - 1]
             if not e:
                 continue
-            next_, isign = _insert(ext, mu)
+            next_, isign = merge_sign((mu,), ext)
             if next_ is None:
                 continue
-            _acc(acc, (dxs, _sym_bump(sym, mu, -1), next_), f.scale(sgn * e * isign))
+            add_term(acc, (dxs, _sym_bump(sym, mu, -1), next_), f.scale(sgn * e * isign))
     return SuperForm._raw(omega.dim_base, omega.dim_odd, acc)
 
 
@@ -849,10 +736,6 @@ class DeltaReport:
     @property
     def eigenvalues(self):
         return sorted({c.eigenvalue for c in self.components if c.eigenvalue is not None})
-
-    def minimal_polynomial_square_free(self):
-        # scalar blocks with distinct integer eigenvalues: prod (x - lam) once each
-        return self.passed
 
     def as_dict(self):
         return {"passed": self.passed,

@@ -12,6 +12,7 @@ from itertools import combinations
 
 from .derivations import SuperDerivation, superbracket
 from .exterior import ExtElem, ExtSpace
+from .lincomb import LinComb, add_term, contract, merge_sign
 from .linalg import nullspace, rank, rref, solve
 from .scalars import IndexSet, MultiDegree, format_scalar, parse_scalar
 
@@ -20,10 +21,11 @@ def _ds_space(q):
     return ExtSpace(q, tuple("ds%d" % i for i in range(1, q + 1)))
 
 
-class CompElem:
+class CompElem(LinComb):
     """Element of Λ S* ⊗ S: finite sum of (index set, target generator) terms."""
 
-    __slots__ = ("dim", "terms")
+    __slots__ = ("dim",)
+    _DIMS = ("dim",)
 
     def __init__(self, dim, terms=None):
         self.dim = dim
@@ -41,53 +43,8 @@ class CompElem:
         self.terms = out
 
     @classmethod
-    def _raw(cls, dim, terms):
-        e = cls.__new__(cls)
-        e.dim = dim
-        e.terms = terms
-        return e
-
-    @classmethod
-    def zero(cls, dim):
-        return cls._raw(dim, {})
-
-    @classmethod
     def monomial(cls, dim, key, s, coeff=1):
         return cls(dim, {(tuple(key), s): coeff})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, CompElem):
-            return NotImplemented
-        return self.dim == other.dim and self.terms == other.terms
-
-    __hash__ = None
-
-    def __add__(self, other):
-        if not isinstance(other, CompElem) or other.dim != self.dim:
-            raise ValueError("operands live in different spaces")
-        terms = dict(self.terms)
-        for k, v in other.terms.items():
-            c = terms.get(k, 0) + v
-            if c:
-                terms[k] = c
-            elif k in terms:
-                del terms[k]
-        return CompElem._raw(self.dim, terms)
-
-    def __neg__(self):
-        return CompElem._raw(self.dim, {k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        c = Fraction(c)
-        if not c:
-            return CompElem.zero(self.dim)
-        return CompElem._raw(self.dim, {k: c * v for k, v in self.terms.items()})
 
     def lambda_degrees(self):
         return sorted({len(k) for k, _ in self.terms})
@@ -117,7 +74,10 @@ class CompElem:
         for row in data:
             if not isinstance(row, dict) or not {"coeff", "ext", "s"} <= set(row):
                 raise ValueError("each term needs coeff, ext, s")
-            key = (IndexSet(row["ext"]), int(row["s"]))
+            s = row["s"]
+            if isinstance(s, bool) or not isinstance(s, int):
+                raise ValueError("term field s must be an integer, got %r" % (s,))
+            key = (IndexSet(row["ext"]), s)
             if key in terms:
                 raise ValueError("duplicate term %s" % (key,))
             terms[key] = parse_scalar(row["coeff"])
@@ -133,42 +93,19 @@ class CompElem:
         return " + ".join(bits)
 
 
-def _contract(s, key):
-    # s_s ⌟ ds_key: (new key, sign) or (None, 0)
-    if s not in key:
-        return None, 0
-    t = key.index(s)
-    return key[:t] + key[t + 1:], -1 if t % 2 else 1
-
-
-def _merge(a, b):
-    if set(a) & set(b):
-        return None, 0
-    seq = list(a) + list(b)
-    inv = sum(1 for i in range(len(a)) for j in range(len(a), len(seq)) if seq[i] > seq[j])
-    return IndexSet(sorted(seq)), -1 if inv % 2 else 1
-
-
 def comp_product(a, b):
     """(ω⊗s)·(ω̃⊗s̃) = ω ∧ (s ⌟ ω̃) ⊗ s̃, extended bilinearly.  Not associative."""
-    if a.dim != b.dim:
-        raise ValueError("operands live in different spaces")
+    a._check(b)
     terms = {}
     for (ka, sa), ca in a.terms.items():
         for (kb, sb), cb in b.terms.items():
-            mid, sgn1 = _contract(sa, kb)
+            mid, sgn1 = contract(kb, sa)
             if mid is None:
                 continue
-            key, sgn2 = _merge(ka, mid)
-            if key is None:
-                continue
-            t = (key, sb)
-            c = terms.get(t, 0) + sgn1 * sgn2 * ca * cb
-            if c:
-                terms[t] = c
-            elif t in terms:
-                del terms[t]
-    return CompElem._raw(a.dim, terms)
+            key, sgn2 = merge_sign(ka, mid)
+            if key is not None:
+                add_term(terms, (key, sb), sgn1 * sgn2 * ca * cb)
+    return a._like(terms)
 
 
 def comp_bracket(a, b):
@@ -196,10 +133,11 @@ def psi(a):
     return SuperDerivation(space, parity, images)
 
 
-class PolyCompElem:
+class PolyCompElem(LinComb):
     """Element of Sym V* ⊗ Λ S* ⊗ S."""
 
-    __slots__ = ("sym_dim", "dim", "terms")
+    __slots__ = ("sym_dim", "dim")
+    _DIMS = ("sym_dim", "dim")
 
     def __init__(self, sym_dim, dim, terms=None):
         self.sym_dim = sym_dim
@@ -218,67 +156,21 @@ class PolyCompElem:
             out[(alpha, key, s)] = c
         self.terms = out
 
-    @classmethod
-    def _raw(cls, n, q, terms):
-        e = cls.__new__(cls)
-        e.sym_dim = n
-        e.dim = q
-        e.terms = terms
-        return e
-
-    @classmethod
-    def zero(cls, n, q):
-        return cls._raw(n, q, {})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, PolyCompElem):
-            return NotImplemented
-        return (self.sym_dim, self.dim, self.terms) == \
-            (other.sym_dim, other.dim, other.terms)
-
-    __hash__ = None
-
-    def __add__(self, other):
-        terms = dict(self.terms)
-        for k, v in other.terms.items():
-            c = terms.get(k, 0) + v
-            if c:
-                terms[k] = c
-            elif k in terms:
-                del terms[k]
-        return PolyCompElem._raw(self.sym_dim, self.dim, terms)
-
-    def __neg__(self):
-        return PolyCompElem._raw(self.sym_dim, self.dim,
-                                 {k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
 
 def poly_comp_product(a, b):
     """Polynomial coefficients multiply, the composition parts compose."""
-    if (a.sym_dim, a.dim) != (b.sym_dim, b.dim):
-        raise ValueError("operands live in different spaces")
+    a._check(b)
     terms = {}
     for (aa, ka, sa), ca in a.terms.items():
         for (ab, kb, sb), cb in b.terms.items():
-            mid, sgn1 = _contract(sa, kb)
+            mid, sgn1 = contract(kb, sa)
             if mid is None:
                 continue
-            key, sgn2 = _merge(ka, mid)
-            if key is None:
-                continue
-            t = (MultiDegree(x + y for x, y in zip(aa, ab)), key, sb)
-            c = terms.get(t, 0) + sgn1 * sgn2 * ca * cb
-            if c:
-                terms[t] = c
-            elif t in terms:
-                del terms[t]
-    return PolyCompElem._raw(a.sym_dim, a.dim, terms)
+            key, sgn2 = merge_sign(ka, mid)
+            if key is not None:
+                t = (MultiDegree(x + y for x, y in zip(aa, ab)), key, sb)
+                add_term(terms, t, sgn1 * sgn2 * ca * cb)
+    return a._like(terms)
 
 
 class OddFamily:
@@ -307,9 +199,6 @@ class OddFamily:
             (other.dim_v, other.dim_s, other.comps)
 
     __hash__ = None
-
-    def degree_component(self, i, mu):
-        return self.comps[i - 1].degree_part(2 * mu)
 
     def f_matrix(self):
         """pr∘D: the constant part, as a dim_s x dim_v matrix."""
@@ -430,11 +319,11 @@ def level_operator_columns(f_mat, q, mu):
     for (K, t) in src:
         col = {}
         for s in K:
-            rest, sgn = _contract(s, K)
+            rest, sgn = contract(K, s)
             for i in range(1, n + 1):
                 c = f_mat[s - 1][i - 1]
                 if c:
-                    r = dst_index[(i, IndexSet(rest), t)]
+                    r = dst_index[(i, rest, t)]
                     col[r] = col.get(r, 0) + sgn * c
         cols.append({r: v for r, v in col.items() if v})
     return src, dst, cols
@@ -565,7 +454,7 @@ def verify_straightening(fam, g):
                 lhs = D(g.apply_to_monomial(K))
                 rhs = ExtElem.zero(space)
                 for s in K:
-                    rest, sgn = _contract(s, K)
+                    rest, sgn = contract(K, s)
                     c = f_mat[s - 1][i - 1]
                     if c:
                         rhs = rhs + g.apply_to_monomial(rest).scale(sgn * c)

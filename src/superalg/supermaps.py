@@ -15,32 +15,24 @@ from itertools import combinations
 import random
 
 from .exterior import ExtElem, ExtSpace
+from .lincomb import LinComb, add_term, sym_ext_product
 from .poly import Poly
 from .scalars import IndexSet, MultiDegree, format_scalar, parse_scalar
-
-_ZERO = Fraction(0)
 
 
 def _ext_space(p):
     return ExtSpace(p, tuple("ds%d" % i for i in range(1, p + 1)))
 
 
-def _merge(a, b):
-    if set(a) & set(b):
-        return None, 0
-    seq = list(a) + list(b)
-    inv = sum(1 for i in range(len(a)) for j in range(len(a), len(seq)) if seq[i] > seq[j])
-    return IndexSet(sorted(seq)), -1 if inv % 2 else 1
-
-
-class PolySuperFunc:
+class PolySuperFunc(LinComb):
     """Polynomial coefficients attached to exterior monomials.
 
     Terms map (exponent vector, index set) to a rational coefficient.
     The parity of a term is the parity of its exterior degree.
     """
 
-    __slots__ = ("nvars", "odd_dim", "terms")
+    __slots__ = ("nvars", "odd_dim")
+    _DIMS = ("nvars", "odd_dim")
 
     def __init__(self, nvars, odd_dim, terms=None):
         self.nvars = nvars
@@ -58,18 +50,6 @@ class PolySuperFunc:
                 raise ValueError("odd index %d out of range" % key[-1])
             out[(exps, key)] = c
         self.terms = out
-
-    @classmethod
-    def _raw(cls, nvars, odd_dim, terms):
-        f = cls.__new__(cls)
-        f.nvars = nvars
-        f.odd_dim = odd_dim
-        f.terms = terms
-        return f
-
-    @classmethod
-    def zero(cls, nvars, odd_dim):
-        return cls._raw(nvars, odd_dim, {})
 
     @classmethod
     def constant(cls, nvars, odd_dim, c):
@@ -101,60 +81,7 @@ class PolySuperFunc:
     def monomial(cls, nvars, odd_dim, exps, key, coeff=1):
         return cls(nvars, odd_dim, {(MultiDegree(exps), IndexSet(key)): coeff})
 
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, PolySuperFunc):
-            return NotImplemented
-        return (self.nvars == other.nvars and self.odd_dim == other.odd_dim
-                and self.terms == other.terms)
-
-    __hash__ = None
-
-    def _check(self, other):
-        if self.nvars != other.nvars or self.odd_dim != other.odd_dim:
-            raise ValueError("operands live on different algebras")
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            c = out.get(k, _ZERO) + c
-            if c:
-                out[k] = c
-            else:
-                out.pop(k, None)
-        return PolySuperFunc._raw(self.nvars, self.odd_dim, out)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        c = Fraction(c)
-        if not c:
-            return PolySuperFunc.zero(self.nvars, self.odd_dim)
-        return PolySuperFunc._raw(self.nvars, self.odd_dim,
-                                  {k: c * v for k, v in self.terms.items()})
-
-    def __mul__(self, other):
-        self._check(other)
-        out = {}
-        for (e1, k1), c1 in self.terms.items():
-            for (e2, k2), c2 in other.terms.items():
-                key, sign = _merge(k1, k2)
-                if sign == 0:
-                    continue
-                kk = (MultiDegree(a + b for a, b in zip(e1, e2)), key)
-                c = out.get(kk, _ZERO) + sign * c1 * c2
-                if c:
-                    out[kk] = c
-                else:
-                    out.pop(kk, None)
-        return PolySuperFunc._raw(self.nvars, self.odd_dim, out)
+    __mul__ = sym_ext_product
 
     def __pow__(self, n):
         out = PolySuperFunc.unit(self.nvars, self.odd_dim)
@@ -355,11 +282,7 @@ def apply_map(phi, f):
     out = {}
     for (exps, key), c in f.terms.items():
         for k, v in phi._monomial_image(exps, key).terms.items():
-            v = out.get(k, _ZERO) + c * v
-            if v:
-                out[k] = v
-            else:
-                out.pop(k, None)
+            add_term(out, k, c * v)
     return PolySuperFunc._raw(phi.source_nvars, phi.source_odd, out)
 
 

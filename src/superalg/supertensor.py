@@ -11,13 +11,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
+from .lincomb import LinComb, add_term, contract, sym_ext_product, sym_ext_terms
 from .scalars import (
     EVEN,
-    ODD,
     IndexSet,
     MultiDegree,
     Parity,
     format_scalar,
+    inversion_sign,
     iter_multidegrees,
     parse_scalar,
     relative_signature,
@@ -121,15 +122,6 @@ def _block_indices(word):
     return evens, odds
 
 
-def _inversions(seq):
-    inv = 0
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                inv += 1
-    return inv
-
-
 def normalize_supersym(word):
     """Class of the word in Sym(V0|V1) ≅ Sym V0 ⊗ Λ V1.
 
@@ -140,7 +132,7 @@ def normalize_supersym(word):
     elem = SuperSymElem.zero(word.space)
     if len(set(odds)) != len(odds):
         return elem
-    sign = -1 if _inversions(odds) % 2 else 1
+    sign = inversion_sign(odds)
     deg = [0] * word.space.even_dim
     for i in evens:
         deg[i - 1] += 1
@@ -165,7 +157,7 @@ def normalize_superext(word):
             seen_odd += 1
         else:
             crossings += seen_odd
-    sign = -1 if (_inversions(evens) + crossings) % 2 else 1
+    sign = inversion_sign(evens) * (-1 if crossings % 2 else 1)
     deg = [0] * word.space.odd_dim
     for i in odds:
         deg[i - 1] += 1
@@ -173,113 +165,50 @@ def normalize_superext(word):
     return SuperExtElem(word.space, {key: sign * word.coeff})
 
 
-def _merge_sign(a, b):
-    i, j = 0, 0
-    inv = 0
-    out = []
-    while i < len(a) and j < len(b):
-        if a[i] == b[j]:
-            return None, 0
-        if a[i] < b[j]:
-            out.append(a[i])
-            i += 1
-        else:
-            out.append(b[j])
-            inv += len(a) - i
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out), (-1 if inv % 2 else 1)
+def _read_monomials(data, sym_field, sym_dim, ext_field, ext_dim):
+    """(Sym exponent vector, Λ index set, coefficient) of each JSON monomial.
+
+    Both index lists hold plain integers in range; the Sym list may repeat
+    and come in any order, the Λ list must be strictly increasing."""
+    if not isinstance(data, list):
+        raise ValueError("expected a list of monomials")
+    for i, item in enumerate(data):
+        if not isinstance(item, dict) or not {"coeff", "even", "odd"} <= set(item):
+            raise ValueError("monomial %d must have coeff/even/odd" % i)
+        for field, dim in ((sym_field, sym_dim), (ext_field, ext_dim)):
+            v = item[field]
+            if not isinstance(v, list) or any(
+                    isinstance(g, bool) or not isinstance(g, int) or not 1 <= g <= dim
+                    for g in v):
+                raise ValueError("%s must list integer indices in 1..%d in monomial %d, got %r"
+                                 % (field, dim, i, v))
+        deg = [0] * sym_dim
+        for g in item[sym_field]:
+            deg[g - 1] += 1
+        try:
+            key = IndexSet(item[ext_field])
+        except ValueError as e:
+            raise ValueError("%s in monomial %d: %s" % (ext_field, i, e)) from None
+        yield MultiDegree(deg), key, parse_scalar(item["coeff"])
 
 
-def _add_term(terms, key, c):
-    acc = terms.get(key, 0) + c
-    if acc:
-        terms[key] = acc
-    elif key in terms:
-        del terms[key]
+class SuperSymElem(LinComb):
+    """Element of Sym(V0|V1): keys are (MultiDegree on evens, IndexSet on odds)."""
 
-
-class _GradedElem:
-    """Shared plumbing for the two normal-form algebras."""
-
-    __slots__ = ("space", "terms")
+    __slots__ = ("space",)
+    _DIMS = ("space",)
 
     def __init__(self, space, terms=None):
         self.space = space
-        clean = {}
-        for (a, b), v in (terms or {}).items():
-            v = Fraction(v)
-            if v:
-                clean[(a, b)] = clean.get((a, b), 0) + v
-        self.terms = {k: v for k, v in clean.items() if v}
+        self.terms = {k: Fraction(v) for k, v in (terms or {}).items() if v}
 
-    @classmethod
-    def zero(cls, space):
-        return cls(space, {})
-
-    @classmethod
-    def unit(cls, space, coeff=1):
-        return cls(space, {cls._unit_key(space): Fraction(coeff)})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return self.space == other.space and self.terms == other.terms
-
-    __hash__ = None
-
-    def __add__(self, other):
-        if type(other) is not type(self) or other.space != self.space:
-            raise ValueError("mismatched operands")
-        terms = dict(self.terms)
-        for k, v in other.terms.items():
-            _add_term(terms, k, v)
-        return type(self)(self.space, terms)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        c = Fraction(c)
-        return type(self)(self.space, {k: c * v for k, v in self.terms.items()})
-
-    def __rmul__(self, c):
-        return self.scale(c)
-
-
-class SuperSymElem(_GradedElem):
-    """Element of Sym(V0|V1): keys are (MultiDegree on evens, IndexSet on odds)."""
-
-    @staticmethod
-    def _unit_key(space):
-        return (MultiDegree((0,) * space.even_dim), IndexSet(()))
-
-    def mul(self, other):
-        # supercommutative product: Sym factors add, Λ factors merge with sign
-        terms = {}
-        for (d1, k1), v1 in self.terms.items():
-            for (d2, k2), v2 in other.terms.items():
-                merged, s = _merge_sign(k1, k2)
-                if merged is None:
-                    continue
-                key = (MultiDegree(tuple(a + b for a, b in zip(d1, d2))), IndexSet(merged))
-                _add_term(terms, key, s * v1 * v2)
-        return SuperSymElem(self.space, terms)
+    # supercommutative product: Sym factors add, Λ factors merge with sign
+    mul = sym_ext_product
 
     def __mul__(self, other):
         if isinstance(other, SuperSymElem):
             return self.mul(other)
         return self.scale(other)
-
-    def term_parity(self, key):
-        return Parity.of(len(key[1]))
 
     def to_json(self):
         items = sorted(self.terms.items(),
@@ -292,55 +221,47 @@ class SuperSymElem(_GradedElem):
 
     @classmethod
     def from_json(cls, space, data):
-        if not isinstance(data, list):
-            raise ValueError("expected a list of monomials")
         terms = {}
-        for i, item in enumerate(data):
-            if not isinstance(item, dict) or not {"coeff", "even", "odd"} <= set(item):
-                raise ValueError("monomial %d must have coeff/even/odd" % i)
-            deg = [0] * space.even_dim
-            for g in item["even"]:
-                if not 1 <= g <= space.even_dim:
-                    raise ValueError("even index %r out of range in monomial %d" % (g, i))
-                deg[g - 1] += 1
-            key = (MultiDegree(deg), IndexSet(item["odd"]))
-            _add_term(terms, key, parse_scalar(item["coeff"]))
+        for deg, key, c in _read_monomials(data, "even", space.even_dim,
+                                           "odd", space.odd_dim):
+            add_term(terms, (deg, key), c)
         return cls(space, terms)
 
 
-class SuperExtElem(_GradedElem):
+def _swap(terms):
+    return {(b, a): c for (a, b), c in terms.items()}
+
+
+class SuperExtElem(LinComb):
     """Element of Λ(V0|V1): keys are (IndexSet on evens, MultiDegree on odds).
 
     The parity of a monomial is the parity of its Λ factor."""
 
-    @staticmethod
-    def _unit_key(space):
-        return (IndexSet(()), MultiDegree((0,) * space.odd_dim))
+    __slots__ = ("space",)
+    _DIMS = ("space",)
+
+    def __init__(self, space, terms=None):
+        self.space = space
+        self.terms = {k: Fraction(v) for k, v in (terms or {}).items() if v}
+
+    @classmethod
+    def unit(cls, space, coeff=1):
+        return cls(space, {(IndexSet(()), MultiDegree((0,) * space.odd_dim)): coeff})
 
     def wedge(self, other):
-        # sign from the Λ factors only; Sym factors multiply freely
-        terms = {}
-        for (k1, d1), v1 in self.terms.items():
-            for (k2, d2), v2 in other.terms.items():
-                merged, s = _merge_sign(k1, k2)
-                if merged is None:
-                    continue
-                key = (IndexSet(merged), MultiDegree(tuple(a + b for a, b in zip(d1, d2))))
-                _add_term(terms, key, s * v1 * v2)
-        return SuperExtElem(self.space, terms)
+        # Λ V0 ⊗ Sym V1 is the Sym ⊗ Λ algebra with the key halves swapped;
+        # the Sym factor is even, so the swap costs no sign
+        self._check(other)
+        return self._like(_swap(sym_ext_terms(_swap(self.terms), _swap(other.terms))))
 
     def __mul__(self, other):
         if isinstance(other, SuperExtElem):
             return self.wedge(other)
         return self.scale(other)
 
-    def term_parity(self, key):
-        return Parity.of(len(key[0]))
-
     def parity_part(self, parity):
         p = int(parity) % 2
-        return SuperExtElem(self.space,
-                            {k: v for k, v in self.terms.items() if len(k[0]) % 2 == p})
+        return self._like({k: v for k, v in self.terms.items() if len(k[0]) % 2 == p})
 
     def insert(self, parity, coeffs):
         """Interior product by a homogeneous vector: even vectors contract the
@@ -353,19 +274,17 @@ class SuperExtElem(_GradedElem):
         terms = {}
         for (k, d), v in self.terms.items():
             if parity == EVEN:
-                sign = 1
-                for t in range(len(k)):
-                    c = coeffs[k[t] - 1]
-                    if c:
-                        _add_term(terms, (IndexSet(k[:t] + k[t + 1:]), d), sign * c * v)
-                    sign = -sign
+                for g in k:
+                    if coeffs[g - 1]:
+                        nk, sign = contract(k, g)
+                        add_term(terms, (nk, d), sign * coeffs[g - 1] * v)
             else:
                 for j in range(len(d)):
                     if d[j] and coeffs[j]:
                         nd = list(d)
                         nd[j] -= 1
-                        _add_term(terms, (k, MultiDegree(nd)), d[j] * coeffs[j] * v)
-        return SuperExtElem(self.space, terms)
+                        add_term(terms, (k, MultiDegree(nd)), d[j] * coeffs[j] * v)
+        return self._like(terms)
 
     def to_json(self):
         items = sorted(self.terms.items(),
@@ -378,19 +297,10 @@ class SuperExtElem(_GradedElem):
 
     @classmethod
     def from_json(cls, space, data):
-        if not isinstance(data, list):
-            raise ValueError("expected a list of monomials")
         terms = {}
-        for i, item in enumerate(data):
-            if not isinstance(item, dict) or not {"coeff", "even", "odd"} <= set(item):
-                raise ValueError("monomial %d must have coeff/even/odd" % i)
-            deg = [0] * space.odd_dim
-            for g in item["odd"]:
-                if not 1 <= g <= space.odd_dim:
-                    raise ValueError("odd index %r out of range in monomial %d" % (g, i))
-                deg[g - 1] += 1
-            key = (IndexSet(item["even"]), MultiDegree(deg))
-            _add_term(terms, key, parse_scalar(item["coeff"]))
+        for deg, key, c in _read_monomials(data, "odd", space.odd_dim,
+                                           "even", space.even_dim):
+            add_term(terms, (key, deg), c)
         return cls(space, terms)
 
 

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -349,3 +350,60 @@ def test_module_entry_point(tmp_path):
                            "lie-check", str(tmp_path / "missing.json")],
                           capture_output=True, text=True)
     assert proc.returncode == 2 and "malformed" in proc.stderr
+
+
+TENSOR_DOC = {"even_dim": 2, "odd_dim": 2, "kind": "sym",
+              "terms": [{"coeff": "1/2", "even": [2, 1], "odd": [1, 2]}]}
+
+
+@pytest.mark.parametrize("kind, field, bad", [
+    ("sym", "odd", [True]),
+    ("sym", "odd", [1.5]),
+    ("sym", "even", [1.5]),
+    ("sym", "even", [True]),
+    ("ext", "even", [True]),
+    ("ext", "even", ["1"]),
+    ("ext", "odd", [1.5]),
+    ("ext", "odd", [False]),
+], ids=["sym-bool-odd", "sym-float-odd", "sym-float-even", "sym-bool-even",
+        "ext-bool-even", "ext-string-even", "ext-float-odd", "ext-bool-odd"])
+def test_tensor_normalize_rejects_non_integer_indices(capsys, tmp_path, kind, field, bad):
+    doc = _spoil(TENSOR_DOC, lambda d: d.update(kind=kind))
+    doc["terms"][0][field] = bad
+    p = write(tmp_path, "t.json", doc)
+    code, out, err = run_cli(capsys, ["tensor-normalize", p])
+    assert code == 2 and out == ""
+    assert err.startswith("error: malformed input: %s " % field)
+
+
+FAMILY_DOC = {"dim_v": 1, "dim_s": 2, "components": [
+    [{"coeff": "1", "ext": [], "s": 1}]]}
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, "1"], ids=["bool", "float", "string"])
+def test_straighten_rejects_non_integer_target(capsys, tmp_path, bad):
+    doc = _spoil(FAMILY_DOC, lambda d: d["components"][0][0].update(s=bad))
+    p = write(tmp_path, "f.json", doc)
+    code, out, err = run_cli(capsys, ["straighten", "--family", p])
+    assert code == 2 and out == ""
+    assert " s must be an integer" in err
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+# Reports of the value-printing subcommands, frozen byte for byte.  The
+# tensor inputs list Sym indices out of order and carry signed fractions
+# that collect on one key; the connection is curved and the form has Sym
+# content, so every piece of super_d contributes.
+@pytest.mark.parametrize("report, argv, code", [
+    ("tensor-normalize-sym", ["tensor-normalize", "tensor-sym.json"], 0),
+    ("tensor-normalize-ext", ["tensor-normalize", "tensor-ext.json"], 0),
+    ("straighten", ["straighten", "--family", "family.json"], 0),
+    ("sderham-d", ["sderham", "--conn", "conn.json", "--op", "d", "--form", "form.json"], 0),
+    ("derivation-classify", ["derivation-classify", "derivation.json"], 1),
+])
+def test_report_frozen(capsys, report, argv, code):
+    argv = [str(GOLDEN / a) if a.endswith(".json") else a for a in argv]
+    want = (GOLDEN / (report + ".out")).read_text()
+    assert run_cli(capsys, argv) == (code, want, "")
