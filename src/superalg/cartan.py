@@ -262,33 +262,34 @@ def _dim_A(n, m, k, l):
     return sym_dim(n, k) * comb(m, l)
 
 
+def _homology_table(n, m, k_max, l_max, step, columns):
+    """dim A^{k,l} less the ranks of the map out of (k, l) and the map into
+    it, for a map of bidegree step whose sparse columns out of (k, l) are
+    columns(k, l)."""
+    dk, dl = step
+    ranks = {}
+
+    def rank_at(k, l):
+        if (k, l) not in ranks:
+            empty = _dim_A(n, m, k, l) == 0 or _dim_A(n, m, k + dk, l + dl) == 0
+            ranks[(k, l)] = 0 if empty else sparse_rank(columns(k, l))
+        return ranks[(k, l)]
+
+    return [[_dim_A(n, m, k, l) - rank_at(k, l) - rank_at(k - dk, l - dl)
+             for l in range(l_max + 1)] for k in range(k_max + 1)]
+
+
 def homology_dims(F, k_max, l_max, assembler="applicator"):
     """dim H^{k,l}(d_F) over 0 <= k <= k_max, 0 <= l <= l_max, exactly."""
     m, n = len(F), len(F[0]) if F else 0
     F = as_matrix(F, m, n)
 
     def columns(k, l):
-        if _dim_A(n, m, k, l) == 0 or _dim_A(n, m, k - 1, l + 1) == 0:
-            return None
         if assembler == "direct":
             return dF_columns_direct(F, n, m, k, l)
         return operator_columns(lambda x: d_F(F, x), n, m, (k, l), (k - 1, l + 1))
 
-    ranks = {}
-
-    def rank_at(k, l):
-        if (k, l) not in ranks:
-            cols = columns(k, l)
-            ranks[(k, l)] = 0 if cols is None else sparse_rank(cols)
-        return ranks[(k, l)]
-
-    table = []
-    for k in range(k_max + 1):
-        row = []
-        for l in range(l_max + 1):
-            row.append(_dim_A(n, m, k, l) - rank_at(k, l) - rank_at(k + 1, l - 1))
-        table.append(row)
-    return table
+    return _homology_table(n, m, k_max, l_max, (-1, 1), columns)
 
 
 def predicted_homology_dims(F, k_max, l_max):
@@ -306,25 +307,9 @@ def dstar_homology_dims(G, k_max, l_max):
     G = as_matrix(G, n, m)
 
     def columns(k, l):
-        if _dim_A(n, m, k, l) == 0 or _dim_A(n, m, k + 1, l - 1) == 0:
-            return None
         return operator_columns(lambda x: d_star_G(G, x), n, m, (k, l), (k + 1, l - 1))
 
-    ranks = {}
-
-    def rank_at(k, l):
-        if (k, l) not in ranks:
-            cols = columns(k, l)
-            ranks[(k, l)] = 0 if cols is None else sparse_rank(cols)
-        return ranks[(k, l)]
-
-    table = []
-    for k in range(k_max + 1):
-        row = []
-        for l in range(l_max + 1):
-            row.append(_dim_A(n, m, k, l) - rank_at(k, l) - rank_at(k - 1, l + 1))
-        table.append(row)
-    return table
+    return _homology_table(n, m, k_max, l_max, (1, -1), columns)
 
 
 def predicted_dstar_homology_dims(G, k_max, l_max):

@@ -16,11 +16,13 @@ import argparse
 import json
 import random
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from pathlib import Path
 
+from . import decode
 from .cartan import (
     BigradedElem,
     ext_transport,
@@ -57,7 +59,7 @@ from .liesuper import (
 )
 from .linalg import mat_mul
 from .poly import Poly
-from .scalars import IndexSet, MultiDegree, Permutation, parse_scalar, sym_dim
+from .scalars import IndexSet, MultiDegree, Permutation, sym_dim
 from .sderham import (
     OddConnection,
     SuperForm,
@@ -153,49 +155,26 @@ def load_json(path):
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise InputError(e.msg, "%s: line %d column %d" % (path, e.lineno, e.colno)) from None
+    except ValueError as e:  # an integer literal past the interpreter's digit limit
+        raise InputError(str(e), path) from None
 
 
-def parsed(fn, path, *args):
-    """Run a module from_json, turning its ValueError into a located InputError."""
+@contextmanager
+def parsed(path):
+    """Turn a ValueError of the input readers into an InputError located at path."""
     try:
-        return fn(*args)
-    except (ValueError, TypeError, KeyError) as e:
-        raise InputError(str(e) or repr(e), path) from None
+        yield
+    except ValueError as e:
+        raise InputError(str(e), path) from None
 
 
-def scalar_entry(x, path, where):
-    if isinstance(x, bool):
-        raise InputError("expected a number or 'p/q' string at %s" % where, path)
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return parsed(parse_scalar, path, x)
-    raise InputError("expected a number or 'p/q' string at %s" % where, path)
-
-
-def parse_matrix(path, data):
-    if not isinstance(data, list) or not data or not all(isinstance(r, list) for r in data):
-        raise InputError("expected a non-empty list of rows", path)
-    width = len(data[0])
-    rows = []
-    for r, row in enumerate(data):
-        if len(row) != width:
-            raise InputError("row %d has length %d, expected %d" % (r, len(row), width), path)
-        rows.append([scalar_entry(x, path, "row %d column %d" % (r, c))
-                     for c, x in enumerate(row)])
-    return rows
-
-
-def need_keys(data, keys, path):
-    if not isinstance(data, dict) or not set(keys) <= set(data):
-        raise InputError("expected an object with keys %s" % "/".join(keys), path)
-
-
-def int_field(data, key, path):
-    v = data[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise InputError("%s must be an integer" % key, path)
-    return v
+def parse_matrix(data):
+    if not decode.items(data, "matrix"):
+        raise ValueError("matrix must have at least one row")
+    width = len(decode.items(data[0], "row 0"))
+    return [[decode.scalar(x, "row %d column %d" % (r, c))
+             for c, x in enumerate(decode.items(row, "row %d" % r, width))]
+            for r, row in enumerate(data)]
 
 
 # ------------------------------------------------------- random inputs
@@ -204,7 +183,7 @@ def rand_poly(rng, m, max_deg=2, terms=2):
     out = Poly.zero(m)
     for _ in range(terms):
         exps = [0] * m
-        for _ in range(rng.randint(0, max_deg)):
+        for _ in range(rng.randint(0, max_deg) if m else 0):
             exps[rng.randrange(m)] += 1
         out = out + Poly.monomial(m, exps, Fraction(rng.randint(-3, 3)))
     return out
@@ -276,7 +255,8 @@ def rand_frac_matrix(rng, rows, cols, lo=-2, hi=2):
 
 def _cmd_cp_homology(cmd):
     path = cmd.paths["F"]
-    F = parse_matrix(path, load_json(path))
+    with parsed(path):
+        F = parse_matrix(load_json(path))
     kmax, lmax = cmd.params["kmax"], cmd.params["lmax"]
     if kmax < 0 or lmax < 0:
         raise PreconditionError("kmax and lmax must be non-negative")
@@ -289,13 +269,11 @@ def _cmd_cp_homology(cmd):
 
 def _cmd_derivation_classify(cmd):
     path = cmd.paths["input"]
-    data = load_json(path)
-    need_keys(data, ("images",), path)
-    imgs = data["images"]
-    if not isinstance(imgs, list) or not imgs:
-        raise InputError("images must be a non-empty list", path)
-    space = parsed(ExtSpace, path, len(imgs))
-    images = [parsed(ExtElem.from_json, path, space, d) for d in imgs]
+    with parsed(path):
+        (images,) = decode.fields(load_json(path), "derivation input", "images")
+        space = ExtSpace(decode.integer(len(decode.items(images, "images")),
+                                        "number of images", 1, 62))
+        images = [ExtElem.from_json(space, d) for d in images]
     split = classify(space, images)
     rebuilt = reconstruct(split)
     same_class = classify(space, rebuilt) == split
@@ -340,7 +318,8 @@ def _cmd_sder_dims(cmd):
 
 def _cmd_lie_check(cmd):
     path = cmd.paths["input"]
-    L = parsed(LieSuperData.from_json, path, load_json(path))
+    with parsed(path):
+        L = LieSuperData.from_json(load_json(path))
     rep = check_lie_superalgebra(L)
     checks = [
         CheckResult("super-jacobi", rep.super_jacobi,
@@ -355,18 +334,15 @@ def _cmd_lie_check(cmd):
 
 def _cmd_tensor_normalize(cmd):
     path = cmd.paths["input"]
-    data = load_json(path)
-    need_keys(data, ("even_dim", "odd_dim", "kind", "terms"), path)
-    p = int_field(data, "even_dim", path)
-    q = int_field(data, "odd_dim", path)
-    kind = data["kind"]
-    if kind not in ("sym", "ext"):
-        raise InputError("kind must be 'sym' or 'ext'", path)
-    space = parsed(SuperSpace, path, p, q)
-    cls = SuperSymElem if kind == "sym" else SuperExtElem
-    elem = parsed(cls.from_json, path, space, data["terms"])
+    with parsed(path):
+        p, q, kind, terms = decode.fields(load_json(path), "tensor input",
+                                          "even_dim", "odd_dim", "kind", "terms")
+        if kind not in ("sym", "ext"):
+            raise ValueError("kind must be 'sym' or 'ext', got %.40r" % (kind,))
+        space = SuperSpace(decode.integer(p, "even_dim"), decode.integer(q, "odd_dim"))
+        elem = (SuperSymElem if kind == "sym" else SuperExtElem).from_json(space, terms)
     normal = elem.to_json()
-    roundtrip = cls.from_json(space, normal) == elem
+    roundtrip = type(elem).from_json(space, normal) == elem
     dims_ok = True
     for k in range(5):
         want_sym = sum(sym_dim(p, a) * comb(q, k - a) for a in range(k + 1))
@@ -382,7 +358,8 @@ def _cmd_tensor_normalize(cmd):
 
 def _cmd_straighten(cmd):
     path = cmd.paths["family"]
-    fam = parsed(OddFamily.from_json, path, load_json(path))
+    with parsed(path):
+        fam = OddFamily.from_json(load_json(path))
     if not family_is_commuting(fam):
         raise PreconditionError("family does not commute")
     try:
@@ -397,12 +374,12 @@ def _cmd_straighten(cmd):
 
 def _cmd_jet_factor(cmd):
     path = cmd.paths["input"]
-    data = load_json(path)
-    need_keys(data, ("nvars", "rank_in", "rank_out", "op"), path)
-    m = int_field(data, "nvars", path)
-    rin = int_field(data, "rank_in", path)
-    rout = int_field(data, "rank_out", path)
-    D = parsed(PolyDiffOp.from_json, path, m, rin, rout, data["op"])
+    with parsed(path):
+        m, rin, rout, op = decode.fields(load_json(path), "jet-factor input",
+                                         "nvars", "rank_in", "rank_out", "op")
+        m, rin, rout = (decode.integer(m, "nvars"), decode.integer(rin, "rank_in", 1),
+                        decode.integer(rout, "rank_out", 1))
+        D = PolyDiffOp.from_json(m, rin, rout, op)
     k = cmd.params["order"]
     if k < 0:
         raise PreconditionError("jet order must be non-negative")
@@ -428,11 +405,11 @@ def _cmd_jet_factor(cmd):
 
 def _cmd_supermap_check(cmd):
     path = cmd.paths["input"]
-    data = load_json(path)
-    need_keys(data, ("source_nvars", "source_odd", "map"), path)
-    sn = int_field(data, "source_nvars", path)
-    so = int_field(data, "source_odd", path)
-    phi = parsed(SuperMapData.from_json, path, sn, so, data["map"])
+    with parsed(path):
+        sn, so, phi = decode.fields(load_json(path), "supermap input",
+                                    "source_nvars", "source_odd", "map")
+        phi = SuperMapData.from_json(decode.integer(sn, "source_nvars"),
+                                     decode.integer(so, "source_odd"), phi)
     trials = ROUNDS[cmd.budget]
     ob_seed = sub_seed(cmd.seed, "supermap-order-bound")
     ob = order_bound_check(phi, trials=trials, seed=ob_seed)
@@ -460,7 +437,8 @@ def _cmd_supermap_check(cmd):
 
 def _cmd_sderham(cmd):
     path = cmd.paths["conn"]
-    conn = parsed(OddConnection.from_json, path, load_json(path))
+    with parsed(path):
+        conn = OddConnection.from_json(load_json(path))
     op = cmd.params["op"]
     k, cutoff = cmd.params["k"], cmd.params["cutoff"]
     if cutoff < 0:
@@ -469,8 +447,8 @@ def _cmd_sderham(cmd):
         fpath = cmd.paths.get("form")
         if fpath is None:
             raise InputError("--form is required for --op d", "--form")
-        w = parsed(SuperForm.from_json, fpath,
-                   conn.dim_base, conn.dim_odd, load_json(fpath))
+        with parsed(fpath):
+            w = SuperForm.from_json(conn.dim_base, conn.dim_odd, load_json(fpath))
         out = super_d(conn, w)
         checks = [CheckResult("d-squared-vanishes", super_d(conn, out).is_zero())]
         return checks, {"result": out.to_json()}

@@ -8,8 +8,9 @@ a left-multiplication part encoded by a single odd form.
 
 from fractions import Fraction
 
+from . import decode
 from .exterior import ExtElem, ExtSpace
-from .scalars import EVEN, ODD, Parity, format_scalar, parse_scalar
+from .scalars import EVEN, ODD, Parity
 
 
 class SuperDerivation:
@@ -78,12 +79,9 @@ class SuperDerivation:
 
     @classmethod
     def from_json(cls, space, data):
-        if not isinstance(data, dict) or "parity" not in data or "images" not in data:
-            raise ValueError("expected {'parity':..., 'images':[...]}")
-        if not isinstance(data["images"], list) or len(data["images"]) != space.dim:
-            raise ValueError("need %d images" % space.dim)
-        images = [ExtElem.from_json(space, im) for im in data["images"]]
-        return cls(space, Parity.from_json(data["parity"]), images)
+        parity, images = decode.fields(data, "superderivation", "parity", "images")
+        images = [ExtElem.from_json(space, im) for im in decode.items(images, "images", space.dim)]
+        return cls(space, Parity.from_json(parity), images)
 
 
 def extend(D, a):

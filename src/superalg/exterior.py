@@ -10,8 +10,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
+from . import decode
 from .lincomb import LinComb, add_term, contract, merge_sign
-from .scalars import IndexSet, format_scalar, parse_scalar
+from .scalars import IndexSet, format_scalar
 
 
 class NotInvertibleError(ValueError):
@@ -156,16 +157,9 @@ class ExtElem(LinComb):
 
     @classmethod
     def from_json(cls, space, data):
-        if not isinstance(data, list):
-            raise ValueError("expected a list of terms")
-        terms = {}
-        for i, item in enumerate(data):
-            if not isinstance(item, dict) or "coeff" not in item or "ext" not in item:
-                raise ValueError("term %d must be {'coeff':..., 'ext':[...]}" % i)
-            c = parse_scalar(item["coeff"])
-            k = IndexSet(item["ext"])
-            terms[k] = terms.get(k, 0) + c
-        return cls(space, terms)
+        def read(coeff, ext):
+            return decode.index_set(ext, "ext", space.dim), decode.scalar(coeff, "coeff")
+        return cls(space, decode.terms(data, "exterior element", read, "coeff", "ext"))
 
     def __repr__(self):
         if not self.terms:

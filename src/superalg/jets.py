@@ -5,6 +5,7 @@ order-k operator through the k-jet at a point."""
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
 
+from . import decode
 from .poly import Poly, multi_binom
 from .scalars import MultiDegree, iter_multidegrees
 
@@ -64,7 +65,7 @@ class PolySection:
 
     @classmethod
     def from_json(cls, nvars, data):
-        return cls([Poly.from_json(nvars, p) for p in data])
+        return cls([Poly.from_json(nvars, p) for p in decode.items(data, "section")])
 
     def __repr__(self):
         return "(" + ", ".join(repr(p) for p in self.polys) + ")"
@@ -210,18 +211,12 @@ class PolyDiffOp:
 
     @classmethod
     def from_json(cls, nvars, rank_in, rank_out, data):
-        if not isinstance(data, list):
-            raise ValueError("expected a list of operator terms")
-        terms = {}
-        for row in data:
-            if not isinstance(row, dict) or not {"alpha", "matrix"} <= set(row):
-                raise ValueError("each term needs alpha and matrix")
-            alpha = MultiDegree(row["alpha"])
-            if alpha in terms:
-                raise ValueError("duplicate derivative multidegree %s" % (alpha,))
-            terms[alpha] = [[Poly.from_json(nvars, p) for p in mrow]
-                            for mrow in row["matrix"]]
-        return cls(nvars, rank_in, rank_out, terms)
+        def read(alpha, matrix):
+            return decode.exponents(alpha, "alpha", nvars), [
+                [Poly.from_json(nvars, p) for p in decode.items(mrow, "matrix row", rank_in)]
+                for mrow in decode.items(matrix, "matrix", rank_out)]
+        return cls(nvars, rank_in, rank_out,
+                   decode.terms(data, "operator", read, "alpha", "matrix"))
 
 
 def iter_leq(alpha):

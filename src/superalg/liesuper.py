@@ -10,8 +10,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
+from . import decode
 from .linalg import mat_mul
-from .scalars import format_scalar, parse_scalar
+from .scalars import format_scalar
 
 
 def _vzero(n):
@@ -83,24 +84,13 @@ class LieSuperData:
 
     @classmethod
     def from_json(cls, data):
-        if not isinstance(data, dict):
-            raise ValueError("expected an object with even_dim/odd_dim/brackets")
-        try:
-            p, q = int(data["even_dim"]), int(data["odd_dim"])
-            rows = data["brackets"]
-        except (KeyError, TypeError, ValueError):
-            raise ValueError("expected keys even_dim, odd_dim, brackets") from None
-        if not isinstance(rows, list):
-            raise ValueError("brackets must be a list")
-        table = {}
-        for row in rows:
-            if not isinstance(row, dict) or not {"i", "j", "coeffs"} <= set(row):
-                raise ValueError("each bracket row needs i, j, coeffs")
-            key = (int(row["i"]), int(row["j"]))
-            if key in table:
-                raise ValueError("duplicate bracket row (%d,%d)" % key)
-            table[key] = [parse_scalar(c) for c in row["coeffs"]]
-        return cls(p, q, table)
+        p, q, rows = decode.fields(data, "Lie superalgebra", "even_dim", "odd_dim", "brackets")
+        dim = decode.integer(p, "even_dim") + decode.integer(q, "odd_dim")
+
+        def read(i, j, coeffs):
+            key = (decode.integer(i, "i", 1, dim), decode.integer(j, "j", 1, dim))
+            return key, [decode.scalar(c, "coeffs") for c in decode.items(coeffs, "coeffs", dim)]
+        return cls(p, q, decode.terms(rows, "brackets", read, "i", "j", "coeffs"))
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,9 @@ from fractions import Fraction
 from math import comb
 from operator import add
 
+from . import decode
 from .lincomb import LinComb, add_term
-from .scalars import MultiDegree, format_scalar, parse_scalar
+from .scalars import MultiDegree, format_scalar
 
 _new = tuple.__new__
 
@@ -119,17 +120,9 @@ class Poly(LinComb):
 
     @classmethod
     def from_json(cls, nvars, data):
-        if not isinstance(data, list):
-            raise ValueError("expected a list of terms")
-        terms = {}
-        for row in data:
-            if not isinstance(row, dict) or not {"exps", "coeff"} <= set(row):
-                raise ValueError("each term needs exps and coeff")
-            exps = MultiDegree(row["exps"])
-            if exps in terms:
-                raise ValueError("duplicate exponent vector %s" % (exps,))
-            terms[exps] = parse_scalar(row["coeff"])
-        return cls(nvars, terms)
+        def read(exps, coeff):
+            return decode.exponents(exps, "exps", nvars), decode.scalar(coeff, "coeff")
+        return cls(nvars, decode.terms(data, "polynomial", read, "exps", "coeff"))
 
     def __repr__(self):
         if not self.terms:

@@ -9,20 +9,21 @@ from enum import IntEnum
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+import re
+
+_SCALAR = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
 
 
-def parse_scalar(s):
-    """Parse "p/q" or "p" (string or int) into a Fraction."""
-    if isinstance(s, bool):
-        raise ValueError("scalar must be a string like 'p/q', got a bool")
-    if isinstance(s, int):
-        return Fraction(s)
-    if isinstance(s, str):
+def parse_scalar(s, name="scalar"):
+    """Parse an int, or a "p" or "p/q" string of decimal digits, into a Fraction.
+
+    The digits-only grammar keeps out exponents such as '1e999999999'."""
+    if type(s) is int or isinstance(s, str) and _SCALAR.fullmatch(s):
         try:
             return Fraction(s)
-        except (ValueError, ZeroDivisionError) as e:
-            raise ValueError("bad scalar %r: %s" % (s, e)) from None
-    raise ValueError("scalar must be a string like 'p/q', got %r" % (s,))
+        except ValueError:  # more digits than the interpreter converts
+            pass
+    raise ValueError("%s must be an integer or a 'p/q' string, got %.40r" % (name, s))
 
 
 def format_scalar(q):

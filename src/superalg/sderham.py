@@ -19,6 +19,7 @@ cross-validate each other.
 from fractions import Fraction
 from itertools import combinations
 
+from . import decode
 from .lincomb import LinComb, add_term, contract, merge_sign, replace
 from .scalars import IndexSet, MultiDegree, iter_multidegrees, inversion_sign
 from .poly import Poly
@@ -41,9 +42,7 @@ class SuperForm(LinComb):
     __slots__ = ("dim_base", "dim_odd")
     _DIMS = ("dim_base", "dim_odd")
 
-    def __init__(self, dim_base, dim_odd, terms=None):
-        m = int(dim_base)
-        n = int(dim_odd)
+    def __init__(self, m, n, terms=None):
         if m < 0 or n < 0:
             raise ValueError("dimensions must be non-negative")
         self.dim_base = m
@@ -155,17 +154,11 @@ class SuperForm(LinComb):
 
     @classmethod
     def from_json(cls, m, n, data):
-        if not isinstance(data, list):
-            raise ValueError("superform JSON must be a list of terms")
-        terms = {}
-        for item in data:
-            if not isinstance(item, dict) or set(item) != {"dxs", "sym", "ext", "coeff"}:
-                raise ValueError("superform term needs keys dxs/sym/ext/coeff")
-            key = (IndexSet(item["dxs"]), MultiDegree(item["sym"]), IndexSet(item["ext"]))
-            if key in terms:
-                raise ValueError("duplicate superform key")
-            terms[key] = Poly.from_json(m, item["coeff"])
-        return cls(m, n, terms)
+        def read(dxs, sym, ext, coeff):
+            key = (decode.index_set(dxs, "dxs", m), decode.exponents(sym, "sym", n),
+                   decode.index_set(ext, "ext", n))
+            return key, Poly.from_json(m, coeff)
+        return cls(m, n, decode.terms(data, "superform", read, "dxs", "sym", "ext", "coeff"))
 
     def __repr__(self):
         if not self.terms:
@@ -192,9 +185,7 @@ class OddConnection:
 
     __slots__ = ("dim_base", "dim_odd", "comps")
 
-    def __init__(self, dim_base, dim_odd, comps):
-        m = int(dim_base)
-        n = int(dim_odd)
+    def __init__(self, m, n, comps):
         if len(comps) != n or any(len(row) != n for row in comps):
             raise ValueError("connection matrix must be n x n")
         clean = []
@@ -238,14 +229,12 @@ class OddConnection:
 
     @classmethod
     def from_json(cls, data):
-        if not isinstance(data, dict) or set(data) != {"dim_base", "dim_odd", "entries"}:
-            raise ValueError("connection JSON needs dim_base/dim_odd/entries")
-        m = int(data["dim_base"])
-        n = int(data["dim_odd"])
-        ent = data["entries"]
-        if len(ent) != n or any(len(r) != n for r in ent):
-            raise ValueError("connection entries must form an n x n matrix")
-        comps = [[[Poly.from_json(m, pj) for pj in cell] for cell in row] for row in ent]
+        m, n, entries = decode.fields(data, "connection", "dim_base", "dim_odd", "entries")
+        m, n = decode.integer(m, "dim_base"), decode.integer(n, "dim_odd")
+        comps = [[[Poly.from_json(m, p)
+                   for p in decode.items(cell, "entries[%d][%d]" % (g, b), m)]
+                  for b, cell in enumerate(decode.items(row, "entries[%d]" % g, n))]
+                 for g, row in enumerate(decode.items(entries, "entries", n))]
         return cls(m, n, comps)
 
     def __repr__(self):

@@ -10,11 +10,12 @@ whose right-hand side is certified closed before solving.
 from fractions import Fraction
 from itertools import combinations
 
+from . import decode
 from .derivations import SuperDerivation, superbracket
 from .exterior import ExtElem, ExtSpace
 from .lincomb import LinComb, add_term, contract, merge_sign
 from .linalg import nullspace, rank, rref, solve
-from .scalars import IndexSet, MultiDegree, format_scalar, parse_scalar
+from .scalars import IndexSet, MultiDegree, format_scalar
 
 
 def _ds_space(q):
@@ -68,20 +69,10 @@ class CompElem(LinComb):
 
     @classmethod
     def from_json(cls, dim, data):
-        if not isinstance(data, list):
-            raise ValueError("expected a list of terms")
-        terms = {}
-        for row in data:
-            if not isinstance(row, dict) or not {"coeff", "ext", "s"} <= set(row):
-                raise ValueError("each term needs coeff, ext, s")
-            s = row["s"]
-            if isinstance(s, bool) or not isinstance(s, int):
-                raise ValueError("term field s must be an integer, got %r" % (s,))
-            key = (IndexSet(row["ext"]), s)
-            if key in terms:
-                raise ValueError("duplicate term %s" % (key,))
-            terms[key] = parse_scalar(row["coeff"])
-        return cls(dim, terms)
+        def read(coeff, ext, s):
+            key = (decode.index_set(ext, "ext", dim), decode.integer(s, "s", 1, dim))
+            return key, decode.scalar(coeff, "coeff")
+        return cls(dim, decode.terms(data, "component", read, "coeff", "ext", "s"))
 
     def __repr__(self):
         if not self.terms:
@@ -228,12 +219,10 @@ class OddFamily:
 
     @classmethod
     def from_json(cls, data):
-        if not isinstance(data, dict) or not {"dim_v", "dim_s", "components"} <= set(data):
-            raise ValueError("expected keys dim_v, dim_s, components")
-        n, q = int(data["dim_v"]), int(data["dim_s"])
-        if not isinstance(data["components"], list) or len(data["components"]) != n:
-            raise ValueError("need %d components" % n)
-        return cls(n, q, [CompElem.from_json(q, c) for c in data["components"]])
+        n, q, comps = decode.fields(data, "odd family", "dim_v", "dim_s", "components")
+        n, q = decode.integer(n, "dim_v"), decode.integer(q, "dim_s", 1, 62)
+        return cls(n, q, [CompElem.from_json(q, c)
+                          for c in decode.items(comps, "components", n)])
 
 
 def family_is_commuting(fam):
@@ -294,11 +283,9 @@ class Straightening:
 
     @classmethod
     def from_json(cls, data):
-        if not isinstance(data, dict) or not {"dim_s", "images"} <= set(data):
-            raise ValueError("expected keys dim_s, images")
-        q = int(data["dim_s"])
-        space = _ds_space(q)
-        return cls(q, [ExtElem.from_json(space, im) for im in data["images"]])
+        q, images = decode.fields(data, "straightening", "dim_s", "images")
+        space = _ds_space(decode.integer(q, "dim_s", 1, 62))
+        return cls(q, [ExtElem.from_json(space, im) for im in decode.items(images, "images", q)])
 
 
 def identity_straightening(q):

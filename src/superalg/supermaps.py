@@ -14,10 +14,11 @@ from fractions import Fraction
 from itertools import combinations
 import random
 
+from . import decode
 from .exterior import ExtElem, ExtSpace
 from .lincomb import LinComb, add_term, sym_ext_product
 from .poly import Poly
-from .scalars import IndexSet, MultiDegree, format_scalar, parse_scalar
+from .scalars import IndexSet, MultiDegree, format_scalar
 
 
 def _ext_space(p):
@@ -136,23 +137,11 @@ class PolySuperFunc(LinComb):
 
     @classmethod
     def from_json(cls, nvars, odd_dim, data):
-        if not isinstance(data, list):
-            raise ValueError("superfunction JSON must be a list of terms")
-        terms = {}
-        for item in data:
-            if not isinstance(item, dict) or set(item) != {"exps", "ext", "coeff"}:
-                raise ValueError("superfunction term needs exps, ext and coeff")
-            for field in ("exps", "ext"):
-                v = item[field]
-                if not isinstance(v, list) or any(
-                        isinstance(x, bool) or not isinstance(x, int) for x in v):
-                    raise ValueError("superfunction term %s must be a list of integers, got %r"
-                                     % (field, v))
-            key = (MultiDegree(item["exps"]), IndexSet(item["ext"]))
-            if key in terms:
-                raise ValueError("duplicate term %r" % (key,))
-            terms[key] = parse_scalar(item["coeff"])
-        return cls(nvars, odd_dim, terms)
+        def read(exps, ext, coeff):
+            key = (decode.exponents(exps, "exps", nvars), decode.index_set(ext, "ext", odd_dim))
+            return key, decode.scalar(coeff, "coeff")
+        return cls(nvars, odd_dim,
+                   decode.terms(data, "superfunction", read, "exps", "ext", "coeff"))
 
     def __repr__(self):
         if not self.terms:
@@ -253,16 +242,10 @@ class SuperMapData:
 
     @classmethod
     def from_json(cls, source_nvars, source_odd, data):
-        if not isinstance(data, dict) or set(data) != {"coord_images", "odd_images"}:
-            raise ValueError("morphism JSON needs coord_images and odd_images")
-        for name, v in (("source_nvars", source_nvars), ("source_odd", source_odd)):
-            if isinstance(v, bool) or not isinstance(v, int) or v < 0:
-                raise ValueError("%s must be a non-negative integer, got %r" % (name, v))
-        coords = [PolySuperFunc.from_json(source_nvars, source_odd, d)
-                  for d in data["coord_images"]]
-        odds = [PolySuperFunc.from_json(source_nvars, source_odd, d)
-                for d in data["odd_images"]]
-        return cls(coords, odds)
+        names = ("coord_images", "odd_images")
+        return cls(*[[PolySuperFunc.from_json(source_nvars, source_odd, d)
+                      for d in decode.items(images, name)]
+                     for images, name in zip(decode.fields(data, "morphism", *names), names)])
 
     def __repr__(self):
         return "SuperMapData(%d|%d -> %d|%d)" % (
@@ -290,6 +273,9 @@ def pull_function(phi, f):
     """Compose a polynomial on the target coordinates with the base map."""
     if f.nvars != phi.target_nvars:
         raise ValueError("polynomial does not live on the target coordinates")
+    if not phi.coord_images:
+        # a map into 0|q has no base map to substitute: f is a constant
+        return Poly.constant(phi.source_nvars, f.evaluate(()))
     return f.compose(list(phi.base_map()))
 
 

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
+from . import decode
 from .lincomb import LinComb, add_term, contract, sym_ext_product, sym_ext_terms
 from .scalars import (
     EVEN,
@@ -20,7 +21,6 @@ from .scalars import (
     format_scalar,
     inversion_sign,
     iter_multidegrees,
-    parse_scalar,
     relative_signature,
     signature,
 )
@@ -168,28 +168,16 @@ def normalize_superext(word):
 def _read_monomials(data, sym_field, sym_dim, ext_field, ext_dim):
     """(Sym exponent vector, Λ index set, coefficient) of each JSON monomial.
 
-    Both index lists hold plain integers in range; the Sym list may repeat
-    and come in any order, the Λ list must be strictly increasing."""
-    if not isinstance(data, list):
-        raise ValueError("expected a list of monomials")
-    for i, item in enumerate(data):
-        if not isinstance(item, dict) or not {"coeff", "even", "odd"} <= set(item):
-            raise ValueError("monomial %d must have coeff/even/odd" % i)
-        for field, dim in ((sym_field, sym_dim), (ext_field, ext_dim)):
-            v = item[field]
-            if not isinstance(v, list) or any(
-                    isinstance(g, bool) or not isinstance(g, int) or not 1 <= g <= dim
-                    for g in v):
-                raise ValueError("%s must list integer indices in 1..%d in monomial %d, got %r"
-                                 % (field, dim, i, v))
+    The Sym list may repeat indices and come in any order.  Monomials are
+    tensor words that may meet on one normal-form key, so repeated keys are
+    the caller's to sum."""
+    for item in decode.items(data, "terms"):
+        decode.fields(item, "monomial", "coeff", "even", "odd")
         deg = [0] * sym_dim
-        for g in item[sym_field]:
+        for g in decode.indices(item[sym_field], sym_field, sym_dim):
             deg[g - 1] += 1
-        try:
-            key = IndexSet(item[ext_field])
-        except ValueError as e:
-            raise ValueError("%s in monomial %d: %s" % (ext_field, i, e)) from None
-        yield MultiDegree(deg), key, parse_scalar(item["coeff"])
+        yield (MultiDegree(deg), decode.index_set(item[ext_field], ext_field, ext_dim),
+               decode.scalar(item["coeff"], "coeff"))
 
 
 class SuperSymElem(LinComb):

@@ -1,11 +1,16 @@
 """Command line front end: exit codes, determinism, report formats."""
 
+import copy
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from superalg.cli import fnv1a64, main, sub_seed
 
@@ -402,8 +407,139 @@ GOLDEN = Path(__file__).parent / "golden"
     ("straighten", ["straighten", "--family", "family.json"], 0),
     ("sderham-d", ["sderham", "--conn", "conn.json", "--op", "d", "--form", "form.json"], 0),
     ("derivation-classify", ["derivation-classify", "derivation.json"], 1),
+    ("lie-check", ["lie-check", "lie-fail.json"], 1),
+    ("jet-factor", ["jet-factor", "jet-op.json", "--order", "3", "--seed", "5"], 0),
+    ("sderham-delta", ["sderham", "--conn", "conn.json", "--op", "delta",
+                       "--k", "2", "--cutoff", "1"], 0),
+    ("cp-homology", ["cp-homology", "--F", "F-frac.json", "--kmax", "3", "--lmax", "3"], 0),
 ])
 def test_report_frozen(capsys, report, argv, code):
     argv = [str(GOLDEN / a) if a.endswith(".json") else a for a in argv]
     want = (GOLDEN / (report + ".out")).read_text()
     assert run_cli(capsys, argv) == (code, want, "")
+
+
+LIE_DOC = {"even_dim": 1, "odd_dim": 1,
+           "brackets": [{"i": 2, "j": 2, "coeffs": [1, 0]}]}
+CONN_DOC = {"dim_base": 2, "dim_odd": 1,
+            "entries": [[[[{"exps": [0, 1], "coeff": "1"}], []]]]}
+DERIVATION_DOC = {"images": [[{"coeff": "1", "ext": [2]}], [{"coeff": "1", "ext": [1]}]]}
+JET_DOC = {"nvars": 1, "rank_in": 1, "rank_out": 1,
+           "op": [{"alpha": [1], "matrix": [[[{"exps": [0], "coeff": "1"}]]]}]}
+COHOMOLOGY = ["sderham", "--op", "cohomology", "--k", "1", "--cutoff", "1", "--conn"]
+
+
+# Each document is valid but for one field, which the error must name.
+@pytest.mark.parametrize("argv, doc, edit, want", [
+    (["straighten", "--family"], FAMILY_DOC, lambda d: d.update(dim_v=True),
+     "input: dim_v must be an integer"),
+    (["straighten", "--family"], FAMILY_DOC, lambda d: d.update(dim_s=2.9),
+     "input: dim_s must be an integer"),
+    (COHOMOLOGY, CONN_DOC, lambda d: d.update(dim_base=2.5),
+     "input: dim_base must be an integer"),
+    (COHOMOLOGY, CONN_DOC, lambda d: d.update(dim_odd=True),
+     "input: dim_odd must be an integer"),
+    (COHOMOLOGY, CONN_DOC, lambda d: d.update(entries=5), "input: entries must be a list"),
+    (["lie-check"], LIE_DOC, lambda d: d.update(even_dim=1.7),
+     "input: even_dim must be an integer"),
+    (["lie-check"], LIE_DOC, lambda d: d["brackets"][0].update(i=2.9),
+     "input: i must be an integer"),
+    (["lie-check"], LIE_DOC, lambda d: d["brackets"][0].update(j=True),
+     "input: j must be an integer"),
+    (["lie-check"], LIE_DOC, lambda d: d.update(extra=0), "'extra'"),
+    (["lie-check"], LIE_DOC, lambda d: d["brackets"][0].update(extra=0), "'extra'"),
+    (["derivation-classify"], DERIVATION_DOC, lambda d: d.update(extra=0), "'extra'"),
+    (["derivation-classify"], DERIVATION_DOC,
+     lambda d: d["images"][0][0].update(extra=0), "'extra'"),
+    (["derivation-classify"], DERIVATION_DOC,
+     lambda d: d["images"][0].append({"coeff": "1", "ext": [2]}), "duplicate term"),
+    (["jet-factor", "--order", "1"], JET_DOC, lambda d: d["op"][0].update(matrix=5),
+     "input: matrix must be a list"),
+    (["jet-factor", "--order", "1"], JET_DOC, lambda d: d.update(rank_out=-1),
+     "input: rank_out must be an integer"),
+    (["cp-homology"], [["1"]], lambda d: d[0].__setitem__(0, "1e5"),
+     "input: row 0 column 0 must be"),
+    (["cp-homology"], [["1"]], lambda d: d[0].__setitem__(0, "1" * 5000),
+     "input: row 0 column 0 must be"),
+], ids=["straighten-bool-dim_v", "straighten-float-dim_s", "sderham-float-dim_base",
+        "sderham-bool-dim_odd", "sderham-int-entries", "lie-float-even_dim",
+        "lie-float-i", "lie-bool-j", "lie-unknown-key", "lie-unknown-term-key",
+        "derivation-unknown-key", "derivation-unknown-term-key",
+        "derivation-repeated-term", "jet-int-matrix", "jet-negative-rank_out",
+        "cp-exponent-scalar", "cp-5000-digit-scalar"])
+def test_malformed_field_is_exit_two(capsys, tmp_path, argv, doc, edit, want):
+    p = write(tmp_path, "in.json", _spoil(doc, edit))
+    code, out, err = run_cli(capsys, argv + [p])
+    assert code == 2 and out == ""
+    assert want in err
+
+
+def test_supermap_check_into_purely_odd_target(capsys, tmp_path):
+    # a map into 0|1 has no base map, so base functions pull back to constants
+    p = write(tmp_path, "phi.json", {"source_nvars": 1, "source_odd": 2, "map": {
+        "coord_images": [],
+        "odd_images": [[{"exps": [0], "ext": [1], "coeff": "1"},
+                        {"exps": [1], "ext": [2], "coeff": "2"}]]}})
+    code, out, err = run_cli(capsys, ["supermap-check", p])
+    assert code in (0, 1) and err == ""
+    assert json.loads(out)["target"] == [0, 1]
+
+
+def _golden(name):
+    return json.loads((GOLDEN / name).read_text())
+
+
+# One valid document per file-reading subcommand; "@" marks its path.
+FUZZ_CASES = [
+    (["cp-homology", "@"], [["1/2", "-1"], ["1", "0"]]),
+    (["derivation-classify", "@"], DERIVATION_DOC),
+    (["lie-check", "@"], LIE_DOC),
+    (["tensor-normalize", "@"], _golden("tensor-sym.json")),
+    (["tensor-normalize", "@"], _golden("tensor-ext.json")),
+    (["straighten", "--family", "@"], FAMILY_DOC),
+    (["jet-factor", "@", "--order", "1"], JET_DOC),
+    (["supermap-check", "@"], {"source_nvars": 1, "source_odd": 2, "map": {
+        "coord_images": [[{"exps": [1], "ext": [], "coeff": "1"},
+                          {"exps": [0], "ext": [1, 2], "coeff": "1"}]],
+        "odd_images": [[{"exps": [0], "ext": [1], "coeff": "1"}]]}}),
+    (COHOMOLOGY + ["@"], CONN_DOC),
+    (["sderham", "--op", "delta", "--k", "1", "--cutoff", "1", "--conn", "@"], CONN_DOC),
+    (["sderham", "--op", "d", "--conn", str(GOLDEN / "conn.json"), "--form", "@"],
+     _golden("form.json")),
+]
+JUNK = [None, True, 1.5, -1, "x", "1/0", [], {}]
+
+
+def _nodes(node, path=()):
+    yield path
+    children = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _nodes(child, path + (key,))
+
+
+def _replace(doc, path, value):
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+# Malformed documents give an exit code, never a traceback.
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(st.data())
+def test_mutated_documents_never_raise(data):
+    argv, doc = data.draw(st.sampled_from(FUZZ_CASES))
+    for _ in range(data.draw(st.integers(1, 2))):
+        path = data.draw(st.sampled_from(list(_nodes(doc))))
+        doc = _replace(doc, path, data.draw(st.sampled_from(JUNK)))
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "in.json"
+        p.write_text(json.dumps(doc))
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = main([str(p) if a == "@" else a for a in argv])
+    assert code in (0, 1, 2, 3)
