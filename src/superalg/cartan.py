@@ -16,6 +16,8 @@ from .lincomb import LinComb, add_term, contract, merge_sign, replace, sym_ext_p
 from .linalg import invert, mat_mul, rank, rref, sparse_rank
 from .scalars import IndexSet, MultiDegree, iter_multidegrees, sym_dim
 
+_new = tuple.__new__
+
 
 def as_matrix(rows, nrows, ncols):
     mat = tuple(tuple(Fraction(x) for x in row) for row in rows)
@@ -86,23 +88,22 @@ class BigradedElem(LinComb):
 
 def sym_multiply(i, x):
     """v_i · on the Sym factor."""
+    # one image monomial per monomial, so nothing collects or cancels
     terms = {}
     for (alpha, key), c in x.terms.items():
-        na = MultiDegree(alpha[t] + (1 if t == i - 1 else 0) for t in range(len(alpha)))
-        terms[(na, key)] = terms.get((na, key), 0) + c
-    return x._like({k: v for k, v in terms.items() if v})
+        terms[(_new(MultiDegree, alpha[:i - 1] + (alpha[i - 1] + 1,) + alpha[i:]), key)] = c
+    return x._like(terms)
 
 
 def sym_contract(mu, x):
     """dv_mu ⌟ on the Sym factor (the partial derivative pairing)."""
+    # one image monomial per surviving monomial, as in sym_multiply
     terms = {}
     for (alpha, key), c in x.terms.items():
         a = alpha[mu - 1]
-        if not a:
-            continue
-        na = MultiDegree(alpha[t] - (1 if t == mu - 1 else 0) for t in range(len(alpha)))
-        terms[(na, key)] = terms.get((na, key), 0) + a * c
-    return x._like({k: v for k, v in terms.items() if v})
+        if a:
+            terms[(_new(MultiDegree, alpha[:mu - 1] + (a - 1,) + alpha[mu:]), key)] = a * c
+    return x._like(terms)
 
 
 def ext_wedge(i, x):
@@ -139,7 +140,7 @@ def _shape_FG(mat, x, direction):
 def d_F(F, x):
     """Σ_mu dv_mu ⌟ ⊗ F(v_mu) ∧; bidegree (-1, +1)."""
     _shape_FG(F, x, "F")
-    out = BigradedElem.zero(x.sym_dim, x.ext_dim)
+    terms = {}
     for mu in range(1, x.sym_dim + 1):
         y = sym_contract(mu, x)
         if y.is_zero():
@@ -147,14 +148,15 @@ def d_F(F, x):
         for i in range(1, x.ext_dim + 1):
             c = F[i - 1][mu - 1]
             if c:
-                out = out + ext_wedge(i, y).scale(c)
-    return out
+                for key, v in ext_wedge(i, y).terms.items():
+                    add_term(terms, key, c * v)
+    return x._like(terms)
 
 
 def d_star_G(G, x):
     """Σ_mu G(w_mu) · ⊗ dw_mu ⌟; bidegree (+1, -1)."""
     _shape_FG(G, x, "G")
-    out = BigradedElem.zero(x.sym_dim, x.ext_dim)
+    terms = {}
     for mu in range(1, x.ext_dim + 1):
         y = ext_contract(mu, x)
         if y.is_zero():
@@ -162,8 +164,9 @@ def d_star_G(G, x):
         for j in range(1, x.sym_dim + 1):
             c = G[j - 1][mu - 1]
             if c:
-                out = out + sym_multiply(j, y).scale(c)
-    return out
+                for key, v in sym_multiply(j, y).terms.items():
+                    add_term(terms, key, c * v)
+    return x._like(terms)
 
 
 def delta(F, G, x):

@@ -9,7 +9,7 @@ a left-multiplication part encoded by a single odd form.
 from fractions import Fraction
 
 from . import decode
-from .exterior import ExtElem, ExtSpace
+from .exterior import ExtElem
 from .scalars import EVEN, ODD, Parity
 
 

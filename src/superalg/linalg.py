@@ -1,27 +1,28 @@
-"""Dense exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
-Matrices are lists of rows of Fractions (or ints).  Ranks go through a
-fraction-free integer Bareiss echelon; solutions and nullspaces go through
-a plain rational rref.  Pivoting is always least-index, so reduced forms
-and the canonical solutions extracted from them are unique.
+Matrices are lists of rows of Fractions (or ints); sparse matrices are
+iterables of {col: value} dicts.  Both ranks are fraction-free: each row is
+cleared to integers first, then the dense rank runs a Bareiss echelon and
+the sparse rank an integer echelon with content removal.  Only rref,
+nullspace, solve and invert compute in Fraction.  Pivoting is always
+least-index, so reduced forms and the canonical solutions extracted from
+them are unique.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 
-def _cleared_int_rows(rows):
-    out = []
-    for row in rows:
-        fr = [Fraction(x) for x in row]
-        den = lcm(*(x.denominator for x in fr)) if fr else 1
-        out.append([int(x * den) for x in fr])
-    return out
+def _cleared(values):
+    """A row of rationals times the lcm of its denominators, as ints."""
+    values = list(values)
+    den = lcm(*(x.denominator for x in values))
+    return [x.numerator * (den // x.denominator) for x in values]
 
 
 def rank(rows):
     """Rank via fraction-free Bareiss elimination on a denominator-cleared copy."""
-    m = _cleared_int_rows(rows)
+    m = [_cleared(row) for row in rows]
     if not m or not m[0]:
         return 0
     nrows, ncols = len(m), len(m[0])
@@ -106,31 +107,44 @@ def solve(rows, rhs):
 
 
 def sparse_rank(rows):
-    """Rank of a sparse matrix given as an iterable of {col: value} dicts.
-    Incremental echelon; each incoming row is reduced against the stored
-    pivot rows by leading column until it dies or yields a new pivot."""
+    """Rank of a sparse matrix given as an iterable of {col: value} dicts
+    of rationals; the dicts are not modified.
+
+    Incremental integer echelon: each incoming row is cleared to integers
+    and reduced against the stored pivot rows by leading column, as
+    row <- p*row - a*pivot with a/p its leading entry over the pivot's in
+    lowest terms, then divided by its content, until it dies or is stored
+    as a new pivot row.
+    """
     pivots = {}
-    rank_ = 0
     for r in rows:
-        row = {c: Fraction(v) for c, v in r.items() if v}
+        cols = [c for c, v in r.items() if v]
+        row = dict(zip(cols, _cleared(r[c] for c in cols)))
         while row:
+            g = gcd(*row.values())
+            if g > 1:
+                row = {cc: vv // g for cc, vv in row.items()}
             c = min(row)
             piv = pivots.get(c)
             if piv is None:
-                inv = 1 / row[c]
-                pivots[c] = {cc: vv * inv for cc, vv in row.items()}
-                rank_ += 1
+                pivots[c] = row
                 break
             f = row.pop(c)
+            pc = piv[c]
+            g = gcd(f, pc)
+            a, p = f // g, pc // g
+            if p != 1:
+                for cc in row:
+                    row[cc] *= p
             for cc, vv in piv.items():
                 if cc == c:
                     continue
-                nv = row.get(cc, 0) - f * vv
+                nv = row.get(cc, 0) - a * vv
                 if nv:
                     row[cc] = nv
                 else:
                     row.pop(cc, None)
-    return rank_
+    return len(pivots)
 
 
 def identity_matrix(n):

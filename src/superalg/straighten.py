@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import decode
-from .derivations import SuperDerivation, superbracket
+from .derivations import SuperDerivation
 from .exterior import ExtElem, ExtSpace
 from .lincomb import LinComb, add_term, contract, merge_sign
 from .linalg import nullspace, rank, rref, solve

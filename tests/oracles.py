@@ -1,17 +1,23 @@
 """Slow independent oracles shared by the test modules.
 
 Everything here recomputes expected values from first principles, without
-going through the package's own data structures.
+going through the package's own data structures.  The boundary-operator
+oracles are the exception: they compose the package's Sym ⊗ Λ elements,
+but add whole elements term by term instead of collecting into one dict.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
+from superalg.cartan import BigradedElem, ext_contract, ext_wedge
+from superalg.scalars import MultiDegree
 
-def echelon_nullity(rows, ncols):
-    """Nullity of a sparse rational matrix given as dicts col -> value."""
+
+def fraction_sparse_rank(rows):
+    """Rank of a sparse rational matrix given as dicts col -> value, by an
+    incremental echelon computed entirely in Fraction."""
     pivots = {}
-    rank = 0
+    rank_ = 0
     for r in rows:
         row = {c: Fraction(v) for c, v in r.items() if v}
         while row:
@@ -20,7 +26,7 @@ def echelon_nullity(rows, ncols):
             if piv is None:
                 inv = 1 / row[c]
                 pivots[c] = {cc: vv * inv for cc, vv in row.items()}
-                rank += 1
+                rank_ += 1
                 break
             f = row.pop(c)
             for cc, vv in piv.items():
@@ -31,7 +37,63 @@ def echelon_nullity(rows, ncols):
                     row[cc] = nv
                 else:
                     row.pop(cc, None)
-    return ncols - rank
+    return rank_
+
+
+def echelon_nullity(rows, ncols):
+    """Nullity of a sparse rational matrix given as dicts col -> value."""
+    return ncols - fraction_sparse_rank(rows)
+
+
+def _sym_multiply(i, x):
+    """v_i · on the Sym factor, collecting into a fresh dict."""
+    terms = {}
+    for (alpha, key), c in x.terms.items():
+        na = MultiDegree(alpha[t] + (1 if t == i - 1 else 0) for t in range(len(alpha)))
+        terms[(na, key)] = terms.get((na, key), 0) + c
+    return x._like({k: v for k, v in terms.items() if v})
+
+
+def _sym_contract(mu, x):
+    """dv_mu ⌟ on the Sym factor, collecting into a fresh dict."""
+    terms = {}
+    for (alpha, key), c in x.terms.items():
+        a = alpha[mu - 1]
+        if not a:
+            continue
+        na = MultiDegree(alpha[t] - (1 if t == mu - 1 else 0) for t in range(len(alpha)))
+        terms[(na, key)] = terms.get((na, key), 0) + a * c
+    return x._like({k: v for k, v in terms.items() if v})
+
+
+def composed_d_F(F, x):
+    """d_F as a sum of whole elements: one contract, wedge, scale and
+    addition per (mu, i)."""
+    out = BigradedElem.zero(x.sym_dim, x.ext_dim)
+    for mu in range(1, x.sym_dim + 1):
+        y = _sym_contract(mu, x)
+        if y.is_zero():
+            continue
+        for i in range(1, x.ext_dim + 1):
+            c = F[i - 1][mu - 1]
+            if c:
+                out = out + ext_wedge(i, y).scale(c)
+    return out
+
+
+def composed_d_star_G(G, x):
+    """d*_G as a sum of whole elements: one contract, multiply, scale and
+    addition per (mu, j)."""
+    out = BigradedElem.zero(x.sym_dim, x.ext_dim)
+    for mu in range(1, x.ext_dim + 1):
+        y = ext_contract(mu, x)
+        if y.is_zero():
+            continue
+        for j in range(1, x.sym_dim + 1):
+            c = G[j - 1][mu - 1]
+            if c:
+                out = out + _sym_multiply(j, y).scale(c)
+    return out
 
 
 def wedge_mono(a, b):

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import composed_d_F, composed_d_star_G
 from strat import small_fractions
 
 from superalg.cartan import (
@@ -86,6 +87,34 @@ def test_delta_zero_map():
 def test_boundary_squares_vanish(F, G, x):
     assert d_F(F, d_F(F, x)).is_zero()
     assert d_star_G(G, d_star_G(G, x)).is_zero()
+
+
+def frac_matrix(rows, cols):
+    return st.lists(st.lists(small_fractions(3, 2), min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+def _canonical(x):
+    return all(x.terms.values())
+
+
+def test_boundary_operators_cancel_across_terms():
+    I2 = identity_matrix(2)
+    x = mono(2, 2, (1, 0), (2,)) + mono(2, 2, (0, 1), (1,))
+    assert composed_d_F(I2, x).is_zero() and d_F(I2, x).is_zero()
+    y = mono(2, 2, (1, 0), (2,)) - mono(2, 2, (0, 1), (1,))
+    assert composed_d_star_G(I2, y).is_zero() and d_star_G(I2, y).is_zero()
+
+
+@settings(max_examples=80, deadline=None)
+@given(frac_matrix(3, 2), frac_matrix(2, 3), elems(2, 3, max_terms=6), elems(2, 3))
+def test_boundary_operators_match_composition_oracle(F, G, x, y):
+    # d_F(y) and d*_G(y) are not monomials, and d_F and d*_G send them to
+    # elements whose terms cancel
+    for z in (x, y, composed_d_F(F, y), composed_d_star_G(G, y)):
+        got_F, got_G = d_F(F, z), d_star_G(G, z)
+        assert got_F == composed_d_F(F, z) and _canonical(got_F)
+        assert got_G == composed_d_star_G(G, z) and _canonical(got_G)
 
 
 @settings(max_examples=60, deadline=None)

@@ -2,9 +2,10 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+from oracles import fraction_sparse_rank
 from strat import small_fractions
 
-from superalg.linalg import mat_mul, mat_vec, nullspace, rank, rref, solve
+from superalg.linalg import mat_mul, mat_vec, nullspace, rank, rref, solve, sparse_rank
 
 
 @st.composite
@@ -59,3 +60,67 @@ def test_mat_mul():
     assert mat_mul(a, b) == [[2, 1], [4, 3]]
     assert mat_vec(a, [1, 1]) == [3, 7]
     assert rank([[Fraction(1, 2), 1], [1, 2]]) == 1
+
+
+# Sparse columns with gaps, entries that are negative, half-integer or
+# near 10^30, and rows that are zero, repeated or proportional to others.
+SPARSE_COLS = st.sampled_from((0, 1, 2, 5, 17, 100, 101, 10**6))
+SPARSE_ENTRIES = st.one_of(
+    st.integers(-3, 3),
+    st.builds(Fraction, st.integers(-7, 7), st.just(2)),
+    small_fractions(6, 4),
+    st.builds(lambda k, s: s * (10**30 + k), st.integers(-3, 3), st.sampled_from((1, -1))),
+    st.builds(lambda k, d: Fraction(10**30 + k, d), st.integers(-3, 3), st.integers(1, 3)),
+)
+
+
+@st.composite
+def sparse_rows(draw):
+    rows = draw(st.lists(st.dictionaries(SPARSE_COLS, SPARSE_ENTRIES, max_size=5),
+                         max_size=6))
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(("zero", "duplicate", "proportional")))
+        if kind == "zero" or not rows:
+            new = dict.fromkeys(draw(st.lists(SPARSE_COLS, max_size=2)), 0)
+        else:
+            f = 1 if kind == "duplicate" else draw(small_fractions(6, 4).filter(bool))
+            new = {c: f * v for c, v in draw(st.sampled_from(rows)).items()}
+        rows.insert(draw(st.integers(0, len(rows))), new)
+    return rows
+
+
+def _dense(rows):
+    cols = sorted({c for r in rows for c in r})
+    return [[r.get(c, 0) for c in cols] for r in rows]
+
+
+def _snapshot(rows):
+    return [[(c, type(v), v) for c, v in r.items()] for r in rows]
+
+
+@settings(max_examples=200)
+@given(sparse_rows())
+def test_sparse_rank_matches_dense_rank_and_fraction_oracle(rows):
+    before = _snapshot(rows)
+    got = sparse_rank(rows)
+    assert _snapshot(rows) == before
+    assert got == rank(_dense(rows)) == fraction_sparse_rank(rows)
+
+
+@settings(max_examples=60)
+@given(sparse_rows())
+def test_sparse_rank_takes_a_generator(rows):
+    before = _snapshot(rows)
+    assert sparse_rank(r for r in rows) == fraction_sparse_rank(rows)
+    assert _snapshot(rows) == before
+
+
+def test_sparse_rank_examples():
+    big = 10**30
+    assert sparse_rank([]) == 0
+    assert sparse_rank([{}, {3: 0}]) == 0
+    assert sparse_rank([{0: big, 1: 1}, {0: big + 1, 1: 1}]) == 2
+    assert sparse_rank([{0: big, 1: big + 1}, {0: 2 * big, 1: 2 * big + 2}]) == 1
+    assert sparse_rank([{5: Fraction(1, 2), 9: -1}, {5: -1, 9: 2}, {9: Fraction(-3, 2)}]) == 2
+    # sderham's rows have tuple columns
+    assert sparse_rank([{(0, 1): 2, (1,): 1}, {(1,): 3}, {(0, 1): 4}]) == 2
