@@ -4,9 +4,11 @@ Every randomized check derives its own generator from the global --seed as
 
     sub_seed = (seed * 1099511628211 + fnv1a64(check_name)) mod 2**64
 
-so a failing check is reproducible on its own; the sub-seed is printed in the
-check detail.  Reports list checks sorted by name and are rendered
-canonically, making runs with identical inputs and seed byte-identical.
+and the sub-seed is printed in the check detail.  A failing fuzz-all check
+re-runs on its own as FUZZ_CHECKS[name](random.Random(sub_seed),
+ROUNDS[budget]), which returns the (passed, detail) pair behind its report
+line.  Reports list checks sorted by name and are rendered canonically,
+making runs with identical inputs and seed byte-identical.
 
 Exit codes: 0 every check passed, 1 some check failed, 2 malformed input
 (message carries the location), 3 an input violated a module precondition.
@@ -20,6 +22,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from operator import mul
 from pathlib import Path
 
 from . import decode
@@ -71,9 +74,9 @@ from .sderham import (
     super_d_by_fields,
 )
 from .straighten import (
-    CompElem,
     OddFamily,
     Straightening,
+    conjugated_family,
     family_is_commuting,
     identity_straightening,
     straighten,
@@ -103,6 +106,9 @@ from .supertensor import (
 
 FNV_PRIME = 1099511628211
 ROUNDS = {"small": 4, "medium": 12}
+# check_lie_superalgebra visits every bracket triple and its time grows about
+# as dim**4, so lie-check refuses a larger total dimension.
+LIE_MAX_DIM = 32
 
 
 def fnv1a64(name):
@@ -131,17 +137,6 @@ class CheckResult:
     name: str
     passed: bool
     detail: str = ""
-
-
-@dataclass(frozen=True)
-class Command:
-    name: str
-    paths: dict
-    params: dict
-    seed: int = 0
-    budget: str = "small"
-    out: str = "json"
-    quiet: bool = False
 
 
 # ---------------------------------------------------------------- plumbing
@@ -253,11 +248,13 @@ def rand_frac_matrix(rng, rows, cols, lo=-2, hi=2):
 
 # ----------------------------------------------------------- subcommands
 
-def _cmd_cp_homology(cmd):
-    path = cmd.paths["F"]
+def _cmd_cp_homology(args):
+    if (args.matrix is None) == (args.f_flag is None):
+        raise InputError("pass the matrix either positionally or via --F")
+    path = args.f_flag if args.matrix is None else args.matrix
     with parsed(path):
         F = parse_matrix(load_json(path))
-    kmax, lmax = cmd.params["kmax"], cmd.params["lmax"]
+    kmax, lmax = args.kmax, args.lmax
     if kmax < 0 or lmax < 0:
         raise PreconditionError("kmax and lmax must be non-negative")
     computed = homology_dims(F, kmax, lmax)
@@ -267,10 +264,9 @@ def _cmd_cp_homology(cmd):
     return checks, {"computed": computed, "predicted": predicted}
 
 
-def _cmd_derivation_classify(cmd):
-    path = cmd.paths["input"]
-    with parsed(path):
-        (images,) = decode.fields(load_json(path), "derivation input", "images")
+def _cmd_derivation_classify(args):
+    with parsed(args.path):
+        (images,) = decode.fields(load_json(args.path), "derivation input", "images")
         space = ExtSpace(decode.integer(len(decode.items(images, "images")),
                                         "number of images", 1, 62))
         images = [ExtElem.from_json(space, d) for d in images]
@@ -295,8 +291,8 @@ def _cmd_derivation_classify(cmd):
     return checks, payload
 
 
-def _cmd_sder_dims(cmd):
-    nmax = cmd.params["nmax"]
+def _cmd_sder_dims(args):
+    nmax = args.nmax
     if nmax < 1:
         raise PreconditionError("nmax must be at least 1")
     rows, doubling, excess = [], True, True
@@ -316,10 +312,12 @@ def _cmd_sder_dims(cmd):
     return checks, {"dimensions": rows}
 
 
-def _cmd_lie_check(cmd):
-    path = cmd.paths["input"]
-    with parsed(path):
-        L = LieSuperData.from_json(load_json(path))
+def _cmd_lie_check(args):
+    with parsed(args.path):
+        L = LieSuperData.from_json(load_json(args.path))
+    if L.dim > LIE_MAX_DIM:
+        raise PreconditionError("even_dim + odd_dim is %d, above the limit of %d"
+                                % (L.dim, LIE_MAX_DIM))
     rep = check_lie_superalgebra(L)
     checks = [
         CheckResult("super-jacobi", rep.super_jacobi,
@@ -332,10 +330,9 @@ def _cmd_lie_check(cmd):
     return checks, payload
 
 
-def _cmd_tensor_normalize(cmd):
-    path = cmd.paths["input"]
-    with parsed(path):
-        p, q, kind, terms = decode.fields(load_json(path), "tensor input",
+def _cmd_tensor_normalize(args):
+    with parsed(args.path):
+        p, q, kind, terms = decode.fields(load_json(args.path), "tensor input",
                                           "even_dim", "odd_dim", "kind", "terms")
         if kind not in ("sym", "ext"):
             raise ValueError("kind must be 'sym' or 'ext', got %.40r" % (kind,))
@@ -356,10 +353,9 @@ def _cmd_tensor_normalize(cmd):
     return checks, {"normal_form": normal, "kind": kind}
 
 
-def _cmd_straighten(cmd):
-    path = cmd.paths["family"]
-    with parsed(path):
-        fam = OddFamily.from_json(load_json(path))
+def _cmd_straighten(args):
+    with parsed(args.family):
+        fam = OddFamily.from_json(load_json(args.family))
     if not family_is_commuting(fam):
         raise PreconditionError("family does not commute")
     try:
@@ -372,55 +368,60 @@ def _cmd_straighten(cmd):
     return checks, {"straightening": g.to_json()}
 
 
-def _cmd_jet_factor(cmd):
-    path = cmd.paths["input"]
-    with parsed(path):
-        m, rin, rout, op = decode.fields(load_json(path), "jet-factor input",
+def _jet_factorization_holds(D, k, pt, hat, s):
+    """D(s)(pt) == hat · (coefficients of the k-jet of s at pt)."""
+    coeffs = jet(s, k, pt).coefficients()
+    return D.apply(s).evaluate(pt) == [sum(map(mul, row, coeffs), Fraction(0))
+                                       for row in hat]
+
+
+def _base_projection_intertwines(rng, phi):
+    """epsilon(phi^* f) == f ∘ phi on the base, for one random f."""
+    f = rand_poly(rng, phi.target_nvars, 2, 2)
+    img = apply_map(phi, PolySuperFunc.from_poly(f, phi.target_odd))
+    return img.epsilon() == pull_function(phi, f)
+
+
+def _cmd_jet_factor(args):
+    with parsed(args.path):
+        m, rin, rout, op = decode.fields(load_json(args.path), "jet-factor input",
                                          "nvars", "rank_in", "rank_out", "op")
         m, rin, rout = (decode.integer(m, "nvars"), decode.integer(rin, "rank_in", 1),
                         decode.integer(rout, "rank_out", 1))
         D = PolyDiffOp.from_json(m, rin, rout, op)
-    k = cmd.params["order"]
+    k = args.order
     if k < 0:
         raise PreconditionError("jet order must be non-negative")
     if D.order > k:
         raise PreconditionError("operator order %d exceeds jet order %d" % (D.order, k))
-    seed = sub_seed(cmd.seed, "jet-factor")
+    seed = sub_seed(args.seed, "jet-factor")
     rng = random.Random(seed)
-    npts = ROUNDS[cmd.budget]
+    npts = ROUNDS[args.budget]
     ok = True
     for _ in range(npts):
         pt = [Fraction(rng.randint(-3, 3)) for _ in range(m)]
         hat = factor_through_jet(D, k, pt)
         for _ in range(2):
             s = PolySection([rand_poly(rng, m, k + 1, 2) for _ in range(rin)])
-            coeffs = jet(s, k, pt).coefficients()
-            want = [sum((hat[r][c] * coeffs[c] for c in range(len(coeffs))), Fraction(0))
-                    for r in range(rout)]
-            ok = ok and D.apply(s).evaluate(pt) == want
+            ok = ok and _jet_factorization_holds(D, k, pt, hat, s)
     checks = [CheckResult("operator-factors-through-jet", ok,
                           "sub-seed %d, %d points x 2 sections" % (seed, npts))]
     return checks, {"order": D.order, "jet_order": k}
 
 
-def _cmd_supermap_check(cmd):
-    path = cmd.paths["input"]
-    with parsed(path):
-        sn, so, phi = decode.fields(load_json(path), "supermap input",
+def _cmd_supermap_check(args):
+    with parsed(args.path):
+        sn, so, phi = decode.fields(load_json(args.path), "supermap input",
                                     "source_nvars", "source_odd", "map")
         phi = SuperMapData.from_json(decode.integer(sn, "source_nvars"),
                                      decode.integer(so, "source_odd"), phi)
-    trials = ROUNDS[cmd.budget]
-    ob_seed = sub_seed(cmd.seed, "supermap-order-bound")
+    trials = ROUNDS[args.budget]
+    ob_seed = sub_seed(args.seed, "supermap-order-bound")
     ob = order_bound_check(phi, trials=trials, seed=ob_seed)
     fl = filtration_check(phi)
-    eps_seed = sub_seed(cmd.seed, "supermap-epsilon")
+    eps_seed = sub_seed(args.seed, "supermap-epsilon")
     rng = random.Random(eps_seed)
-    eps_ok = True
-    for _ in range(trials):
-        f = rand_poly(rng, phi.target_nvars, 2, 2)
-        img = apply_map(phi, PolySuperFunc.from_poly(f, phi.target_odd))
-        eps_ok = eps_ok and img.epsilon() == pull_function(phi, f)
+    eps_ok = all(_base_projection_intertwines(rng, phi) for _ in range(trials))
     checks = [
         CheckResult("base-projection-intertwines", eps_ok,
                     "sub-seed %d, %d polynomials" % (eps_seed, trials)),
@@ -435,20 +436,17 @@ def _cmd_supermap_check(cmd):
     return checks, payload
 
 
-def _cmd_sderham(cmd):
-    path = cmd.paths["conn"]
-    with parsed(path):
-        conn = OddConnection.from_json(load_json(path))
-    op = cmd.params["op"]
-    k, cutoff = cmd.params["k"], cmd.params["cutoff"]
+def _cmd_sderham(args):
+    with parsed(args.conn):
+        conn = OddConnection.from_json(load_json(args.conn))
+    op, k, cutoff = args.op, args.k, args.cutoff
     if cutoff < 0:
         raise PreconditionError("cutoff must be non-negative")
     if op == "d":
-        fpath = cmd.paths.get("form")
-        if fpath is None:
+        if args.form is None:
             raise InputError("--form is required for --op d", "--form")
-        with parsed(fpath):
-            w = SuperForm.from_json(conn.dim_base, conn.dim_odd, load_json(fpath))
+        with parsed(args.form):
+            w = SuperForm.from_json(conn.dim_base, conn.dim_odd, load_json(args.form))
         out = super_d(conn, w)
         checks = [CheckResult("d-squared-vanishes", super_d(conn, out).is_zero())]
         return checks, {"result": out.to_json()}
@@ -569,10 +567,7 @@ def _fuzz_jets_factorization(rng, rounds):
         pt = [Fraction(rng.randint(-2, 2)) for _ in range(m)]
         hat = factor_through_jet(D, k, pt)
         s = PolySection([rand_poly(rng, m, k + 1, 2)])
-        coeffs = jet(s, k, pt).coefficients()
-        want = [sum((hat[r][c] * coeffs[c] for c in range(len(coeffs))), Fraction(0))
-                for r in range(len(hat))]
-        if D.apply(s).evaluate(pt) != want:
+        if not _jet_factorization_holds(D, k, pt, hat, s):
             return False, "factorization failed at %r" % (pt,)
     return True, "%d operators" % rounds
 
@@ -610,13 +605,6 @@ def _fuzz_lie_biconditional(rng, rounds):
     return True, "%d representation-and-form inputs" % rounds
 
 
-def _apply_subst(g, x):
-    out = ExtElem.zero(g.space)
-    for key, c in x.terms.items():
-        out = out + g.apply_to_monomial(key).scale(c)
-    return out
-
-
 def _rand_commuting_family(rng, n, q):
     """Conjugate the pure insertion family by a unipotent substitution."""
     space = identity_straightening(q).space
@@ -632,23 +620,7 @@ def _rand_commuting_family(rng, n, q):
     f_mat = [[Fraction(0)] * n for _ in range(q)]
     for i, r in enumerate(cols):
         f_mat[r][i] = Fraction(rng.choice([1, 2, -1]))
-    ginv = []
-    for nu in range(1, q + 1):
-        target = ExtElem.generator(space, nu)
-        x = target
-        for _ in range(q // 2 + 1):
-            x = target - (_apply_subst(g, x) - x)
-        ginv.append(x)
-    comps = []
-    for i in range(n):
-        fcol = [f_mat[mu][i] for mu in range(q)]
-        terms = {}
-        for nu in range(1, q + 1):
-            img = _apply_subst(g, ginv[nu - 1].insert(fcol))
-            for key, c in img.terms.items():
-                terms[(key, nu)] = c
-        comps.append(CompElem(q, terms))
-    return OddFamily(n, q, comps)
+    return conjugated_family(f_mat, g)
 
 
 def _fuzz_straighten(rng, rounds):
@@ -683,9 +655,7 @@ def _fuzz_supermaps(rng, rounds):
         phi = _rand_supermap(rng)
         if not order_bound_check(phi, trials=2, seed=rng.randrange(2 ** 32)).passed:
             return False, "order bound violated by %r" % phi
-        f = rand_poly(rng, phi.target_nvars, 2, 2)
-        img = apply_map(phi, PolySuperFunc.from_poly(f, phi.target_odd))
-        if img.epsilon() != pull_function(phi, f):
+        if not _base_projection_intertwines(rng, phi):
             return False, "base projection does not intertwine"
     return True, "%d morphisms" % rounds
 
@@ -752,28 +722,14 @@ FUZZ_CHECKS = {
 }
 
 
-def _cmd_fuzz_all(cmd):
-    rounds = ROUNDS[cmd.budget]
+def _cmd_fuzz_all(args):
+    rounds = ROUNDS[args.budget]
     checks = []
     for name in sorted(FUZZ_CHECKS):
-        seed = sub_seed(cmd.seed, name)
+        seed = sub_seed(args.seed, name)
         ok, detail = FUZZ_CHECKS[name](random.Random(seed), rounds)
         checks.append(CheckResult(name, ok, "sub-seed %d: %s" % (seed, detail)))
-    return checks, {"budget": cmd.budget, "rounds": rounds}
-
-
-HANDLERS = {
-    "cp-homology": _cmd_cp_homology,
-    "derivation-classify": _cmd_derivation_classify,
-    "sder-dims": _cmd_sder_dims,
-    "lie-check": _cmd_lie_check,
-    "tensor-normalize": _cmd_tensor_normalize,
-    "straighten": _cmd_straighten,
-    "jet-factor": _cmd_jet_factor,
-    "supermap-check": _cmd_supermap_check,
-    "sderham": _cmd_sderham,
-    "fuzz-all": _cmd_fuzz_all,
-}
+    return checks, {"budget": args.budget, "rounds": rounds}
 
 
 # ------------------------------------------------------------- rendering
@@ -807,23 +763,24 @@ def render_report(report, out):
     return "\n".join(lines) + "\n"
 
 
-def run(cmd):
-    """Execute one command; returns (exit code, stdout text, stderr text)."""
+def run(args):
+    """Execute one parsed command line, its seed already reduced mod 2**64;
+    returns (exit code, stdout text, stderr text)."""
     try:
-        checks, payload = HANDLERS[cmd.name](cmd)
+        checks, payload = args.handler(args)
     except InputError as e:
         loc = " [%s]" % e.location if e.location else ""
         return 2, "", "error: malformed input: %s%s\n" % (e, loc)
     except PreconditionError as e:
         return 3, "", "error: precondition failed: %s\n" % e
     checks = sorted(checks, key=lambda c: c.name)
-    report = {"command": cmd.name, "seed": cmd.seed,
+    report = {"command": args.command, "seed": args.seed,
               "passed": all(c.passed for c in checks),
               "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail}
                          for c in checks]}
     for key, value in payload.items():
         report[key] = value
-    text = "" if cmd.quiet else render_report(report, cmd.out)
+    text = "" if args.quiet else render_report(report, args.out)
     return (0 if report["passed"] else 1), text, ""
 
 
@@ -850,35 +807,43 @@ def build_parser():
     cp.add_argument("--F", dest="f_flag", help="matrix JSON, same as the positional")
     cp.add_argument("--kmax", type=int, default=3)
     cp.add_argument("--lmax", type=int, default=3)
+    cp.set_defaults(handler=_cmd_cp_homology)
 
     dc = sub.add_parser("derivation-classify", parents=[common],
                         help="split a derivation and reconstruct it")
     dc.add_argument("path", help="JSON with an images list of exterior elements")
+    dc.set_defaults(handler=_cmd_derivation_classify)
 
     sd = sub.add_parser("sder-dims", parents=[common],
                         help="derivation space dimension table")
     sd.add_argument("--nmax", type=int, default=4)
+    sd.set_defaults(handler=_cmd_sder_dims)
 
     lc = sub.add_parser("lie-check", parents=[common],
                         help="verify structure constants form a Lie superalgebra")
     lc.add_argument("path", help="structure constants JSON")
+    lc.set_defaults(handler=_cmd_lie_check)
 
     tn = sub.add_parser("tensor-normalize", parents=[common],
                         help="normal form in the super symmetric or exterior quotient")
     tn.add_argument("path", help="JSON with even_dim/odd_dim/kind/terms")
+    tn.set_defaults(handler=_cmd_tensor_normalize)
 
     stn = sub.add_parser("straighten", parents=[common],
                          help="solve a commuting odd family to insertion form")
     stn.add_argument("--family", required=True, help="family JSON")
+    stn.set_defaults(handler=_cmd_straighten)
 
     jf = sub.add_parser("jet-factor", parents=[common],
                         help="factor a differential operator through a jet prolongation")
     jf.add_argument("path", help="JSON with nvars/rank_in/rank_out/op")
     jf.add_argument("--order", type=int, required=True, help="jet order k")
+    jf.set_defaults(handler=_cmd_jet_factor)
 
     sm = sub.add_parser("supermap-check", parents=[common],
                         help="order bound and base compatibility of a superalgebra morphism")
     sm.add_argument("path", help="JSON with source_nvars/source_odd/map")
+    sm.set_defaults(handler=_cmd_supermap_check)
 
     sdr = sub.add_parser("sderham", parents=[common],
                          help="super exterior derivative diagnostics")
@@ -889,48 +854,18 @@ def build_parser():
     sdr.add_argument("--cutoff", type=int, default=2,
                      help="polynomial coefficient degree cut")
     sdr.add_argument("--form", help="superform JSON, required for --op d")
+    sdr.set_defaults(handler=_cmd_sderham)
 
-    sub.add_parser("fuzz-all", parents=[common],
-                   help="randomized identity suite across every module")
+    fz = sub.add_parser("fuzz-all", parents=[common],
+                        help="randomized identity suite across every module")
+    fz.set_defaults(handler=_cmd_fuzz_all)
     return parser
-
-
-def command_from_args(args):
-    paths, params = {}, {}
-    if args.command == "cp-homology":
-        if (args.matrix is None) == (args.f_flag is None):
-            raise InputError("pass the matrix either positionally or via --F", "--F")
-        paths["F"] = args.matrix or args.f_flag
-        params["kmax"], params["lmax"] = args.kmax, args.lmax
-    elif args.command in ("derivation-classify", "lie-check",
-                          "tensor-normalize", "supermap-check"):
-        paths["input"] = args.path
-    elif args.command == "sder-dims":
-        params["nmax"] = args.nmax
-    elif args.command == "straighten":
-        paths["family"] = args.family
-    elif args.command == "jet-factor":
-        paths["input"] = args.path
-        params["order"] = args.order
-    elif args.command == "sderham":
-        paths["conn"] = args.conn
-        if args.form is not None:
-            paths["form"] = args.form
-        params["op"] = args.op
-        params["k"], params["cutoff"] = args.k, args.cutoff
-    return Command(name=args.command, paths=paths, params=params,
-                   seed=args.seed % 2 ** 64, budget=args.budget,
-                   out=args.out, quiet=args.quiet)
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    try:
-        cmd = command_from_args(args)
-    except InputError as e:
-        sys.stderr.write("error: malformed input: %s\n" % e)
-        return 2
-    code, text, err = run(cmd)
+    args.seed %= 2 ** 64
+    code, text, err = run(args)
     if text:
         sys.stdout.write(text)
     if err:

@@ -815,7 +815,7 @@ def _degree_basis(m, n, k, poly_cut):
     return out
 
 
-def cohomology_dims(conn, k, poly_cut, slack=None):
+def cohomology_dims(conn, k, poly_cut):
     """dim H^k of super_d with polynomial coefficient cutoffs.
 
     Kernel is taken on total degree k with coefficients of degree <= poly_cut;
@@ -826,9 +826,7 @@ def cohomology_dims(conn, k, poly_cut, slack=None):
     m, n = conn.dim_base, conn.dim_odd
     if k < 0:
         return 0
-    g = max(conn.max_degree(), 0)
-    if slack is None:
-        slack = (k + n + 1) * (1 + 2 * g) + 1
+    slack = (k + n + 1) * (1 + 2 * max(conn.max_degree(), 0)) + 1
     basis_k = _degree_basis(m, n, k, poly_cut)
     rows = []
     for (dxs, sym, ext, exps) in basis_k:

@@ -278,6 +278,13 @@ class Straightening:
             out = out.wedge(self.images[k - 1])
         return out
 
+    def apply(self, x):
+        """Linear extension of apply_to_monomial to an exterior element."""
+        out = ExtElem.zero(self.space)
+        for key, c in x.terms.items():
+            out = out + self.apply_to_monomial(key).scale(c)
+        return out
+
     def to_json(self):
         return {"dim_s": self.dim_s, "images": [im.to_json() for im in self.images]}
 
@@ -291,6 +298,36 @@ class Straightening:
 def identity_straightening(q):
     space = _ds_space(q)
     return Straightening(q, [ExtElem.generator(space, nu) for nu in range(1, q + 1)])
+
+
+def subst_inverse_image(g, nu):
+    """G⁻¹(ds_ν), certified by applying G to it."""
+    # unipotent fixpoint iteration: x <- ds_nu - (G - id)(x)
+    target = ExtElem.generator(g.space, nu)
+    x = target
+    for _ in range(g.dim_s // 2 + 1):
+        x = target - (g.apply(x) - x)
+    if g.apply(x) != target:
+        raise ValueError("substitution inverse did not converge at ds%d" % nu)
+    return x
+
+
+def conjugated_family(f_mat, g):
+    """The family v ↦ G ∘ (f(v) ⌟) ∘ G⁻¹ as generator-image data; it commutes
+    by construction and its constant part is the q x n matrix f."""
+    q = g.dim_s
+    n = len(f_mat[0]) if f_mat else 0
+    ginv = [subst_inverse_image(g, nu) for nu in range(1, q + 1)]
+    comps = []
+    for i in range(n):
+        fcol = [f_mat[mu][i] for mu in range(q)]
+        terms = {}
+        for nu in range(1, q + 1):
+            img = g.apply(ginv[nu - 1].insert(fcol))
+            for key, c in img.terms.items():
+                terms[(key, nu)] = c
+        comps.append(CompElem(q, terms))
+    return OddFamily(n, q, comps)
 
 
 def level_operator_columns(f_mat, q, mu):

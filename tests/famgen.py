@@ -1,46 +1,9 @@
-"""Builders for commuting odd families with a known straightening: conjugate
-the pure insertion family by a unipotent generator substitution, so the
-result commutes by construction and its constant part is the chosen matrix."""
-
-from fractions import Fraction
+"""Relabel a commuting odd family, and its straightening, by a permutation of
+the odd generators; straighten.conjugated_family builds the families."""
 
 from superalg.exterior import ExtElem
 from superalg.scalars import IndexSet, inversion_sign
 from superalg.straighten import CompElem, OddFamily, Straightening
-
-
-def apply_subst(g, x):
-    out = ExtElem.zero(g.space)
-    for key, c in x.terms.items():
-        out = out + g.apply_to_monomial(key).scale(c)
-    return out
-
-
-def subst_inverse_image(g, nu):
-    # unipotent fixpoint iteration: x <- ds_nu - (G - id)(x)
-    target = ExtElem.generator(g.space, nu)
-    x = target
-    for _ in range(g.dim_s // 2 + 1):
-        x = target - (apply_subst(g, x) - x)
-    assert apply_subst(g, x) == target
-    return x
-
-
-def conjugated_family(f_mat, g):
-    """The family v ↦ G ∘ (f(v) ⌟) ∘ G⁻¹ as generator-image data."""
-    q = g.dim_s
-    n = len(f_mat[0]) if f_mat else 0
-    ginv = [subst_inverse_image(g, nu) for nu in range(1, q + 1)]
-    comps = []
-    for i in range(n):
-        fcol = [f_mat[mu][i] for mu in range(q)]
-        terms = {}
-        for nu in range(1, q + 1):
-            img = apply_subst(g, ginv[nu - 1].insert(fcol))
-            for key, c in img.terms.items():
-                terms[(key, nu)] = c
-        comps.append(CompElem(q, terms))
-    return OddFamily(n, q, comps)
 
 
 def relabel_family(fam, perm):

@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import comb
 
-from famgen import conjugated_family, pull_back_straightening, relabel_family
+from famgen import pull_back_straightening, relabel_family
 from oracles import leibniz_solution_dim
 
 from superalg.cartan import (
@@ -61,6 +61,7 @@ from superalg.sderham import (
 )
 from superalg.straighten import (
     Straightening,
+    conjugated_family,
     family_is_commuting,
     identity_straightening,
     straighten,

@@ -3,6 +3,7 @@
 import copy
 import io
 import json
+import random
 import subprocess
 import sys
 import tempfile
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from superalg.cli import fnv1a64, main, sub_seed
+from superalg.cli import FUZZ_CHECKS, ROUNDS, fnv1a64, main, sub_seed
 
 
 def run_cli(capsys, argv):
@@ -55,6 +56,8 @@ def test_cp_homology_flag_and_positional_agree(capsys, tmp_path):
     assert code == 2 and "malformed" in err
     code, _, err = run_cli(capsys, ["cp-homology"])
     assert code == 2
+    code, _, err = run_cli(capsys, ["cp-homology", ""])
+    assert code == 2 and "malformed" in err
 
 
 def test_cp_homology_rejects_ragged_matrix(capsys, tmp_path):
@@ -138,6 +141,14 @@ def test_lie_check_good_and_bad(capsys, tmp_path):
     rep = json.loads(out)
     assert any(not c["passed"] for c in rep["checks"])
     assert rep["failures"]
+
+
+# check_lie_superalgebra's time grows as dim**4, so the total dimension is capped
+@pytest.mark.parametrize("even, odd, code", [(3, 2, 0), (16, 16, 0), (17, 16, 3)])
+def test_lie_check_dimension_limit(capsys, tmp_path, even, odd, code):
+    p = write(tmp_path, "l.json", {"even_dim": even, "odd_dim": odd, "brackets": []})
+    got, _, err = run_cli(capsys, ["lie-check", p, "--quiet"])
+    assert got == code and ("limit of 32" in err) == (code == 3)
 
 
 def test_tensor_normalize_both_kinds(capsys, tmp_path):
@@ -423,6 +434,16 @@ def test_report_frozen(capsys, report, argv, code):
     argv = [str(GOLDEN / a) if a.endswith(".json") else a for a in argv]
     want = (GOLDEN / (report + ".out")).read_text()
     assert run_cli(capsys, argv) == (code, want, "")
+
+
+# Each fuzz-all check re-runs alone from the sub-seed on its report line.
+@pytest.mark.parametrize("name", sorted(FUZZ_CHECKS))
+def test_fuzz_check_reruns_alone(name):
+    report = json.loads((GOLDEN / "fuzz-all.out").read_text())
+    (line,) = [c for c in report["checks"] if c["name"] == name]
+    seed = int(line["detail"].split(":")[0].split()[1])
+    ok, detail = FUZZ_CHECKS[name](random.Random(seed), ROUNDS[report["budget"]])
+    assert (ok, "sub-seed %d: %s" % (seed, detail)) == (line["passed"], line["detail"])
 
 
 LIE_DOC = {"even_dim": 1, "odd_dim": 1,

@@ -3,12 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from famgen import (
-    apply_subst,
-    conjugated_family,
-    pull_back_straightening,
-    relabel_family,
-)
+from famgen import pull_back_straightening, relabel_family
 from strat import small_fractions
 
 from superalg.cartan import BigradedElem, d_star_G
@@ -23,6 +18,7 @@ from superalg.straighten import (
     Straightening,
     comp_bracket,
     comp_product,
+    conjugated_family,
     family_is_commuting,
     identity_straightening,
     level_operator_columns,
