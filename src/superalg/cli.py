@@ -109,6 +109,10 @@ ROUNDS = {"small": 4, "medium": 12}
 # check_lie_superalgebra visits every bracket triple and its time grows about
 # as dim**4, so lie-check refuses a larger total dimension.
 LIE_MAX_DIM = 32
+# tensor-normalize enumerates every basis word of ranks 0..4, about dim**4 of
+# them, and derivation-classify acts on all 2**n basis monomials of n images.
+TENSOR_MAX_DIM = 32
+DERIVATION_MAX_IMAGES = 12
 
 
 def fnv1a64(name):
@@ -267,8 +271,11 @@ def _cmd_cp_homology(args):
 def _cmd_derivation_classify(args):
     with parsed(args.path):
         (images,) = decode.fields(load_json(args.path), "derivation input", "images")
-        space = ExtSpace(decode.integer(len(decode.items(images, "images")),
-                                        "number of images", 1, 62))
+        n = decode.integer(len(decode.items(images, "images")), "number of images", 1)
+        if n > DERIVATION_MAX_IMAGES:
+            raise PreconditionError("%d images, above the limit of %d"
+                                    % (n, DERIVATION_MAX_IMAGES))
+        space = ExtSpace(n)
         images = [ExtElem.from_json(space, d) for d in images]
     split = classify(space, images)
     rebuilt = reconstruct(split)
@@ -338,6 +345,9 @@ def _cmd_tensor_normalize(args):
             raise ValueError("kind must be 'sym' or 'ext', got %.40r" % (kind,))
         space = SuperSpace(decode.integer(p, "even_dim"), decode.integer(q, "odd_dim"))
         elem = (SuperSymElem if kind == "sym" else SuperExtElem).from_json(space, terms)
+    if p + q > TENSOR_MAX_DIM:
+        raise PreconditionError("even_dim + odd_dim is %d, above the limit of %d"
+                                % (p + q, TENSOR_MAX_DIM))
     normal = elem.to_json()
     roundtrip = type(elem).from_json(space, normal) == elem
     dims_ok = True

@@ -10,19 +10,14 @@ them are unique.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
-
-def _cleared(values):
-    """A row of rationals times the lcm of its denominators, as ints."""
-    values = list(values)
-    den = lcm(*(x.denominator for x in values))
-    return [x.numerator * (den // x.denominator) for x in values]
+from .scalars import cleared
 
 
 def rank(rows):
     """Rank via fraction-free Bareiss elimination on a denominator-cleared copy."""
-    m = [_cleared(row) for row in rows]
+    m = [cleared(row)[1] for row in rows]
     if not m or not m[0]:
         return 0
     nrows, ncols = len(m), len(m[0])
@@ -119,7 +114,7 @@ def sparse_rank(rows):
     pivots = {}
     for r in rows:
         cols = [c for c, v in r.items() if v]
-        row = dict(zip(cols, _cleared(r[c] for c in cols)))
+        row = dict(zip(cols, cleared(r[c] for c in cols)[1]))
         while row:
             g = gcd(*row.values())
             if g > 1:

@@ -7,13 +7,14 @@ in _DIMS and adds its constructors, products and JSON form.
 
 Exterior monomials are IndexSet keys, strictly increasing tuples of 1-based
 generator indices.  merge_sign, contract and replace are the only routines
-that reorder them, and sym_ext_terms is the one product loop of Sym ⊗ Λ.
+that reorder them, and sym_ext_ints is the one product loop of Sym ⊗ Λ: it
+runs on int coefficients, and sym_ext_terms wraps it for rational ones.
 """
 
 from fractions import Fraction
 from operator import add, attrgetter
 
-from .scalars import IndexSet, MultiDegree
+from .scalars import IndexSet, MultiDegree, cleared
 
 _new = tuple.__new__
 
@@ -159,18 +160,37 @@ class LinComb:
         return self.scale(c)
 
 
-def sym_ext_terms(ta, tb):
-    """Product in Sym ⊗ Λ of two term maps on (MultiDegree, IndexSet) keys:
-    exponent vectors add and the exterior monomials wedge with their sign."""
+def cleared_terms(terms):
+    """A term map of rationals over one denominator: (d, {key: int}),
+    in lowest terms when the coefficients are (see scalars.cleared)."""
+    d, ints = cleared(terms.values())
+    return d, dict(zip(terms, ints))
+
+
+def sym_ext_ints(ta, tb):
+    """Product in Sym ⊗ Λ of two term maps on (MultiDegree, IndexSet) keys
+    with int coefficients: exponent vectors add and the exterior monomials
+    wedge with their sign.  No zero coefficient is kept."""
     out = {}
+    get = out.get
     for (e1, k1), c1 in ta.items():
         for (e2, k2), c2 in tb.items():
             key, sign = merge_sign(k1, k2)
             if key is None:
                 continue
-            add_term(out, (_new(MultiDegree, map(add, e1, e2)), key),
-                     c1 * c2 if sign > 0 else -(c1 * c2))
-    return out
+            key = (_new(MultiDegree, map(add, e1, e2)), key)
+            out[key] = get(key, 0) + (c1 * c2 if sign > 0 else -(c1 * c2))
+    return {k: v for k, v in out.items() if v}
+
+
+def sym_ext_terms(ta, tb):
+    """sym_ext_ints for rational coefficients, fraction-free: each operand is
+    cleared to ints over one denominator, and one Fraction is built per
+    surviving key."""
+    da, ia = cleared_terms(ta)
+    db, ib = cleared_terms(tb)
+    d = da * db
+    return {k: Fraction(v, d) for k, v in sym_ext_ints(ia, ib).items()}
 
 
 def sym_ext_product(a, b):

@@ -8,7 +8,7 @@ exact rational arithmetic and zero-tolerance equality.  Basis indices are
 from enum import IntEnum
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 import re
 
 _SCALAR = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
@@ -24,6 +24,19 @@ def parse_scalar(s, name="scalar"):
         except ValueError:  # more digits than the interpreter converts
             pass
     raise ValueError("%s must be an integer or a 'p/q' string, got %.40r" % (name, s))
+
+
+def cleared(values):
+    """Rationals over one denominator: (d, ints) with d the lcm of their
+    denominators and ints their numerators over d, in order.
+
+    On values in lowest terms the pair is in lowest terms too: a prime
+    dividing d divides the denominator it came from to its full power in d,
+    and that value's numerator over d is prime to it.
+    """
+    values = list(values)
+    d = lcm(*(x.denominator for x in values))
+    return d, [x.numerator * (d // x.denominator) for x in values]
 
 
 def format_scalar(q):

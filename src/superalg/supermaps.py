@@ -12,11 +12,12 @@ by half the odd rank of the output algebra.
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 import random
 
 from . import decode
 from .exterior import ExtElem, ExtSpace
-from .lincomb import LinComb, add_term, sym_ext_product
+from .lincomb import LinComb, cleared_terms, sym_ext_ints, sym_ext_product
 from .poly import Poly
 from .scalars import IndexSet, MultiDegree, format_scalar
 
@@ -188,17 +189,20 @@ class SuperMapData:
         self.coord_images = coord_images
         self.odd_images = odd_images
         one = ((0,) * len(coord_images), ())
-        self._mono_images = {one: PolySuperFunc.unit(self.source_nvars, self.source_odd)}
+        unit = PolySuperFunc.unit(self.source_nvars, self.source_odd)
+        self._mono_images = {one: cleared_terms(unit.terms)}
 
     def _monomial_image(self, exps, key):
-        """Image of the target monomial x^exps * ds_key, memoized.
+        """Image of the target monomial x^exps * ds_key, memoized as
+        (d, {key: int}) in lowest terms: the image's coefficients are the
+        ints over d.
 
-        A new entry is one product with a cached neighbour: the last odd
+        A new entry is one int product with a cached neighbour: the last odd
         generator is split off on the right, which keeps the left-to-right
         order of the odd images, and once none is left the last nonzero
         exponent is lowered by one.  The chain down to a cached entry is
         walked iteratively, so high degrees never recurse.  The returned
-        element is shared and must not be mutated.
+        dict is shared and must not be mutated.
         """
         table = self._mono_images
         mono = (exps, key)
@@ -212,11 +216,17 @@ class SuperMapData:
                 j = max(i for i, e in enumerate(exps) if e)
                 chain.append((mono, self.coord_images[j]))
                 mono = (exps[:j] + (exps[j] - 1,) + exps[j + 1:], key)
-        img = table[mono]
+        d, img = table[mono]
         for mono, factor in reversed(chain):
-            img = img * factor
-            table[mono] = img
-        return img
+            fd, fints = cleared_terms(factor.terms)
+            img = sym_ext_ints(img, fints)
+            d *= fd
+            g = gcd(d, *img.values())
+            if g > 1:
+                d //= g
+                img = {k: v // g for k, v in img.items()}
+            table[mono] = d, img
+        return d, img
 
     @property
     def target_nvars(self):
@@ -258,15 +268,22 @@ def apply_map(phi, f):
     Unital multiplicative substitution; nilpotency of the odd images
     truncates everything after finitely many terms.  The map is linear,
     so the result is the coefficient-weighted sum of the memoized
-    monomial images, collected in a fresh element.
+    monomial images, collected in a fresh element.  The sum runs on ints
+    over the lcm of the denominators of the weighted images, and each
+    output coefficient is divided by it once.
     """
     if f.nvars != phi.target_nvars or f.odd_dim != phi.target_odd:
         raise ValueError("superfunction does not live on the target algebra")
+    images = [(c, phi._monomial_image(exps, key)) for (exps, key), c in f.terms.items()]
+    den = lcm(*(c.denominator * d for c, (d, _) in images))
     out = {}
-    for (exps, key), c in f.terms.items():
-        for k, v in phi._monomial_image(exps, key).terms.items():
-            add_term(out, k, c * v)
-    return PolySuperFunc._raw(phi.source_nvars, phi.source_odd, out)
+    get = out.get
+    for c, (d, img) in images:
+        m = c.numerator * (den // (c.denominator * d))
+        for k, v in img.items():
+            out[k] = get(k, 0) + m * v
+    return PolySuperFunc._raw(phi.source_nvars, phi.source_odd,
+                              {k: Fraction(v, den) for k, v in out.items() if v})
 
 
 def pull_function(phi, f):

@@ -8,8 +8,10 @@ but add whole elements term by term instead of collecting into one dict.
 
 from fractions import Fraction
 from itertools import combinations
+from operator import add
 
 from superalg.cartan import BigradedElem, ext_contract, ext_wedge
+from superalg.lincomb import add_term, merge_sign
 from superalg.scalars import MultiDegree
 
 
@@ -38,6 +40,20 @@ def fraction_sparse_rank(rows):
                 else:
                     row.pop(cc, None)
     return rank_
+
+
+def fraction_sym_ext_terms(ta, tb):
+    """Product in Sym ⊗ Λ of two term maps on (MultiDegree, IndexSet) keys,
+    computed entirely in Fraction, one accumulation per pair of terms."""
+    out = {}
+    for (e1, k1), c1 in ta.items():
+        for (e2, k2), c2 in tb.items():
+            key, sign = merge_sign(k1, k2)
+            if key is None:
+                continue
+            add_term(out, (MultiDegree(map(add, e1, e2)), key),
+                     c1 * c2 if sign > 0 else -(c1 * c2))
+    return out
 
 
 def echelon_nullity(rows, ncols):

@@ -151,6 +151,22 @@ def test_lie_check_dimension_limit(capsys, tmp_path, even, odd, code):
     assert got == code and ("limit of 32" in err) == (code == 3)
 
 
+# tensor-normalize enumerates about dim**4 basis words and derivation-classify
+# acts on 2**n basis monomials, so both cap their input size
+@pytest.mark.parametrize("even, odd, code", [(3, 2, 0), (20, 12, 0), (20, 13, 3)])
+def test_tensor_normalize_dimension_limit(capsys, tmp_path, even, odd, code):
+    p = write(tmp_path, "t.json", {"even_dim": even, "odd_dim": odd, "kind": "ext", "terms": []})
+    got, _, err = run_cli(capsys, ["tensor-normalize", p, "--quiet"])
+    assert got == code and ("limit of 32" in err) == (code == 3)
+
+
+@pytest.mark.parametrize("n, code", [(11, 0), (12, 0), (13, 3), (63, 3)])
+def test_derivation_classify_image_limit(capsys, tmp_path, n, code):
+    p = write(tmp_path, "d.json", {"images": [[] for _ in range(n)]})
+    got, _, err = run_cli(capsys, ["derivation-classify", p, "--quiet"])
+    assert got == code and ("limit of 12" in err) == (code == 3)
+
+
 def test_tensor_normalize_both_kinds(capsys, tmp_path):
     for kind in ("sym", "ext"):
         p = write(tmp_path, kind + ".json",

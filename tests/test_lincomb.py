@@ -5,9 +5,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import fraction_sym_ext_terms
+from strat import small_fractions
 from superalg.cartan import BigradedElem
 from superalg.exterior import ExtElem, ExtSpace
-from superalg.lincomb import LinComb, contract, merge_sign, replace
+from superalg.lincomb import LinComb, contract, merge_sign, replace, sym_ext_terms
 from superalg.poly import Poly
 from superalg.scalars import IndexSet, MultiDegree, inversion_sign
 from superalg.sderham import SuperForm
@@ -98,3 +100,44 @@ def test_contract_and_replace_undo_a_front_wedge(key, i, j):
 def test_keys_reject_non_integers(make):
     with pytest.raises(ValueError, match="integers"):
         make()
+
+
+# ------------------------------------------------------------- Sym ⊗ Λ product
+
+SYM_EXT_KEYS = st.tuples(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                         st.sampled_from([(), (1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3)]))
+SYM_EXT_COEFFS = st.one_of(
+    small_fractions(),
+    st.builds(lambda n, d: Fraction(10 ** 30 + n, d), st.integers(-50, 50), st.integers(1, 7)),
+    st.builds(lambda n, d: Fraction(n, 10 ** 30 + d), st.integers(-9, 9), st.integers(0, 50)),
+    st.integers(-5, 5),
+).filter(bool)
+
+
+def sym_ext_term_maps(max_size=6):
+    return st.dictionaries(SYM_EXT_KEYS, SYM_EXT_COEFFS, max_size=max_size).map(
+        lambda d: {(MultiDegree(e), IndexSet(k)): c for (e, k), c in d.items()})
+
+
+def _odd_part_negated(t):
+    # for t = E + O split by exterior parity, t * (E - O) = E^2: the cross terms cancel
+    return {key: -c if len(key[1]) % 2 else c for key, c in t.items()}
+
+
+@given(sym_ext_term_maps(), sym_ext_term_maps(), st.booleans())
+def test_sym_ext_product_matches_fraction_loop(ta, tb, cancel):
+    if cancel:
+        tb = _odd_part_negated(ta)
+    got = sym_ext_terms(ta, tb)
+    assert got == fraction_sym_ext_terms(ta, tb)
+    assert all(type(c) is Fraction and c for c in got.values())
+    if cancel:
+        assert all(len(k) % 2 == 0 for _, k in got)
+
+
+def test_sym_ext_product_drops_cancelled_terms():
+    x, s1 = (MultiDegree((1, 0)), IndexSet()), (MultiDegree((0, 0)), IndexSet((1,)))
+    a = {x: Fraction(1, 2), s1: 10 ** 30}
+    b = {x: Fraction(1, 2), s1: -10 ** 30}
+    assert sym_ext_terms(a, b) == {(MultiDegree((2, 0)), IndexSet()): Fraction(1, 4)}
+    assert sym_ext_terms({s1: Fraction(1, 3)}, {s1: 3}) == {}

@@ -1,10 +1,12 @@
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import naive_apply_map
+from strat import small_fractions
 from superalg.poly import Poly
 from superalg.scalars import IndexSet, MultiDegree
 from superalg.supermaps import (
@@ -51,17 +53,17 @@ def odd_junk_map():
 
 def polys(nvars, max_deg=2, max_terms=3):
     exps = st.tuples(*[st.integers(0, max_deg) for _ in range(nvars)])
-    return st.dictionaries(exps, st.integers(-4, 4), max_size=max_terms).map(
-        lambda d: Poly(nvars, {MultiDegree(e): Fraction(c) for e, c in d.items()}))
+    return st.dictionaries(exps, small_fractions(4, 3), max_size=max_terms).map(
+        lambda d: Poly(nvars, {MultiDegree(e): c for e, c in d.items()}))
 
 
 def superfuncs(nvars, odd_dim, parity=None, max_deg=2, max_terms=4):
     keys = [k for r in range(odd_dim + 1) for k in combinations(range(1, odd_dim + 1), r)
             if parity is None or r % 2 == parity]
     exps = st.tuples(*[st.integers(0, max_deg) for _ in range(nvars)])
-    term = st.tuples(exps, st.sampled_from(keys), st.integers(-3, 3))
+    term = st.tuples(exps, st.sampled_from(keys), small_fractions(3, 4))
     return st.lists(term, max_size=max_terms).map(
-        lambda ts: sum((sf(nvars, odd_dim, {(e, k): Fraction(c)}) for e, k, c in ts),
+        lambda ts: sum((sf(nvars, odd_dim, {(e, k): c}) for e, k, c in ts),
                        PolySuperFunc.zero(nvars, odd_dim)))
 
 
@@ -86,7 +88,7 @@ def supermapdatas(draw, m=1, p=3, n=2, q=2, defects=True):
         if defects and p >= 3 and draw(st.booleans()):
             deg3 = [k for k in combinations(range(1, p + 1), 3)]
             key = draw(st.sampled_from(deg3))
-            img = img + PolySuperFunc.monomial(m, p, (0,) * m, key, draw(st.integers(-2, 2)))
+            img = img + PolySuperFunc.monomial(m, p, (0,) * m, key, draw(small_fractions(2, 3)))
         odds.append(img)
     return SuperMapData(coords, odds)
 
@@ -102,7 +104,7 @@ def deep_superfuncs(max_deg=7, max_terms=4):
     exps = st.integers(0, max_deg).flatmap(
         lambda a: st.tuples(st.just(a), st.integers(0, max_deg - a)))
     keys = st.sampled_from([(), (1,), (2,), (1, 2)])
-    coeffs = st.integers(-3, 3).filter(bool)
+    coeffs = small_fractions(3, 4).filter(bool)
     return st.dictionaries(st.tuples(exps, keys), coeffs, max_size=max_terms).map(
         lambda d: sf(2, 2, d))
 
@@ -208,6 +210,20 @@ def test_apply_matches_oracle_at_depth_seven():
 @settings(max_examples=60, deadline=None)
 def test_apply_matches_oracle(phi, f):
     assert apply_map(phi, f).terms == oracle_image(phi, f)
+
+
+def test_fractional_images_stay_exact():
+    # coordinate image x/2 and odd image 2 ds1: the memo keeps each image over
+    # one denominator in lowest terms, and x^60 ds1 goes to 2^-59 x^60 ds1
+    half_x = PolySuperFunc.coordinate(1, 1, 1).scale(Fraction(1, 2))
+    phi = SuperMapData([half_x], [PolySuperFunc.odd_generator(1, 1, 1).scale(2)])
+    x60 = PolySuperFunc.monomial(1, 1, (60,), ())
+    assert apply_map(phi, x60) == x60.scale(Fraction(1, 2 ** 60))
+    x60_ds1 = PolySuperFunc.monomial(1, 1, (60,), (1,))
+    assert apply_map(phi, x60_ds1) == x60_ds1.scale(Fraction(1, 2 ** 59))
+    assert apply_map(phi, x60.scale(Fraction(3, 7)) + x60_ds1.scale(-5)) == \
+        x60.scale(Fraction(3, 7 * 2 ** 60)) + x60_ds1.scale(Fraction(-5, 2 ** 59))
+    assert all(gcd(d, *img.values()) == 1 for d, img in phi._mono_images.values())
 
 
 def test_high_degree_does_not_recurse():

@@ -1,0 +1,150 @@
+"""Paired benchmark runs of two checkouts, summarized as a BENCH_<pr>.json.
+
+    python3 tools/bench_pairs.py run PARENT CHANGE OUT --workload supermaps --seed 1 --pairs 10
+    python3 tools/bench_pairs.py summarize OUT --pr N --claim supermaps:jobs_per_s > BENCH_N.json
+
+PARENT and CHANGE are checkouts holding bench/ and src/.  `run` runs
+bench/run.py for the run_seconds of BENCHMARK.json alternately in each, the parent first in even pairs
+and the change first in odd ones, and keeps every run's stdout as
+OUT/<workload>-<seed>-<side>-<pair>.log.  `summarize` reads those logs: the
+last line of each is the JSON result of bench/run.py, and the lines before it
+carry the corpus and report digests.  For every workload and seed it prints
+each side's median and quartiles of every end-to-end metric in
+BENCHMARK.json, the pairs the change won (ties count for neither), the
+digests, failed jobs, and the host's cpu count and Python version.
+"""
+
+import argparse
+import json
+import os
+import platform
+import re
+import statistics
+import subprocess
+import sys
+from collections import defaultdict
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SIDES = ("parent", "change")
+LOG = re.compile(r"(?P<workload>\w+)-(?P<seed>\d+)-(?P<side>parent|change)-(?P<pair>\d+)\.log")
+
+
+def benchmark_spec():
+    return json.loads((ROOT / "BENCHMARK.json").read_text())
+
+
+def run(args):
+    seconds = benchmark_spec()["run_seconds"]
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for pair in range(args.pairs):
+        for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
+            checkout = Path(args.parent if side == "parent" else args.change)
+            proc = subprocess.run(
+                [sys.executable, "bench/run.py", "--workload", args.workload,
+                 "--seed", str(args.seed), "--seconds", str(seconds)],
+                cwd=checkout, capture_output=True, text=True, check=True)
+            log = out / ("%s-%d-%s-%d.log" % (args.workload, args.seed, side, pair))
+            log.write_text(proc.stdout)
+
+
+def read_log(path):
+    lines = path.read_text().splitlines()
+    result = json.loads(lines[-1])
+    for line in lines:
+        if line.startswith("corpus "):
+            result["corpus_digest"] = line.split()[-1][:12]
+        elif line.startswith("reports digest "):
+            result["reports_digest"] = line.split()[-1][:12]
+    return result
+
+
+def spread(values):
+    if len(values) < 2:
+        return {"median": values[0], "q1": values[0], "q3": values[0]}
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def summarize_set(runs, metrics):
+    """runs: {side: {pair: result}} for one workload and seed."""
+    pairs = sorted(set(runs["parent"]) & set(runs["change"]))
+    out = {"pairs": len(pairs)}
+    for side in SIDES:
+        results = [runs[side][p] for p in pairs]
+        out[side] = {
+            "corpus_digests": sorted({r["corpus_digest"] for r in results}),
+            "reports_digests": sorted({r["reports_digest"] for r in results}),
+            "failed_jobs": sum(r["failed"] for r in results),
+            "attempted_jobs": sum(r["attempted"] for r in results),
+            "all_correct": all(r["correct"] for r in results),
+        }
+    out["metrics"] = {}
+    for name, better in metrics.items():
+        value = {side: [runs[side][p]["metrics"][name]["value"] for p in pairs]
+                 for side in SIDES}
+        sign = 1 if better == "higher" else -1
+        wins = sum(1 for a, b in zip(value["parent"], value["change"]) if sign * (b - a) > 0)
+        parent, change = spread(value["parent"]), spread(value["change"])
+        gain = sign * (change["median"] - parent["median"])
+        out["metrics"][name] = {
+            "better": better, "parent": parent, "change": change,
+            "change_over_parent": change["median"] / parent["median"],
+            "change_wins": wins,
+            # the gain rule: 9 of 10 pairs won, and the medians further apart
+            # than the parent's quartiles
+            "gain_rule_met": 10 * wins >= 9 * len(pairs) and gain > parent["q3"] - parent["q1"],
+        }
+    return out
+
+
+def summarize(args):
+    spec = benchmark_spec()
+    metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    runs = defaultdict(lambda: {side: {} for side in SIDES})
+    for path in sorted(Path(args.out).iterdir()):
+        m = LOG.fullmatch(path.name)
+        if not m:
+            continue
+        if not path.read_text().rstrip().endswith("}"):
+            sys.stderr.write("skipped %s: the run has not finished\n" % path.name)
+            continue
+        runs[(m["workload"], int(m["seed"]))][m["side"]][int(m["pair"])] = read_log(path)
+    workload, metric = args.claim.split(":") if args.claim else (None, None)
+    doc = {
+        "pr": args.pr,
+        "backfilled": False,
+        "protocol": "bench/run.py --seconds %g, alternating parent/change pairs"
+                    % spec["run_seconds"],
+        "claim": {"workload": workload, "metric": metric} if args.claim else None,
+        "host": {"cpu_count": os.cpu_count(), "python": platform.python_version()},
+        "runs": [dict(workload=w, seed=s, **summarize_set(runs[(w, s)], metrics))
+                 for w, s in sorted(runs)],
+    }
+    json.dump(doc, sys.stdout, indent=1)
+    sys.stdout.write("\n")
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    sub = p.add_subparsers(required=True)
+    r = sub.add_parser("run")
+    r.add_argument("parent")
+    r.add_argument("change")
+    r.add_argument("out")
+    r.add_argument("--workload", required=True)
+    r.add_argument("--seed", type=int, default=1)
+    r.add_argument("--pairs", type=int, default=10)
+    r.set_defaults(func=run)
+    s = sub.add_parser("summarize")
+    s.add_argument("out")
+    s.add_argument("--pr", type=int, required=True)
+    s.add_argument("--claim", help="WORKLOAD:METRIC the change claims a gain on")
+    s.set_defaults(func=summarize)
+    args = p.parse_args(argv)
+    args.func(args)
+
+
+if __name__ == "__main__":
+    main()
