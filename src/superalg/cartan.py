@@ -3,18 +3,20 @@ calculus: the degree-shifting boundary operators attached to linear maps
 F: V → W and G: W → V, their anticommutator, exact homology tables, and the
 twisted shift operators attached to an endomorphism.
 
-Elements are finite sums of (multidegree, index set) monomials.  The Sym
-factor is polynomial, so everything is accessed through explicit degree
-cutoffs; no operator here ever needs the infinite tail.
+Elements are PolySuperFunc values on n Sym and m Λ generators: finite sums
+of (multidegree, index set) monomials.  The Sym factor is polynomial, so
+everything is accessed through explicit degree cutoffs; no operator here
+ever needs the infinite tail.
 """
 
 from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .lincomb import LinComb, add_term, contract, merge_sign, replace, sym_ext_product
+from .lincomb import add_term, contract, merge_sign, replace
 from .linalg import invert, mat_mul, rank, rref, sparse_rank
 from .scalars import IndexSet, MultiDegree, iter_multidegrees, sym_dim
+from .supermaps import PolySuperFunc
 
 _new = tuple.__new__
 
@@ -24,66 +26,6 @@ def as_matrix(rows, nrows, ncols):
     if len(mat) != nrows or any(len(r) != ncols for r in mat):
         raise ValueError("expected a %dx%d matrix" % (nrows, ncols))
     return mat
-
-
-class BigradedElem(LinComb):
-
-    __slots__ = ("sym_dim", "ext_dim")
-    _DIMS = ("sym_dim", "ext_dim")
-
-    def __init__(self, sym_dim_, ext_dim, terms=None):
-        self.sym_dim = sym_dim_
-        self.ext_dim = ext_dim
-        out = {}
-        for (alpha, key), c in (terms or {}).items():
-            c = Fraction(c)
-            if not c:
-                continue
-            alpha = MultiDegree(alpha)
-            key = IndexSet(key)
-            if len(alpha) != sym_dim_:
-                raise ValueError("multidegree needs %d slots" % sym_dim_)
-            if key and key[-1] > ext_dim:
-                raise ValueError("index out of range")
-            out[(alpha, key)] = c
-        self.terms = out
-
-    @classmethod
-    def unit(cls, n, m, coeff=1):
-        return cls.monomial(n, m, (0,) * n, (), coeff)
-
-    @classmethod
-    def monomial(cls, n, m, alpha, key, coeff=1):
-        return cls(n, m, {(tuple(alpha), tuple(key)): coeff})
-
-    # algebra product: Sym degrees add, the Λ factors wedge
-    mul = sym_ext_product
-
-    def __mul__(self, other):
-        if isinstance(other, BigradedElem):
-            return self.mul(other)
-        return self.scale(other)
-
-    def bidegree_part(self, k, l):
-        return BigradedElem._raw(
-            self.sym_dim, self.ext_dim,
-            {key: v for key, v in self.terms.items()
-             if key[0].total == k and len(key[1]) == l})
-
-    def bidegrees(self):
-        return sorted({(alpha.total, len(key)) for alpha, key in self.terms})
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for (alpha, key) in sorted(self.terms, key=lambda t: (t[0].total, len(t[1]), t)):
-            sym = "*".join("v%d^%d" % (i + 1, e) if e > 1 else "v%d" % (i + 1)
-                           for i, e in enumerate(alpha) if e)
-            ext = "^".join("w%d" % i for i in key)
-            label = "*".join(x for x in (sym, ext) if x) or "1"
-            bits.append("%s*%s" % (self.terms[(alpha, key)], label))
-        return " + ".join(bits)
 
 
 def sym_multiply(i, x):
@@ -129,11 +71,11 @@ def ext_contract(mu, x):
 def _shape_FG(mat, x, direction):
     if direction == "F":
         m, n = len(mat), len(mat[0]) if mat else 0
-        if n != x.sym_dim or m != x.ext_dim:
+        if n != x.nvars or m != x.odd_dim:
             raise ValueError("F must map the Sym side into the Λ side")
     else:
         n, m = len(mat), len(mat[0]) if mat else 0
-        if n != x.sym_dim or m != x.ext_dim:
+        if n != x.nvars or m != x.odd_dim:
             raise ValueError("G must map the Λ side into the Sym side")
 
 
@@ -141,11 +83,11 @@ def d_F(F, x):
     """Σ_mu dv_mu ⌟ ⊗ F(v_mu) ∧; bidegree (-1, +1)."""
     _shape_FG(F, x, "F")
     terms = {}
-    for mu in range(1, x.sym_dim + 1):
+    for mu in range(1, x.nvars + 1):
         y = sym_contract(mu, x)
         if y.is_zero():
             continue
-        for i in range(1, x.ext_dim + 1):
+        for i in range(1, x.odd_dim + 1):
             c = F[i - 1][mu - 1]
             if c:
                 for key, v in ext_wedge(i, y).terms.items():
@@ -157,11 +99,11 @@ def d_star_G(G, x):
     """Σ_mu G(w_mu) · ⊗ dw_mu ⌟; bidegree (+1, -1)."""
     _shape_FG(G, x, "G")
     terms = {}
-    for mu in range(1, x.ext_dim + 1):
+    for mu in range(1, x.odd_dim + 1):
         y = ext_contract(mu, x)
         if y.is_zero():
             continue
-        for j in range(1, x.sym_dim + 1):
+        for j in range(1, x.nvars + 1):
             c = G[j - 1][mu - 1]
             if c:
                 for key, v in sym_multiply(j, y).terms.items():
@@ -176,8 +118,8 @@ def delta(F, G, x):
 
 def sym_derivation(M, x):
     """Derivation of the Sym factor extending the endomorphism M of V."""
-    n = x.sym_dim
-    out = BigradedElem.zero(n, x.ext_dim)
+    n = x.nvars
+    out = PolySuperFunc.zero(n, x.odd_dim)
     for nu in range(1, n + 1):
         y = sym_contract(nu, x)
         if y.is_zero():
@@ -191,7 +133,7 @@ def sym_derivation(M, x):
 
 def ext_derivation(M, x):
     """Plain derivation of the Λ factor extending the endomorphism M of W."""
-    m = x.ext_dim
+    m = x.odd_dim
     terms = {}
     for (alpha, key), c in x.terms.items():
         for mu in key:
@@ -226,36 +168,13 @@ def operator_columns(op, n, m, src_kl, dst_kl):
     dst_index = {key: i for i, key in enumerate(bigraded_basis(n, m, *dst_kl))}
     cols = []
     for (alpha, key) in bigraded_basis(n, m, *src_kl):
-        y = op(BigradedElem.monomial(n, m, alpha, key))
+        y = op(PolySuperFunc.monomial(n, m, alpha, key))
         col = {}
         for t, c in y.terms.items():
             if t not in dst_index:
                 raise ValueError("operator output escapes bidegree %s" % (dst_kl,))
             col[dst_index[t]] = c
         cols.append(col)
-    return cols
-
-
-def dF_columns_direct(F, n, m, k, l):
-    """Second, index-level assembly of the d_F matrix on A^{k,l}; kept
-    independent of the operator applicator on purpose."""
-    dst_index = {key: i for i, key in enumerate(bigraded_basis(n, m, k - 1, l + 1))}
-    cols = []
-    for (alpha, key) in bigraded_basis(n, m, k, l):
-        col = {}
-        for mu in range(n):
-            a = alpha[mu]
-            if not a:
-                continue
-            na = tuple(alpha[t] - (1 if t == mu else 0) for t in range(n))
-            for i in range(1, m + 1):
-                c = F[i - 1][mu]
-                nk, sign = merge_sign((i,), key)
-                if not c or nk is None:
-                    continue
-                row = dst_index[(MultiDegree(na), nk)]
-                col[row] = col.get(row, 0) + sign * a * c
-        cols.append({r: v for r, v in col.items() if v})
     return cols
 
 
@@ -282,14 +201,12 @@ def _homology_table(n, m, k_max, l_max, step, columns):
              for l in range(l_max + 1)] for k in range(k_max + 1)]
 
 
-def homology_dims(F, k_max, l_max, assembler="applicator"):
+def homology_dims(F, k_max, l_max):
     """dim H^{k,l}(d_F) over 0 <= k <= k_max, 0 <= l <= l_max, exactly."""
     m, n = len(F), len(F[0]) if F else 0
     F = as_matrix(F, m, n)
 
     def columns(k, l):
-        if assembler == "direct":
-            return dF_columns_direct(F, n, m, k, l)
         return operator_columns(lambda x: d_F(F, x), n, m, (k, l), (k - 1, l + 1))
 
     return _homology_table(n, m, k_max, l_max, (-1, 1), columns)
@@ -325,12 +242,12 @@ def predicted_dstar_homology_dims(G, k_max, l_max):
 
 def twisted_shift_left(A, x):
     """A◁ = Σ_mu ds_mu · ⊗ A(s_mu) ⌟; bidegree (+1, -1) on Sym S* ⊗ Λ S*."""
-    q = x.sym_dim
-    if x.ext_dim != q or len(A) != q or any(len(r) != q for r in A):
+    q = x.nvars
+    if x.odd_dim != q or len(A) != q or any(len(r) != q for r in A):
         raise ValueError("twisted shifts need a square matrix on Sym S* ⊗ Λ S*")
-    out = BigradedElem.zero(q, q)
+    out = PolySuperFunc.zero(q, q)
     for mu in range(1, q + 1):
-        acc = BigradedElem.zero(q, q)
+        acc = PolySuperFunc.zero(q, q)
         for nu in range(1, q + 1):
             c = A[nu - 1][mu - 1]
             if c:
@@ -342,12 +259,12 @@ def twisted_shift_left(A, x):
 
 def twisted_shift_right(A, x):
     """A▷ = Σ_mu A(s_mu) ⌟ ⊗ ds_mu ∧; bidegree (-1, +1)."""
-    q = x.sym_dim
-    if x.ext_dim != q or len(A) != q or any(len(r) != q for r in A):
+    q = x.nvars
+    if x.odd_dim != q or len(A) != q or any(len(r) != q for r in A):
         raise ValueError("twisted shifts need a square matrix on Sym S* ⊗ Λ S*")
-    out = BigradedElem.zero(q, q)
+    out = PolySuperFunc.zero(q, q)
     for mu in range(1, q + 1):
-        acc = BigradedElem.zero(q, q)
+        acc = PolySuperFunc.zero(q, q)
         for nu in range(1, q + 1):
             c = A[nu - 1][mu - 1]
             if c:
@@ -359,8 +276,8 @@ def twisted_shift_right(A, x):
 
 def sym_transport(A, x):
     """Σ_mu ds_mu · (A s_mu) ⌟ on the Sym factor (degree 0)."""
-    q = x.sym_dim
-    out = BigradedElem.zero(q, x.ext_dim)
+    q = x.nvars
+    out = PolySuperFunc.zero(q, x.odd_dim)
     for mu in range(1, q + 1):
         for nu in range(1, q + 1):
             c = A[nu - 1][mu - 1]
@@ -371,8 +288,8 @@ def sym_transport(A, x):
 
 def ext_transport(A, x):
     """Σ_mu ds_mu ∧ (A s_mu) ⌟ on the Λ factor (degree 0)."""
-    q = x.ext_dim
-    out = BigradedElem.zero(x.sym_dim, q)
+    q = x.odd_dim
+    out = PolySuperFunc.zero(x.nvars, q)
     for mu in range(1, q + 1):
         for nu in range(1, q + 1):
             c = A[nu - 1][mu - 1]

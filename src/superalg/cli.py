@@ -27,7 +27,6 @@ from pathlib import Path
 
 from . import decode
 from .cartan import (
-    BigradedElem,
     ext_transport,
     homology_dims,
     predicted_homology_dims,
@@ -92,9 +91,7 @@ from .supermaps import (
     pull_function,
 )
 from .supertensor import (
-    SuperExtElem,
     SuperSpace,
-    SuperSymElem,
     TensorWord,
     act_alt,
     act_sym,
@@ -102,6 +99,8 @@ from .supertensor import (
     normalize_supersym,
     superext_basis,
     supersym_basis,
+    tensor_from_json,
+    tensor_to_json,
 )
 
 FNV_PRIME = 1099511628211
@@ -235,17 +234,6 @@ def rand_superform_homog(rng, m, n, deg, terms=2):
     return SuperForm(m, n, data)
 
 
-def rand_bigraded(rng, n, m, terms=3):
-    out = BigradedElem.zero(n, m)
-    for _ in range(terms):
-        alpha = [0] * n
-        for _ in range(rng.randint(0, 2)):
-            alpha[rng.randrange(n)] += 1
-        key = sorted(rng.sample(range(1, m + 1), rng.randint(0, m)))
-        out = out + BigradedElem.monomial(n, m, alpha, key, Fraction(rng.randint(-2, 2)))
-    return out
-
-
 def rand_frac_matrix(rng, rows, cols, lo=-2, hi=2):
     return [[Fraction(rng.randint(lo, hi)) for _ in range(cols)] for _ in range(rows)]
 
@@ -344,12 +332,12 @@ def _cmd_tensor_normalize(args):
         if kind not in ("sym", "ext"):
             raise ValueError("kind must be 'sym' or 'ext', got %.40r" % (kind,))
         space = SuperSpace(decode.integer(p, "even_dim"), decode.integer(q, "odd_dim"))
-        elem = (SuperSymElem if kind == "sym" else SuperExtElem).from_json(space, terms)
+        elem = tensor_from_json(kind, space, terms)
     if p + q > TENSOR_MAX_DIM:
         raise PreconditionError("even_dim + odd_dim is %d, above the limit of %d"
                                 % (p + q, TENSOR_MAX_DIM))
-    normal = elem.to_json()
-    roundtrip = type(elem).from_json(space, normal) == elem
+    normal = tensor_to_json(kind, elem)
+    roundtrip = tensor_from_json(kind, space, normal) == elem
     dims_ok = True
     for k in range(5):
         want_sym = sum(sym_dim(p, a) * comb(q, k - a) for a in range(k + 1))
@@ -496,8 +484,8 @@ def _fuzz_cartan_shifts(rng, rounds):
     for _ in range(rounds):
         A = rand_frac_matrix(rng, n, n)
         B = rand_frac_matrix(rng, n, n)
-        x = rand_bigraded(rng, n, n)
-        z = BigradedElem.zero(n, n)
+        x = rand_superfunc(rng, n, n, max_deg=2, terms=3)
+        z = PolySuperFunc.zero(n, n)
         left = twisted_shift_left(A, twisted_shift_left(B, x)) \
             + twisted_shift_left(B, twisted_shift_left(A, x))
         right = twisted_shift_right(A, twisted_shift_right(B, x)) \

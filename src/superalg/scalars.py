@@ -7,7 +7,7 @@ exact rational arithmetic and zero-tolerance equality.  Basis indices are
 
 from enum import IntEnum
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import comb, lcm
 import re
 
@@ -116,14 +116,19 @@ class MultiDegree(tuple):
 
 
 def iter_multidegrees(nvars, total):
-    """All exponent vectors of length nvars summing to total, lex order."""
-    if nvars == 0:
-        if total == 0:
-            yield MultiDegree(())
+    """All exponent vectors of length nvars summing to total, in decreasing
+    lex order.
+
+    Sorted index tuples in increasing lex order count up to exactly that
+    sequence of exponent vectors, and each vector is built once, already
+    valid."""
+    if total < 0:
         return
-    for first in range(total, -1, -1):
-        for rest in iter_multidegrees(nvars - 1, total - first):
-            yield MultiDegree((first,) + tuple(rest))
+    for combo in combinations_with_replacement(range(nvars), total):
+        exps = [0] * nvars
+        for i in combo:
+            exps[i] += 1
+        yield tuple.__new__(MultiDegree, exps)
 
 
 def sym_dim(nvars, degree):

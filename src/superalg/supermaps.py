@@ -27,10 +27,13 @@ def _ext_space(p):
 
 
 class PolySuperFunc(LinComb):
-    """Polynomial coefficients attached to exterior monomials.
+    """The free supercommutative algebra Sym(nvars) ⊗ Λ(odd_dim): polynomial
+    coefficients attached to exterior monomials.
 
     Terms map (exponent vector, index set) to a rational coefficient.
-    The parity of a term is the parity of its exterior degree.
+    The parity of a term is the parity of its exterior degree.  Besides
+    superfunctions, this one class holds the Cartan complex Sym V ⊗ Λ W
+    (cartan) and both supertensor quotients (supertensor).
     """
 
     __slots__ = ("nvars", "odd_dim")
@@ -81,7 +84,7 @@ class PolySuperFunc(LinComb):
 
     @classmethod
     def monomial(cls, nvars, odd_dim, exps, key, coeff=1):
-        return cls(nvars, odd_dim, {(MultiDegree(exps), IndexSet(key)): coeff})
+        return cls(nvars, odd_dim, {(tuple(exps), tuple(key)): coeff})
 
     __mul__ = sym_ext_product
 
@@ -101,6 +104,14 @@ class PolySuperFunc(LinComb):
     def degree_part(self, r):
         return PolySuperFunc._raw(self.nvars, self.odd_dim,
                                   {t: c for t, c in self.terms.items() if len(t[1]) == r})
+
+    def bidegree_part(self, k, l):
+        """The terms of polynomial degree k and exterior degree l."""
+        return self._like({t: c for t, c in self.terms.items()
+                           if t[0].total == k and len(t[1]) == l})
+
+    def bidegrees(self):
+        return sorted({(exps.total, len(key)) for exps, key in self.terms})
 
     def truncate_lambda(self, r):
         """Drop terms of exterior degree above r."""

@@ -4,7 +4,8 @@ A supervector space (V0|V1) has even generators (free-commuting in the
 supersymmetric quotient, anticommuting in the superexterior one) and odd
 generators (the other way around).  The two quotients are realised by
 explicit normal-form maps whose correctness is *tested* against invariance
-under the twisted actions, never assumed.
+under the twisted actions, never assumed.  Both quotients are free
+supercommutative algebras, so their elements are PolySuperFunc values.
 """
 
 from dataclasses import dataclass
@@ -12,7 +13,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import decode
-from .lincomb import LinComb, add_term, contract, sym_ext_product, sym_ext_terms
+from .cartan import ext_contract, sym_contract
+from .lincomb import add_term
 from .scalars import (
     EVEN,
     IndexSet,
@@ -24,6 +26,7 @@ from .scalars import (
     relative_signature,
     signature,
 )
+from .supermaps import PolySuperFunc
 
 
 @dataclass(frozen=True)
@@ -123,181 +126,103 @@ def _block_indices(word):
 
 
 def normalize_supersym(word):
-    """Class of the word in Sym(V0|V1) ≅ Sym V0 ⊗ Λ V1.
+    """Class of the word in Sym(V0|V1) ≅ Sym V0 ⊗ Λ V1, a PolySuperFunc on
+    the even_dim even and odd_dim odd generators.
 
     Evens sort freely, odds sort with the inversion sign, a repeated odd
     generator kills the word.  Even-odd crossings carry no sign (the
     symmetric twisted action is sign-free there)."""
     evens, odds = _block_indices(word)
-    elem = SuperSymElem.zero(word.space)
+    p, q = word.space.even_dim, word.space.odd_dim
     if len(set(odds)) != len(odds):
-        return elem
-    sign = inversion_sign(odds)
-    deg = [0] * word.space.even_dim
+        return PolySuperFunc.zero(p, q)
+    deg = [0] * p
     for i in evens:
         deg[i - 1] += 1
-    key = (MultiDegree(deg), IndexSet(sorted(odds)))
-    return SuperSymElem(word.space, {key: sign * word.coeff})
+    return PolySuperFunc.monomial(p, q, deg, sorted(odds), inversion_sign(odds) * word.coeff)
 
 
 def normalize_superext(word):
-    """Class of the word in Λ(V0|V1) ≅ Λ V0 ⊗ Sym V1.
+    """Class of the word in Λ(V0|V1) ≅ Λ V0 ⊗ Sym V1, a PolySuperFunc whose
+    Sym factor is on the odd_dim odd generators and whose Λ factor is on the
+    even_dim even ones.
 
     Evens anticommute (repeated even kills the word), odds commute, and each
     odd-before-even crossing contributes −1: that is what makes the
     alternating twisted action descend to the quotient."""
     evens, odds = _block_indices(word)
-    elem = SuperExtElem.zero(word.space)
+    p, q = word.space.even_dim, word.space.odd_dim
     if len(set(evens)) != len(evens):
-        return elem
+        return PolySuperFunc.zero(q, p)
     crossings = 0
     seen_odd = 0
-    for p, _ in word.factors:
-        if p:
+    for par, _ in word.factors:
+        if par:
             seen_odd += 1
         else:
             crossings += seen_odd
     sign = inversion_sign(evens) * (-1 if crossings % 2 else 1)
-    deg = [0] * word.space.odd_dim
+    deg = [0] * q
     for i in odds:
         deg[i - 1] += 1
-    key = (IndexSet(sorted(evens)), MultiDegree(deg))
-    return SuperExtElem(word.space, {key: sign * word.coeff})
+    return PolySuperFunc.monomial(q, p, deg, sorted(evens), sign * word.coeff)
 
 
-def _read_monomials(data, sym_field, sym_dim, ext_field, ext_dim):
-    """(Sym exponent vector, Λ index set, coefficient) of each JSON monomial.
+def _fields(kind):
+    # the JSON fields naming the Sym and the Λ generators of each quotient
+    return ("even", "odd") if kind == "sym" else ("odd", "even")
+
+
+def tensor_to_json(kind, f):
+    """Canonical JSON terms of an element of the kind ('sym' or 'ext')
+    quotient: the Sym generators listed with repeats, sorted by total degree,
+    then by the even half of the key, then by the odd half."""
+    sym_field, ext_field = _fields(kind)
+
+    def order(term):
+        d, k = term
+        return (d.total + len(k),) + ((d, k) if kind == "sym" else (k, d))
+
+    return [{"coeff": format_scalar(f.terms[(d, k)]),
+             sym_field: [i + 1 for i, e in enumerate(d) for _ in range(e)],
+             ext_field: list(k)}
+            for d, k in sorted(f.terms, key=order)]
+
+
+def tensor_from_json(kind, space, data):
+    """Read the JSON terms of an element of the kind quotient of space.
 
     The Sym list may repeat indices and come in any order.  Monomials are
     tensor words that may meet on one normal-form key, so repeated keys are
-    the caller's to sum."""
+    summed."""
+    sym_field, ext_field = _fields(kind)
+    sym_dim, ext_dim = ((space.even_dim, space.odd_dim) if kind == "sym"
+                        else (space.odd_dim, space.even_dim))
+    terms = {}
     for item in decode.items(data, "terms"):
         decode.fields(item, "monomial", "coeff", "even", "odd")
         deg = [0] * sym_dim
         for g in decode.indices(item[sym_field], sym_field, sym_dim):
             deg[g - 1] += 1
-        yield (MultiDegree(deg), decode.index_set(item[ext_field], ext_field, ext_dim),
-               decode.scalar(item["coeff"], "coeff"))
-
-
-class SuperSymElem(LinComb):
-    """Element of Sym(V0|V1): keys are (MultiDegree on evens, IndexSet on odds)."""
-
-    __slots__ = ("space",)
-    _DIMS = ("space",)
-
-    def __init__(self, space, terms=None):
-        self.space = space
-        self.terms = {k: Fraction(v) for k, v in (terms or {}).items() if v}
-
-    # supercommutative product: Sym factors add, Λ factors merge with sign
-    mul = sym_ext_product
-
-    def __mul__(self, other):
-        if isinstance(other, SuperSymElem):
-            return self.mul(other)
-        return self.scale(other)
-
-    def to_json(self):
-        items = sorted(self.terms.items(),
-                       key=lambda kv: (sum(kv[0][0]) + len(kv[0][1]), kv[0]))
-        out = []
-        for (d, k), v in items:
-            even = [i + 1 for i, e in enumerate(d) for _ in range(e)]
-            out.append({"coeff": format_scalar(v), "even": even, "odd": list(k)})
-        return out
-
-    @classmethod
-    def from_json(cls, space, data):
-        terms = {}
-        for deg, key, c in _read_monomials(data, "even", space.even_dim,
-                                           "odd", space.odd_dim):
-            add_term(terms, (deg, key), c)
-        return cls(space, terms)
-
-
-def _swap(terms):
-    return {(b, a): c for (a, b), c in terms.items()}
-
-
-class SuperExtElem(LinComb):
-    """Element of Λ(V0|V1): keys are (IndexSet on evens, MultiDegree on odds).
-
-    The parity of a monomial is the parity of its Λ factor."""
-
-    __slots__ = ("space",)
-    _DIMS = ("space",)
-
-    def __init__(self, space, terms=None):
-        self.space = space
-        self.terms = {k: Fraction(v) for k, v in (terms or {}).items() if v}
-
-    @classmethod
-    def unit(cls, space, coeff=1):
-        return cls(space, {(IndexSet(()), MultiDegree((0,) * space.odd_dim)): coeff})
-
-    def wedge(self, other):
-        # Λ V0 ⊗ Sym V1 is the Sym ⊗ Λ algebra with the key halves swapped;
-        # the Sym factor is even, so the swap costs no sign
-        self._check(other)
-        return self._like(_swap(sym_ext_terms(_swap(self.terms), _swap(other.terms))))
-
-    def __mul__(self, other):
-        if isinstance(other, SuperExtElem):
-            return self.wedge(other)
-        return self.scale(other)
-
-    def parity_part(self, parity):
-        p = int(parity) % 2
-        return self._like({k: v for k, v in self.terms.items() if len(k[0]) % 2 == p})
-
-    def insert(self, parity, coeffs):
-        """Interior product by a homogeneous vector: even vectors contract the
-        Λ factor (alternating signs), odd vectors differentiate the Sym factor."""
-        parity = Parity(parity)
-        want = self.space.even_dim if parity == EVEN else self.space.odd_dim
-        if len(coeffs) != want:
-            raise ValueError("vector needs %d coefficients" % want)
-        coeffs = [Fraction(c) for c in coeffs]
-        terms = {}
-        for (k, d), v in self.terms.items():
-            if parity == EVEN:
-                for g in k:
-                    if coeffs[g - 1]:
-                        nk, sign = contract(k, g)
-                        add_term(terms, (nk, d), sign * coeffs[g - 1] * v)
-            else:
-                for j in range(len(d)):
-                    if d[j] and coeffs[j]:
-                        nd = list(d)
-                        nd[j] -= 1
-                        add_term(terms, (k, MultiDegree(nd)), d[j] * coeffs[j] * v)
-        return self._like(terms)
-
-    def to_json(self):
-        items = sorted(self.terms.items(),
-                       key=lambda kv: (len(kv[0][0]) + sum(kv[0][1]), kv[0]))
-        out = []
-        for (k, d), v in items:
-            odd = [i + 1 for i, e in enumerate(d) for _ in range(e)]
-            out.append({"coeff": format_scalar(v), "even": list(k), "odd": odd})
-        return out
-
-    @classmethod
-    def from_json(cls, space, data):
-        terms = {}
-        for deg, key, c in _read_monomials(data, "odd", space.odd_dim,
-                                           "even", space.even_dim):
-            add_term(terms, (key, deg), c)
-        return cls(space, terms)
-
-
-def super_wedge(a, b):
-    return a.wedge(b)
+        key = (MultiDegree(deg), decode.index_set(item[ext_field], ext_field, ext_dim))
+        add_term(terms, key, decode.scalar(item["coeff"], "coeff"))
+    return PolySuperFunc(sym_dim, ext_dim, terms)
 
 
 def super_insert(parity, coeffs, a):
-    return a.insert(parity, coeffs)
+    """Interior product of a vector of the given parity with an element a of
+    Λ(V0|V1): an even vector contracts the Λ factor (alternating signs), an
+    odd vector differentiates the Sym factor."""
+    parity = Parity(parity)
+    along, dim = (ext_contract, a.odd_dim) if parity == EVEN else (sym_contract, a.nvars)
+    if len(coeffs) != dim:
+        raise ValueError("vector needs %d coefficients" % dim)
+    out = a._like({})
+    for i, c in enumerate(coeffs, start=1):
+        c = Fraction(c)
+        if c:
+            out = out + along(i, a).scale(c)
+    return out
 
 
 def supersym_basis(space, k):
@@ -310,9 +235,9 @@ def supersym_basis(space, k):
 
 
 def superext_basis(space, k):
-    """Normal-form basis keys of Λ^k(V0|V1)."""
+    """Normal-form basis keys of Λ^k(V0|V1): (odd exponents, even index set)."""
     for a in range(min(k, space.even_dim) + 1):
         b = k - a
         for ks in combinations(range(1, space.even_dim + 1), a):
             for d in iter_multidegrees(space.odd_dim, b):
-                yield (IndexSet(ks), d)
+                yield (d, IndexSet(ks))

@@ -3,16 +3,18 @@
 Everything here recomputes expected values from first principles, without
 going through the package's own data structures.  The boundary-operator
 oracles are the exception: they compose the package's Sym ⊗ Λ elements,
-but add whole elements term by term instead of collecting into one dict.
+but add whole elements term by term instead of collecting into one dict;
+and dF_columns_direct indexes its matrix by the package's own basis order.
 """
 
 from fractions import Fraction
 from itertools import combinations
 from operator import add
 
-from superalg.cartan import BigradedElem, ext_contract, ext_wedge
+from superalg.cartan import bigraded_basis, ext_contract, ext_wedge
 from superalg.lincomb import add_term, merge_sign
 from superalg.scalars import MultiDegree
+from superalg.supermaps import PolySuperFunc
 
 
 def fraction_sparse_rank(rows):
@@ -85,12 +87,12 @@ def _sym_contract(mu, x):
 def composed_d_F(F, x):
     """d_F as a sum of whole elements: one contract, wedge, scale and
     addition per (mu, i)."""
-    out = BigradedElem.zero(x.sym_dim, x.ext_dim)
-    for mu in range(1, x.sym_dim + 1):
+    out = PolySuperFunc.zero(x.nvars, x.odd_dim)
+    for mu in range(1, x.nvars + 1):
         y = _sym_contract(mu, x)
         if y.is_zero():
             continue
-        for i in range(1, x.ext_dim + 1):
+        for i in range(1, x.odd_dim + 1):
             c = F[i - 1][mu - 1]
             if c:
                 out = out + ext_wedge(i, y).scale(c)
@@ -100,16 +102,52 @@ def composed_d_F(F, x):
 def composed_d_star_G(G, x):
     """d*_G as a sum of whole elements: one contract, multiply, scale and
     addition per (mu, j)."""
-    out = BigradedElem.zero(x.sym_dim, x.ext_dim)
-    for mu in range(1, x.ext_dim + 1):
+    out = PolySuperFunc.zero(x.nvars, x.odd_dim)
+    for mu in range(1, x.odd_dim + 1):
         y = ext_contract(mu, x)
         if y.is_zero():
             continue
-        for j in range(1, x.sym_dim + 1):
+        for j in range(1, x.nvars + 1):
             c = G[j - 1][mu - 1]
             if c:
                 out = out + _sym_multiply(j, y).scale(c)
     return out
+
+
+def dF_columns_direct(F, n, m, k, l):
+    """Index-level assembly of the d_F matrix on A^{k,l}: the sparse columns
+    in the basis order of cartan.bigraded_basis, built from the multidegree
+    and index-set arithmetic alone, without the operator applicator."""
+    dst_index = {key: i for i, key in enumerate(bigraded_basis(n, m, k - 1, l + 1))}
+    cols = []
+    for (alpha, key) in bigraded_basis(n, m, k, l):
+        col = {}
+        for mu in range(n):
+            a = alpha[mu]
+            if not a:
+                continue
+            na = tuple(alpha[t] - (1 if t == mu else 0) for t in range(n))
+            for i in range(1, m + 1):
+                c = F[i - 1][mu]
+                nk, sign = merge_sign((i,), key)
+                if not c or nk is None:
+                    continue
+                row = dst_index[(MultiDegree(na), nk)]
+                col[row] = col.get(row, 0) + sign * a * c
+        cols.append({r: v for r, v in col.items() if v})
+    return cols
+
+
+def recursive_multidegrees(nvars, total):
+    """All exponent vectors of length nvars summing to total, in decreasing
+    lex order, by recursion on the first exponent."""
+    if nvars == 0:
+        if total == 0:
+            yield MultiDegree(())
+        return
+    for first in range(total, -1, -1):
+        for rest in recursive_multidegrees(nvars - 1, total - first):
+            yield MultiDegree((first,) + tuple(rest))
 
 
 def wedge_mono(a, b):

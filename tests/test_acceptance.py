@@ -15,7 +15,6 @@ from famgen import pull_back_straightening, relabel_family
 from oracles import leibniz_solution_dim
 
 from superalg.cartan import (
-    BigradedElem,
     ext_transport,
     homology_dims,
     predicted_homology_dims,
@@ -179,14 +178,14 @@ def test_criterion_04_twisted_shift_identities():
         d = rng.randint(2, 4)
         A = [[rand_fraction(rng) for _ in range(d)] for _ in range(d)]
         B = [[rand_fraction(rng) for _ in range(d)] for _ in range(d)]
-        x = BigradedElem.zero(d, d)
+        x = PolySuperFunc.zero(d, d)
         for _ in range(3):
             alpha = [0] * d
             for _ in range(rng.randint(0, 2)):
                 alpha[rng.randrange(d)] += 1
             key = sorted(rng.sample(range(1, d + 1), rng.randint(0, d)))
-            x = x + BigradedElem.monomial(d, d, alpha, key, rand_fraction(rng))
-        zero = BigradedElem.zero(d, d)
+            x = x + PolySuperFunc.monomial(d, d, alpha, key, rand_fraction(rng))
+        zero = PolySuperFunc.zero(d, d)
         assert twisted_shift_left(A, twisted_shift_left(B, x)) \
             + twisted_shift_left(B, twisted_shift_left(A, x)) == zero
         assert twisted_shift_right(A, twisted_shift_right(B, x)) \

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -152,12 +153,16 @@ def test_lie_check_dimension_limit(capsys, tmp_path, even, odd, code):
 
 
 # tensor-normalize enumerates about dim**4 basis words and derivation-classify
-# acts on 2**n basis monomials, so both cap their input size
-@pytest.mark.parametrize("even, odd, code", [(3, 2, 0), (20, 12, 0), (20, 13, 3)])
+# acts on 2**n basis monomials, so both cap their input size; at the limit
+# the basis count check walks about 52,000 words of rank 4
+@pytest.mark.parametrize("even, odd, code",
+                         [(3, 2, 0), (20, 12, 0), (20, 13, 3), (0, 32, 0), (32, 0, 0)])
 def test_tensor_normalize_dimension_limit(capsys, tmp_path, even, odd, code):
     p = write(tmp_path, "t.json", {"even_dim": even, "odd_dim": odd, "kind": "ext", "terms": []})
+    t0 = time.perf_counter()
     got, _, err = run_cli(capsys, ["tensor-normalize", p, "--quiet"])
     assert got == code and ("limit of 32" in err) == (code == 3)
+    assert time.perf_counter() - t0 < 2
 
 
 @pytest.mark.parametrize("n, code", [(11, 0), (12, 0), (13, 3), (63, 3)])

@@ -1,0 +1,139 @@
+"""Every element with a JSON form survives encode -> decode, and its encoding
+is a fixed point of decode -> encode, also through JSON text."""
+
+import json
+from itertools import combinations
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from strat import small_fractions
+from superalg.exterior import ExtElem, ExtSpace
+from superalg.poly import Poly
+from superalg.sderham import OddConnection, SuperForm
+from superalg.straighten import CompElem
+from superalg.supermaps import PolySuperFunc, SuperMapData
+from superalg.supertensor import SuperSpace, tensor_from_json, tensor_to_json
+
+dims = st.integers(0, 3)
+
+
+def index_sets(dim, parity=None):
+    return st.sampled_from([k for r in range(dim + 1) for k in combinations(range(1, dim + 1), r)
+                            if parity is None or r % 2 == parity])
+
+
+def exponents(nvars, max_deg=2):
+    return st.tuples(*[st.integers(0, max_deg)] * nvars)
+
+
+def polys(nvars):
+    return st.dictionaries(exponents(nvars), small_fractions(), max_size=3).map(
+        lambda d: Poly(nvars, d))
+
+
+def superfuncs(nvars, odd_dim, parity=None):
+    return st.dictionaries(st.tuples(exponents(nvars), index_sets(odd_dim, parity)),
+                           small_fractions(), max_size=4).map(
+        lambda d: PolySuperFunc(nvars, odd_dim, d))
+
+
+# each strategy draws (context, element): the context is all that the
+# decoder is told, the ambient dimensions of the element
+
+@st.composite
+def ext_elems(draw):
+    space = ExtSpace(draw(st.integers(1, 4)))
+    return space, ExtElem(space, draw(st.dictionaries(index_sets(space.dim),
+                                                      small_fractions(), max_size=4)))
+
+
+@st.composite
+def poly_elems(draw):
+    n = draw(dims)
+    return n, draw(polys(n))
+
+
+@st.composite
+def superfunc_elems(draw):
+    n, m = draw(dims), draw(dims)
+    return (n, m), draw(superfuncs(n, m))
+
+
+@st.composite
+def tensors(draw, kind):
+    space = SuperSpace(draw(dims), draw(dims))
+    sym_dim, ext_dim = ((space.even_dim, space.odd_dim) if kind == "sym"
+                        else (space.odd_dim, space.even_dim))
+    return space, draw(superfuncs(sym_dim, ext_dim))
+
+
+@st.composite
+def comp_elems(draw):
+    dim = draw(st.integers(1, 3))
+    terms = st.dictionaries(st.tuples(index_sets(dim), st.integers(1, dim)),
+                            small_fractions(), max_size=4)
+    return dim, CompElem(dim, draw(terms))
+
+
+@st.composite
+def superforms(draw):
+    m, n = draw(dims), draw(dims)
+    keys = st.tuples(index_sets(m), exponents(n), index_sets(n))
+    return (m, n), SuperForm(m, n, draw(st.dictionaries(keys, polys(m), max_size=3)))
+
+
+@st.composite
+def connections(draw):
+    m, n = draw(dims), draw(st.integers(1, 2))
+    return None, OddConnection(m, n, [[[draw(polys(m)) for _ in range(m)] for _ in range(n)]
+                                      for _ in range(n)])
+
+
+@st.composite
+def supermaps(draw):
+    m, p = draw(dims), draw(st.integers(1, 3))
+    n, q = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    if n + q == 0:
+        n = 1
+    coords = [draw(superfuncs(m, p, parity=0)) for _ in range(n)]
+    odds = [draw(superfuncs(m, p, parity=1)) for _ in range(q)]
+    return (m, p), SuperMapData(coords, odds)
+
+
+def _same(x):
+    return x
+
+
+# name -> (strategy, encode, decode from (context, data), what a round trip keeps)
+CASES = {
+    "ExtElem": (ext_elems(), ExtElem.to_json, ExtElem.from_json, _same),
+    "Poly": (poly_elems(), Poly.to_json, Poly.from_json, _same),
+    "PolySuperFunc": (superfunc_elems(), PolySuperFunc.to_json,
+                      lambda dims, d: PolySuperFunc.from_json(*dims, d), _same),
+    "tensor-sym": (tensors("sym"), lambda x: tensor_to_json("sym", x),
+                   lambda space, d: tensor_from_json("sym", space, d), _same),
+    "tensor-ext": (tensors("ext"), lambda x: tensor_to_json("ext", x),
+                   lambda space, d: tensor_from_json("ext", space, d), _same),
+    "CompElem": (comp_elems(), CompElem.to_json, CompElem.from_json, _same),
+    "SuperForm": (superforms(), SuperForm.to_json,
+                  lambda dims, d: SuperForm.from_json(*dims, d), _same),
+    "OddConnection": (connections(), OddConnection.to_json,
+                      lambda _, d: OddConnection.from_json(d),
+                      lambda c: (c.dim_base, c.dim_odd, c.comps)),
+    "SuperMapData": (supermaps(), SuperMapData.to_json,
+                     lambda dims, d: SuperMapData.from_json(*dims, d),
+                     lambda phi: (phi.coord_images, phi.odd_images)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_json_roundtrip(name, data):
+    strategy, encode, decode, kept = CASES[name]
+    ctx, x = data.draw(strategy)
+    enc = encode(x)
+    assert kept(decode(ctx, enc)) == kept(x)
+    for d in (enc, json.loads(json.dumps(enc))):
+        assert encode(decode(ctx, d)) == enc

@@ -198,3 +198,31 @@ def test_json_roundtrip():
         LieSuperData.from_json({"even_dim": 1, "odd_dim": 1,
                                 "brackets": [{"i": 2, "j": 2, "coeffs": ["1/2", "0"]},
                                              {"i": 2, "j": 2, "coeffs": ["0", "0"]}]})
+
+
+def osp_1_2(scale_11=1):
+    """osp(1|2) as a RepAndForm: sl2 with basis H, E, F ([H,E] = 2E,
+    [H,F] = -2F, [E,F] = H) on its defining representation with weight
+    vectors e1, e2, and the equivariant pairing B(e1,e1) = -2E,
+    B(e1,e2) = H, B(e2,e2) = 2F.  scale_11 rescales the one entry B(e1,e1)."""
+    f = Fraction
+    brackets = [[(0, 0, 0), (0, 2, 0), (0, 0, -2)],
+                [(0, -2, 0), (0, 0, 0), (1, 0, 0)],
+                [(0, 0, 2), (-1, 0, 0), (0, 0, 0)]]
+    rho = [[[1, 0], [0, -1]], [[0, 1], [0, 0]], [[0, 0], [1, 0]]]
+    B = [[(0, f(-2 * scale_11), 0), (1, 0, 0)],
+         [(1, 0, 0), (0, 0, 2)]]
+    return RepAndForm(3, 2, rho, B, brackets)
+
+
+def test_osp_1_2_satisfies_both_sides_of_the_biconditional():
+    data = osp_1_2()
+    assert check_structure_conditions(data).passed
+    assert check_lie_superalgebra(build_from_rho_B(data)).passed
+
+
+def test_osp_1_2_with_one_entry_rescaled_fails_both_sides():
+    data = osp_1_2(scale_11=2)
+    rep = check_structure_conditions(data)
+    assert not rep.passed and not rep.equivariant
+    assert not check_lie_superalgebra(build_from_rho_B(data)).passed

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 from oracles import fraction_sym_ext_terms
 from strat import small_fractions
-from superalg.cartan import BigradedElem
 from superalg.exterior import ExtElem, ExtSpace
 from superalg.lincomb import LinComb, contract, merge_sign, replace, sym_ext_terms
 from superalg.poly import Poly
@@ -15,7 +14,6 @@ from superalg.scalars import IndexSet, MultiDegree, inversion_sign
 from superalg.sderham import SuperForm
 from superalg.straighten import CompElem, PolyCompElem
 from superalg.supermaps import PolySuperFunc
-from superalg.supertensor import SuperExtElem, SuperSpace, SuperSymElem
 
 # one element in each of two ambient spaces that differ in one dimension
 ELEMENTS = {
@@ -24,9 +22,6 @@ ELEMENTS = {
     "CompElem": lambda d: CompElem.monomial(d, (1, 2), 2, Fraction(1, 3)),
     "PolyCompElem": lambda d: PolyCompElem(d, 2, {((1,) + (0,) * (d - 1), (1,), 2): 5}),
     "PolySuperFunc": lambda d: PolySuperFunc.monomial(1, d, (2,), (1, 2), -1),
-    "BigradedElem": lambda d: BigradedElem.monomial(d, 2, (1,) * d, (2,), 4),
-    "SuperSymElem": lambda d: SuperSymElem(SuperSpace(d, 2), {((1,) * d, (1, 2)): 7}),
-    "SuperExtElem": lambda d: SuperExtElem(SuperSpace(2, d), {((1, 2), (1,) * d): 7}),
     "SuperForm": lambda d: SuperForm.monomial(d, 1, (1,), (1,), (1,), Poly.variable(d, 1)),
 }
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import recursive_multidegrees
 from superalg.scalars import (
     EVEN,
     ODD,
@@ -90,6 +91,15 @@ def test_multidegree():
     assert len(set(degs)) == 6
     assert all(d.total == 2 for d in degs)
     assert sym_dim(0, 0) == 1 and sym_dim(0, 2) == 0
+
+
+def test_multidegrees_match_the_recursive_enumeration():
+    for nvars in range(8):
+        for total in range(-1, 6):
+            got = list(iter_multidegrees(nvars, total))
+            assert got == list(recursive_multidegrees(nvars, total))
+            assert all(type(d) is MultiDegree for d in got)
+            assert len(got) == sym_dim(nvars, total)
 
 
 def test_signature_examples():

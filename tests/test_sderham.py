@@ -12,7 +12,7 @@ from itertools import combinations
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from superalg.cartan import BigradedElem, twisted_shift_left, twisted_shift_right
+from superalg.cartan import twisted_shift_left, twisted_shift_right
 from superalg.poly import Poly
 from superalg.scalars import IndexSet, MultiDegree, iter_multidegrees
 from superalg.sderham import (
@@ -587,11 +587,11 @@ def test_koszul_sum_matches_operator_route_curved(conn, case):
 def _to_bigraded(w):
     """Constant-coefficient pure-fiber form as a bigraded tensor element."""
     n = w.dim_odd
-    out = BigradedElem.zero(n, n)
+    out = PolySuperFunc.zero(n, n)
     for (dxs, sym, ext), p in w.terms.items():
         assert not dxs
         c = p.terms.get(MultiDegree((0,) * w.dim_base), Fraction(0))
-        out = out + BigradedElem.monomial(n, n, sym, ext, c)
+        out = out + PolySuperFunc.monomial(n, n, sym, ext, c)
     return out
 
 

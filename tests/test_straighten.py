@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from famgen import pull_back_straightening, relabel_family
 from strat import small_fractions
 
-from superalg.cartan import BigradedElem, d_star_G
+from superalg.cartan import d_star_G
 from superalg.derivations import SuperDerivation, superbracket
 from superalg.exterior import ExtElem, ExtSpace
 from superalg.linalg import rank
@@ -27,6 +27,7 @@ from superalg.straighten import (
     straighten,
     verify_straightening,
 )
+from superalg.supermaps import PolySuperFunc
 
 from itertools import combinations
 
@@ -208,7 +209,7 @@ def test_level_operator_matches_bigraded_boundary():
     zero_alpha = MultiDegree((0,) * n)
     for c, (K, t) in enumerate(src):
         got = {dst[r]: v for r, v in cols[c].items()}
-        img = d_star_G(G, BigradedElem.monomial(n, q, zero_alpha, K))
+        img = d_star_G(G, PolySuperFunc.monomial(n, q, zero_alpha, K))
         want = {}
         for (alpha, L), v in img.terms.items():
             i = next(j for j, a in enumerate(alpha, start=1) if a)

@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from superalg.scalars import EVEN, ODD, Permutation, sym_dim
+from superalg.supermaps import PolySuperFunc
 from superalg.supertensor import (
-    SuperExtElem,
     SuperSpace,
-    SuperSymElem,
     TensorWord,
     act_alt,
     act_sym,
@@ -17,12 +16,28 @@ from superalg.supertensor import (
     normalize_supersym,
     odd_signature,
     super_insert,
-    super_wedge,
     superext_basis,
     supersym_basis,
+    tensor_from_json,
+    tensor_to_json,
 )
 
 SP = SuperSpace(2, 2)
+
+
+def sym_elem(terms):
+    # Sym(V0|V1): Sym factor on the evens, Λ factor on the odds
+    return PolySuperFunc(SP.even_dim, SP.odd_dim, terms)
+
+
+def ext_elem(terms, space=SP):
+    # Λ(V0|V1): Sym factor on the odds, Λ factor on the evens
+    return PolySuperFunc(space.odd_dim, space.even_dim, terms)
+
+
+def parity_part(x, p):
+    # the terms whose Λ degree has parity p
+    return sum((x.degree_part(r) for r in range(p, x.odd_dim + 1, 2)), x.scale(0))
 
 
 def word(*factors, coeff=1, space=SP):
@@ -89,21 +104,21 @@ def test_actions_descend_to_quotients(wst):
 
 def test_normalize_supersym_examples():
     got = normalize_supersym(word((ODD, 1), (EVEN, 1)))
-    assert got == SuperSymElem(SP, {((1, 0), (1,)): 1})
+    assert got == sym_elem({((1, 0), (1,)): 1})
     got = normalize_supersym(word((ODD, 2), (ODD, 1)))
-    assert got == SuperSymElem(SP, {((0, 0), (1, 2)): -1})
+    assert got == sym_elem({((0, 0), (1, 2)): -1})
     assert normalize_supersym(word((ODD, 1), (ODD, 1))).is_zero()
 
 
 def test_normalize_superext_examples():
     assert normalize_superext(word((EVEN, 1), (EVEN, 1))).is_zero()
     got = normalize_superext(word((ODD, 2), (ODD, 1)))
-    assert got == SuperExtElem(SP, {((), (1, 1)): 1})
+    assert got == ext_elem({((1, 1), ()): 1})
     got = normalize_superext(word((EVEN, 2), (EVEN, 1)))
-    assert got == SuperExtElem(SP, {((1, 2), (0, 0)): -1})
+    assert got == ext_elem({((0, 0), (1, 2)): -1})
     # an odd factor crossing an even one carries the alternating sign
     got = normalize_superext(word((ODD, 1), (EVEN, 1)))
-    assert got == SuperExtElem(SP, {((1,), (1, 0)): -1})
+    assert got == ext_elem({((1, 0), (1,)): -1})
 
 
 def enumerate_normal_span(space, k, normalize):
@@ -131,12 +146,12 @@ def test_dimension_formulas_by_enumeration():
 
 
 def test_super_wedge_examples():
-    xi1 = SuperExtElem(SP, {((1,), (0, 0)): 1})
-    xi2 = SuperExtElem(SP, {((2,), (0, 0)): 1})
-    s1 = SuperExtElem(SP, {((), (1, 0)): 1})
-    assert super_wedge(xi1, xi2) == SuperExtElem(SP, {((1, 2), (0, 0)): 1})
-    assert super_wedge(xi1.wedge(s1), s1) == SuperExtElem(SP, {((1,), (2, 0)): 1})
-    assert super_wedge(xi1, xi1).is_zero()
+    xi1 = ext_elem({((0, 0), (1,)): 1})
+    xi2 = ext_elem({((0, 0), (2,)): 1})
+    s1 = ext_elem({((1, 0), ()): 1})
+    assert xi1 * xi2 == ext_elem({((0, 0), (1, 2)): 1})
+    assert xi1 * s1 * s1 == ext_elem({((2, 0), (1,)): 1})
+    assert (xi1 * xi1).is_zero()
 
 
 @st.composite
@@ -144,13 +159,13 @@ def superext_elems(draw, space=SP, max_terms=3, max_sym=2):
     keys = []
     for k in range(4):
         keys.extend(superext_basis(space, k))
-    keys = [key for key in keys if sum(key[1]) <= max_sym]
+    keys = [key for key in keys if sum(key[0]) <= max_sym]
     picked = draw(st.lists(st.sampled_from(keys), max_size=max_terms))
     terms = {}
     for key in picked:
         terms[key] = terms.get(key, 0) + draw(
             st.builds(Fraction, st.integers(-5, 5), st.integers(1, 3)))
-    return SuperExtElem(space, terms)
+    return ext_elem(terms, space)
 
 
 def term_of(elem):
@@ -162,7 +177,7 @@ def term_of(elem):
 @settings(max_examples=60)
 @given(superext_elems(), superext_elems(), superext_elems())
 def test_super_wedge_associative(a, b, c):
-    assert a.wedge(b.wedge(c)) == a.wedge(b).wedge(c)
+    assert a * (b * c) == (a * b) * c
 
 
 @settings(max_examples=60)
@@ -170,18 +185,18 @@ def test_super_wedge_associative(a, b, c):
 def test_super_wedge_graded_commutative_in_lambda_parity(a, b):
     for pa in (0, 1):
         for pb in (0, 1):
-            x, y = a.parity_part(pa), b.parity_part(pb)
+            x, y = parity_part(a, pa), parity_part(b, pb)
             sign = -1 if pa * pb else 1
-            assert x.wedge(y) == y.wedge(x).scale(sign)
+            assert x * y == (y * x).scale(sign)
 
 
 def test_super_insert_examples():
-    xi12 = SuperExtElem(SP, {((1, 2), (0, 0)): 1})
-    assert super_insert(EVEN, (1, 0), xi12) == SuperExtElem(SP, {((2,), (0, 0)): 1})
-    assert super_insert(EVEN, (0, 1), xi12) == SuperExtElem(SP, {((1,), (0, 0)): -1})
-    sq = SuperExtElem(SP, {((), (2, 0)): 1})
-    assert super_insert(ODD, (1, 0), sq) == SuperExtElem(SP, {((), (1, 0)): 2})
-    assert super_insert(ODD, (1, 0), SuperExtElem.unit(SP)).is_zero()
+    xi12 = ext_elem({((0, 0), (1, 2)): 1})
+    assert super_insert(EVEN, (1, 0), xi12) == ext_elem({((0, 0), (2,)): 1})
+    assert super_insert(EVEN, (0, 1), xi12) == ext_elem({((0, 0), (1,)): -1})
+    sq = ext_elem({((2, 0), ()): 1})
+    assert super_insert(ODD, (1, 0), sq) == ext_elem({((1, 0), ()): 2})
+    assert super_insert(ODD, (1, 0), PolySuperFunc.unit(2, 2)).is_zero()
     with pytest.raises(ValueError):
         super_insert(EVEN, (1,), xi12)
 
@@ -196,27 +211,32 @@ def test_super_insert_rule_of_signs(a, b, data):
     v = [data.draw(st.integers(-3, 3)) for _ in range(dim)]
     op_parity = 1 - int(parity)
     for pa in (0, 1):
-        x = a.parity_part(pa)
-        lhs = x.wedge(b).insert(parity, v)
+        x = parity_part(a, pa)
+        lhs = super_insert(parity, v, x * b)
         sign = -1 if op_parity * pa else 1
-        rhs = x.insert(parity, v).wedge(b) + x.wedge(b.insert(parity, v)).scale(sign)
+        rhs = super_insert(parity, v, x) * b + (x * super_insert(parity, v, b)).scale(sign)
         assert lhs == rhs
 
 
 def test_json_roundtrips():
-    e = SuperSymElem(SP, {((2, 0), (1,)): Fraction(3, 2)})
-    data = e.to_json()
+    e = sym_elem({((2, 0), (1,)): Fraction(3, 2)})
+    data = tensor_to_json("sym", e)
     assert data == [{"coeff": "3/2", "even": [1, 1], "odd": [1]}]
-    assert SuperSymElem.from_json(SP, data) == e
+    assert tensor_from_json("sym", SP, data) == e
 
-    f = SuperExtElem(SP, {((1,), (0, 2)): Fraction(-1, 3)})
-    data = f.to_json()
+    f = ext_elem({((0, 2), (1,)): Fraction(-1, 3)})
+    data = tensor_to_json("ext", f)
     assert data == [{"coeff": "-1/3", "even": [1], "odd": [2, 2]}]
-    assert SuperExtElem.from_json(SP, data) == f
+    assert tensor_from_json("ext", SP, data) == f
+    # terms of one degree sort by the even half of the key, then the odd half
+    g = sym_elem({((0, 1), (2,)): 1, ((1, 0), (1,)): 2})
+    assert [t["coeff"] for t in tensor_to_json("sym", g)] == ["1", "2"]
+    h = ext_elem({((1, 0), (1,)): 1, ((0, 1), (2,)): 2})
+    assert [t["coeff"] for t in tensor_to_json("ext", h)] == ["1", "2"]
     with pytest.raises(ValueError):
-        SuperExtElem.from_json(SP, [{"coeff": "1", "even": [1]}])
+        tensor_from_json("ext", SP, [{"coeff": "1", "even": [1]}])
     with pytest.raises(ValueError):
-        SuperSymElem.from_json(SP, [{"coeff": "1", "even": [9], "odd": []}])
+        tensor_from_json("sym", SP, [{"coeff": "1", "even": [9], "odd": []}])
 
 
 def test_space_validation():
