@@ -1,7 +1,9 @@
 """The bigraded algebra Sym V ⊗ Λ W with its contraction/multiplication
 calculus: the degree-shifting boundary operators attached to linear maps
-F: V → W and G: W → V, their anticommutator, exact homology tables, and the
-twisted shift operators attached to an endomorphism.
+F: V → W and G: W → V, their anticommutator, and exact homology tables.
+The twisted shifts A▷ and A◁ of an endomorphism A of S, on Sym S* ⊗ Λ S*,
+are the boundary maps d_F and d*_G of the transpose F = G = Aᵗ, and the two
+transports are the derivations of Aᵗ; each is computed through that operator.
 
 Elements are PolySuperFunc values on n Sym and m Λ generators: finite sums
 of (multidegree, index set) monomials.  The Sym factor is polynomial, so
@@ -14,7 +16,7 @@ from itertools import combinations
 from math import comb
 
 from .lincomb import add_term, contract, merge_sign, replace
-from .linalg import invert, mat_mul, rank, rref, sparse_rank
+from .linalg import invert, mat_mul, rank, rref, sparse_rank, transpose
 from .scalars import IndexSet, MultiDegree, iter_multidegrees, sym_dim
 from .supermaps import PolySuperFunc
 
@@ -240,62 +242,32 @@ def predicted_dstar_homology_dims(G, k_max, l_max):
             for k in range(k_max + 1)]
 
 
-def twisted_shift_left(A, x):
-    """A◁ = Σ_mu ds_mu · ⊗ A(s_mu) ⌟; bidegree (+1, -1) on Sym S* ⊗ Λ S*."""
+def _checked_transpose(A, x):
+    """Aᵗ, once A is known to be a square matrix on the S of x = Sym S* ⊗ Λ S*."""
     q = x.nvars
     if x.odd_dim != q or len(A) != q or any(len(r) != q for r in A):
         raise ValueError("twisted shifts need a square matrix on Sym S* ⊗ Λ S*")
-    out = PolySuperFunc.zero(q, q)
-    for mu in range(1, q + 1):
-        acc = PolySuperFunc.zero(q, q)
-        for nu in range(1, q + 1):
-            c = A[nu - 1][mu - 1]
-            if c:
-                acc = acc + ext_contract(nu, x).scale(c)
-        if not acc.is_zero():
-            out = out + sym_multiply(mu, acc)
-    return out
+    return transpose(A)
+
+
+def twisted_shift_left(A, x):
+    """A◁ = Σ_mu ds_mu · ⊗ A(s_mu) ⌟ = d*_G with G = Aᵗ; bidegree (+1, -1)."""
+    return d_star_G(_checked_transpose(A, x), x)
 
 
 def twisted_shift_right(A, x):
-    """A▷ = Σ_mu A(s_mu) ⌟ ⊗ ds_mu ∧; bidegree (-1, +1)."""
-    q = x.nvars
-    if x.odd_dim != q or len(A) != q or any(len(r) != q for r in A):
-        raise ValueError("twisted shifts need a square matrix on Sym S* ⊗ Λ S*")
-    out = PolySuperFunc.zero(q, q)
-    for mu in range(1, q + 1):
-        acc = PolySuperFunc.zero(q, q)
-        for nu in range(1, q + 1):
-            c = A[nu - 1][mu - 1]
-            if c:
-                acc = acc + sym_contract(nu, x).scale(c)
-        if not acc.is_zero():
-            out = out + ext_wedge(mu, acc)
-    return out
+    """A▷ = Σ_mu A(s_mu) ⌟ ⊗ ds_mu ∧ = d_F with F = Aᵗ; bidegree (-1, +1)."""
+    return d_F(_checked_transpose(A, x), x)
 
 
 def sym_transport(A, x):
-    """Σ_mu ds_mu · (A s_mu) ⌟ on the Sym factor (degree 0)."""
-    q = x.nvars
-    out = PolySuperFunc.zero(q, x.odd_dim)
-    for mu in range(1, q + 1):
-        for nu in range(1, q + 1):
-            c = A[nu - 1][mu - 1]
-            if c:
-                out = out + sym_multiply(mu, sym_contract(nu, x)).scale(c)
-    return out
+    """Σ_mu ds_mu · (A s_mu) ⌟ on the Sym factor: the derivation of Aᵗ."""
+    return sym_derivation(transpose(A), x)
 
 
 def ext_transport(A, x):
-    """Σ_mu ds_mu ∧ (A s_mu) ⌟ on the Λ factor (degree 0)."""
-    q = x.odd_dim
-    out = PolySuperFunc.zero(x.nvars, q)
-    for mu in range(1, q + 1):
-        for nu in range(1, q + 1):
-            c = A[nu - 1][mu - 1]
-            if c:
-                out = out + ext_wedge(mu, ext_contract(nu, x)).scale(c)
-    return out
+    """Σ_mu ds_mu ∧ (A s_mu) ⌟ on the Λ factor: the derivation of Aᵗ."""
+    return ext_derivation(transpose(A), x)
 
 
 def retraction_for(F):
@@ -306,7 +278,7 @@ def retraction_for(F):
     _, pivots = rref(Fm)
     J = pivots  # 0-based columns spanning a complement of the kernel
     img = [[Fm[i][j] for j in J] for i in range(m)]  # image basis, m x r
-    cols = [list(col) for col in zip(*img)] if J else []
+    cols = transpose(img)
     # extend the image basis to all of W with standard vectors
     chosen = []
     for i in range(m):
@@ -315,7 +287,7 @@ def retraction_for(F):
             chosen.append(e)
         if len(cols) + len(chosen) == m:
             break
-    M = [list(row) for row in zip(*(cols + chosen))]  # m x m invertible
+    M = transpose(cols + chosen)  # m x m invertible
     Minv = invert(M)
     R = [[Fraction(0)] * m for _ in range(n)]
     for t, j in enumerate(J):

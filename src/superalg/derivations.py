@@ -13,6 +13,22 @@ from .exterior import ExtElem
 from .scalars import EVEN, ODD, Parity
 
 
+def _leibniz(space, images, parity, a):
+    """Expand the generator images over a by the Leibniz rule, the image
+    replacing the t-th factor of a monomial carrying the sign (−1)^(parity·t)."""
+    out = ExtElem.zero(space)
+    for key, coeff in a.terms.items():
+        for t in range(len(key)):
+            img = images[key[t] - 1]
+            if img.is_zero():
+                continue
+            sign = -1 if (parity * t) % 2 else 1
+            head = ExtElem.monomial(space, key[:t], sign * coeff)
+            tail = ExtElem.monomial(space, key[t + 1:])
+            out = out + head.wedge(img).wedge(tail)
+    return out
+
+
 class SuperDerivation:
     """Graded-Leibniz operator on ΛV* determined by generator images.
 
@@ -40,18 +56,7 @@ class SuperDerivation:
     def __call__(self, a):
         if a.space != self.space:
             raise ValueError("argument lives in the wrong space")
-        out = ExtElem.zero(self.space)
-        flip = int(self.parity)
-        for key, coeff in a.terms.items():
-            for t in range(len(key)):
-                img = self.images[key[t] - 1]
-                if img.is_zero():
-                    continue
-                sign = -1 if (flip * t) % 2 else 1
-                head = ExtElem.monomial(self.space, key[:t], sign * coeff)
-                tail = ExtElem.monomial(self.space, key[t + 1:])
-                out = out + head.wedge(img).wedge(tail)
-        return out
+        return _leibniz(self.space, self.images, int(self.parity), a)
 
     def __eq__(self, other):
         if not isinstance(other, SuperDerivation):
@@ -90,16 +95,7 @@ def extend(D, a):
 
 def ungraded_extend(space, images, a):
     """Plain-Leibniz (ungraded) expansion of arbitrary generator images."""
-    out = ExtElem.zero(space)
-    for key, coeff in a.terms.items():
-        for t in range(len(key)):
-            img = images[key[t] - 1]
-            if img.is_zero():
-                continue
-            head = ExtElem.monomial(space, key[:t], coeff)
-            tail = ExtElem.monomial(space, key[t + 1:])
-            out = out + head.wedge(img).wedge(tail)
-    return out
+    return _leibniz(space, images, 0, a)
 
 
 def build_DF(space, images):

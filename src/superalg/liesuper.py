@@ -198,25 +198,13 @@ def _mat_sub(a, b):
 def _validate_representation(data):
     p = data.even_dim
     # the even part must itself be a Lie algebra
-    for a in range(p):
-        for b in range(p):
-            if not _is_zero(_vadd(data.even_brackets[a][b], data.even_brackets[b][a])):
-                raise ValueError("even brackets are not antisymmetric")
-    for a in range(p):
-        for b in range(p):
-            for c in range(p):
-                acc = _vzero(p)
-                for l, coef in enumerate(data.even_brackets[b][c]):
-                    if coef:
-                        acc = _vadd(acc, _vscale(coef, data.even_brackets[a][l]))
-                for l, coef in enumerate(data.even_brackets[a][b]):
-                    if coef:
-                        acc = _vadd(acc, _vscale(-coef, data.even_brackets[l][c]))
-                for l, coef in enumerate(data.even_brackets[a][c]):
-                    if coef:
-                        acc = _vadd(acc, _vscale(-coef, data.even_brackets[b][l]))
-                if not _is_zero(acc):
-                    raise ValueError("even brackets fail the Jacobi identity")
+    report = _even_report(p, {(a, b): vec
+                              for a, row in enumerate(data.even_brackets, start=1)
+                              for b, vec in enumerate(row, start=1)})
+    if not report.superalternating:
+        raise ValueError("even brackets are not antisymmetric")
+    if not report.super_jacobi:
+        raise ValueError("even brackets fail the Jacobi identity")
     # rho([X_a, X_b]) = rho(X_a)rho(X_b) - rho(X_b)rho(X_a)
     q = data.odd_dim
     for a in range(p):
@@ -345,14 +333,15 @@ def endo_superalgebra(p, q):
     return LieSuperData(even_dim, dim - even_dim, table)
 
 
+def _even_report(p, brackets):
+    """check_lie_superalgebra on p even basis vectors; the zero space passes."""
+    if p == 0:
+        return LieCheckReport(True, True, "both", ())
+    return check_lie_superalgebra(LieSuperData(p, 0, brackets))
+
+
 def even_part_is_lie_algebra(L):
     """The even-even block of a passing superalgebra is an ordinary Lie algebra."""
     p = L.even_dim
-    sub = {}
-    for (i, j), vec in L.brackets.items():
-        if i <= p and j <= p:
-            sub[(i, j)] = vec[:p]
-    if p == 0:
-        return True
-    even = LieSuperData(p, 0, sub)
-    return check_lie_superalgebra(even).passed
+    return _even_report(p, {(i, j): vec[:p] for (i, j), vec in L.brackets.items()
+                            if i <= p and j <= p}).passed

@@ -1,9 +1,9 @@
 """Exact linear algebra over the rationals.
 
 Matrices are lists of rows of Fractions (or ints); sparse matrices are
-iterables of {col: value} dicts.  Both ranks are fraction-free: each row is
-cleared to integers first, then the dense rank runs a Bareiss echelon and
-the sparse rank an integer echelon with content removal.  Only rref,
+iterables of {col: value} dicts.  Rank is fraction-free: each row is cleared
+to integers first, then reduced by an integer echelon with content removal;
+the dense rank hands its nonzero entries to the sparse one.  Only rref,
 nullspace, solve and invert compute in Fraction.  Pivoting is always
 least-index, so reduced forms and the canonical solutions extracted from
 them are unique.
@@ -16,28 +16,8 @@ from .scalars import cleared
 
 
 def rank(rows):
-    """Rank via fraction-free Bareiss elimination on a denominator-cleared copy."""
-    m = [cleared(row)[1] for row in rows]
-    if not m or not m[0]:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        for i in range(r + 1, nrows):
-            for j in range(c + 1, ncols):
-                # Bareiss: exact integer division by the previous pivot
-                m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]) // prev
-            m[i][c] = 0
-        prev = m[r][c]
-        r += 1
-        if r == nrows:
-            break
-    return r
+    """Rank of a dense matrix, through sparse_rank on its nonzero entries."""
+    return sparse_rank(dict(enumerate(row)) for row in rows)
 
 
 def rref(rows):
@@ -160,6 +140,10 @@ def mat_vec(rows, v):
     return [sum((Fraction(a) * b for a, b in zip(row, v)), Fraction(0)) for row in rows]
 
 
+def transpose(rows):
+    return [list(col) for col in zip(*rows)]
+
+
 def mat_mul(a, b):
-    bt = list(zip(*b))
+    bt = transpose(b)
     return [[sum((Fraction(x) * y for x, y in zip(row, col)), Fraction(0)) for col in bt] for row in a]

@@ -1,5 +1,5 @@
-"""The (non-associative) composition algebra on Λ S* ⊗ S, its polynomial
-version over Sym V*, and the degree-by-degree straightening solver.
+"""The (non-associative) composition algebra on Λ S* ⊗ S and the
+degree-by-degree straightening solver.
 
 A family of commuting odd superderivations with injective degree-zero part
 is conjugated to its constant part by a generator substitution G; the solver
@@ -14,8 +14,8 @@ from . import decode
 from .derivations import SuperDerivation
 from .exterior import ExtElem, ExtSpace
 from .lincomb import LinComb, add_term, contract, merge_sign
-from .linalg import nullspace, rank, rref, solve
-from .scalars import IndexSet, MultiDegree, format_scalar
+from .linalg import nullspace, rank, rref, solve, transpose
+from .scalars import IndexSet, format_scalar
 
 
 def _ds_space(q):
@@ -124,46 +124,6 @@ def psi(a):
     return SuperDerivation(space, parity, images)
 
 
-class PolyCompElem(LinComb):
-    """Element of Sym V* ⊗ Λ S* ⊗ S."""
-
-    __slots__ = ("sym_dim", "dim")
-    _DIMS = ("sym_dim", "dim")
-
-    def __init__(self, sym_dim, dim, terms=None):
-        self.sym_dim = sym_dim
-        self.dim = dim
-        out = {}
-        for (alpha, key, s), c in (terms or {}).items():
-            c = Fraction(c)
-            if not c:
-                continue
-            alpha = MultiDegree(alpha)
-            key = IndexSet(key)
-            if len(alpha) != sym_dim:
-                raise ValueError("multidegree needs %d slots" % sym_dim)
-            if (key and key[-1] > dim) or not 1 <= s <= dim:
-                raise ValueError("index out of range")
-            out[(alpha, key, s)] = c
-        self.terms = out
-
-
-def poly_comp_product(a, b):
-    """Polynomial coefficients multiply, the composition parts compose."""
-    a._check(b)
-    terms = {}
-    for (aa, ka, sa), ca in a.terms.items():
-        for (ab, kb, sb), cb in b.terms.items():
-            mid, sgn1 = contract(kb, sa)
-            if mid is None:
-                continue
-            key, sgn2 = merge_sign(ka, mid)
-            if key is not None:
-                t = (MultiDegree(x + y for x, y in zip(aa, ab)), key, sb)
-                add_term(terms, t, sgn1 * sgn2 * ca * cb)
-    return a._like(terms)
-
-
 class OddFamily:
     """One odd superderivation of Λ S* per basis vector of V, each stored as
     an element of Λ₊ S* ⊗ S (even exterior degrees only)."""
@@ -203,16 +163,6 @@ class OddFamily:
     def as_superderivation(self, i):
         return psi(self.comps[i - 1])
 
-    def as_poly(self, mu=None):
-        """The family as Σ_i dv_i ⊗ D_i, optionally one exterior level 2μ."""
-        terms = {}
-        for i, comp in enumerate(self.comps):
-            alpha = MultiDegree(1 if t == i else 0 for t in range(self.dim_v))
-            src = comp if mu is None else comp.degree_part(2 * mu)
-            for (key, s), c in src.terms.items():
-                terms[(alpha, key, s)] = c
-        return PolyCompElem(self.dim_v, self.dim_s, terms)
-
     def to_json(self):
         return {"dim_v": self.dim_v, "dim_s": self.dim_s,
                 "components": [c.to_json() for c in self.comps]}
@@ -220,16 +170,28 @@ class OddFamily:
     @classmethod
     def from_json(cls, data):
         n, q, comps = decode.fields(data, "odd family", "dim_v", "dim_s", "components")
-        n, q = decode.integer(n, "dim_v"), decode.integer(q, "dim_s", 1, 62)
+        n, q = decode.integer(n, "dim_v", 1), decode.integer(q, "dim_s", 1, 62)
         return cls(n, q, [CompElem.from_json(q, c)
                           for c in decode.items(comps, "components", n)])
 
 
+def _square_vanishes(a, b):
+    """Σ_ij dv_i dv_j ⊗ a_i·b_j = 0 in Sym² V* ⊗ (Λ S* ⊗ S), for equally long
+    lists a, b of CompElem indexed by a basis of V.  As dv_i dv_j = dv_j dv_i,
+    this is a_i·b_i = 0 for each i and a_i·b_j + a_j·b_i = 0 for i < j."""
+    for i in range(len(a)):
+        if not comp_product(a[i], b[i]).is_zero():
+            return False
+        for j in range(i + 1, len(a)):
+            if not (comp_product(a[i], b[j]) + comp_product(a[j], b[i])).is_zero():
+                return False
+    return True
+
+
 def family_is_commuting(fam):
-    """D·D = 0 in the polynomial composition algebra; by polarization this is
-    the vanishing of all pairwise superbrackets."""
-    D = fam.as_poly()
-    return poly_comp_product(D, D).is_zero()
+    """D·D = 0 for D = Σ_i dv_i ⊗ D_i; by polarization this is the vanishing
+    of all pairwise superbrackets."""
+    return _square_vanishes(fam.comps, fam.comps)
 
 
 class Straightening:
@@ -355,9 +317,7 @@ def level_operator_columns(f_mat, q, mu):
 
 def _kernel_rows(f_mat, q, mu, src_index):
     """Coefficient rows spanning Λ^{2μ+1}(ker f*) ⊗ S inside the unknown space."""
-    n = len(f_mat[0]) if f_mat else 0
-    f_star = [[f_mat[muu][i] for muu in range(q)] for i in range(n)]  # n x q
-    kernel = nullspace(f_star, ncols=q)
+    kernel = nullspace(transpose(f_mat), ncols=q)
     if len(kernel) < 2 * mu + 1:
         return []
     space = _ds_space(q)
@@ -410,23 +370,23 @@ def straighten(fam):
         raise ValueError("constant part is not injective")
     space = _ds_space(q)
     images = [ExtElem.generator(space, nu) for nu in range(1, q + 1)]
-    D0 = fam.as_poly(0)
+    D0 = [comp.degree_part(0) for comp in fam.comps]
     g_parts = {0: identity_straightening(q).component(0)}
     for mu in range(1, q + 1):
-        rhs_poly = PolyCompElem.zero(n, q)
+        # the right side Σ_i dv_i ⊗ rhs_parts[i]
+        rhs_parts = [CompElem.zero(q)] * n
         for nu in range(1, mu + 1):
             if 2 * nu > q or 2 * (mu - nu) + 1 > q:
                 continue
             gk = g_parts.get(mu - nu)
             if gk is None or gk.is_zero():
                 continue
-            gk_poly = PolyCompElem(n, q, {(MultiDegree((0,) * n), key, s): c
-                                          for (key, s), c in gk.terms.items()})
-            rhs_poly = rhs_poly - poly_comp_product(fam.as_poly(nu), gk_poly)
-        if not poly_comp_product(D0, rhs_poly).is_zero():
+            rhs_parts = [r - comp_product(comp.degree_part(2 * nu), gk)
+                         for r, comp in zip(rhs_parts, fam.comps)]
+        if not _square_vanishes(D0, rhs_parts):
             raise RuntimeError("internal invariant violated: right-hand side not closed")
         if 2 * mu + 1 > q:
-            if not rhs_poly.is_zero():
+            if not all(r.is_zero() for r in rhs_parts):
                 raise RuntimeError("internal invariant violated: unsolvable level %d" % mu)
             continue
         src, dst, cols = level_operator_columns(f_mat, q, mu)
@@ -436,9 +396,9 @@ def straighten(fam):
                 rows[r][c] = v
         rhs = [Fraction(0)] * len(dst)
         dst_index = {key: r for r, key in enumerate(dst)}
-        for (alpha, key, s), c in rhs_poly.terms.items():
-            i = next(t for t, a in enumerate(alpha, start=1) if a)
-            rhs[dst_index[(i, key, s)]] = c
+        for i, part in enumerate(rhs_parts, start=1):
+            for (key, s), c in part.terms.items():
+                rhs[dst_index[(i, key, s)]] = c
         sol = solve(rows, rhs)
         if sol is None:
             raise RuntimeError("internal invariant violated: inconsistent level %d" % mu)

@@ -2,9 +2,11 @@
 
 Everything here recomputes expected values from first principles, without
 going through the package's own data structures.  The boundary-operator
-oracles are the exception: they compose the package's Sym ⊗ Λ elements,
-but add whole elements term by term instead of collecting into one dict;
-and dF_columns_direct indexes its matrix by the package's own basis order.
+and twisted-shift oracles are the exception: they compose the package's
+Sym ⊗ Λ elements, but add whole elements term by term instead of collecting
+into one dict, and sum each operator from its own definition rather than
+through the boundary map it equals; and dF_columns_direct indexes its
+matrix by the package's own basis order.
 """
 
 from fractions import Fraction
@@ -111,6 +113,67 @@ def composed_d_star_G(G, x):
             c = G[j - 1][mu - 1]
             if c:
                 out = out + _sym_multiply(j, y).scale(c)
+    return out
+
+
+def _square_on_S(A, x):
+    q = x.nvars
+    if x.odd_dim != q or len(A) != q or any(len(r) != q for r in A):
+        raise ValueError("twisted shifts need a square matrix on Sym S* ⊗ Λ S*")
+    return q
+
+
+def shift_left_loop(A, x):
+    """A◁ = Σ_mu ds_mu · ⊗ A(s_mu) ⌟, summed from its definition."""
+    q = _square_on_S(A, x)
+    out = PolySuperFunc.zero(q, q)
+    for mu in range(1, q + 1):
+        acc = PolySuperFunc.zero(q, q)
+        for nu in range(1, q + 1):
+            c = A[nu - 1][mu - 1]
+            if c:
+                acc = acc + ext_contract(nu, x).scale(c)
+        if not acc.is_zero():
+            out = out + _sym_multiply(mu, acc)
+    return out
+
+
+def shift_right_loop(A, x):
+    """A▷ = Σ_mu A(s_mu) ⌟ ⊗ ds_mu ∧, summed from its definition."""
+    q = _square_on_S(A, x)
+    out = PolySuperFunc.zero(q, q)
+    for mu in range(1, q + 1):
+        acc = PolySuperFunc.zero(q, q)
+        for nu in range(1, q + 1):
+            c = A[nu - 1][mu - 1]
+            if c:
+                acc = acc + _sym_contract(nu, x).scale(c)
+        if not acc.is_zero():
+            out = out + ext_wedge(mu, acc)
+    return out
+
+
+def sym_transport_loop(A, x):
+    """Σ_mu ds_mu · (A s_mu) ⌟ on the Sym factor, summed from its definition."""
+    q = x.nvars
+    out = PolySuperFunc.zero(q, x.odd_dim)
+    for mu in range(1, q + 1):
+        for nu in range(1, q + 1):
+            c = A[nu - 1][mu - 1]
+            if c:
+                out = out + _sym_multiply(mu, _sym_contract(nu, x)).scale(c)
+    return out
+
+
+def ext_transport_loop(A, x):
+    """Σ_mu ds_mu ∧ (A s_mu) ⌟ on the Λ factor, summed from its definition."""
+    q = x.odd_dim
+    out = PolySuperFunc.zero(x.nvars, q)
+    for mu in range(1, q + 1):
+        for nu in range(1, q + 1):
+            c = A[nu - 1][mu - 1]
+            if c:
+                out = out + ext_wedge(mu, ext_contract(nu, x)).scale(c)
     return out
 
 

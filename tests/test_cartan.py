@@ -3,7 +3,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import composed_d_F, composed_d_star_G, dF_columns_direct
+from oracles import (
+    composed_d_F,
+    composed_d_star_G,
+    dF_columns_direct,
+    ext_transport_loop,
+    shift_left_loop,
+    shift_right_loop,
+    sym_transport_loop,
+)
 from strat import small_fractions
 
 from superalg.cartan import (
@@ -29,7 +37,7 @@ from superalg.cartan import (
     twisted_shift_left,
     twisted_shift_right,
 )
-from superalg.linalg import identity_matrix, mat_mul, mat_vec, nullspace, sparse_rank
+from superalg.linalg import identity_matrix, mat_mul, mat_vec, nullspace, sparse_rank, transpose
 from superalg.supermaps import PolySuperFunc
 
 
@@ -197,10 +205,12 @@ def test_twisted_shift_examples():
     assert twisted_shift_left(I2, mono(2, 2, (2, 1), ())).is_zero()
     with pytest.raises(ValueError):
         twisted_shift_left([[1]], x)
-
-
-def _transpose(A):
-    return [list(row) for row in zip(*A)]
+    # the transpose of a 2x3 matrix fits d*_G on a 3|2 element, but the
+    # matrix is no endomorphism of S
+    y = mono(3, 2, (1, 0, 0), (1, 2))
+    for shift in (twisted_shift_left, twisted_shift_right):
+        with pytest.raises(ValueError, match="square matrix"):
+            shift([[1, 0, 0], [0, 1, 0]], y)
 
 
 @settings(max_examples=50, deadline=None)
@@ -219,9 +229,13 @@ def test_twisted_shift_identities(A, B, x):
 @settings(max_examples=40, deadline=None)
 @given(int_matrix(3, 3), elems(3, 3, max_terms=3))
 def test_twisted_shifts_are_boundary_maps_in_disguise(A, x):
-    At = _transpose(A)
-    assert twisted_shift_right(A, x) == d_F(At, x)
-    assert twisted_shift_left(A, x) == d_star_G(At, x)
+    # the package computes all four through d_F, d*_G and the derivations of
+    # the transpose; the oracles sum them from their definitions
+    At = transpose(A)
+    assert twisted_shift_right(A, x) == shift_right_loop(A, x) == d_F(At, x)
+    assert twisted_shift_left(A, x) == shift_left_loop(A, x) == d_star_G(At, x)
+    assert sym_transport(A, x) == sym_transport_loop(A, x)
+    assert ext_transport(A, x) == ext_transport_loop(A, x)
 
 
 @settings(max_examples=40, deadline=None)

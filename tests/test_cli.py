@@ -212,6 +212,17 @@ def test_straighten_preconditions(capsys, tmp_path):
     assert code == 3
 
 
+# the level solves grow steeply with dim_s, so straighten caps it; a family
+# with no vector of V is malformed input
+@pytest.mark.parametrize("dim_v, dim_s, code", [(1, 7, 0), (1, 8, 3), (0, 6, 2)])
+def test_straighten_size_limits(capsys, tmp_path, dim_v, dim_s, code):
+    comps = [[{"coeff": "1", "ext": [], "s": 1}]] * dim_v
+    p = write(tmp_path, "f.json", {"dim_v": dim_v, "dim_s": dim_s, "components": comps})
+    got, _, err = run_cli(capsys, ["straighten", "--family", p, "--quiet"])
+    assert got == code and ("limit of 7" in err) == (code == 3)
+    assert ("dim_v" in err) == (code == 2)
+
+
 def test_jet_factor_first_order_op(capsys, tmp_path):
     p = write(tmp_path, "op.json", {"nvars": 2, "rank_in": 1, "rank_out": 1,
         "op": [{"alpha": [1, 0], "matrix": [[[{"exps": [0, 0], "coeff": "1"}]]]}]})

@@ -102,9 +102,36 @@ def test_rep_validation():
     with pytest.raises(ValueError):
         build_from_rho_B(bad)
     # even brackets failing antisymmetry
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not antisymmetric"):
         build_from_rho_B(RepAndForm(1, 1, [[[0]]], zero_B(1, 1),
                                     (((Fraction(1),),),)))
+    # antisymmetric even brackets failing Jacobi: [e1,e2] = e2 - e3,
+    # [e1,e3] = e1 - e2, [e2,e3] = -e1 - e2 + e3
+    even = [[(0, 0, 0), (0, 1, -1), (1, -1, 0)],
+            [(0, -1, 1), (0, 0, 0), (-1, -1, 1)],
+            [(-1, 1, 0), (1, 1, -1), (0, 0, 0)]]
+    with pytest.raises(ValueError, match="Jacobi"):
+        build_from_rho_B(RepAndForm(3, 1, [[[0]]] * 3, zero_B(3, 1), even))
+
+
+def _rep_of(L):
+    """(ρ, B) and the even brackets read off a superalgebra's bracket table:
+    ρ(X_a) is ad X_a on the odd part, B the bracket of two odd vectors."""
+    p, q = L.even_dim, L.odd_dim
+    even = [[L.bracket(a, b)[:p] for b in range(1, p + 1)] for a in range(1, p + 1)]
+    rho = [[[L.bracket(a, p + b)[p + g] for b in range(1, q + 1)] for g in range(q)]
+           for a in range(1, p + 1)]
+    B = [[L.bracket(p + al, p + be)[:p] for be in range(1, q + 1)] for al in range(1, q + 1)]
+    return RepAndForm(p, q, rho, B, even)
+
+
+@pytest.mark.parametrize("p, q", [(1, 1), (2, 1), (1, 2)])
+def test_gl_pq_is_built_from_its_rho_and_B(p, q):
+    # the even part gl(p) ⊕ gl(q) is not abelian for p or q above 1
+    L = endo_superalgebra(p, q)
+    rep = _rep_of(L)
+    assert check_structure_conditions(rep).passed
+    assert build_from_rho_B(rep) == L
 
 
 def test_semidirect_examples():

@@ -12,7 +12,7 @@ from superalg.lincomb import LinComb, contract, merge_sign, replace, sym_ext_ter
 from superalg.poly import Poly
 from superalg.scalars import IndexSet, MultiDegree, inversion_sign
 from superalg.sderham import SuperForm
-from superalg.straighten import CompElem, PolyCompElem
+from superalg.straighten import CompElem
 from superalg.supermaps import PolySuperFunc
 
 # one element in each of two ambient spaces that differ in one dimension
@@ -20,7 +20,6 @@ ELEMENTS = {
     "Poly": lambda d: Poly.variable(d, 1).scale(Fraction(3, 2)),
     "ExtElem": lambda d: ExtElem.monomial(ExtSpace(d), (1, 2), -2),
     "CompElem": lambda d: CompElem.monomial(d, (1, 2), 2, Fraction(1, 3)),
-    "PolyCompElem": lambda d: PolyCompElem(d, 2, {((1,) + (0,) * (d - 1), (1,), 2): 5}),
     "PolySuperFunc": lambda d: PolySuperFunc.monomial(1, d, (2,), (1, 2), -1),
     "SuperForm": lambda d: SuperForm.monomial(d, 1, (1,), (1,), (1,), Poly.variable(d, 1)),
 }

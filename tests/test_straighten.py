@@ -9,12 +9,11 @@ from strat import small_fractions
 from superalg.cartan import d_star_G
 from superalg.derivations import SuperDerivation, superbracket
 from superalg.exterior import ExtElem, ExtSpace
-from superalg.linalg import rank
+from superalg.linalg import rank, transpose
 from superalg.scalars import EVEN, IndexSet, MultiDegree
 from superalg.straighten import (
     CompElem,
     OddFamily,
-    PolyCompElem,
     Straightening,
     comp_bracket,
     comp_product,
@@ -22,7 +21,6 @@ from superalg.straighten import (
     family_is_commuting,
     identity_straightening,
     level_operator_columns,
-    poly_comp_product,
     psi,
     straighten,
     verify_straightening,
@@ -146,15 +144,6 @@ def test_psi_frozen():
         psi(mono(2, (), 1) + mono(2, (1,), 1))
 
 
-@given(a=comp_elems(3), b=comp_elems(3))
-def test_poly_product_extends_comp_product(a, b):
-    def embed(x):
-        return PolyCompElem(2, 3, {(MultiDegree((0, 0)), k, s): c
-                                   for (k, s), c in x.terms.items()})
-
-    assert poly_comp_product(embed(a), embed(b)) == embed(comp_product(a, b))
-
-
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)
 def test_commuting_check_matches_pairwise_brackets(data):
@@ -205,7 +194,7 @@ def test_level_operator_matches_bigraded_boundary():
     f = [[Fraction(1), Fraction(0)], [Fraction(2), Fraction(1)],
          [Fraction(0), Fraction(-1)], [Fraction(3), Fraction(2)]]
     src, dst, cols = level_operator_columns(f, q, mu)
-    G = [[f[m][j] for m in range(q)] for j in range(n)]
+    G = transpose(f)
     zero_alpha = MultiDegree((0,) * n)
     for c, (K, t) in enumerate(src):
         got = {dst[r]: v for r, v in cols[c].items()}
