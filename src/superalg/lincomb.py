@@ -151,9 +151,15 @@ class LinComb:
         return self + (-other)
 
     def scale(self, c):
-        c = Fraction(c)
+        # an int stays an int: Fraction * int and Poly * int are exact
+        if not isinstance(c, int):
+            c = Fraction(c)
         if not c:
             return self._like({})
+        if c == 1:
+            return self._like(dict(self.terms))
+        if c == -1:
+            return -self
         return self._like({k: c * v for k, v in self.terms.items()})
 
     def __rmul__(self, c):

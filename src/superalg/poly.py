@@ -69,7 +69,8 @@ class Poly(LinComb):
         for exps, c in self.terms.items():
             e = exps[i - 1]
             if e:
-                down = MultiDegree(x - 1 if t == i - 1 else x for t, x in enumerate(exps))
+                # slot i is nonzero, so the lowered vector is still valid
+                down = _new(MultiDegree, exps[:i - 1] + (e - 1,) + exps[i:])
                 terms[down] = terms.get(down, 0) + e * c
         return Poly._raw(self.nvars, terms)
 

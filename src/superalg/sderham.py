@@ -26,9 +26,13 @@ from .poly import Poly
 from .supermaps import PolySuperFunc
 from .linalg import sparse_rank
 
+_new = tuple.__new__
+
 
 def _sym_bump(sym, alpha, delta):
-    return MultiDegree(e + (delta if k == alpha - 1 else 0) for k, e in enumerate(sym))
+    # callers only lower a nonzero slot, so every entry stays a non-negative int
+    k = alpha - 1
+    return _new(MultiDegree, sym[:k] + (sym[k] + delta,) + sym[k + 1:])
 
 
 class SuperForm(LinComb):
@@ -180,10 +184,13 @@ class OddConnection:
     """Connection d + A on the trivial odd bundle over R^m.
 
     comps[g][b][i] is the Poly coefficient of dx_{i+1} in the 1-form A with
-    nabla_i s_{b+1} = sum_g comps[g][b][i] s_{g+1}.
+    nabla_i s_{b+1} = sum_g comps[g][b][i] s_{g+1}.  A connection is never
+    changed after it is built, so its curvature R = dA + A^A is computed
+    once, here, and kept in the curvature slot for super_d and
+    bracket_fields to read; callers must not mutate it.
     """
 
-    __slots__ = ("dim_base", "dim_odd", "comps")
+    __slots__ = ("dim_base", "dim_odd", "comps", "curvature")
 
     def __init__(self, m, n, comps):
         if len(comps) != n or any(len(row) != n for row in comps):
@@ -206,6 +213,7 @@ class OddConnection:
         self.dim_base = m
         self.dim_odd = n
         self.comps = tuple(clean)
+        self.curvature = curvature(self)
 
     @classmethod
     def zero(cls, m, n):
@@ -242,7 +250,11 @@ class OddConnection:
 
 
 def curvature(conn):
-    """R = dA + A^A as an n x n matrix of base 2-forms {IndexSet (i,j): Poly}."""
+    """R = dA + A^A as an n x n matrix of base 2-forms {IndexSet (i,j): Poly}.
+
+    OddConnection calls this once per connection and keeps the result as
+    conn.curvature; every other caller gets a fresh matrix.
+    """
     m, n = conn.dim_base, conn.dim_odd
     out = [[{} for _ in range(n)] for _ in range(n)]
     for g in range(1, n + 1):
@@ -356,7 +368,7 @@ def super_d(conn, omega):
     if (conn.dim_base, conn.dim_odd) != (omega.dim_base, omega.dim_odd):
         raise ValueError("connection and form dimensions differ")
     m, n = omega.dim_base, omega.dim_odd
-    curv = None
+    curv = conn.curvature
     acc = {}
     for (dxs, sym, ext), f in omega.terms.items():
         a = len(dxs)
@@ -395,8 +407,6 @@ def super_d(conn, omega):
             add_term(acc, (dxs, _sym_bump(sym, mu, 1), next_), f.scale(nsign * csign))
         # curvature right shift, sym slot to ext under the 2-form
         if b:
-            if curv is None:
-                curv = curvature(conn)
             rsign = -1 if (a + b - 1) % 2 else 1
             for mu in range(1, n + 1):
                 next_, isign = merge_sign((mu,), ext)
@@ -432,10 +442,12 @@ class SuperVectorFieldGen:
     def __init__(self, kind, index, coeff=None):
         if kind not in ("x", "s"):
             raise ValueError("field kind must be 'x' or 's'")
-        self.kind = kind
-        self.index = int(index)
-        if self.index < 1:
+        if isinstance(index, bool) or not isinstance(index, int):
+            raise ValueError("field index must be an integer: %r" % (index,))
+        if index < 1:
             raise ValueError("field index is 1-based")
+        self.kind = kind
+        self.index = index
         if coeff is not None and not isinstance(coeff, PolySuperFunc):
             raise TypeError("field coefficient must be a PolySuperFunc")
         self.coeff = coeff
@@ -521,7 +533,7 @@ def bracket_fields(conn, f1, f2):
     i, j = f1.index, f2.index
     if i == j:
         return []
-    curv = curvature(conn)
+    curv = conn.curvature
     key = IndexSet((min(i, j), max(i, j)))
     flip = -1 if i > j else 1
     out = []

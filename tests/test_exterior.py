@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from strat import small_fractions
 
 from superalg.exterior import ExtElem, ExtSpace, NotInvertibleError
-from superalg.scalars import IndexSet
 
 V3 = ExtSpace(3)
 V4 = ExtSpace(4)

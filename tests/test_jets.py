@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from strat import small_fractions
 
 from superalg.jets import (
-    JetClass,
     PolyDiffOp,
     PolyOpAlong,
     PolySection,

@@ -50,6 +50,57 @@ def test_linear_plumbing(name):
     assert x.__hash__ is None
 
 
+# elements with several terms, for the scale paths
+SCALED = {
+    "Poly": lambda: Poly(2, {(1, 0): Fraction(3, 2), (0, 2): -4, (0, 0): 1}),
+    "ExtElem": lambda: ExtElem(ExtSpace(3), {(1, 2): -2, (3,): Fraction(1, 5), (): 7}),
+    "SuperForm": lambda: SuperForm(2, 1, {
+        ((1,), (1,), (1,)): Poly(2, {(1, 0): Fraction(1, 2), (0, 0): -3}),
+        ((), (0,), ()): Poly(2, {(0, 1): 5}),
+    }),
+}
+
+
+def fraction_scale(x, c):
+    # scale as it reads with every factor made a Fraction
+    c = Fraction(c)
+    return x._like({k: c * v for k, v in x.terms.items()} if c else {})
+
+
+def assert_exact_coefficients(x):
+    for v in x.terms.values():
+        assert v
+        if isinstance(v, Poly):
+            assert_exact_coefficients(v)
+        else:
+            assert type(v) is Fraction
+
+
+@pytest.mark.parametrize("name", sorted(SCALED))
+def test_scale_by_one_is_a_copy(name):
+    x = SCALED[name]()
+    y = x.scale(1)
+    assert y == x and y.terms is not x.terms
+    y.terms.clear()
+    assert x == SCALED[name]() and not x.is_zero()
+
+
+@pytest.mark.parametrize("name", sorted(SCALED))
+@pytest.mark.parametrize("c", [1, -1, 2, -3, 0, True, False, Fraction(1, 2), Fraction(-1),
+                               Fraction(4)],
+                         ids=["1", "-1", "2", "-3", "0", "True", "False", "1/2", "F-1", "F4"])
+def test_scale_matches_fraction_scale(name, c):
+    x = SCALED[name]()
+    got = x.scale(c)
+    assert got == fraction_scale(x, c)
+    assert_exact_coefficients(got)
+    if c == -1:
+        assert got == -x
+    if type(c) is int:
+        assert got == x.scale(Fraction(c))
+    assert x == SCALED[name]()
+
+
 key_sets = st.sets(st.integers(1, 8), max_size=6).map(lambda s: tuple(sorted(s)))
 
 

@@ -12,7 +12,6 @@ from superalg.scalars import (
     Parity,
     Permutation,
     format_scalar,
-    inversion_sign,
     iter_multidegrees,
     iter_shuffles,
     parse_scalar,

@@ -7,11 +7,12 @@ the operator route (super_d then evaluate) and the Koszul double-sum route
 
 import json
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from superalg import sderham
 from superalg.cartan import twisted_shift_left, twisted_shift_right
 from superalg.poly import Poly
 from superalg.scalars import IndexSet, MultiDegree, iter_multidegrees
@@ -170,15 +171,50 @@ def test_curvature_abelian_frozen():
     assert R[0][0] == {IndexSet((1, 2)): C(2, -1)}
 
 
-def test_curvature_matrix_frozen():
+def assert_matrix_curvature(R):
     # one constant entry and one linear entry in opposite corners
-    R = curvature(matrix_conn())
     x1 = V(2, 1)
     key = IndexSet((1, 2))
     assert R[0][0] == {key: x1}
     assert R[0][1] == {}
     assert R[1][0] == {key: C(2, 1)}
     assert R[1][1] == {key: -x1}
+
+
+def test_curvature_matrix_frozen():
+    assert_matrix_curvature(curvature(matrix_conn()))
+    assert_matrix_curvature(matrix_conn().curvature)
+
+
+def test_curvature_is_built_once_per_connection(monkeypatch):
+    calls = []
+
+    def counted(conn):
+        calls.append(conn)
+        return curvature(conn)
+
+    monkeypatch.setattr(sderham, "curvature", counted)
+    conn = matrix_conn()
+    assert calls == [conn]
+    w = mono(2, 2, (), (1, 1), (2,))
+    for _ in range(3):
+        super_d(conn, w)
+        bracket_fields(conn, psx(1), psx(2))
+    assert calls == [conn]
+
+
+def test_shared_curvature_survives_every_reader():
+    conn = matrix_conn()
+    shared = conn.curvature
+    for w in (mono(2, 2, (), (2, 1), (1,)), mono(2, 2, (1,), (0, 1), (1, 2), V(2, 2))):
+        super_d(conn, super_d(conn, w))
+    for i, j in product((1, 2), repeat=2):
+        bracket_fields(conn, psx(i), psx(j))
+    out = twisted_d_end(conn, curvature(conn))
+    assert all(not out[g][b] for g in range(2) for b in range(2))
+    assert delta_kernel_check(conn, 2, 1).passed
+    assert conn.curvature is shared
+    assert_matrix_curvature(shared)
 
 
 # ---------------------------------------------------------------- wedge
@@ -496,6 +532,21 @@ def test_field_apply_coefficient_multiplies_left():
     assert field_apply(OddConnection.zero(2, 2), f, g) == coeff
 
 
+@pytest.mark.parametrize("index", [1.7, True, False, "2", 2.0, Fraction(2), None],
+                         ids=["float", "true", "false", "string", "float-int", "fraction", "none"])
+@pytest.mark.parametrize("kind", ["x", "s"])
+def test_field_index_must_be_an_int(kind, index):
+    with pytest.raises(ValueError, match="integer"):
+        SuperVectorFieldGen(kind, index)
+
+
+def test_field_index_is_one_based():
+    assert SuperVectorFieldGen("s", 2).index == 2
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="1-based"):
+            SuperVectorFieldGen("x", bad)
+
+
 def test_field_apply_index_errors():
     g = PolySuperFunc.constant(2, 1, 1)
     with pytest.raises(ValueError):
@@ -580,6 +631,43 @@ def test_koszul_sum_matches_operator_route_flat(case):
 def test_koszul_sum_matches_operator_route_curved(conn, case):
     w, fields = case
     assert super_d_by_fields(conn, w, fields) == evaluate(super_d(conn, w), fields)
+
+
+def full_form(m, n, deg):
+    """Every key of form degree deg, each with its own linear coefficient."""
+    terms = {}
+    for a in range(min(m, deg) + 1):
+        for dxs in combinations(range(1, m + 1), a):
+            for sym in iter_multidegrees(n, deg - a):
+                for c in range(n + 1):
+                    for ext in combinations(range(1, n + 1), c):
+                        t = len(terms) + 1
+                        terms[(IndexSet(dxs), sym, IndexSet(ext))] = C(m, t) + V(m, 1 + t % m)
+    return SuperForm(m, n, terms)
+
+
+# one connection per shape, reused for every degree and generator tuple; on a
+# line no 2-form exists, so only m = 2 is curved
+REUSED = {
+    (1, 1): lambda: conn_from(1, 1, {(1, 1, 1): V(1, 1)}),
+    (1, 2): lambda: conn_from(1, 2, {(1, 2, 1): 5, (2, 1, 1): V(1, 1)}),
+    (2, 1): abelian_conn,
+    (2, 2): matrix_conn,
+}
+
+
+@pytest.mark.parametrize("m,n", sorted(REUSED))
+def test_koszul_sum_matches_operator_route_on_one_connection(m, n):
+    conn = REUSED[(m, n)]()
+    shared = conn.curvature
+    gens = [psx(i) for i in range(1, m + 1)] + [pss(j) for j in range(1, n + 1)]
+    for deg in range(3):
+        w = full_form(m, n, deg)
+        dw = super_d(conn, w)
+        for fields in product(gens, repeat=deg + 1):
+            fields = list(fields)
+            assert super_d_by_fields(conn, w, fields) == evaluate(dw, fields)
+    assert conn.curvature is shared and shared == curvature(conn)
 
 
 # ------------------------------------------------- shifts and the Delta map

@@ -8,7 +8,7 @@ from strat import small_fractions
 
 from superalg.cartan import d_star_G
 from superalg.derivations import SuperDerivation, superbracket
-from superalg.exterior import ExtElem, ExtSpace
+from superalg.exterior import ExtElem
 from superalg.linalg import rank, transpose
 from superalg.scalars import EVEN, IndexSet, MultiDegree
 from superalg.straighten import (
@@ -156,6 +156,16 @@ def test_commuting_check_matches_pairwise_brackets(data):
     pairwise = all(superbracket(fam.as_superderivation(i), fam.as_superderivation(j)) == zero
                    for i in range(1, n + 1) for j in range(i, n + 1))
     assert family_is_commuting(fam) == pairwise
+
+
+def test_commuting_check_sees_cross_terms_frozen():
+    # each component squares to zero, but the two do not anticommute, so
+    # only the i < j cross term of the square can reject the family
+    comps = [mono(3, (), 1), mono(3, (1, 2), 3)]
+    for c in comps:
+        assert comp_product(c, c).is_zero()
+    assert not (comp_product(comps[0], comps[1]) + comp_product(comps[1], comps[0])).is_zero()
+    assert not family_is_commuting(OddFamily(2, 3, comps))
 
 
 @given(data=st.data())
