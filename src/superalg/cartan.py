@@ -16,7 +16,7 @@ from itertools import combinations
 from math import comb
 
 from .lincomb import add_term, contract, merge_sign, replace
-from .linalg import invert, mat_mul, rank, rref, sparse_rank, transpose
+from .linalg import echelon, invert, mat_mul, rank, sparse_rank, transpose
 from .scalars import IndexSet, MultiDegree, iter_multidegrees, sym_dim
 from .supermaps import PolySuperFunc
 
@@ -274,22 +274,15 @@ def retraction_for(F):
     """A linear G: W → V with G F equal to the projector onto the pivot-column
     complement of ker F.  Feeds the exactness identity for the anticommutator."""
     m, n = len(F), len(F[0]) if F else 0
-    Fm = [list(map(Fraction, row)) for row in F]
-    _, pivots = rref(Fm)
-    J = pivots  # 0-based columns spanning a complement of the kernel
-    img = [[Fm[i][j] for j in J] for i in range(m)]  # image basis, m x r
-    cols = transpose(img)
-    # extend the image basis to all of W with standard vectors
-    chosen = []
-    for i in range(m):
-        e = [Fraction(1) if t == i else Fraction(0) for t in range(m)]
-        if rank(cols + chosen + [e]) > len(cols) + len(chosen):
-            chosen.append(e)
-        if len(cols) + len(chosen) == m:
-            break
-    M = transpose(cols + chosen)  # m x m invertible
-    Minv = invert(M)
-    R = [[Fraction(0)] * m for _ in range(n)]
+    J = sorted(echelon(dict(enumerate(row)) for row in F))  # e_j, j in J, span V / ker F
+    cols = [[Fraction(F[i][j]) for i in range(m)] for j in J]  # image basis
+    # complete it to a basis of W with the e_i at which no image vector ends:
+    # the non-pivots of its echelon with the columns in reversed order
+    ends = echelon({m - 1 - i: v for i, v in enumerate(col)} for col in cols)
+    chosen = [[Fraction(int(t == i)) for t in range(m)]
+              for i in range(m) if m - 1 - i not in ends]
+    Minv = invert(transpose(cols + chosen))
+    G = [[0] * m for _ in range(n)]
     for t, j in enumerate(J):
-        R[j][t] = Fraction(1)
-    return as_matrix(mat_mul(R, Minv), n, m)
+        G[j] = Minv[t]
+    return as_matrix(G, n, m)

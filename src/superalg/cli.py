@@ -113,8 +113,11 @@ LIE_MAX_DIM = 32
 TENSOR_MAX_DIM = 32
 DERIVATION_MAX_IMAGES = 12
 # straighten's level solves grow steeply with dim_s: a one-vector family takes
-# about 0.6 s at 7 odd generators, 2.5 s at 8 and a minute at 10.
+# about 0.02 s at 7 odd generators, 0.07 s at 8 and 0.3-0.4 s at 9 (2-CPU host).
 STRAIGHTEN_MAX_ODD = 7
+# cp-homology ranks a block per bidegree of its table, so it refuses a table
+# spanning more basis elements (the 5x5 table with k, l <= 5 spans 8064).
+HOMOLOGY_MAX_DIM = 10000
 
 
 def fnv1a64(name):
@@ -252,6 +255,11 @@ def _cmd_cp_homology(args):
     kmax, lmax = args.kmax, args.lmax
     if kmax < 0 or lmax < 0:
         raise PreconditionError("kmax and lmax must be non-negative")
+    m, n = len(F), len(F[0])
+    size = comb(n + kmax, kmax) * sum(comb(m, l) for l in range(min(lmax, m) + 1))
+    if size > HOMOLOGY_MAX_DIM:
+        raise PreconditionError("the table spans %d basis elements, above the limit of %d"
+                                % (size, HOMOLOGY_MAX_DIM))
     computed = homology_dims(F, kmax, lmax)
     predicted = predicted_homology_dims(F, kmax, lmax)
     checks = [CheckResult("homology-matches-prediction", computed == predicted,

@@ -127,7 +127,7 @@ class ExtElem(LinComb):
         return ExtElem._raw(self.space, {ks: v for ks, v in self.terms.items() if len(ks) == k})
 
     def parity_part(self, parity):
-        p = int(parity) % 2
+        p = decode.integer(parity, "parity", 0, 1)
         return ExtElem._raw(self.space, {ks: v for ks, v in self.terms.items() if len(ks) % 2 == p})
 
     def is_homogeneous(self):

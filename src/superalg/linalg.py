@@ -1,12 +1,13 @@
 """Exact linear algebra over the rationals.
 
 Matrices are lists of rows of Fractions (or ints); sparse matrices are
-iterables of {col: value} dicts.  Rank is fraction-free: each row is cleared
-to integers first, then reduced by an integer echelon with content removal;
-the dense rank hands its nonzero entries to the sparse one.  Only rref,
-nullspace, solve and invert compute in Fraction.  Pivoting is always
-least-index, so reduced forms and the canonical solutions extracted from
-them are unique.
+iterables of {col: value} dicts.  There is one elimination: echelon clears
+each row to integers and reduces it, fraction-free with content removal,
+against the stored pivot rows by least column.  rank and sparse_rank count
+its pivots; reduced back-substitutes it once, in Fraction, to the reduced
+echelon form, and rref, nullspace, solve and invert read their answers off
+that.  The reduced form depends only on the row space, so the canonical
+solutions read off it are unique.
 """
 
 from fractions import Fraction
@@ -15,75 +16,9 @@ from math import gcd
 from .scalars import cleared
 
 
-def rank(rows):
-    """Rank of a dense matrix, through sparse_rank on its nonzero entries."""
-    return sparse_rank(dict(enumerate(row)) for row in rows)
-
-
-def rref(rows):
-    """Reduced row echelon form with least-index pivots.  Returns (matrix, pivot_cols)."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    pivots = []
-    if not m:
-        return m, pivots
-    nrows, ncols = len(m), len(m[0])
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m, pivots
-
-
-def nullspace(rows, ncols=None):
-    """Canonical basis of the right nullspace: one vector per free column,
-    with a 1 in that column."""
-    if rows:
-        ncols = len(rows[0])
-    elif ncols is None:
-        raise ValueError("ncols needed for an empty matrix")
-    R, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -R[i][f]
-        basis.append(v)
-    return basis
-
-
-def solve(rows, rhs):
-    """One solution of A x = b with all free variables set to zero
-    (the canonical representative).  None if the system is inconsistent."""
-    if not rows:
-        return [] if not any(rhs) else None
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    R, pivots = rref(aug)
-    ncols = len(rows[0])
-    if ncols in pivots:
-        return None
-    x = [Fraction(0)] * ncols
-    for i, p in enumerate(pivots):
-        x[p] = R[i][ncols]
-    return x
-
-
-def sparse_rank(rows):
-    """Rank of a sparse matrix given as an iterable of {col: value} dicts
-    of rationals; the dicts are not modified.
+def echelon(rows):
+    """{pivot column: primitive int row} of an iterable of {col: value}
+    dicts of rationals; the dicts are not modified.
 
     Incremental integer echelon: each incoming row is cleared to integers
     and reduced against the stored pivot rows by leading column, as
@@ -119,7 +54,73 @@ def sparse_rank(rows):
                     row[cc] = nv
                 else:
                     row.pop(cc, None)
-    return len(pivots)
+    return pivots
+
+
+def sparse_rank(rows):
+    """Rank of a sparse matrix given as an iterable of {col: value} dicts."""
+    return len(echelon(rows))
+
+
+def rank(rows):
+    """Rank of a dense matrix, through sparse_rank on its nonzero entries."""
+    return sparse_rank(dict(enumerate(row)) for row in rows)
+
+
+def reduced(rows):
+    """The reduced echelon form of sparse rows, as {pivot: {col: Fraction}}
+    with a 1 at each pivot and no entry at the other pivots; the back
+    substitution runs from the last pivot to the first."""
+    red = {}
+    for p, row in sorted(echelon(rows).items(), reverse=True):
+        out = {c: Fraction(v, row[p]) for c, v in row.items()}
+        for c in red.keys() & row.keys():
+            f = out[c]
+            for cc, vv in red[c].items():
+                out[cc] = out.get(cc, 0) - f * vv
+        red[p] = {c: v for c, v in out.items() if v}
+    return red
+
+
+def rref(rows):
+    """Reduced row echelon form of a dense matrix, zero rows last.
+    Returns (matrix, pivot_cols)."""
+    ncols = len(rows[0]) if rows else 0
+    red = reduced(dict(enumerate(row)) for row in rows)
+    pivots = sorted(red)
+    full = [red[p] for p in pivots] + [{}] * (len(rows) - len(pivots))
+    return [[r.get(c, Fraction(0)) for c in range(ncols)] for r in full], pivots
+
+
+def nullspace(rows, ncols=None):
+    """Canonical basis of the right nullspace: one vector per free column,
+    with a 1 in that column."""
+    if rows:
+        ncols = len(rows[0])
+    elif ncols is None:
+        raise ValueError("ncols needed for an empty matrix")
+    red = reduced(dict(enumerate(row)) for row in rows)
+    basis = {f: [Fraction(int(c == f)) for c in range(ncols)]
+             for f in range(ncols) if f not in red}
+    for p, row in red.items():
+        for f in basis.keys() & row.keys():
+            basis[f][p] = -row[f]
+    return list(basis.values())
+
+
+def solve(rows, rhs):
+    """One solution of A x = b with all free variables set to zero
+    (the canonical representative).  None if the system is inconsistent."""
+    if not rows:
+        return [] if not any(rhs) else None
+    ncols = len(rows[0])
+    red = reduced({**dict(enumerate(row)), ncols: b} for row, b in zip(rows, rhs))
+    if ncols in red:
+        return None
+    x = [Fraction(0)] * ncols
+    for p, row in red.items():
+        x[p] = row.get(ncols, Fraction(0))
+    return x
 
 
 def identity_matrix(n):
@@ -129,11 +130,12 @@ def identity_matrix(n):
 def invert(rows):
     """Inverse of a square rational matrix, or None if singular."""
     n = len(rows)
-    aug = [[Fraction(x) for x in row] + identity_matrix(n)[i] for i, row in enumerate(rows)]
-    R, pivots = rref(aug)
-    if pivots != list(range(n)):
+    if any(len(row) != n for row in rows):
+        raise ValueError("invert needs a square matrix")
+    red = reduced({**dict(enumerate(row)), n + i: 1} for i, row in enumerate(rows))
+    if any(i not in red for i in range(n)):
         return None
-    return [row[n:] for row in R]
+    return [[red[i].get(n + j, Fraction(0)) for j in range(n)] for i in range(n)]
 
 
 def mat_vec(rows, v):

@@ -14,7 +14,7 @@ from . import decode
 from .derivations import SuperDerivation
 from .exterior import ExtElem, ExtSpace
 from .lincomb import LinComb, add_term, contract, merge_sign
-from .linalg import nullspace, rank, rref, solve, transpose
+from .linalg import nullspace, rank, reduced, solve, transpose
 from .scalars import IndexSet, format_scalar
 
 
@@ -316,7 +316,7 @@ def level_operator_columns(f_mat, q, mu):
 
 
 def _kernel_rows(f_mat, q, mu, src_index):
-    """Coefficient rows spanning Λ^{2μ+1}(ker f*) ⊗ S inside the unknown space."""
+    """Sparse coefficient rows spanning Λ^{2μ+1}(ker f*) ⊗ S inside the unknown space."""
     kernel = nullspace(transpose(f_mat), ncols=q)
     if len(kernel) < 2 * mu + 1:
         return []
@@ -336,23 +336,19 @@ def _kernel_rows(f_mat, q, mu, src_index):
         if w.is_zero():
             continue
         for t in range(1, q + 1):
-            row = [Fraction(0)] * len(src_index)
-            for key, c in w.terms.items():
-                row[src_index[(key, t)]] = c
-            rows.append(row)
+            rows.append({src_index[(key, t)]: c for key, c in w.terms.items()})
     return rows
 
 
 def _canonicalize(sol, kernel_rows):
-    if not kernel_rows:
-        return sol
-    R, pivots = rref(kernel_rows)
-    out = list(sol)
-    for r, c in enumerate(pivots):
-        f = out[c]
+    """sol reduced modulo the span of the sparse kernel_rows: the one
+    representative with zeros at the pivots of their reduced echelon form."""
+    for p, row in reduced(kernel_rows).items():
+        f = sol[p]
         if f:
-            out = [x - f * y for x, y in zip(out, R[r])]
-    return out
+            for c, v in row.items():
+                sol[c] -= f * v
+    return sol
 
 
 def straighten(fam):
@@ -390,11 +386,11 @@ def straighten(fam):
                 raise RuntimeError("internal invariant violated: unsolvable level %d" % mu)
             continue
         src, dst, cols = level_operator_columns(f_mat, q, mu)
-        rows = [[Fraction(0)] * len(src) for _ in dst]
+        rows = [[0] * len(src) for _ in dst]
         for c, col in enumerate(cols):
             for r, v in col.items():
                 rows[r][c] = v
-        rhs = [Fraction(0)] * len(dst)
+        rhs = [0] * len(dst)
         dst_index = {key: r for r, key in enumerate(dst)}
         for i, part in enumerate(rhs_parts, start=1):
             for (key, s), c in part.terms.items():

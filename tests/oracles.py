@@ -46,6 +46,33 @@ def fraction_sparse_rank(rows):
     return rank_
 
 
+def fraction_rref(rows):
+    """Reduced row echelon form with least-index pivots, by dense
+    Gauss-Jordan elimination in Fraction.  Returns (matrix, pivot_cols)."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    if not m:
+        return m, pivots
+    nrows, ncols = len(m), len(m[0])
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, nrows) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = Fraction(1) / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return m, pivots
+
+
 def fraction_sym_ext_terms(ta, tb):
     """Product in Sym ⊗ Λ of two term maps on (MultiDegree, IndexSet) keys,
     computed entirely in Fraction, one accumulation per pair of terms."""

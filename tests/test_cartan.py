@@ -269,6 +269,19 @@ def test_retraction_properties():
         assert all(c == 0 for c in mat_vec(P, v))
 
 
+@pytest.mark.parametrize("F, G", [
+    # the image (1, 1) ends at e_2, so e_1 completes it; a completion by the
+    # least-index free standard vector would take e_2 and give G = [[1, 0]]
+    ([[1], [1]], [[0, 1]]),
+    ([[1, 2], [2, 4], [0, 1]], [[0, Fraction(1, 2), -2], [0, 0, 1]]),
+])
+def test_retraction_frozen(F, G):
+    got = retraction_for(F)
+    assert got == tuple(tuple(map(Fraction, row)) for row in G)
+    P = mat_mul(got, F)
+    assert mat_mul(P, P) == P
+
+
 @settings(max_examples=20, deadline=None)
 @given(int_matrix(2, 3), st.integers(0, 2), st.integers(0, 2))
 def test_nonzero_delta_eigenvectors_are_exact(F, k, l):

@@ -9,12 +9,13 @@ import sys
 import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from math import comb
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from superalg.cli import FUZZ_CHECKS, ROUNDS, fnv1a64, main, sub_seed
+from superalg.cli import FUZZ_CHECKS, HOMOLOGY_MAX_DIM, ROUNDS, fnv1a64, main, sub_seed
 
 
 def run_cli(capsys, argv):
@@ -59,6 +60,24 @@ def test_cp_homology_flag_and_positional_agree(capsys, tmp_path):
     assert code == 2
     code, _, err = run_cli(capsys, ["cp-homology", ""])
     assert code == 2 and "malformed" in err
+
+
+# the table of a 4x1 F with lmax 4 spans (kmax + 1) * 16 basis elements, so
+# kmax 624 sits at the limit; a 2x2 identity with kmax 400 spans 322404
+@pytest.mark.parametrize("F, kmax, lmax, code", [
+    ([["1"], ["0"], ["1"], ["2"]], 623, 4, 0),
+    ([["1"], ["0"], ["1"], ["2"]], 624, 4, 0),
+    ([["1"], ["0"], ["1"], ["2"]], 625, 4, 3),
+    ([["1", "0"], ["0", "1"]], 400, 2, 3),
+])
+def test_cp_homology_size_limit(capsys, tmp_path, F, kmax, lmax, code):
+    assert comb(10, 5) * 2 ** 5 < HOMOLOGY_MAX_DIM == 10000  # 5x5 F, k, l <= 5
+    p = write(tmp_path, "m.json", F)
+    start = time.perf_counter()
+    got, _, err = run_cli(capsys, ["cp-homology", p, "--kmax", str(kmax),
+                                   "--lmax", str(lmax), "--quiet"])
+    assert got == code and ("limit of 10000" in err) == (code == 3)
+    assert code == 0 or time.perf_counter() - start < 0.5
 
 
 def test_cp_homology_rejects_ragged_matrix(capsys, tmp_path):
@@ -212,8 +231,10 @@ def test_straighten_preconditions(capsys, tmp_path):
     assert code == 3
 
 
-# the level solves grow steeply with dim_s, so straighten caps it; a family
-# with no vector of V is malformed input
+# the level solves still grow three- to fourfold per odd generator (a one-vector
+# family takes about 0.02 s at dim_s 7, 0.07 s at 8 and 0.3 s at 9 on a 2-CPU
+# host), so straighten caps dim_s at 7; a family with no vector of V is
+# malformed input
 @pytest.mark.parametrize("dim_v, dim_s, code", [(1, 7, 0), (1, 8, 3), (0, 6, 2)])
 def test_straighten_size_limits(capsys, tmp_path, dim_v, dim_s, code):
     comps = [[{"coeff": "1", "ext": [], "s": 1}]] * dim_v

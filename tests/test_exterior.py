@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from strat import small_fractions
 
 from superalg.exterior import ExtElem, ExtSpace, NotInvertibleError
+from superalg.scalars import Parity
 
 V3 = ExtSpace(3)
 V4 = ExtSpace(4)
@@ -185,11 +186,20 @@ def test_json_roundtrip():
         ExtElem.from_json(V3, "nope")
 
 
+@pytest.mark.parametrize("bad", [1.7, "1", True, False, 3, -1, None])
+def test_parity_part_rejects_non_parities(bad):
+    e = mono(V3, (1,), 2) + mono(V3, (1, 2), 3)
+    with pytest.raises(ValueError, match="parity"):
+        e.parity_part(bad)
+
+
 def test_parts():
     e = mono(V3, (1,)) + mono(V3, (1, 2), 3) + ExtElem.unit(V3, 7)
     assert e.degree_part(1) == mono(V3, (1,))
     assert e.parity_part(0) == mono(V3, (1, 2), 3) + ExtElem.unit(V3, 7)
     assert e.parity_part(1) == mono(V3, (1,))
+    assert e.parity_part(Parity.ODD) == mono(V3, (1,))
+    assert e.parity_part(Parity.EVEN) == e.parity_part(0)
     assert not e.is_homogeneous()
     assert e.coeff((1, 2)) == 3
     assert e.top_degree() == 2

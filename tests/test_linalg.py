@@ -1,11 +1,13 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import fraction_sparse_rank
+from oracles import fraction_rref, fraction_sparse_rank
 from strat import small_fractions
 
-from superalg.linalg import mat_mul, mat_vec, nullspace, rank, rref, solve, sparse_rank
+from superalg.linalg import (echelon, identity_matrix, invert, mat_mul, mat_vec, nullspace,
+                             rank, reduced, rref, solve, sparse_rank)
 
 
 @st.composite
@@ -124,3 +126,108 @@ def test_sparse_rank_examples():
     assert sparse_rank([{5: Fraction(1, 2), 9: -1}, {5: -1, 9: 2}, {9: Fraction(-3, 2)}]) == 2
     # sderham's rows have tuple columns
     assert sparse_rank([{(0, 1): 2, (1,): 1}, {(1,): 3}, {(0, 1): 4}]) == 2
+
+
+@settings(max_examples=200)
+@given(sparse_rows())
+def test_reduced_matches_fraction_oracle(rows):
+    before = _snapshot(rows)
+    got = reduced(rows)
+    assert _snapshot(rows) == before
+    cols = sorted({c for r in rows for c in r})
+    R, pivots = fraction_rref(_dense(rows))
+    assert sorted(got) == sorted(echelon(rows)) == [cols[p] for p in pivots]
+    assert got == {cols[p]: {cols[c]: v for c, v in enumerate(R[i]) if v}
+                   for i, p in enumerate(pivots)}
+    assert all(type(v) is Fraction for row in got.values() for v in row.values())
+
+
+# Dense matrices whose rows may be zero or proportional to an earlier row,
+# with entries that are zero, small, half-integer or near 10^30.
+@st.composite
+def dense_matrices(draw, square=False):
+    nr = draw(st.integers(1, 5))
+    nc = nr if square else draw(st.integers(1, 5))
+    rows = [[draw(st.one_of(st.just(0), SPARSE_ENTRIES)) for _ in range(nc)]
+            for _ in range(nr)]
+    for i in range(nr):
+        kind = draw(st.sampled_from(("plain", "plain", "zero", "proportional")))
+        if kind == "zero":
+            rows[i] = [0] * nc
+        elif kind == "proportional" and i:
+            f = draw(small_fractions(6, 4))
+            rows[i] = [f * x for x in rows[draw(st.integers(0, i - 1))]]
+    return rows
+
+
+def _fractions(m):
+    return [[type(x) is Fraction for x in row] for row in m]
+
+
+@settings(max_examples=150)
+@given(dense_matrices())
+def test_rref_matches_fraction_oracle(m):
+    got = rref(m)
+    assert got == fraction_rref(m)
+    assert all(map(all, _fractions(got[0])))
+
+
+@settings(max_examples=150)
+@given(dense_matrices())
+def test_nullspace_matches_fraction_oracle(m):
+    ncols = len(m[0])
+    R, pivots = fraction_rref(m)
+    want = []
+    for f in range(ncols):
+        if f not in pivots:
+            v = [Fraction(int(c == f)) for c in range(ncols)]
+            for i, p in enumerate(pivots):
+                v[p] = -R[i][f]
+            want.append(v)
+    got = nullspace(m)
+    assert got == want and all(map(all, _fractions(got)))
+    assert all(not any(mat_vec(m, v)) for v in got)
+
+
+@settings(max_examples=150)
+@given(dense_matrices(), st.booleans(), st.data())
+def test_solve_matches_fraction_oracle(m, consistent, data):
+    ncols = len(m[0])
+    if consistent:
+        b = mat_vec(m, [data.draw(small_fractions(4, 3)) for _ in range(ncols)])
+    else:
+        b = [data.draw(st.one_of(st.just(0), SPARSE_ENTRIES)) for _ in m]
+    R, pivots = fraction_rref([row + [y] for row, y in zip(m, b)])
+    got = solve(m, b)
+    if ncols in pivots:
+        assert got is None and not consistent
+        return
+    want = [Fraction(0)] * ncols
+    for i, p in enumerate(pivots):
+        want[p] = R[i][ncols]
+    assert got == want and all(type(x) is Fraction for x in got)
+    assert mat_vec(m, got) == b
+
+
+@settings(max_examples=150)
+@given(dense_matrices(square=True))
+def test_invert_matches_fraction_oracle(m):
+    n = len(m)
+    R, pivots = fraction_rref([row + e for row, e in zip(m, identity_matrix(n))])
+    got = invert(m)
+    if pivots[:n] != list(range(n)):
+        assert got is None and rank(m) < n
+        return
+    assert got == [row[n:] for row in R]
+    assert mat_mul(got, m) == mat_mul(m, got) == identity_matrix(n)
+
+
+def test_invert_examples():
+    assert invert([[2, 1], [1, 1]]) == [[1, -1], [-1, 2]]
+    assert invert([[0, 1], [1, 0]]) == [[0, 1], [1, 0]]
+    assert invert([[1, 2], [2, 4]]) is None
+    assert invert([[0, 0], [0, 0]]) is None
+    assert invert([[10**30, 1], [10**30 + 1, 1]]) == [[-1, 1], [10**30 + 1, -10**30]]
+    assert invert([]) == []
+    with pytest.raises(ValueError, match="square"):
+        invert([[1, 2]])

@@ -297,6 +297,43 @@ def test_straighten_output_shape():
     assert verify_straightening(fam, g).passed
 
 
+def test_straighten_canonical_representative_frozen():
+    # ker f* has dimension 3, so the level-1 solution is defined only modulo
+    # Λ³(ker f*) ⊗ S; the answer is the representative with zeros at the
+    # pivots of that space's reduced echelon form, not the substitution the
+    # family was built from
+    g0 = identity_straightening(4)
+    images = list(g0.images)
+    images[0] = images[0] - ExtElem.monomial(g0.space, (1, 2, 3))
+    images[1] = images[1] - ExtElem.monomial(g0.space, (1, 3, 4))
+    f = [[Fraction(c)] for c in (1, 0, 1, 2)]
+    fam = conjugated_family(f, Straightening(4, images))
+    g = straighten(fam)
+    half = Fraction(-1, 2)
+    assert g.images[0] == (ExtElem.generator(g.space, 1)
+                           + ExtElem.monomial(g.space, (1, 2, 4), half)
+                           + ExtElem.monomial(g.space, (2, 3, 4), half))
+    assert g.images[1:] == tuple(images[1:])
+    assert verify_straightening(fam, g).passed
+
+
+def test_straighten_above_the_cli_limit():
+    # dim_s 8 is above the CLI's cap of 7; the API still solves it exactly
+    fam = OddFamily(1, 8, [mono(8, (), 1)])
+    g = straighten(fam)
+    assert g == identity_straightening(8)
+    assert verify_straightening(fam, g).passed
+    g0 = identity_straightening(8)
+    images = list(g0.images)
+    images[0] = images[0] + ExtElem.monomial(g0.space, (1, 2, 3), Fraction(1, 2))
+    images[4] = images[4] + ExtElem.monomial(g0.space, (2, 6, 7), -3)
+    f = [[Fraction(int(mu == 0))] for mu in range(8)]
+    fam = conjugated_family(f, Straightening(8, images))
+    g = straighten(fam)
+    assert g.component(1) != CompElem.zero(8)
+    assert verify_straightening(fam, g).passed
+
+
 def test_straightening_type_validation():
     space = identity_straightening(2).space
     with pytest.raises(ValueError, match="degree-1"):
