@@ -11,13 +11,14 @@ everything is accessed through explicit degree cutoffs; no operator here
 ever needs the infinite tail.
 """
 
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations
 from math import comb
 
 from .lincomb import add_term, contract, merge_sign, replace
 from .linalg import echelon, invert, mat_mul, rank, sparse_rank, transpose
-from .scalars import IndexSet, MultiDegree, iter_multidegrees, sym_dim
+from .scalars import IndexSet, MultiDegree, cleared, iter_multidegrees, sym_dim
 from .supermaps import PolySuperFunc
 
 _new = tuple.__new__
@@ -156,12 +157,13 @@ def delta_via_derivations(F, G, x):
     return sym_derivation(GF, x) + ext_derivation(FG, x)
 
 
+def _keys(m, l):
+    return list(combinations(range(1, m + 1), l)) if 0 <= l <= m else []
+
+
 def bigraded_basis(n, m, k, l):
-    if k < 0 or l < 0 or l > m:
-        return []
     return [(MultiDegree(alpha), IndexSet(key))
-            for alpha in iter_multidegrees(n, k)
-            for key in combinations(range(1, m + 1), l)]
+            for alpha in iter_multidegrees(n, k) for key in _keys(m, l)]
 
 
 def operator_columns(op, n, m, src_kl, dst_kl):
@@ -180,23 +182,82 @@ def operator_columns(op, n, m, src_kl, dst_kl):
     return cols
 
 
+def boundary_block(F, n, m, k, l, direction):
+    """Sparse int columns of d_F (direction "F", F an m x n matrix) from
+    A^{k,l} to A^{k-1,l+1}, or of d*_G (direction "G", F the n x m matrix G)
+    from A^{k,l} to A^{k+1,l-1}: one {row: int} dict per monomial of
+    bigraded_basis(n, m, k, l), rows in the basis order of the target.
+
+    The matrix is scaled by the lcm of its denominators, which leaves every
+    rank unchanged.  A term of either operator is a move on the Sym factor
+    (dv_mu ⌟ or v_j ·) times a move on the Λ factor (w_i ∧ or dw_mu ⌟), and
+    the pair of moves fixes the target monomial, so no entry is collected."""
+    if direction == "F":
+        coeff = transpose(as_matrix(F, m, n))
+        dk, dl = -1, 1
+    elif direction == "G":
+        coeff = as_matrix(F, n, m)
+        dk, dl = 1, -1
+    else:
+        raise ValueError("direction must be 'F' or 'G'")
+    scale = cleared(x for row in coeff for x in row)[0]
+    coeff = [[int(x * scale) for x in row] for row in coeff]  # coeff[sym][ext]
+    dst_alpha = {a: t for t, a in enumerate(iter_multidegrees(n, k + dk))}
+    dst_key = {key: t for t, key in enumerate(_keys(m, l + dl))}
+    width = len(dst_key)
+    # (Sym generator, factor, target row offset) per source multidegree:
+    # dv_s ⌟ x^alpha = alpha_s x^(alpha - e_s), v_s · x^alpha = x^(alpha + e_s)
+    sym_moves = []
+    for alpha in iter_multidegrees(n, k):
+        moves = []
+        for s in range(n):
+            a = alpha[s] if dk < 0 else 1
+            if a:
+                na = alpha[:s] + (alpha[s] + dk,) + alpha[s + 1:]
+                moves.append((s, a, dst_alpha[na] * width))
+        sym_moves.append(moves)
+    # (Λ generator, sign, target key index) per source index set, the sign
+    # (-1)^t for the generator at position t of the target or source key
+    ext_moves = []
+    for key in _keys(m, l):
+        if dl > 0:
+            hits = [(i, bisect_left(key, i)) for i in range(1, m + 1) if i not in key]
+            hits = [(i, t, key[:t] + (i,) + key[t:]) for i, t in hits]
+        else:
+            hits = [(i, t, key[:t] + key[t + 1:]) for t, i in enumerate(key)]
+        ext_moves.append([(i - 1, -1 if t & 1 else 1, dst_key[nk]) for i, t, nk in hits])
+    cols = []
+    for smoves in sym_moves:
+        for emoves in ext_moves:
+            col = {}
+            for s, a, offset in smoves:
+                row = coeff[s]
+                for e, sign, t in emoves:
+                    c = row[e]
+                    if c:
+                        col[offset + t] = a * sign * c
+            cols.append(col)
+    return cols
+
+
 def _dim_A(n, m, k, l):
     if k < 0 or l < 0 or l > m:
         return 0
     return sym_dim(n, k) * comb(m, l)
 
 
-def _homology_table(n, m, k_max, l_max, step, columns):
-    """dim A^{k,l} less the ranks of the map out of (k, l) and the map into
-    it, for a map of bidegree step whose sparse columns out of (k, l) are
-    columns(k, l)."""
-    dk, dl = step
+def _homology_table(mat, n, m, k_max, l_max, direction):
+    """dim A^{k,l} less the ranks of the boundary map of the direction out of
+    (k, l) and into it."""
+    dk, dl = (-1, 1) if direction == "F" else (1, -1)
     ranks = {}
 
     def rank_at(k, l):
         if (k, l) not in ranks:
-            empty = _dim_A(n, m, k, l) == 0 or _dim_A(n, m, k + dk, l + dl) == 0
-            ranks[(k, l)] = 0 if empty else sparse_rank(columns(k, l))
+            if _dim_A(n, m, k, l) == 0 or _dim_A(n, m, k + dk, l + dl) == 0:
+                ranks[(k, l)] = 0
+            else:
+                ranks[(k, l)] = sparse_rank(boundary_block(mat, n, m, k, l, direction))
         return ranks[(k, l)]
 
     return [[_dim_A(n, m, k, l) - rank_at(k, l) - rank_at(k - dk, l - dl)
@@ -206,12 +267,7 @@ def _homology_table(n, m, k_max, l_max, step, columns):
 def homology_dims(F, k_max, l_max):
     """dim H^{k,l}(d_F) over 0 <= k <= k_max, 0 <= l <= l_max, exactly."""
     m, n = len(F), len(F[0]) if F else 0
-    F = as_matrix(F, m, n)
-
-    def columns(k, l):
-        return operator_columns(lambda x: d_F(F, x), n, m, (k, l), (k - 1, l + 1))
-
-    return _homology_table(n, m, k_max, l_max, (-1, 1), columns)
+    return _homology_table(as_matrix(F, m, n), n, m, k_max, l_max, "F")
 
 
 def predicted_homology_dims(F, k_max, l_max):
@@ -226,12 +282,7 @@ def predicted_homology_dims(F, k_max, l_max):
 def dstar_homology_dims(G, k_max, l_max):
     """dim H^{k,l}(d*_G), same conventions; d*_G has bidegree (+1, -1)."""
     n, m = len(G), len(G[0]) if G else 0
-    G = as_matrix(G, n, m)
-
-    def columns(k, l):
-        return operator_columns(lambda x: d_star_G(G, x), n, m, (k, l), (k + 1, l - 1))
-
-    return _homology_table(n, m, k_max, l_max, (1, -1), columns)
+    return _homology_table(as_matrix(G, n, m), n, m, k_max, l_max, "G")
 
 
 def predicted_dstar_homology_dims(G, k_max, l_max):

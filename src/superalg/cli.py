@@ -113,10 +113,13 @@ LIE_MAX_DIM = 32
 TENSOR_MAX_DIM = 32
 DERIVATION_MAX_IMAGES = 12
 # straighten's level solves grow steeply with dim_s: a one-vector family takes
-# about 0.02 s at 7 odd generators, 0.07 s at 8 and 0.3-0.4 s at 9 (2-CPU host).
+# about 0.01 s at 7 odd generators, 0.02 s at 8 and 0.04 s at 9 (2-CPU host).
 STRAIGHTEN_MAX_ODD = 7
 # cp-homology ranks a block per bidegree of its table, so it refuses a table
-# spanning more basis elements (the 5x5 table with k, l <= 5 spans 8064).
+# spanning more basis elements.  The count tracks the time loosely; on random
+# half-integer F (2-CPU host) the 5x5 table with k, l <= 5 spans 8,064 and
+# takes 1.3-2.7 s, 7x7 with k, l <= 3 spans 7,680 and takes 16-19 s, and 9x9
+# with k <= 2, l <= 3 spans 7,150 and takes about 2 minutes.
 HOMOLOGY_MAX_DIM = 10000
 
 

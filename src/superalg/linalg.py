@@ -2,12 +2,12 @@
 
 Matrices are lists of rows of Fractions (or ints); sparse matrices are
 iterables of {col: value} dicts.  There is one elimination: echelon clears
-each row to integers and reduces it, fraction-free with content removal,
-against the stored pivot rows by least column.  rank and sparse_rank count
-its pivots; reduced back-substitutes it once, in Fraction, to the reduced
-echelon form, and rref, nullspace, solve and invert read their answers off
-that.  The reduced form depends only on the row space, so the canonical
-solutions read off it are unique.
+each row to integers and, shortest rows first, reduces it fraction-free
+with content removal against the stored pivot rows by least column.  rank
+and sparse_rank count its pivots; reduced back-substitutes it once, in
+Fraction, to the reduced echelon form, and rref, nullspace, solve and
+invert read their answers off that.  The reduced form depends only on the
+row space, so the canonical solutions read off it are unique.
 """
 
 from fractions import Fraction
@@ -20,16 +20,25 @@ def echelon(rows):
     """{pivot column: primitive int row} of an iterable of {col: value}
     dicts of rationals; the dicts are not modified.
 
-    Incremental integer echelon: each incoming row is cleared to integers
-    and reduced against the stored pivot rows by leading column, as
+    Integer echelon: the rows are taken shortest first, and of two rows of
+    one length the later one first, which keeps fill-in low (after
+    Markowitz; of the tie-breaks tried, this one left the least elimination
+    work on the homology and super de Rham blocks).  Each row is cleared to
+    integers and reduced against the stored pivot rows by leading column, as
     row <- p*row - a*pivot with a/p its leading entry over the pivot's in
     lowest terms, then divided by its content, until it dies or is stored
-    as a new pivot row.
+    as a new pivot row.  The pivot columns depend only on the row space, so
+    the order changes the primitive rows stored but not the pivots.
     """
+    # order the given dicts themselves: a copy of every row at once would
+    # hold them all alive, and the garbage collector would walk them
+    todo = [r for r in rows if r][::-1]
+    todo.sort(key=len)
     pivots = {}
-    for r in rows:
-        cols = [c for c, v in r.items() if v]
-        row = dict(zip(cols, cleared(r[c] for c in cols)[1]))
+    for r in todo:
+        row = {c: v for c, v in r.items() if v}
+        if not all(type(v) is int for v in row.values()):
+            row = dict(zip(row, cleared(row.values())[1]))
         while row:
             g = gcd(*row.values())
             if g > 1:
@@ -108,13 +117,14 @@ def nullspace(rows, ncols=None):
     return list(basis.values())
 
 
-def solve(rows, rhs):
-    """One solution of A x = b with all free variables set to zero
-    (the canonical representative).  None if the system is inconsistent."""
-    if not rows:
-        return [] if not any(rhs) else None
-    ncols = len(rows[0])
-    red = reduced({**dict(enumerate(row)), ncols: b} for row, b in zip(rows, rhs))
+def solve(rows, rhs, ncols):
+    """One solution, as a list of ncols Fractions, of A x = b for A given by
+    its sparse rows {col: value} and b by one value per row, with all free
+    variables set to zero (the canonical representative).  None if the
+    system is inconsistent."""
+    if len(rows) != len(rhs):
+        raise ValueError("solve needs one right-hand side value per row")
+    red = reduced({**row, ncols: b} for row, b in zip(rows, rhs))
     if ncols in red:
         return None
     x = [Fraction(0)] * ncols

@@ -386,7 +386,7 @@ def straighten(fam):
                 raise RuntimeError("internal invariant violated: unsolvable level %d" % mu)
             continue
         src, dst, cols = level_operator_columns(f_mat, q, mu)
-        rows = [[0] * len(src) for _ in dst]
+        rows = [{} for _ in dst]
         for c, col in enumerate(cols):
             for r, v in col.items():
                 rows[r][c] = v
@@ -395,7 +395,7 @@ def straighten(fam):
         for i, part in enumerate(rhs_parts, start=1):
             for (key, s), c in part.terms.items():
                 rhs[dst_index[(i, key, s)]] = c
-        sol = solve(rows, rhs)
+        sol = solve(rows, rhs, len(src))
         if sol is None:
             raise RuntimeError("internal invariant violated: inconsistent level %d" % mu)
         src_index = {key: c for c, key in enumerate(src)}

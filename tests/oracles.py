@@ -5,15 +5,14 @@ going through the package's own data structures.  The boundary-operator
 and twisted-shift oracles are the exception: they compose the package's
 Sym ⊗ Λ elements, but add whole elements term by term instead of collecting
 into one dict, and sum each operator from its own definition rather than
-through the boundary map it equals; and dF_columns_direct indexes its
-matrix by the package's own basis order.
+through the boundary map it equals.
 """
 
 from fractions import Fraction
 from itertools import combinations
 from operator import add
 
-from superalg.cartan import bigraded_basis, ext_contract, ext_wedge
+from superalg.cartan import ext_contract, ext_wedge
 from superalg.lincomb import add_term, merge_sign
 from superalg.scalars import MultiDegree
 from superalg.supermaps import PolySuperFunc
@@ -202,30 +201,6 @@ def ext_transport_loop(A, x):
             if c:
                 out = out + ext_wedge(mu, ext_contract(nu, x)).scale(c)
     return out
-
-
-def dF_columns_direct(F, n, m, k, l):
-    """Index-level assembly of the d_F matrix on A^{k,l}: the sparse columns
-    in the basis order of cartan.bigraded_basis, built from the multidegree
-    and index-set arithmetic alone, without the operator applicator."""
-    dst_index = {key: i for i, key in enumerate(bigraded_basis(n, m, k - 1, l + 1))}
-    cols = []
-    for (alpha, key) in bigraded_basis(n, m, k, l):
-        col = {}
-        for mu in range(n):
-            a = alpha[mu]
-            if not a:
-                continue
-            na = tuple(alpha[t] - (1 if t == mu else 0) for t in range(n))
-            for i in range(1, m + 1):
-                c = F[i - 1][mu]
-                nk, sign = merge_sign((i,), key)
-                if not c or nk is None:
-                    continue
-                row = dst_index[(MultiDegree(na), nk)]
-                col[row] = col.get(row, 0) + sign * a * c
-        cols.append({r: v for r, v in col.items() if v})
-    return cols
 
 
 def recursive_multidegrees(nvars, total):

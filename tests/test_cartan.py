@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from oracles import (
     composed_d_F,
     composed_d_star_G,
-    dF_columns_direct,
     ext_transport_loop,
     shift_left_loop,
     shift_right_loop,
@@ -16,6 +16,7 @@ from strat import small_fractions
 
 from superalg.cartan import (
     bigraded_basis,
+    boundary_block,
     d_F,
     d_star_G,
     delta,
@@ -177,8 +178,51 @@ def test_homology_matches_prediction_and_routes_agree(F):
     for k in range(5):
         for l in range(4):
             via_op = operator_columns(lambda x: d_F(F, x), 2, 3, (k, l), (k - 1, l + 1))
-            direct = dF_columns_direct(F, 2, 3, k, l)
-            assert sparse_rank(via_op) == sparse_rank(direct)
+            block = boundary_block(F, 2, 3, k, l, "F")
+            assert sparse_rank(via_op) == sparse_rank(block)
+
+
+# Fraction matrices whose rows may be zero or proportional to an earlier row,
+# so that kernel and cokernel both occur.
+@st.composite
+def deficient_matrices(draw, rows, cols):
+    mat = [[draw(small_fractions(4, 3)) for _ in range(cols)] for _ in range(rows)]
+    for i in range(rows):
+        kind = draw(st.sampled_from(("plain", "plain", "zero", "proportional")))
+        if kind == "zero":
+            mat[i] = [Fraction(0)] * cols
+        elif kind == "proportional" and i:
+            f = draw(small_fractions(4, 3))
+            mat[i] = [f * x for x in mat[draw(st.integers(0, i - 1))]]
+    return mat
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_boundary_block_is_the_scaled_operator_matrix(data):
+    m, n = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    k, l = data.draw(st.integers(0, 3)), data.draw(st.integers(0, m))
+    F = data.draw(deficient_matrices(m, n))
+    G = data.draw(deficient_matrices(n, m))
+    for mat, direction, op, (dk, dl) in ((F, "F", d_F, (-1, 1)), (G, "G", d_star_G, (1, -1))):
+        scale = lcm(*(x.denominator for row in mat for x in row))
+        want = operator_columns(lambda x: op(mat, x), n, m, (k, l), (k + dk, l + dl))
+        got = boundary_block(mat, n, m, k, l, direction)
+        assert got == [{r: v * scale for r, v in col.items()} for col in want]
+        assert all(type(v) is int for col in got for v in col.values())
+
+
+def test_boundary_block_examples():
+    # d_F(x1 * w1) = (1/2) w2 ^ w1 = -(1/2) w1 ^ w2 on n = 1, m = 2, scaled by 2
+    assert boundary_block([[0], [Fraction(1, 2)]], 1, 2, 1, 1, "F") == [{0: -1}, {}]
+    # d*_G(w1 ^ w2) = 3 x1 * w2 - 3 x1 * w1 with G = [[3, 3]]
+    assert boundary_block([[3, 3]], 1, 2, 0, 2, "G") == [{0: -3, 1: 3}]
+    assert boundary_block([[1, 2]], 2, 1, 0, 0, "F") == [{}]
+    assert boundary_block([[1, 2]], 1, 2, 2, 0, "G") == [{}]
+    with pytest.raises(ValueError, match="expected a 2x1 matrix"):
+        boundary_block([[1, 2]], 1, 2, 1, 0, "F")
+    with pytest.raises(ValueError, match="direction"):
+        boundary_block([[1]], 1, 1, 1, 0, "H")
 
 
 @settings(max_examples=25, deadline=None)

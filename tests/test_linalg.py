@@ -34,20 +34,28 @@ def test_nullspace_annihilated(m):
         assert all(x == 0 for x in mat_vec(m, v))
 
 
+def _sparse(m):
+    return [dict(enumerate(row)) for row in m]
+
+
 @settings(max_examples=60)
 @given(matrices(), st.data())
 def test_solve_consistent_systems(m, data):
     x = [data.draw(small_fractions(4, 3)) for _ in m[0]]
     b = mat_vec(m, x)
-    got = solve(m, b)
+    got = solve(_sparse(m), b, len(m[0]))
     assert got is not None
     assert mat_vec(m, got) == b
 
 
 def test_solve_inconsistent():
-    assert solve([[1, 1], [1, 1]], [1, 2]) is None
-    assert solve([[0, 0]], [1]) is None
-    assert solve([], []) == []
+    assert solve([{0: 1, 1: 1}, {0: 1, 1: 1}], [1, 2], 2) is None
+    assert solve([{}], [1], 2) is None
+    assert solve([], [], 0) == []
+    assert solve([], [], 2) == [0, 0]
+    assert solve([{1: 2}, {}], [3, 0], 3) == [0, Fraction(3, 2), 0]
+    with pytest.raises(ValueError, match="per row"):
+        solve([{0: 1}], [], 1)
 
 
 def test_rref_canonical():
@@ -129,6 +137,29 @@ def test_sparse_rank_examples():
 
 
 @settings(max_examples=200)
+@given(sparse_rows(), st.data())
+def test_echelon_ignores_row_order(rows, data):
+    shuffled = data.draw(st.permutations(rows))
+    assert sorted(echelon(shuffled)) == sorted(echelon(rows))
+    assert sparse_rank(shuffled) == sparse_rank(rows)
+    assert reduced(shuffled) == reduced(rows)
+
+
+def test_echelon_order_examples():
+    big = 10**30
+    rows = [{0: 1, 1: 1, 2: 1}, {0: 2, 1: 2, 2: 2}, {}, {1: 3, 2: 0}, {0: big, 2: big + 1},
+            {1: 3}, {0: Fraction(1, 2), 2: 0}]
+    for order in (rows, rows[::-1], rows[3:] + rows[:3]):
+        assert sorted(echelon(order)) == [0, 1, 2]
+        assert reduced(order) == {0: {0: 1}, 1: {1: 1}, 2: {2: 1}}
+    # the rank-2 span of {0: 1, 1: -1} and {1: 1, 2: 1}, entered in three orders
+    pair = [{0: 1, 1: -1}, {1: 1, 2: 1}, {0: 1, 2: 1}, {0: 2, 1: -2}]
+    for order in (pair, pair[::-1], pair[2:] + pair[:2]):
+        assert sorted(echelon(order)) == [0, 1]
+        assert reduced(order) == {0: {0: 1, 2: 1}, 1: {1: 1, 2: 1}}
+
+
+@settings(max_examples=200)
 @given(sparse_rows())
 def test_reduced_matches_fraction_oracle(rows):
     before = _snapshot(rows)
@@ -198,7 +229,7 @@ def test_solve_matches_fraction_oracle(m, consistent, data):
     else:
         b = [data.draw(st.one_of(st.just(0), SPARSE_ENTRIES)) for _ in m]
     R, pivots = fraction_rref([row + [y] for row, y in zip(m, b)])
-    got = solve(m, b)
+    got = solve(_sparse(m), b, ncols)
     if ncols in pivots:
         assert got is None and not consistent
         return
