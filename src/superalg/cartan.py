@@ -264,6 +264,25 @@ def _homology_table(mat, n, m, k_max, l_max, direction):
              for l in range(l_max + 1)] for k in range(k_max + 1)]
 
 
+def homology_table_size(m, n, k_max, l_max):
+    """The basis elements of every bidegree homology_dims reads for an m x n
+    F, counted without building any: the table 0 <= k <= k_max,
+    0 <= l <= l_max, the sources (k_max + 1, l) of the maps out of degree
+    k_max + 1, and the targets (k, l_max + 1) of the maps into it, each
+    block counted only when both its ends are nonzero, as _homology_table
+    skips the others.  A sum of sym_dim(n, k) over k <= K is
+    sym_dim(n + 1, K)."""
+    def ext(l):  # the dims of Λ^0 .. Λ^l of W
+        return sum(comb(m, t) for t in range(min(l, m) + 1))
+
+    size = sym_dim(n + 1, k_max) * ext(l_max)
+    if n and l_max < m:
+        size += sym_dim(n + 1, k_max - 1) * comb(m, l_max + 1)
+    if l_max:
+        size += sym_dim(n, k_max + 1) * ext(min(l_max - 1, m - 1))
+    return size
+
+
 def homology_dims(F, k_max, l_max):
     """dim H^{k,l}(d_F) over 0 <= k <= k_max, 0 <= l <= l_max, exactly."""
     m, n = len(F), len(F[0]) if F else 0

@@ -29,6 +29,7 @@ from . import decode
 from .cartan import (
     ext_transport,
     homology_dims,
+    homology_table_size,
     predicted_homology_dims,
     sym_transport,
     twisted_shift_left,
@@ -66,6 +67,7 @@ from .sderham import (
     OddConnection,
     SuperForm,
     SuperVectorFieldGen,
+    assembled_count,
     cohomology_dims,
     delta_kernel_check,
     evaluate,
@@ -115,12 +117,25 @@ DERIVATION_MAX_IMAGES = 12
 # straighten's level solves grow steeply with dim_s: a one-vector family takes
 # about 0.01 s at 7 odd generators, 0.02 s at 8 and 0.04 s at 9 (2-CPU host).
 STRAIGHTEN_MAX_ODD = 7
-# cp-homology ranks a block per bidegree of its table, so it refuses a table
-# spanning more basis elements.  The count tracks the time loosely; on random
-# half-integer F (2-CPU host) the 5x5 table with k, l <= 5 spans 8,064 and
-# takes 1.3-2.7 s, 7x7 with k, l <= 3 spans 7,680 and takes 16-19 s, and 9x9
-# with k <= 2, l <= 3 spans 7,150 and takes about 2 minutes.
-HOMOLOGY_MAX_DIM = 10000
+# cp-homology ranks a block per bidegree of its table, and the blocks out of
+# degree kmax + 1 and into l = lmax + 1 next to it, so it refuses a table
+# whose bidegrees span more basis elements (cartan.homology_table_size).  The
+# count tracks the time loosely; on random half-integer F (2-CPU host) the
+# 5x5 table with k, l <= 5 spans 14,574 and takes 1.3-2.7 s, 6x6 with
+# k, l <= 3 spans 6,720 and takes 0.9-1.8 s, 8x8 with k <= 3, l <= 2 spans
+# 11,595 and takes 49 s, 7x7 with k, l <= 3 spans 15,030 and takes 16-19 s,
+# and 9x9 with k <= 2, l <= 3 spans 16,000 and takes about 2 minutes.  The
+# limit, 121², is the span of a 1x2 F with kmax 120 and lmax 0.
+HOMOLOGY_MAX_DIM = 14641
+# sderham --op cohomology and --op delta build one column per basis monomial
+# (sderham.assembled_count: for cohomology, the degree k basis and the
+# slack-widened degree k - 1 basis) and rank them, so they refuse more
+# monomials.  Ranking slows most on connections with every entry nonzero,
+# whose columns fill in (2-CPU host): 2|2 with degree-1 entries, k = 2 and
+# cutoff 2 spans 3,232 and takes 1.8 s, 2|3 with k = 2 and cutoff 0 spans
+# 8,504 and takes 42 s; a 3|2 connection with two degree-1 entries, k = 2
+# and cutoff 2 spans 27,080 and takes 1.8 s.
+SDERHAM_MAX_DIM = 5000
 
 
 def fnv1a64(name):
@@ -258,8 +273,7 @@ def _cmd_cp_homology(args):
     kmax, lmax = args.kmax, args.lmax
     if kmax < 0 or lmax < 0:
         raise PreconditionError("kmax and lmax must be non-negative")
-    m, n = len(F), len(F[0])
-    size = comb(n + kmax, kmax) * sum(comb(m, l) for l in range(min(lmax, m) + 1))
+    size = homology_table_size(len(F), len(F[0]), kmax, lmax)
     if size > HOMOLOGY_MAX_DIM:
         raise PreconditionError("the table spans %d basis elements, above the limit of %d"
                                 % (size, HOMOLOGY_MAX_DIM))
@@ -465,9 +479,13 @@ def _cmd_sderham(args):
         out = super_d(conn, w)
         checks = [CheckResult("d-squared-vanishes", super_d(conn, out).is_zero())]
         return checks, {"result": out.to_json()}
+    if k < 0:
+        raise PreconditionError("k must be non-negative")
+    size = assembled_count(conn, op, k, cutoff)
+    if size > SDERHAM_MAX_DIM:
+        raise PreconditionError("--op %s assembles %d basis monomials, above the limit of %d"
+                                % (op, size, SDERHAM_MAX_DIM))
     if op == "delta":
-        if k < 0:
-            raise PreconditionError("k must be non-negative")
         rep = delta_kernel_check(conn, k, cutoff)
         checks = [
             CheckResult("kernel-is-pure-base-forms", rep.passed,
@@ -476,8 +494,6 @@ def _cmd_sderham(args):
         ]
         return checks, rep.as_dict()
     # cohomology
-    if k < 0:
-        raise PreconditionError("k must be non-negative")
     dim = cohomology_dims(conn, k, cutoff)
     expected = 1 if k == 0 else 0
     checks = [CheckResult("cohomology-matches-expected", dim == expected,

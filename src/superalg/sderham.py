@@ -14,14 +14,23 @@ assembled from the twisted exterior derivative plus number-signed shift and
 curvature-shift pieces.  super_d_by_fields evaluates the same operator through
 the Koszul-type double sum over generator vector fields, and the two routes
 cross-validate each other.
+
+The operator is written once, as monomial_column: the image of one basis
+monomial x^e dx_A ds^b ds_C as an int vector {(dxs, sym, ext, exps): int},
+scaled by the per-connection integer D, the lcm of the denominators of A and
+R = dA + A^A.  super_d is its linear extension divided by D; cohomology_dims
+ranks the columns themselves, and delta_kernel_check composes them with the
+shifts on int vectors, since scaling by D changes no rank and no equality.
 """
 
 from fractions import Fraction
 from itertools import combinations
+from math import comb, lcm
+from operator import add
 
 from . import decode
 from .lincomb import LinComb, add_term, contract, merge_sign, replace
-from .scalars import IndexSet, MultiDegree, iter_multidegrees, inversion_sign
+from .scalars import IndexSet, MultiDegree, cleared, iter_multidegrees, inversion_sign, sym_dim
 from .poly import Poly
 from .supermaps import PolySuperFunc
 from .linalg import sparse_rank
@@ -186,11 +195,17 @@ class OddConnection:
     comps[g][b][i] is the Poly coefficient of dx_{i+1} in the 1-form A with
     nabla_i s_{b+1} = sum_g comps[g][b][i] s_{g+1}.  A connection is never
     changed after it is built, so its curvature R = dA + A^A is computed
-    once, here, and kept in the curvature slot for super_d and
-    bracket_fields to read; callers must not mutate it.
+    once, here, and kept in the curvature slot for bracket_fields to read;
+    callers must not mutate it.
+
+    Next to it sit the int tables that monomial_column reads: scale is D,
+    the lcm of the denominators of the coefficients of A and R;
+    a_ints[i-1][g-1] lists (b, terms) for each nonzero A_gb in dx_i and
+    r_ints[g-1][b-1] lists (dx pair, terms) for R_gb, each terms a tuple of
+    (exponents, int) pairs of D times the coefficient.
     """
 
-    __slots__ = ("dim_base", "dim_odd", "comps", "curvature")
+    __slots__ = ("dim_base", "dim_odd", "comps", "curvature", "scale", "a_ints", "r_ints")
 
     def __init__(self, m, n, comps):
         if len(comps) != n or any(len(row) != n for row in comps):
@@ -214,6 +229,20 @@ class OddConnection:
         self.dim_odd = n
         self.comps = tuple(clean)
         self.curvature = curvature(self)
+        curv = self.curvature
+        polys = [p for row in clean for cell in row for p in cell]
+        polys += [p for row in curv for two in row for p in two.values()]
+        scale = self.scale = lcm(*(c.denominator for p in polys for c in p.terms.values()))
+
+        def ints(p):
+            return tuple((e, c.numerator * (scale // c.denominator)) for e, c in p.terms.items())
+
+        self.a_ints = tuple(tuple(tuple((b, ints(cell[i])) for b, cell in enumerate(row, 1)
+                                        if not cell[i].is_zero())
+                                  for row in clean)
+                            for i in range(m))
+        self.r_ints = tuple(tuple(tuple((key, ints(p)) for key, p in two.items()) for two in row)
+                            for row in curv)
 
     @classmethod
     def zero(cls, m, n):
@@ -355,78 +384,134 @@ def twisted_d_end(conn, mat):
     return out
 
 
-def super_d(conn, omega):
-    """The super exterior derivative: twisted d plus number-signed shift pieces.
+def _left_shifts(sym, ext):
+    """The plain left shift of one monomial ds^sym ds_ext, contracting ds_mu
+    out of the ext block into the sym block: (new sym, new ext, contraction
+    sign) for each mu in ext."""
+    for mu in ext:
+        rest, sign = contract(ext, mu)
+        yield _sym_bump(sym, mu, 1), rest, sign
 
-    Per term f dx_A ds^b ds_C the three pieces act as
+
+def _right_shifts(sym, ext):
+    """The plain right shift of one monomial ds^sym ds_ext, moving one ds^mu
+    out of the sym block onto the front of the ext block: (new sym, new ext,
+    multiplicity times wedge sign) for each mu it can move."""
+    for mu, e in enumerate(sym, 1):
+        if e:
+            rest, sign = merge_sign((mu,), ext)
+            if rest is not None:
+                yield _sym_bump(sym, mu, -1), rest, e * sign
+
+
+def monomial_column(conn, dxs, sym, ext, exps):
+    """D times the super exterior derivative of the one basis monomial
+    x^exps dx_dxs ds^sym ds_ext, as {(dxs, sym, ext, exps): int} with no
+    zero entry, D = conn.scale.
+
+    The three pieces act as
       dx_i ^ (coefficient derivative + dual connection action on sym and ext),
       (-1)^(a+b) sym-shift of each ext slot with the alternating contraction sign,
-      (-1)^(a+b-1) curvature shift moving a sym slot into ext under R's 2-form.
-    The (-1)^a factors are the operator of numbers; the extra (-1)^b factors
-    are the Koszul crossing signs of the odd shift factors past the sym block.
+      (-1)^(a+b-1) curvature shift moving a sym slot into ext under R's 2-form,
+    with a = |dxs| and b = |sym|.  The (-1)^a factors are the operator of
+    numbers; the extra (-1)^b factors are the Koszul crossing signs of the
+    odd shift factors past the sym block.  The connection and curvature
+    pieces read the int term lists D*A and D*R of the connection, so every
+    entry is an int.  The keys are built as IndexSet and MultiDegree tuples,
+    ready to serve as SuperForm and Poly keys.
+    """
+    n = conn.dim_odd
+    scale = conn.scale
+    col = {}
+    get = col.get
+    a, b = len(dxs), sym.total
+    # twisted exterior derivative
+    for i, rows in enumerate(conn.a_ints, 1):
+        nk, msign = merge_sign((i,), dxs)
+        if nk is None:
+            continue
+        e = exps[i - 1]
+        if e:
+            key = (nk, sym, ext, _new(MultiDegree, exps[:i - 1] + (e - 1,) + exps[i:]))
+            col[key] = get(key, 0) + msign * e * scale
+        for al, e in enumerate(sym, 1):
+            if not e or not rows[al - 1]:
+                continue
+            f = -e * msign
+            lowered = _sym_bump(sym, al, -1)
+            for be, terms in rows[al - 1]:
+                nsym = _sym_bump(lowered, be, 1)
+                for cexps, c in terms:
+                    key = (nk, nsym, ext, _new(MultiDegree, map(add, exps, cexps)))
+                    col[key] = get(key, 0) + f * c
+        for g in ext:
+            for be, terms in rows[g - 1]:
+                next_, ssign = replace(ext, g, be)
+                if next_ is None:
+                    continue
+                f = -ssign * msign
+                for cexps, c in terms:
+                    key = (nk, sym, next_, _new(MultiDegree, map(add, exps, cexps)))
+                    col[key] = get(key, 0) + f * c
+    # identity left shift, ext slot to sym
+    nsign = -scale if (a + b) % 2 else scale
+    for nsym, next_, csign in _left_shifts(sym, ext):
+        key = (dxs, nsym, next_, exps)
+        col[key] = get(key, 0) + nsign * csign
+    # curvature right shift, sym slot to ext under the 2-form
+    if b:
+        rsign = -1 if (a + b - 1) % 2 else 1
+        for mu in range(1, n + 1):
+            next_, isign = merge_sign((mu,), ext)
+            if next_ is None:
+                continue
+            for nu, e in enumerate(sym, 1):
+                if not e:
+                    continue
+                two = conn.r_ints[nu - 1][mu - 1]
+                if not two:
+                    continue
+                nsym = _sym_bump(sym, nu, -1)
+                for dkey, terms in two:
+                    nk, msign = merge_sign(dkey, dxs)
+                    if nk is None:
+                        continue
+                    f = rsign * e * msign * isign
+                    for cexps, c in terms:
+                        key = (nk, nsym, next_, _new(MultiDegree, map(add, exps, cexps)))
+                        col[key] = get(key, 0) + f * c
+    return {k: v for k, v in col.items() if v}
+
+
+def super_d(conn, omega):
+    """The super exterior derivative: the linear extension of monomial_column.
+
+    The coefficients of omega are cleared to ints over one denominator, the
+    columns of its monomials summed with those ints, and the sum divided by
+    that denominator times conn.scale once.
     """
     if (conn.dim_base, conn.dim_odd) != (omega.dim_base, omega.dim_odd):
         raise ValueError("connection and form dimensions differ")
     m, n = omega.dim_base, omega.dim_odd
-    curv = conn.curvature
+    den, nums = cleared(c for f in omega.terms.values() for c in f.terms.values())
+    nums = iter(nums)
     acc = {}
+    get = acc.get
     for (dxs, sym, ext), f in omega.terms.items():
-        a = len(dxs)
-        b = sym.total
-        # twisted exterior derivative
-        for i in range(1, m + 1):
-            nk, msign = merge_sign((i,), dxs)
-            if nk is None:
-                continue
-            dp = f.partial(i)
-            if not dp.is_zero():
-                add_term(acc, (nk, sym, ext), dp.scale(msign))
-            for al in range(1, n + 1):
-                e = sym[al - 1]
-                if not e:
-                    continue
-                for be in range(1, n + 1):
-                    c = conn.entry(al, be, i)
-                    if c.is_zero():
-                        continue
-                    nsym = _sym_bump(_sym_bump(sym, al, -1), be, 1)
-                    add_term(acc, (nk, nsym, ext), (f * c).scale(-e * msign))
-            for g in ext:
-                for be in range(1, n + 1):
-                    c = conn.entry(g, be, i)
-                    if c.is_zero():
-                        continue
-                    next_, ssign = replace(ext, g, be)
-                    if next_ is None:
-                        continue
-                    add_term(acc, (nk, sym, next_), (f * c).scale(-ssign * msign))
-        # identity left shift, ext slot to sym
-        nsign = -1 if (a + b) % 2 else 1
-        for mu in ext:
-            next_, csign = contract(ext, mu)
-            add_term(acc, (dxs, _sym_bump(sym, mu, 1), next_), f.scale(nsign * csign))
-        # curvature right shift, sym slot to ext under the 2-form
-        if b:
-            rsign = -1 if (a + b - 1) % 2 else 1
-            for mu in range(1, n + 1):
-                next_, isign = merge_sign((mu,), ext)
-                if next_ is None:
-                    continue
-                for nu in range(1, n + 1):
-                    e = sym[nu - 1]
-                    if not e:
-                        continue
-                    two = curv[nu - 1][mu - 1]
-                    if not two:
-                        continue
-                    nsym = _sym_bump(sym, nu, -1)
-                    for dkey, rp in two.items():
-                        nk, msign = merge_sign(dkey, dxs)
-                        if nk is None:
-                            continue
-                        add_term(acc, (nk, nsym, next_),
-                             (f * rp).scale(rsign * e * msign * isign))
-    return SuperForm._raw(m, n, acc)
+        for exps in f.terms:
+            c = next(nums)
+            for key, v in monomial_column(conn, dxs, sym, ext, exps).items():
+                acc[key] = get(key, 0) + c * v
+    den *= conn.scale
+    terms = {}
+    for (dxs, sym, ext, exps), v in acc.items():
+        if v:
+            key = (dxs, sym, ext)
+            poly = terms.get(key)
+            if poly is None:
+                poly = terms[key] = {}
+            poly[exps] = Fraction(v, den)
+    return SuperForm._raw(m, n, {key: Poly._raw(m, t) for key, t in terms.items()})
 
 
 class SuperVectorFieldGen:
@@ -657,45 +742,40 @@ def super_d_by_fields(conn, omega, fields):
     return total
 
 
+def _shift_terms(terms, shifts, number_signed=False):
+    """A fiberwise shift, monomial by monomial, of a term map whose keys start
+    (dxs, sym, ext): the terms of a SuperForm, or the int vectors of
+    monomial_column.  number_signed multiplies the image of each term of form
+    degree p by (-1)^(p-1)."""
+    acc = {}
+    for key, f in terms.items():
+        dxs, sym, ext = key[:3]
+        tail = key[3:]
+        if number_signed and not (len(dxs) + sym.total) % 2:
+            f = -f
+        for nsym, next_, c in shifts(sym, ext):
+            add_term(acc, (dxs, nsym, next_) + tail, c * f)
+    return acc
+
+
+def _shift(omega, shifts, number_signed=False):
+    return SuperForm._raw(omega.dim_base, omega.dim_odd,
+                          _shift_terms(omega.terms, shifts, number_signed))
+
+
 def shift_left_plain(omega):
     """Fiberwise ds_mu multiplication tensor contraction, no crossing signs."""
-    acc = {}
-    for (dxs, sym, ext), f in omega.terms.items():
-        for mu in ext:
-            next_, csign = contract(ext, mu)
-            add_term(acc, (dxs, _sym_bump(sym, mu, 1), next_), f.scale(csign))
-    return SuperForm._raw(omega.dim_base, omega.dim_odd, acc)
+    return _shift(omega, _left_shifts)
 
 
 def shift_right_plain(omega):
     """Fiberwise sym contraction tensor ds_mu wedge, no crossing signs."""
-    acc = {}
-    for (dxs, sym, ext), f in omega.terms.items():
-        for mu in range(1, omega.dim_odd + 1):
-            e = sym[mu - 1]
-            if not e:
-                continue
-            next_, isign = merge_sign((mu,), ext)
-            if next_ is None:
-                continue
-            add_term(acc, (dxs, _sym_bump(sym, mu, -1), next_), f.scale(e * isign))
-    return SuperForm._raw(omega.dim_base, omega.dim_odd, acc)
+    return _shift(omega, _right_shifts)
 
 
 def shift_right_signed(omega):
     """(-1)^N right shift with the Koszul crossing signs, the T of the Delta lemma."""
-    acc = {}
-    for (dxs, sym, ext), f in omega.terms.items():
-        sgn = -1 if (len(dxs) + sym.total - 1) % 2 else 1
-        for mu in range(1, omega.dim_odd + 1):
-            e = sym[mu - 1]
-            if not e:
-                continue
-            next_, isign = merge_sign((mu,), ext)
-            if next_ is None:
-                continue
-            add_term(acc, (dxs, _sym_bump(sym, mu, -1), next_), f.scale(sgn * e * isign))
-    return SuperForm._raw(omega.dim_base, omega.dim_odd, acc)
+    return _shift(omega, _right_shifts, number_signed=True)
 
 
 def theta_apply(conn, omega):
@@ -762,14 +842,6 @@ def _sym_degrees(n, b):
     return list(iter_multidegrees(n, b))
 
 
-def _form_to_vec(omega):
-    vec = {}
-    for (dxs, sym, ext), p in omega.terms.items():
-        for exps, coef in p.terms.items():
-            vec[(dxs, tuple(sym), ext, tuple(exps))] = coef
-    return vec
-
-
 def delta_kernel_check(conn, total_degree_cut, poly_cut):
     """Assemble the Delta operator on each homogeneous component and check its kernel.
 
@@ -778,8 +850,23 @@ def delta_kernel_check(conn, total_degree_cut, poly_cut):
     anticommutator {d, (-1)^N id-right} acts as the scalar b + c (kernel
     exactly the pure (a, 0, 0) forms) and whether the printed difference
     against {id-left, id-right} vanishes identically.
+
+    Each basis monomial's image is composed on int vectors from the
+    monomial columns, D·Theta = (D·d)∘T + T∘(D·d), and compared with
+    D·(b + c) times the monomial and with D times the shift braces.  The
+    T-image of a basis monomial is a basis monomial of another component,
+    so a memo builds each column once.
     """
     m, n = conn.dim_base, conn.dim_odd
+    scale = conn.scale
+    memo = {}
+
+    def column(key):
+        col = memo.get(key)
+        if col is None:
+            col = memo[key] = monomial_column(conn, *key)
+        return col
+
     comps = []
     for a in range(min(m, total_degree_cut) + 1):
         for b in range(total_degree_cut - a + 1):
@@ -791,14 +878,21 @@ def delta_kernel_check(conn, total_degree_cut, poly_cut):
                 scalar = True
                 zero_printed = True
                 rows = []
-                for (dxs, sym, ext, exps) in basis:
-                    elem = SuperForm._raw(m, n, {(dxs, sym, ext): Poly.monomial(m, exps)})
-                    img = theta_apply(conn, elem)
-                    if img != _shift_braces(elem):
+                for key in basis:
+                    unit = {key: 1}
+                    img = _shift_terms(column(key), _right_shifts, True)
+                    for tkey, t in _shift_terms(unit, _right_shifts, True).items():
+                        for k2, v in column(tkey).items():
+                            add_term(img, k2, t * v)
+                    braces = _shift_terms(_shift_terms(unit, _right_shifts), _left_shifts)
+                    for k2, v in _shift_terms(_shift_terms(unit, _left_shifts),
+                                              _right_shifts).items():
+                        add_term(braces, k2, v)
+                    if img != {k2: scale * v for k2, v in braces.items()}:
                         zero_printed = False
-                    if img != elem.scale(lam):
+                    if img != ({key: scale * lam} if lam else {}):
                         scalar = False
-                    rows.append(_form_to_vec(img))
+                    rows.append(img)
                 rank = sparse_rank(rows)
                 dim = len(basis)
                 expected = dim if (b == 0 and c == 0) else 0
@@ -827,31 +921,59 @@ def _degree_basis(m, n, k, poly_cut):
     return out
 
 
+def _basis_count(m, n, k, poly_cut, cumulative=False):
+    """len(_degree_basis(m, n, k, poly_cut)) without building it; with
+    cumulative, the count of all total degrees 0..k together (a sum of
+    sym_dim(n, b) over b <= B is sym_dim(n + 1, B))."""
+    if k < 0:
+        return 0
+    sym_n = n + 1 if cumulative else n
+    return (sum(comb(m, a) * sym_dim(sym_n, k - a) for a in range(min(m, k) + 1))
+            * 2 ** n * comb(m + poly_cut, poly_cut))
+
+
+def _image_cutoff(conn, k, poly_cut):
+    """The slack-widened coefficient cutoff of the degree k - 1 forms whose
+    images cohomology_dims takes."""
+    slack = (k + conn.dim_odd + 1) * (1 + 2 * max(conn.max_degree(), 0)) + 1
+    return poly_cut + slack
+
+
+def assembled_count(conn, op, k, poly_cut):
+    """The number of basis monomials whose columns cohomology_dims (op
+    "cohomology") or delta_kernel_check (op "delta") builds for these
+    arguments, counted without building any."""
+    m, n = conn.dim_base, conn.dim_odd
+    if op == "delta":
+        return _basis_count(m, n, k, poly_cut, cumulative=True)
+    if op != "cohomology":
+        raise ValueError("op must be 'delta' or 'cohomology'")
+    count = _basis_count(m, n, k, poly_cut)
+    if k > 0:
+        count += _basis_count(m, n, k - 1, _image_cutoff(conn, k, poly_cut))
+    return count
+
+
 def cohomology_dims(conn, k, poly_cut):
     """dim H^k of super_d with polynomial coefficient cutoffs.
 
     Kernel is taken on total degree k with coefficients of degree <= poly_cut;
     the image is taken from degree k - 1 forms with a slack-widened cutoff so
     that every primitive that exists polynomially is in range.  The expected
-    answer is 1 for k = 0 and 0 for k >= 1.
+    answer is 1 for k = 0 and 0 for k >= 1.  Both ranks are taken on the
+    int monomial columns, which are D times those of super_d.
     """
     m, n = conn.dim_base, conn.dim_odd
     if k < 0:
         return 0
-    slack = (k + n + 1) * (1 + 2 * max(conn.max_degree(), 0)) + 1
     basis_k = _degree_basis(m, n, k, poly_cut)
-    rows = []
-    for (dxs, sym, ext, exps) in basis_k:
-        elem = SuperForm._raw(m, n, {(dxs, sym, ext): Poly.monomial(m, exps)})
-        rows.append(_form_to_vec(super_d(conn, elem)))
+    rows = [monomial_column(conn, *key) for key in basis_k]
     ker_dim = len(basis_k) - sparse_rank(rows)
     if k == 0:
         return ker_dim
     allowed = set(basis_k)
-    im_rows = []
-    for (dxs, sym, ext, exps) in _degree_basis(m, n, k - 1, poly_cut + slack):
-        elem = SuperForm._raw(m, n, {(dxs, sym, ext): Poly.monomial(m, exps)})
-        im_rows.append(_form_to_vec(super_d(conn, elem)))
+    im_rows = [monomial_column(conn, *key)
+               for key in _degree_basis(m, n, k - 1, _image_cutoff(conn, k, poly_cut))]
     im_rank = sparse_rank(im_rows)
     outside = [{kk: v for kk, v in row.items() if kk not in allowed} for row in im_rows]
     im_in_cut = im_rank - sparse_rank(outside)

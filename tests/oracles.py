@@ -5,7 +5,11 @@ going through the package's own data structures.  The boundary-operator
 and twisted-shift oracles are the exception: they compose the package's
 Sym ⊗ Λ elements, but add whole elements term by term instead of collecting
 into one dict, and sum each operator from its own definition rather than
-through the boundary map it equals.
+through the boundary map it equals.  The super de Rham oracles likewise work
+on the package's SuperForm and Poly elements: super_d_direct applies the
+super exterior derivative term by term in Poly arithmetic, and the
+cohomology and Delta oracles rank the images of one SuperForm per basis
+monomial in Fraction.
 """
 
 from fractions import Fraction
@@ -13,8 +17,17 @@ from itertools import combinations
 from operator import add
 
 from superalg.cartan import ext_contract, ext_wedge
-from superalg.lincomb import add_term, merge_sign
-from superalg.scalars import MultiDegree
+from superalg.lincomb import add_term, contract, merge_sign, replace
+from superalg.poly import Poly
+from superalg.scalars import MultiDegree, iter_multidegrees
+from superalg.sderham import (
+    DeltaComponentReport,
+    DeltaReport,
+    SuperForm,
+    shift_left_plain,
+    shift_right_plain,
+    shift_right_signed,
+)
 from superalg.supermaps import PolySuperFunc
 
 
@@ -317,3 +330,149 @@ def leibniz_solution_dim(n, mode):
             if drop:
                 rows.append({col(C, K): 1})
     return echelon_nullity(rows, m * m)
+
+
+def _bump_slot(sym, alpha, delta):
+    return MultiDegree(e + delta if t == alpha - 1 else e for t, e in enumerate(sym))
+
+
+def super_d_direct(conn, omega):
+    """The super exterior derivative applied term by term in Poly arithmetic.
+
+    Per term f dx_A ds^b ds_C the three pieces act as
+      dx_i ^ (coefficient derivative + dual connection action on sym and ext),
+      (-1)^(a+b) sym-shift of each ext slot with the alternating contraction sign,
+      (-1)^(a+b-1) curvature shift moving a sym slot into ext under R's 2-form.
+    """
+    if (conn.dim_base, conn.dim_odd) != (omega.dim_base, omega.dim_odd):
+        raise ValueError("connection and form dimensions differ")
+    m, n = omega.dim_base, omega.dim_odd
+    curv = conn.curvature
+    acc = {}
+    for (dxs, sym, ext), f in omega.terms.items():
+        a = len(dxs)
+        b = sym.total
+        # twisted exterior derivative
+        for i in range(1, m + 1):
+            nk, msign = merge_sign((i,), dxs)
+            if nk is None:
+                continue
+            dp = f.partial(i)
+            if not dp.is_zero():
+                add_term(acc, (nk, sym, ext), dp.scale(msign))
+            for al in range(1, n + 1):
+                e = sym[al - 1]
+                if not e:
+                    continue
+                for be in range(1, n + 1):
+                    c = conn.entry(al, be, i)
+                    if c.is_zero():
+                        continue
+                    nsym = _bump_slot(_bump_slot(sym, al, -1), be, 1)
+                    add_term(acc, (nk, nsym, ext), (f * c).scale(-e * msign))
+            for g in ext:
+                for be in range(1, n + 1):
+                    c = conn.entry(g, be, i)
+                    if c.is_zero():
+                        continue
+                    next_, ssign = replace(ext, g, be)
+                    if next_ is None:
+                        continue
+                    add_term(acc, (nk, sym, next_), (f * c).scale(-ssign * msign))
+        # identity left shift, ext slot to sym
+        nsign = -1 if (a + b) % 2 else 1
+        for mu in ext:
+            next_, csign = contract(ext, mu)
+            add_term(acc, (dxs, _bump_slot(sym, mu, 1), next_), f.scale(nsign * csign))
+        # curvature right shift, sym slot to ext under the 2-form
+        if b:
+            rsign = -1 if (a + b - 1) % 2 else 1
+            for mu in range(1, n + 1):
+                next_, isign = merge_sign((mu,), ext)
+                if next_ is None:
+                    continue
+                for nu in range(1, n + 1):
+                    e = sym[nu - 1]
+                    if not e:
+                        continue
+                    two = curv[nu - 1][mu - 1]
+                    if not two:
+                        continue
+                    nsym = _bump_slot(sym, nu, -1)
+                    for dkey, rp in two.items():
+                        nk, msign = merge_sign(dkey, dxs)
+                        if nk is None:
+                            continue
+                        add_term(acc, (nk, nsym, next_),
+                                 (f * rp).scale(rsign * e * msign * isign))
+    return SuperForm(m, n, acc)
+
+
+def form_vector(omega):
+    """{(dxs, sym, ext, exps): Fraction} of a superform."""
+    return {(dxs, sym, ext, exps): c for (dxs, sym, ext), p in omega.terms.items()
+            for exps, c in p.terms.items()}
+
+
+def _basis_forms(m, n, dx_degrees, sym_degree_of, poly_cut, ext_sizes):
+    out = []
+    for a in dx_degrees:
+        for dxs in combinations(range(1, m + 1), a):
+            for sym in iter_multidegrees(n, sym_degree_of(a)):
+                for c in ext_sizes:
+                    for ext in combinations(range(1, n + 1), c):
+                        for tot in range(poly_cut + 1):
+                            for exps in iter_multidegrees(m, tot):
+                                out.append(SuperForm.monomial(m, n, dxs, sym, ext).mul_poly(
+                                    Poly.monomial(m, exps)))
+    return out
+
+
+def _degree_forms(m, n, k, poly_cut):
+    return _basis_forms(m, n, range(min(m, k) + 1), lambda a: k - a, poly_cut, range(n + 1))
+
+
+def cohomology_dims_direct(conn, k, poly_cut):
+    """cohomology_dims by ranking super_d_direct of one SuperForm per basis
+    monomial in Fraction, with the same slack-widened image cutoff."""
+    m, n = conn.dim_base, conn.dim_odd
+    if k < 0:
+        return 0
+    basis_k = _degree_forms(m, n, k, poly_cut)
+    ker_dim = len(basis_k) - fraction_sparse_rank(
+        form_vector(super_d_direct(conn, w)) for w in basis_k)
+    if k == 0:
+        return ker_dim
+    allowed = set().union(*(form_vector(w) for w in basis_k))
+    slack = (k + n + 1) * (1 + 2 * max(conn.max_degree(), 0)) + 1
+    images = [form_vector(super_d_direct(conn, w))
+              for w in _degree_forms(m, n, k - 1, poly_cut + slack)]
+    outside = [{key: v for key, v in row.items() if key not in allowed} for row in images]
+    return ker_dim - (fraction_sparse_rank(images) - fraction_sparse_rank(outside))
+
+
+def delta_kernel_check_direct(conn, total_degree_cut, poly_cut):
+    """delta_kernel_check on SuperForms: Theta = super_d_direct T + T super_d_direct
+    per basis monomial, compared as elements, ranked in Fraction."""
+    m, n = conn.dim_base, conn.dim_odd
+    comps = []
+    for a in range(min(m, total_degree_cut) + 1):
+        for b in range(total_degree_cut - a + 1):
+            for c in range(n + 1):
+                basis = _basis_forms(m, n, (a,), lambda _a: b, poly_cut, (c,))
+                if not basis:
+                    continue
+                lam = b + c
+                images = [super_d_direct(conn, shift_right_signed(w))
+                          + shift_right_signed(super_d_direct(conn, w)) for w in basis]
+                braces = [shift_left_plain(shift_right_plain(w))
+                          + shift_right_plain(shift_left_plain(w)) for w in basis]
+                scalar = all(img == w.scale(lam) for img, w in zip(images, basis))
+                dim = len(basis)
+                comps.append(DeltaComponentReport(
+                    a=a, b=b, c=c, dim=dim, theta_scalar=scalar,
+                    eigenvalue=lam if scalar else None,
+                    kernel_dim=dim - fraction_sparse_rank(form_vector(i) for i in images),
+                    expected_kernel_dim=dim if (b == 0 and c == 0) else 0,
+                    printed_delta_zero=all(i == br for i, br in zip(images, braces))))
+    return DeltaReport(comps)

@@ -9,13 +9,23 @@ import sys
 import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
-from math import comb
+from itertools import product
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from superalg.cli import FUZZ_CHECKS, HOMOLOGY_MAX_DIM, ROUNDS, fnv1a64, main, sub_seed
+from superalg import cartan
+from superalg.cartan import homology_table_size
+from superalg.cli import (
+    FUZZ_CHECKS,
+    HOMOLOGY_MAX_DIM,
+    ROUNDS,
+    SDERHAM_MAX_DIM,
+    fnv1a64,
+    main,
+    sub_seed,
+)
 
 
 def run_cli(capsys, argv):
@@ -62,22 +72,55 @@ def test_cp_homology_flag_and_positional_agree(capsys, tmp_path):
     assert code == 2 and "malformed" in err
 
 
-# the table of a 4x1 F with lmax 4 spans (kmax + 1) * 16 basis elements, so
-# kmax 624 sits at the limit; a 2x2 identity with kmax 400 spans 322404
+HALF_5X5 = [["1/2", "-1", "0", "3/2", "1"], ["2", "1/2", "-1/2", "0", "1"],
+            ["0", "1", "1/2", "-1", "2"], ["-3/2", "0", "1", "1/2", "0"],
+            ["1", "-1/2", "0", "2", "1/2"]]
+HALF_9X9 = [[str((3 * i + 5 * j) % 7 - 3) + "/2" for j in range(9)] for i in range(9)]
+
+
+# cartan.homology_table_size counts the table, the sources (kmax + 1, l) of
+# the maps out of degree kmax + 1 and the targets (k, lmax + 1) of the maps
+# into it: for a 4x1 F with lmax 4 that is (kmax + 1) * 16 + 15, for a 5x1 F
+# (kmax + 1) * 31 + kmax + 26, for a 1x2 F with lmax 0 (kmax + 1)**2, so kmax
+# 120 sits at the limit; a 2x2 identity with kmax 400 spans 322,404
 @pytest.mark.parametrize("F, kmax, lmax, code", [
     ([["1"], ["0"], ["1"], ["2"]], 623, 4, 0),
     ([["1"], ["0"], ["1"], ["2"]], 624, 4, 0),
-    ([["1"], ["0"], ["1"], ["2"]], 625, 4, 3),
+    ([["1"], ["0"], ["1"], ["2"], ["1"]], 625, 4, 3),
     ([["1", "0"], ["0", "1"]], 400, 2, 3),
+    ([["1", "2"]], 119, 0, 0),
+    ([["1", "2"]], 120, 0, 0),
+    ([["1", "2"]], 121, 0, 3),
+    (HALF_5X5, 5, 5, 0),
+    (HALF_9X9, 2, 3, 3),
 ])
 def test_cp_homology_size_limit(capsys, tmp_path, F, kmax, lmax, code):
-    assert comb(10, 5) * 2 ** 5 < HOMOLOGY_MAX_DIM == 10000  # 5x5 F, k, l <= 5
+    # the 5x5 table with k, l <= 5 runs; the 9x9 one with k <= 2, l <= 3,
+    # which took about 2 minutes, is refused
+    assert homology_table_size(5, 5, 5, 5) == 14574 < HOMOLOGY_MAX_DIM == 14641
+    assert homology_table_size(9, 9, 2, 3) == 16000
     p = write(tmp_path, "m.json", F)
     start = time.perf_counter()
     got, _, err = run_cli(capsys, ["cp-homology", p, "--kmax", str(kmax),
                                    "--lmax", str(lmax), "--quiet"])
-    assert got == code and ("limit of 10000" in err) == (code == 3)
+    assert got == code and ("limit of 14641" in err) == (code == 3)
     assert code == 0 or time.perf_counter() - start < 0.5
+
+
+def test_homology_table_size_counts_every_block_read(monkeypatch):
+    # the union of the bidegrees of the table and of every block it ranks
+    real = cartan.boundary_block
+    for m, n, kmax, lmax in product(range(1, 4), range(1, 4), range(4), range(5)):
+        seen = set(product(range(kmax + 1), range(lmax + 1)))
+
+        def record(F, n_, m_, k, l, direction):
+            seen.update({(k, l), (k - 1, l + 1)})
+            return real(F, n_, m_, k, l, direction)
+
+        monkeypatch.setattr(cartan, "boundary_block", record)
+        cartan.homology_dims([[1] * n for _ in range(m)], kmax, lmax)
+        want = sum(cartan._dim_A(n, m, k, l) for k, l in seen)
+        assert homology_table_size(m, n, kmax, lmax) == want, (m, n, kmax, lmax)
 
 
 def test_cp_homology_rejects_ragged_matrix(capsys, tmp_path):
@@ -364,6 +407,33 @@ def test_sderham_delta_and_cohomology(capsys, tmp_path):
                                     "--op", "cohomology", "--k", "1",
                                     "--cutoff", "1"])
     assert code == 0 and json.loads(out)["dim"] == 0
+
+
+FLAT_1_1 = {"dim_base": 1, "dim_odd": 1, "entries": [[[[]]]]}
+FLAT_3_3 = {"dim_base": 3, "dim_odd": 3, "entries": [[[[]] * 3] * 3] * 3}
+
+
+# on a 1|1 connection --op delta assembles 2 (2k + 1)(cutoff + 1) monomials
+# and --op cohomology at k = 0 2 (cutoff + 1), so delta at k = 12, cutoff 99
+# and cohomology at cutoff 2499 sit at the limit; 3|3 at k = 3, cutoff 1
+# assembles 375,616
+@pytest.mark.parametrize("conn, op, k, cutoff, code", [
+    (FLAT_1_1, "delta", 12, 98, 0),
+    (FLAT_1_1, "delta", 12, 99, 0),
+    (FLAT_1_1, "delta", 12, 100, 3),
+    (FLAT_1_1, "cohomology", 0, 2499, 0),
+    (FLAT_1_1, "cohomology", 0, 2500, 3),
+    (FLAT_3_3, "cohomology", 3, 1, 3),
+    (FLAT_3_3, "delta", 10 ** 9, 10 ** 9, 3),
+])
+def test_sderham_size_limit(capsys, tmp_path, conn, op, k, cutoff, code):
+    assert SDERHAM_MAX_DIM == 5000
+    p = write(tmp_path, "c.json", conn)
+    start = time.perf_counter()
+    got, _, err = run_cli(capsys, ["sderham", "--conn", p, "--op", op, "--k", str(k),
+                                   "--cutoff", str(cutoff), "--quiet"])
+    assert got == code and ("limit of 5000" in err) == (code == 3)
+    assert code == 0 or time.perf_counter() - start < 0.5
 
 
 def test_fuzz_all_small_passes(capsys):

@@ -8,10 +8,12 @@ the operator route (super_d then evaluate) and the Koszul double-sum route
 import json
 from fractions import Fraction
 from itertools import combinations, product
+from math import lcm
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from oracles import cohomology_dims_direct, delta_kernel_check_direct, form_vector, super_d_direct
 from superalg import sderham
 from superalg.cartan import twisted_shift_left, twisted_shift_right
 from superalg.poly import Poly
@@ -20,6 +22,7 @@ from superalg.sderham import (
     OddConnection,
     SuperForm,
     SuperVectorFieldGen,
+    assembled_count,
     base_d,
     base_wedge,
     bracket_fields,
@@ -30,6 +33,7 @@ from superalg.sderham import (
     delta_printed_apply,
     evaluate,
     field_apply,
+    monomial_column,
     shift_left_plain,
     shift_right_plain,
     super_d,
@@ -134,6 +138,28 @@ def homog_forms(draw, m, n, deg, max_terms=2, max_poly_deg=1):
         if (dxs, sym, ext) not in terms:
             terms[(dxs, sym, ext)] = p
     return SuperForm(m, n, terms)
+
+
+def fraction_polys(m, max_deg=2, max_terms=3, min_terms=0):
+    exps = st.tuples(*[st.integers(0, max_deg) for _ in range(m)])
+    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+    return st.dictionaries(exps, coeffs, min_size=min_terms, max_size=max_terms).map(
+        lambda d: Poly(m, d))
+
+
+@st.composite
+def fraction_cases(draw, max_dim=3, max_sym=2):
+    """(connection, superform) on m|n <= 3|3: one to four connection entries
+    of degree <= 2 with fraction coefficients, the others zero, and a form
+    whose terms mix form degrees and parities."""
+    m, n = draw(st.integers(1, max_dim)), draw(st.integers(1, max_dim))
+    entries = draw(st.dictionaries(
+        st.tuples(st.integers(1, n), st.integers(1, n), st.integers(1, m)),
+        fraction_polys(m, min_terms=1), min_size=1, max_size=4))
+    sym = st.tuples(*[st.integers(0, max_sym) for _ in range(n)]).map(MultiDegree)
+    keys = st.tuples(index_subsets(m), sym, index_subsets(n))
+    terms = draw(st.dictionaries(keys, fraction_polys(m, min_terms=1), min_size=1, max_size=4))
+    return conn_from(m, n, entries), SuperForm(m, n, terms)
 
 
 def bare_fields(m, n, count):
@@ -416,6 +442,47 @@ def test_super_d_bidegrees_curved(conn, w):
     (a, b), = w.bidegrees()
     out = super_d(conn, w)
     assert set(out.bidegrees()) <= {(a + 1, b), (a, b + 1), (a + 2, b - 1)}
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.large_base_example, HealthCheck.too_slow])
+@given(fraction_cases())
+def test_super_d_is_the_direct_operator(case):
+    conn, w = case
+    assert super_d(conn, w) == super_d_direct(conn, w)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.large_base_example, HealthCheck.too_slow])
+@given(fraction_cases(), st.data())
+def test_monomial_column_is_the_scaled_operator(case, data):
+    conn, _ = case
+    m, n = conn.dim_base, conn.dim_odd
+    dens = [c.denominator for row in conn.comps for cell in row for p in cell
+            for c in p.terms.values()]
+    dens += [c.denominator for row in conn.curvature for two in row for p in two.values()
+             for c in p.terms.values()]
+    assert conn.scale == lcm(*dens)
+    dxs = data.draw(index_subsets(m))
+    sym = MultiDegree(data.draw(st.tuples(*[st.integers(0, 2) for _ in range(n)])))
+    ext = data.draw(index_subsets(n))
+    exps = MultiDegree(data.draw(st.tuples(*[st.integers(0, 2) for _ in range(m)])))
+    col = monomial_column(conn, dxs, sym, ext, exps)
+    w = mono(m, n, dxs, sym, ext).mul_poly(Poly.monomial(m, exps))
+    assert col == {k: conn.scale * v for k, v in form_vector(super_d_direct(conn, w)).items()}
+    assert all(type(v) is int and v for v in col.values())
+
+
+def test_connection_scale_is_the_lcm_of_the_denominators():
+    assert OddConnection.zero(2, 2).scale == 1
+    # A = x2/2 dx1 in entry (1, 1) and 1/3 dx2 in (2, 1): R_11 = -1/2 dx1 dx2
+    # and R_21 = x2/6 dx1 dx2, so D = lcm(2, 3, 2, 6) = 6
+    conn = conn_from(2, 2, {(1, 1, 1): Poly(2, {(0, 1): Fraction(1, 2)}),
+                            (2, 1, 2): Fraction(1, 3)})
+    assert conn.scale == 6
+    assert conn.a_ints[0][0] == ((1, (((0, 1), 3),)),)
+    assert conn.a_ints[1][1] == ((1, (((0, 0), 2),)),)
+    assert dict(conn.r_ints[0][0]) == {IndexSet((1, 2)): (((0, 0), -3),)}
 
 
 def test_super_d_curved_witness_moves_two_dx():
@@ -767,6 +834,46 @@ def test_h2_flat():
 
 def test_negative_degree_is_zero():
     assert cohomology_dims(OddConnection.zero(1, 1), -1, 2) == 0
+
+
+@st.composite
+def curved_connections(draw):
+    """Connections on m|n <= 2|2 with fraction entries of degree <= 1 and at
+    least one entry, so most of them are curved."""
+    m, n = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    entries = draw(st.dictionaries(
+        st.tuples(st.integers(1, n), st.integers(1, n), st.integers(1, m)),
+        fraction_polys(m, max_deg=1, max_terms=2), min_size=1, max_size=3))
+    return conn_from(m, n, entries)
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.large_base_example, HealthCheck.too_slow])
+@given(curved_connections(), st.integers(0, 2), st.integers(0, 1))
+def test_cohomology_and_delta_match_the_element_route(conn, k, cut):
+    assert cohomology_dims(conn, k, cut) == cohomology_dims_direct(conn, k, cut)
+    assert delta_kernel_check(conn, k, cut).as_dict() == \
+        delta_kernel_check_direct(conn, k, cut).as_dict()
+
+
+@pytest.mark.parametrize("op", ["cohomology", "delta"])
+def test_assembled_count_is_the_columns_built(monkeypatch, op):
+    built = []
+
+    def counted(conn, *key):
+        built.append(key)
+        return column(conn, *key)
+
+    column = sderham.monomial_column
+    monkeypatch.setattr(sderham, "monomial_column", counted)
+    run = cohomology_dims if op == "cohomology" else delta_kernel_check
+    for conn in (OddConnection.zero(1, 2), abelian_conn(), matrix_conn()):
+        for k, cut in product(range(3), range(2)):
+            built.clear()
+            run(conn, k, cut)
+            assert len(set(built)) == len(built) == assembled_count(conn, op, k, cut)
+    with pytest.raises(ValueError):
+        assembled_count(matrix_conn(), "d", 1, 1)
 
 
 # ---------------------------------------------------------------- plumbing
