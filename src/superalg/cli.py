@@ -136,6 +136,13 @@ HOMOLOGY_MAX_DIM = 14641
 # 8,504 and takes 42 s; a 3|2 connection with two degree-1 entries, k = 2
 # and cutoff 2 spans 27,080 and takes 1.8 s.
 SDERHAM_MAX_DIM = 5000
+# supermap-check's order bound images 2**(p // 2 + 1) products of a random
+# argument spanning 2**q exterior monomials into an algebra spanning 2**p, for
+# source odd rank p and target odd rank q, so it refuses a larger p + q.
+# Criterion-9 shaped maps 1|p -> 2|q (2-CPU host, --budget small): p + q = 10
+# takes 0.1-2.1 s (6|4 the slowest, 4.2 s at --budget medium), p + q = 11
+# takes 0.4-5.3 s (8|3 and 6|5 the slowest), and 9|4 takes 25 s.
+SUPERMAP_MAX_ODD = 10
 
 
 def fnv1a64(name):
@@ -444,6 +451,10 @@ def _cmd_supermap_check(args):
                                     "source_nvars", "source_odd", "map")
         phi = SuperMapData.from_json(decode.integer(sn, "source_nvars"),
                                      decode.integer(so, "source_odd"), phi)
+    odd = phi.source_odd + phi.target_odd
+    if odd > SUPERMAP_MAX_ODD:
+        raise PreconditionError("source_odd plus the number of odd_images is %d, above the "
+                                "limit of %d" % (odd, SUPERMAP_MAX_ODD))
     trials = ROUNDS[args.budget]
     ob_seed = sub_seed(args.seed, "supermap-order-bound")
     ob = order_bound_check(phi, trials=trials, seed=ob_seed)

@@ -173,19 +173,38 @@ def cleared_terms(terms):
     return d, dict(zip(terms, ints))
 
 
+def _by_ext_key(terms):
+    # {IndexSet: [(MultiDegree, c), ...]}, the terms grouped by exterior key
+    groups = {}
+    for (e, k), c in terms.items():
+        groups.setdefault(k, []).append((e, c))
+    return groups
+
+
 def sym_ext_ints(ta, tb):
     """Product in Sym ⊗ Λ of two term maps on (MultiDegree, IndexSet) keys
     with int coefficients: exponent vectors add and the exterior monomials
-    wedge with their sign.  No zero coefficient is kept."""
+    wedge with their sign.  No zero coefficient is kept.  On the int parts
+    of two cleared pairs (da, ta) and (db, tb), such as sym_ext_terms and
+    the supermaps routes build, the product is the pair (da * db, result).
+
+    Each operand's terms are grouped by exterior key, so merge_sign runs once
+    per pair of keys, and the polynomial parts of two groups then multiply
+    with the sign folded into the left coefficient."""
     out = {}
     get = out.get
-    for (e1, k1), c1 in ta.items():
-        for (e2, k2), c2 in tb.items():
+    gb = _by_ext_key(tb).items()
+    for k1, g1 in _by_ext_key(ta).items():
+        for k2, g2 in gb:
             key, sign = merge_sign(k1, k2)
             if key is None:
                 continue
-            key = (_new(MultiDegree, map(add, e1, e2)), key)
-            out[key] = get(key, 0) + (c1 * c2 if sign > 0 else -(c1 * c2))
+            for e1, c1 in g1:
+                if sign < 0:
+                    c1 = -c1
+                for e2, c2 in g2:
+                    k = (_new(MultiDegree, map(add, e1, e2)), key)
+                    out[k] = get(k, 0) + c1 * c2
     return {k: v for k, v in out.items() if v}
 
 

@@ -7,7 +7,7 @@ exact rational arithmetic and zero-tolerance equality.  Basis indices are
 
 from enum import IntEnum
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 from math import comb, lcm
 import re
 
@@ -119,16 +119,27 @@ def iter_multidegrees(nvars, total):
     """All exponent vectors of length nvars summing to total, in decreasing
     lex order.
 
-    Sorted index tuples in increasing lex order count up to exactly that
-    sequence of exponent vectors, and each vector is built once, already
-    valid."""
-    if total < 0:
+    An odometer walks the sequence from (total, 0, ..., 0): each step moves
+    one unit from the rightmost nonzero slot i before the last to slot i + 1,
+    which also takes over the last slot's value.  Each vector is built once,
+    already valid."""
+    if total < 0 or nvars == 0:
+        if total == 0:
+            yield MultiDegree()
         return
-    for combo in combinations_with_replacement(range(nvars), total):
-        exps = [0] * nvars
-        for i in combo:
-            exps[i] += 1
+    last = nvars - 1
+    exps = [total] + [0] * last
+    while True:
         yield tuple.__new__(MultiDegree, exps)
+        i = last - 1
+        while i >= 0 and not exps[i]:
+            i -= 1
+        if i < 0:
+            return
+        exps[i] -= 1
+        tail = exps[last]
+        exps[last] = 0
+        exps[i + 1] = tail + 1
 
 
 def sym_dim(nvars, degree):

@@ -8,6 +8,14 @@ generators (odd superfunctions); it extends uniquely as a unital
 algebra map.  Substituting nilpotents for coordinates makes every such
 morphism a differential operator along its base map, of order bounded
 by half the odd rank of the output algebra.
+
+The substitution and the commutator checks run on cleared pairs
+(d, {(MultiDegree, IndexSet): int}), the rational term map divided by d:
+_image_ints is the one substitution sum, products go through
+lincomb.sym_ext_ints, and differences are taken over the lcm of the two
+denominators.  Every pair is kept in lowest terms, so two pairs are equal
+exactly when the superfunctions they stand for are.  Fractions are built
+only where a PolySuperFunc is returned.
 """
 
 from fractions import Fraction
@@ -227,17 +235,10 @@ class SuperMapData:
                 j = max(i for i, e in enumerate(exps) if e)
                 chain.append((mono, self.coord_images[j]))
                 mono = (exps[:j] + (exps[j] - 1,) + exps[j + 1:], key)
-        d, img = table[mono]
+        pair = table[mono]
         for mono, factor in reversed(chain):
-            fd, fints = cleared_terms(factor.terms)
-            img = sym_ext_ints(img, fints)
-            d *= fd
-            g = gcd(d, *img.values())
-            if g > 1:
-                d //= g
-                img = {k: v // g for k, v in img.items()}
-            table[mono] = d, img
-        return d, img
+            pair = table[mono] = _product(pair, cleared_terms(factor.terms))
+        return pair
 
     @property
     def target_nvars(self):
@@ -273,28 +274,73 @@ class SuperMapData:
             self.source_nvars, self.source_odd, self.target_nvars, self.target_odd)
 
 
+def _lowest(d, ints):
+    """A cleared pair (d, {key: int}) in lowest terms, zeros dropped."""
+    ints = {k: v for k, v in ints.items() if v}
+    g = gcd(d, *ints.values())
+    if g > 1:
+        d //= g
+        ints = {k: v // g for k, v in ints.items()}
+    return d, ints
+
+
+def _product(a, b):
+    """Product of two cleared pairs, in lowest terms."""
+    return _lowest(a[0] * b[0], sym_ext_ints(a[1], b[1]))
+
+
+def _difference(a, b):
+    """a - b for two cleared pairs, taken over the lcm of their denominators."""
+    (da, ta), (db, tb) = a, b
+    d = lcm(da, db)
+    ma, mb = d // da, d // db
+    out = {k: ma * v for k, v in ta.items()}
+    get = out.get
+    for k, v in tb.items():
+        out[k] = get(k, 0) - mb * v
+    return _lowest(d, out)
+
+
+def _image_ints(phi, d, ints):
+    """Image of the target superfunction ints / d as a cleared pair on the
+    source algebra, in lowest terms.
+
+    The morphism is linear, so the image is the coefficient-weighted sum of
+    the memoized monomial images, taken on ints over the lcm of their
+    denominators and reduced once at the end."""
+    table = phi._mono_images
+    images = [(c, table.get(mono) or phi._monomial_image(*mono)) for mono, c in ints.items()]
+    den = lcm(*(e for _, (e, _) in images))
+    out = {}
+    get = out.get
+    for c, (e, img) in images:
+        m = c * (den // e)
+        for k, v in img.items():
+            out[k] = get(k, 0) + m * v
+    return _lowest(den * d, out)
+
+
+def _source_element(phi, pair):
+    d, ints = pair
+    return PolySuperFunc._raw(phi.source_nvars, phi.source_odd,
+                              {k: Fraction(v, d) for k, v in ints.items()})
+
+
+def _check_target(phi, f):
+    if f.nvars != phi.target_nvars or f.odd_dim != phi.target_odd:
+        raise ValueError("superfunction does not live on the target algebra")
+
+
 def apply_map(phi, f):
     """Push a target superfunction through the morphism.
 
     Unital multiplicative substitution; nilpotency of the odd images
-    truncates everything after finitely many terms.  The map is linear,
-    so the result is the coefficient-weighted sum of the memoized
-    monomial images, collected in a fresh element.  The sum runs on ints
-    over the lcm of the denominators of the weighted images, and each
-    output coefficient is divided by it once.
+    truncates everything after finitely many terms.  The input is cleared
+    to ints over one denominator, _image_ints sums its monomial images on
+    ints, and one Fraction is built per surviving key of the result.
     """
-    if f.nvars != phi.target_nvars or f.odd_dim != phi.target_odd:
-        raise ValueError("superfunction does not live on the target algebra")
-    images = [(c, phi._monomial_image(exps, key)) for (exps, key), c in f.terms.items()]
-    den = lcm(*(c.denominator * d for c, (d, _) in images))
-    out = {}
-    get = out.get
-    for c, (d, img) in images:
-        m = c.numerator * (den // (c.denominator * d))
-        for k, v in img.items():
-            out[k] = get(k, 0) + m * v
-    return PolySuperFunc._raw(phi.source_nvars, phi.source_odd,
-                              {k: Fraction(v, den) for k, v in out.items() if v})
+    _check_target(phi, f)
+    return _source_element(phi, _image_ints(phi, *cleared_terms(f.terms)))
 
 
 def pull_function(phi, f):
@@ -307,28 +353,43 @@ def pull_function(phi, f):
     return f.compose(list(phi.base_map()))
 
 
-def commutator_defect(phi, f):
-    """Image of a base function minus its pullback; no degree-0 part."""
-    img = apply_map(phi, PolySuperFunc.from_poly(f, phi.target_odd))
-    return img - PolySuperFunc.from_poly(pull_function(phi, f), phi.source_odd)
+def _base_factor(phi, f):
+    """A base function f as the cleared pairs (f on the target algebra,
+    f composed with the base map on the source algebra)."""
+    empty = IndexSet()
+    return tuple(cleared_terms({(e, empty): c for e, c in g.terms.items()})
+                 for g in (f, pull_function(phi, f)))
 
 
-def twisted_commutator(phi, f, eta):
-    """Value of the commutator with multiplication by a base function."""
-    lifted = PolySuperFunc.from_poly(f, phi.target_odd)
-    pulled = PolySuperFunc.from_poly(pull_function(phi, f), phi.source_odd)
-    return apply_map(phi, lifted * eta) - pulled * apply_map(phi, eta)
+def _nested_ints(phi, factors, eta):
+    """Nested twisted commutators on cleared pairs: factors[-1] outermost,
+    each a _base_factor pair (lifted, pulled), applied to the target pair eta.
+
+    [f, -](eta) = phi(f eta) - (f o phi_0) phi(eta), so the recursion images
+    the products f_S eta over the subsets S of the factors."""
+    if not factors:
+        return _image_ints(phi, *eta)
+    lifted, pulled = factors[-1]
+    rest = factors[:-1]
+    return _difference(_nested_ints(phi, rest, _product(lifted, eta)),
+                       _product(pulled, _nested_ints(phi, rest, eta)))
 
 
 def iterated_twisted_commutator(phi, fs, eta):
     """Nested twisted commutators, fs[0] innermost, applied to eta."""
-    if not fs:
-        return apply_map(phi, eta)
-    last = fs[-1]
-    lifted = PolySuperFunc.from_poly(last, phi.target_odd)
-    pulled = PolySuperFunc.from_poly(pull_function(phi, last), phi.source_odd)
-    return (iterated_twisted_commutator(phi, fs[:-1], lifted * eta)
-            - pulled * iterated_twisted_commutator(phi, fs[:-1], eta))
+    _check_target(phi, eta)
+    factors = [_base_factor(phi, f) for f in fs]
+    return _source_element(phi, _nested_ints(phi, factors, cleared_terms(eta.terms)))
+
+
+def twisted_commutator(phi, f, eta):
+    """Value of the commutator with multiplication by a base function."""
+    return iterated_twisted_commutator(phi, [f], eta)
+
+
+def commutator_defect(phi, f):
+    """Image of a base function minus its pullback; no degree-0 part."""
+    return twisted_commutator(phi, f, PolySuperFunc.unit(phi.target_nvars, phi.target_odd))
 
 
 def _random_poly(rng, nvars, max_degree=2):
@@ -351,13 +412,17 @@ def _all_exponents(nvars, max_degree):
 
 
 def _random_superfunc(rng, nvars, odd_dim, max_degree=1):
-    f = PolySuperFunc.zero(nvars, odd_dim)
+    # one _random_poly coefficient per exterior monomial, drawn in the same order
+    exps = [MultiDegree(e) for e in _all_exponents(nvars, max_degree)]
+    terms = {}
     for r in range(odd_dim + 1):
         for key in combinations(range(1, odd_dim + 1), r):
-            coeff = _random_poly(rng, nvars, max_degree)
-            mono = PolySuperFunc.monomial(nvars, odd_dim, (0,) * nvars, key)
-            f = f + PolySuperFunc.from_poly(coeff, odd_dim) * mono
-    return f
+            key = IndexSet(key)
+            for e in exps:
+                c = rng.randint(-3, 3)
+                if c:
+                    terms[(e, key)] = Fraction(c)
+    return PolySuperFunc._raw(nvars, odd_dim, terms)
 
 
 class OrderBoundReport:
@@ -379,21 +444,27 @@ def order_bound_check(phi, trials=6, seed=0):
     the exterior algebra on the p odd generators of the output side.
     Both routes are taken: the nested definition on a random argument
     and the product of defects times the morphism.
+
+    Both run on cleared pairs (d, {key: int}) in lowest terms, which are
+    equal exactly when the rationals they stand for are, and each random
+    base function is lifted and pulled back once per trial.
     """
     depth = phi.source_odd // 2 + 1
     rng = random.Random(seed)
     n, q = phi.target_nvars, phi.target_odd
+    unit = cleared_terms(PolySuperFunc.unit(n, q).terms)
+    source_unit = cleared_terms(PolySuperFunc.unit(phi.source_nvars, phi.source_odd).terms)
     failures = []
     for t in range(trials):
-        fs = [_random_poly(rng, n) for _ in range(depth)]
-        prod = PolySuperFunc.unit(phi.source_nvars, phi.source_odd)
-        for f in fs:
-            prod = prod * commutator_defect(phi, f)
-        eta = _random_superfunc(rng, n, q)
-        nested = iterated_twisted_commutator(phi, fs, eta)
-        if nested != prod * apply_map(phi, eta):
+        factors = [_base_factor(phi, _random_poly(rng, n)) for _ in range(depth)]
+        prod = source_unit
+        for factor in factors:
+            prod = _product(prod, _nested_ints(phi, [factor], unit))
+        eta = cleared_terms(_random_superfunc(rng, n, q).terms)
+        nested = _nested_ints(phi, factors, eta)
+        if nested != _product(prod, _image_ints(phi, *eta)):
             failures.append(("route-mismatch", t))
-        if not prod.is_zero() or not nested.is_zero():
+        if prod[1] or nested[1]:
             failures.append(("nonvanishing", t))
     return OrderBoundReport(depth, trials, failures)
 

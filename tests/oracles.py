@@ -9,12 +9,14 @@ through the boundary map it equals.  The super de Rham oracles likewise work
 on the package's SuperForm and Poly elements: super_d_direct applies the
 super exterior derivative term by term in Poly arithmetic, and the
 cohomology and Delta oracles rank the images of one SuperForm per basis
-monomial in Fraction.
+monomial in Fraction, and the supermap commutator oracles multiply whole
+PolySuperFunc elements through apply_map.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from operator import add
+import random
 
 from superalg.cartan import ext_contract, ext_wedge
 from superalg.lincomb import add_term, contract, merge_sign, replace
@@ -28,7 +30,14 @@ from superalg.sderham import (
     shift_right_plain,
     shift_right_signed,
 )
-from superalg.supermaps import PolySuperFunc
+from superalg.supermaps import (
+    OrderBoundReport,
+    PolySuperFunc,
+    _random_poly,
+    _random_superfunc,
+    apply_map,
+    pull_function,
+)
 
 
 def fraction_sparse_rank(rows):
@@ -228,6 +237,18 @@ def recursive_multidegrees(nvars, total):
             yield MultiDegree((first,) + tuple(rest))
 
 
+def combination_multidegrees(nvars, total):
+    """All exponent vectors of length nvars summing to total, in decreasing
+    lex order, counted up from sorted index tuples in increasing lex order."""
+    if total < 0:
+        return
+    for combo in combinations_with_replacement(range(nvars), total):
+        exps = [0] * nvars
+        for i in combo:
+            exps[i] += 1
+        yield MultiDegree(exps)
+
+
 def wedge_mono(a, b):
     """Product of two sorted index tuples: (sorted union, sign) or (None, 0)."""
     if set(a) & set(b):
@@ -276,6 +297,47 @@ def naive_apply_map(coord_images, odd_images, source_nvars, f):
         for k, v in term.items():
             _bump(out, k, v)
     return out
+
+
+def commutator_defect_direct(phi, f):
+    """Image of a base function minus its pullback, as whole elements."""
+    img = apply_map(phi, PolySuperFunc.from_poly(f, phi.target_odd))
+    return img - PolySuperFunc.from_poly(pull_function(phi, f), phi.source_odd)
+
+
+def iterated_twisted_commutator_direct(phi, fs, eta):
+    """Nested twisted commutators, fs[0] innermost, applied to eta, in
+    Fraction elements: every level of the recursion lifts and pulls back its
+    own f and multiplies whole PolySuperFuncs."""
+    if not fs:
+        return apply_map(phi, eta)
+    last = fs[-1]
+    lifted = PolySuperFunc.from_poly(last, phi.target_odd)
+    pulled = PolySuperFunc.from_poly(pull_function(phi, last), phi.source_odd)
+    return (iterated_twisted_commutator_direct(phi, fs[:-1], lifted * eta)
+            - pulled * iterated_twisted_commutator_direct(phi, fs[:-1], eta))
+
+
+def order_bound_check_direct(phi, trials=6, seed=0):
+    """order_bound_check on Fraction elements, drawing the same random base
+    functions and argument per trial: the defect product times apply_map
+    against the nested commutators."""
+    depth = phi.source_odd // 2 + 1
+    rng = random.Random(seed)
+    n, q = phi.target_nvars, phi.target_odd
+    failures = []
+    for t in range(trials):
+        fs = [_random_poly(rng, n) for _ in range(depth)]
+        prod = PolySuperFunc.unit(phi.source_nvars, phi.source_odd)
+        for f in fs:
+            prod = prod * commutator_defect_direct(phi, f)
+        eta = _random_superfunc(rng, n, q)
+        nested = iterated_twisted_commutator_direct(phi, fs, eta)
+        if nested != prod * apply_map(phi, eta):
+            failures.append(("route-mismatch", t))
+        if not prod.is_zero() or not nested.is_zero():
+            failures.append(("nonvanishing", t))
+    return OrderBoundReport(depth, trials, failures)
 
 
 def leibniz_solution_dim(n, mode):

@@ -22,6 +22,7 @@ from superalg.cli import (
     HOMOLOGY_MAX_DIM,
     ROUNDS,
     SDERHAM_MAX_DIM,
+    SUPERMAP_MAX_ODD,
     fnv1a64,
     main,
     sub_seed,
@@ -315,6 +316,32 @@ def test_supermap_check_passes(capsys, tmp_path):
     assert {c["name"] for c in rep["checks"]} == {
         "base-projection-intertwines", "filtration-preserved",
         "order-bound-vanishing"}
+
+
+def _odd_shift_map(p, q):
+    # 1|p -> 1|q, x1 -> x1 and odd generator a -> ds_a (ds_p past p)
+    return {"source_nvars": 1, "source_odd": p, "map": {
+        "coord_images": [[{"exps": [1], "ext": [], "coeff": "1"}]],
+        "odd_images": [[{"exps": [0], "ext": [min(a, p)], "coeff": "1"}]
+                       for a in range(1, q + 1)]}}
+
+
+# the order bound's work grows steeply with both the source odd rank p and the
+# target odd rank q, so supermap-check caps p + q at 10; 1|11 -> 1|0 and
+# 1|0 -> 1|11 (zero generator images) are refused like 1|6 -> 1|5
+@pytest.mark.parametrize("p, q, code", [
+    (4, 4, 0), (5, 5, 0), (10, 0, 0), (6, 5, 3), (11, 0, 3), (0, 11, 3)])
+def test_supermap_check_odd_rank_limit(capsys, tmp_path, p, q, code):
+    assert SUPERMAP_MAX_ODD == 10
+    doc = _odd_shift_map(p, q)
+    if not p:
+        doc["map"]["odd_images"] = [[] for _ in range(q)]
+    path = write(tmp_path, "phi.json", doc)
+    t0 = time.perf_counter()
+    got, out, err = run_cli(capsys, ["supermap-check", path])
+    assert got == code and ("limit of 10" in err) == (code == 3)
+    if code == 3:
+        assert out == "" and time.perf_counter() - t0 < 0.5
 
 
 # A criterion-9 shaped morphism 1|4 -> 2|2: both coordinate images carry a

@@ -151,6 +151,9 @@ def test_keys_reject_non_integers(make):
 
 SYM_EXT_KEYS = st.tuples(st.tuples(st.integers(0, 3), st.integers(0, 3)),
                          st.sampled_from([(), (1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3)]))
+# three exterior keys, the empty one among them, so one key carries many terms
+FEW_EXT_KEYS = st.tuples(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                         st.sampled_from([(), (2,), (1, 3)]))
 SYM_EXT_COEFFS = st.one_of(
     small_fractions(),
     st.builds(lambda n, d: Fraction(10 ** 30 + n, d), st.integers(-50, 50), st.integers(1, 7)),
@@ -159,9 +162,12 @@ SYM_EXT_COEFFS = st.one_of(
 ).filter(bool)
 
 
-def sym_ext_term_maps(max_size=6):
-    return st.dictionaries(SYM_EXT_KEYS, SYM_EXT_COEFFS, max_size=max_size).map(
+def sym_ext_term_maps(max_size=6, keys=SYM_EXT_KEYS):
+    return st.dictionaries(keys, SYM_EXT_COEFFS, max_size=max_size).map(
         lambda d: {(MultiDegree(e), IndexSet(k)): c for (e, k), c in d.items()})
+
+
+OPERANDS = st.one_of(sym_ext_term_maps(), sym_ext_term_maps(14, FEW_EXT_KEYS))
 
 
 def _odd_part_negated(t):
@@ -169,15 +175,38 @@ def _odd_part_negated(t):
     return {key: -c if len(key[1]) % 2 else c for key, c in t.items()}
 
 
-@given(sym_ext_term_maps(), sym_ext_term_maps(), st.booleans())
+def _x1_negated(t):
+    # x1 -> -x1 is an automorphism; on an even t, t * t(-x1) is invariant under
+    # it, so the terms odd in x1 cancel within each exterior key
+    return {(e, k): -c if e[0] % 2 else c for (e, k), c in t.items()}
+
+
+@given(OPERANDS, OPERANDS, st.sampled_from(["none", "odd-part", "x1"]))
 def test_sym_ext_product_matches_fraction_loop(ta, tb, cancel):
-    if cancel:
+    if cancel == "odd-part":
         tb = _odd_part_negated(ta)
+    elif cancel == "x1":
+        ta = {(e, k): c for (e, k), c in ta.items() if len(k) % 2 == 0}
+        tb = _x1_negated(ta)
     got = sym_ext_terms(ta, tb)
     assert got == fraction_sym_ext_terms(ta, tb)
     assert all(type(c) is Fraction and c for c in got.values())
-    if cancel:
+    if cancel == "odd-part":
         assert all(len(k) % 2 == 0 for _, k in got)
+    elif cancel == "x1":
+        assert all(e[0] % 2 == 0 for e, _ in got)
+
+
+def test_sym_ext_product_cancels_within_one_key():
+    # (x1 + x2) ds1 times (x1 - x2) ds2: the two x1 x2 terms meet and cancel
+    x1, x2 = MultiDegree((1, 0)), MultiDegree((0, 1))
+    a = {(x1, IndexSet((1,))): 1, (x2, IndexSet((1,))): 1}
+    b = {(x1, IndexSet((2,))): 1, (x2, IndexSet((2,))): -1}
+    s12 = IndexSet((1, 2))
+    want = {(MultiDegree((2, 0)), s12): 1, (MultiDegree((0, 2)), s12): -1}
+    assert sym_ext_terms(a, b) == fraction_sym_ext_terms(a, b) == want
+    assert sym_ext_terms(b, a) == {k: -v for k, v in want.items()}
+    assert sym_ext_terms(a, {}) == sym_ext_terms({}, b) == {}
 
 
 def test_sym_ext_product_drops_cancelled_terms():

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import recursive_multidegrees
+from oracles import combination_multidegrees, recursive_multidegrees
 from superalg.scalars import (
     EVEN,
     ODD,
@@ -99,6 +99,16 @@ def test_multidegrees_match_the_recursive_enumeration():
             assert got == list(recursive_multidegrees(nvars, total))
             assert all(type(d) is MultiDegree for d in got)
             assert len(got) == sym_dim(nvars, total)
+
+
+def test_odometer_matches_the_combination_walk():
+    for nvars in range(6):
+        for total in range(-2, 9):
+            got = list(iter_multidegrees(nvars, total))
+            assert got == list(combination_multidegrees(nvars, total))
+    assert list(iter_multidegrees(0, 0)) == [()]
+    assert list(iter_multidegrees(0, 3)) == list(iter_multidegrees(4, -1)) == []
+    assert list(iter_multidegrees(1, 10000)) == [(10000,)]
 
 
 def test_signature_examples():

@@ -5,7 +5,12 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import naive_apply_map
+from oracles import (
+    commutator_defect_direct,
+    iterated_twisted_commutator_direct,
+    naive_apply_map,
+    order_bound_check_direct,
+)
 from strat import small_fractions
 from superalg.poly import Poly
 from superalg.scalars import IndexSet, MultiDegree
@@ -290,6 +295,53 @@ def test_iterated_commutator_is_defect_product(phi, fs, eta):
     for f in fs:
         prod = prod * commutator_defect(phi, f)
     assert iterated_twisted_commutator(phi, fs, eta) == prod * apply_map(phi, eta)
+
+
+def spoiled(phi):
+    """phi with the memoized image of x1^2 off by the constant 1, cached
+    before any monomial above it, so every later image built on it carries
+    the error and the map stops being multiplicative."""
+    n = phi.target_nvars
+    mono = (MultiDegree((2,) + (0,) * (n - 1)), IndexSet())
+    d, img = phi._monomial_image(*mono)
+    one = (MultiDegree((0,) * phi.source_nvars), IndexSet())
+    img = dict(img)
+    img[one] = img.get(one, 0) + d
+    phi._mono_images[mono] = d, {k: v for k, v in img.items() if v}
+    return phi
+
+
+@given(supermapdatas(), st.lists(polys(2, max_deg=2, max_terms=2), max_size=3),
+       superfuncs(2, 2, max_terms=3), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_commutators_match_fraction_recursion(phi, fs, eta, spoil):
+    if spoil:
+        spoiled(phi)
+    assert iterated_twisted_commutator(phi, fs, eta) == \
+        iterated_twisted_commutator_direct(phi, fs, eta)
+    for f in fs:
+        assert commutator_defect(phi, f) == commutator_defect_direct(phi, f)
+
+
+def report_fields(rep):
+    return rep.depth, rep.trials, rep.failures, rep.passed
+
+
+@given(junk_maps(), st.booleans(), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_order_bound_check_matches_fraction_routes(phi, spoil, seed):
+    if spoil:
+        spoiled(phi)
+    assert report_fields(order_bound_check(phi, trials=2, seed=seed)) == \
+        report_fields(order_bound_check_direct(phi, trials=2, seed=seed))
+
+
+def test_spoiled_memo_fails_the_order_bound_like_the_fraction_routes():
+    chi = spoiled(odd_junk_map())
+    got = order_bound_check(chi, trials=3, seed=5)
+    assert report_fields(got) == report_fields(order_bound_check_direct(chi, trials=3, seed=5))
+    assert {kind for kind, _ in got.failures} == {"route-mismatch", "nonvanishing"}
+    assert order_bound_check(odd_junk_map(), trials=3, seed=5).passed
 
 
 def test_order_bound_two_odd_directions():
