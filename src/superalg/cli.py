@@ -15,6 +15,7 @@ Exit codes: 0 every check passed, 1 some check failed, 2 malformed input
 """
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -107,8 +108,11 @@ from .supertensor import (
 
 FNV_PRIME = 1099511628211
 ROUNDS = {"small": 4, "medium": 12}
-# check_lie_superalgebra visits every bracket triple and its time grows about
-# as dim**4, so lie-check refuses a larger total dimension.
+# check_lie_superalgebra visits every basis triple and sums products of two
+# nonzero brackets, so its time grows as dim**3 on a sparse table and about as
+# dim**5 on a dense one, and lie-check refuses a larger total dimension.  On
+# tables with every coefficient nonzero that parity allows (2-CPU host): 8|8
+# takes 0.43 s, 16|16 4.5 s and 32|0 16 s; gl(3|3), of dimension 36, 0.06 s.
 LIE_MAX_DIM = 32
 # tensor-normalize enumerates every basis word of ranks 0..4, about dim**4 of
 # them, and derivation-classify acts on all 2**n basis monomials of n images.
@@ -143,6 +147,14 @@ SDERHAM_MAX_DIM = 5000
 # takes 0.1-2.1 s (6|4 the slowest, 4.2 s at --budget medium), p + q = 11
 # takes 0.4-5.3 s (8|3 and 6|5 the slowest), and 9|4 takes 25 s.
 SUPERMAP_MAX_ODD = 10
+# Each random argument of the order bound is a degree-2 polynomial in the n
+# target coordinates, so its time also grows steeply with n, and
+# supermap-check refuses a larger target even rank.  Criterion-9 shaped maps
+# 1|p -> n|q (2-CPU host, --budget small): 1|4 -> n|2 takes 0.06 s at n = 2,
+# 0.2 s at 3, 0.45 s at 4, 3.2 s at 6 and 13 s at 8; at n = 3 the slowest
+# shapes under SUPERMAP_MAX_ODD are 1|6 -> 3|4 (9.7 s) and 1|8 -> 3|2 (7.9 s),
+# which take 28 s each at n = 4.
+SUPERMAP_MAX_EVEN = 3
 
 
 def fnv1a64(name):
@@ -455,6 +467,9 @@ def _cmd_supermap_check(args):
     if odd > SUPERMAP_MAX_ODD:
         raise PreconditionError("source_odd plus the number of odd_images is %d, above the "
                                 "limit of %d" % (odd, SUPERMAP_MAX_ODD))
+    if phi.target_nvars > SUPERMAP_MAX_EVEN:
+        raise PreconditionError("the number of coord_images is %d, above the limit of %d"
+                                % (phi.target_nvars, SUPERMAP_MAX_EVEN))
     trials = ROUNDS[args.budget]
     ob_seed = sub_seed(args.seed, "supermap-order-bound")
     ob = order_bound_check(phi, trials=trials, seed=ob_seed)
@@ -828,6 +843,9 @@ def run(args):
 
 # -------------------------------------------------------------- argparse
 
+# Built on first use and kept for the process: argparse returns a fresh
+# namespace from every parse, so no option carries over between main calls.
+@functools.cache
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0,

@@ -12,7 +12,7 @@ from itertools import permutations
 
 from . import decode
 from .linalg import mat_mul
-from .scalars import format_scalar
+from .scalars import cleared, format_scalar
 
 
 def _vzero(n):
@@ -105,40 +105,56 @@ class LieCheckReport:
         return self.superalternating and self.super_jacobi
 
 
-def _jacobi_defect(L, i, j, k):
-    # ⟦L_i,⟦L_j,L_k⟧⟧ − ⟦⟦L_i,L_j⟧,L_k⟧ − (−1)^{|i||j|}⟦L_j,⟦L_i,L_k⟧⟧
-    out = _vzero(L.dim)
-    for l, c in enumerate(L.bracket(j, k), start=1):
-        if c:
-            out = _vadd(out, _vscale(c, L.bracket(i, l)))
-    for l, c in enumerate(L.bracket(i, j), start=1):
-        if c:
-            out = _vadd(out, _vscale(-c, L.bracket(l, k)))
-    sign = -1 if L.parity(i) * L.parity(j) else 1
-    for l, c in enumerate(L.bracket(i, k), start=1):
-        if c:
-            out = _vadd(out, _vscale(-sign * c, L.bracket(j, l)))
-    return out
+def _cleared_table(L):
+    """The bracket table over one shared denominator, as {(i, j): {l: int}}
+    with no zero entries.  Both laws are zero tests of expressions linear or
+    quadratic in the table, so the common scale changes none of them."""
+    keys = [(ij, l) for ij, vec in L.brackets.items() for l, c in enumerate(vec, start=1) if c]
+    _, ints = cleared(L.brackets[ij][l - 1] for ij, l in keys)
+    table = {}
+    for (ij, l), c in zip(keys, ints):
+        table.setdefault(ij, {})[l] = c
+    return table
 
 
 def check_lie_superalgebra(L):
+    dim = L.dim
+    table = _cleared_table(L)
+    empty = {}
     failures = []
     minus_ok = plus_ok = True
-    dim = L.dim
     for i in range(1, dim + 1):
         for j in range(1, dim + 1):
-            cij, cji = L.bracket(i, j), L.bracket(j, i)
+            cij, cji = table.get((i, j), empty), table.get((j, i), empty)
+            if not (cij or cji):
+                continue
             s = -1 if L.parity(i) * L.parity(j) else 1
-            if not _is_zero(_vadd(cij, _vscale(s, cji))):
+            if cij != {l: -s * c for l, c in cji.items()}:
                 minus_ok = False
                 failures.append(("superalternating", i, j))
-            if not _is_zero(_vadd(cij, _vscale(-s, cji))):
+            if cij != {l: s * c for l, c in cji.items()}:
                 plus_ok = False
+    # ⟦L_i,⟦L_j,L_k⟧⟧ − ⟦⟦L_i,L_j⟧,L_k⟧ − (−1)^{|i||j|}⟦L_j,⟦L_i,L_k⟧⟧ = 0
     jacobi_ok = True
     for i in range(1, dim + 1):
         for j in range(1, dim + 1):
+            cij = table.get((i, j), empty)
+            sign = 1 if L.parity(i) * L.parity(j) else -1  # −(−1)^{|i||j|}
             for k in range(1, dim + 1):
-                if not _is_zero(_jacobi_defect(L, i, j, k)):
+                cjk, cik = table.get((j, k), empty), table.get((i, k), empty)
+                if not (cij or cjk or cik):
+                    continue
+                out = {}
+                for l, c in cjk.items():
+                    for m, v in table.get((i, l), empty).items():
+                        out[m] = out.get(m, 0) + c * v
+                for l, c in cij.items():
+                    for m, v in table.get((l, k), empty).items():
+                        out[m] = out.get(m, 0) - c * v
+                for l, c in cik.items():
+                    for m, v in table.get((j, l), empty).items():
+                        out[m] = out.get(m, 0) + sign * c * v
+                if any(out.values()):
                     jacobi_ok = False
                     failures.append(("jacobi", i, j, k))
     convention = {(True, True): "both", (True, False): "minus",

@@ -10,7 +10,8 @@ on the package's SuperForm and Poly elements: super_d_direct applies the
 super exterior derivative term by term in Poly arithmetic, and the
 cohomology and Delta oracles rank the images of one SuperForm per basis
 monomial in Fraction, and the supermap commutator oracles multiply whole
-PolySuperFunc elements through apply_map.
+PolySuperFunc elements through apply_map.  The Lie superalgebra oracle reads
+brackets through LieSuperData.bracket and sums dense Fraction vectors.
 """
 
 from fractions import Fraction
@@ -19,6 +20,7 @@ from operator import add
 import random
 
 from superalg.cartan import ext_contract, ext_wedge
+from superalg.liesuper import LieCheckReport
 from superalg.lincomb import add_term, contract, merge_sign, replace
 from superalg.poly import Poly
 from superalg.scalars import MultiDegree, iter_multidegrees
@@ -538,3 +540,54 @@ def delta_kernel_check_direct(conn, total_degree_cut, poly_cut):
                     expected_kernel_dim=dim if (b == 0 and c == 0) else 0,
                     printed_delta_zero=all(i == br for i, br in zip(images, braces))))
     return DeltaReport(comps)
+
+
+def _vadd(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def _vscale(c, a):
+    return tuple(c * x for x in a)
+
+
+def _jacobi_defect(L, i, j, k):
+    # ⟦L_i,⟦L_j,L_k⟧⟧ − ⟦⟦L_i,L_j⟧,L_k⟧ − (−1)^{|i||j|}⟦L_j,⟦L_i,L_k⟧⟧
+    out = (Fraction(0),) * L.dim
+    for l, c in enumerate(L.bracket(j, k), start=1):
+        if c:
+            out = _vadd(out, _vscale(c, L.bracket(i, l)))
+    for l, c in enumerate(L.bracket(i, j), start=1):
+        if c:
+            out = _vadd(out, _vscale(-c, L.bracket(l, k)))
+    sign = -1 if L.parity(i) * L.parity(j) else 1
+    for l, c in enumerate(L.bracket(i, k), start=1):
+        if c:
+            out = _vadd(out, _vscale(-sign * c, L.bracket(j, l)))
+    return out
+
+
+def fraction_check_lie_superalgebra(L):
+    """check_lie_superalgebra by dense Fraction vectors over every basis pair
+    and triple, failures in the same order."""
+    failures = []
+    minus_ok = plus_ok = True
+    dim = L.dim
+    for i in range(1, dim + 1):
+        for j in range(1, dim + 1):
+            cij, cji = L.bracket(i, j), L.bracket(j, i)
+            s = -1 if L.parity(i) * L.parity(j) else 1
+            if any(_vadd(cij, _vscale(s, cji))):
+                minus_ok = False
+                failures.append(("superalternating", i, j))
+            if any(_vadd(cij, _vscale(-s, cji))):
+                plus_ok = False
+    jacobi_ok = True
+    for i in range(1, dim + 1):
+        for j in range(1, dim + 1):
+            for k in range(1, dim + 1):
+                if any(_jacobi_defect(L, i, j, k)):
+                    jacobi_ok = False
+                    failures.append(("jacobi", i, j, k))
+    convention = {(True, True): "both", (True, False): "minus",
+                  (False, True): "plus", (False, False): "neither"}[(minus_ok, plus_ok)]
+    return LieCheckReport(minus_ok, jacobi_ok, convention, tuple(failures))

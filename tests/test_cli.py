@@ -22,7 +22,9 @@ from superalg.cli import (
     HOMOLOGY_MAX_DIM,
     ROUNDS,
     SDERHAM_MAX_DIM,
+    SUPERMAP_MAX_EVEN,
     SUPERMAP_MAX_ODD,
+    build_parser,
     fnv1a64,
     main,
     sub_seed,
@@ -207,7 +209,8 @@ def test_lie_check_good_and_bad(capsys, tmp_path):
     assert rep["failures"]
 
 
-# check_lie_superalgebra's time grows as dim**4, so the total dimension is capped
+# check_lie_superalgebra's time grows as dim**3 on sparse tables and about as
+# dim**5 on dense ones, so the total dimension is capped
 @pytest.mark.parametrize("even, odd, code", [(3, 2, 0), (16, 16, 0), (17, 16, 3)])
 def test_lie_check_dimension_limit(capsys, tmp_path, even, odd, code):
     p = write(tmp_path, "l.json", {"even_dim": even, "odd_dim": odd, "brackets": []})
@@ -342,6 +345,37 @@ def test_supermap_check_odd_rank_limit(capsys, tmp_path, p, q, code):
     assert got == code and ("limit of 10" in err) == (code == 3)
     if code == 3:
         assert out == "" and time.perf_counter() - t0 < 0.5
+
+
+# the order bound's random arguments are degree-2 polynomials in the target
+# coordinates, so supermap-check caps the target even rank at 3 as well
+@pytest.mark.parametrize("n, code", [(2, 0), (3, 0), (4, 3), (20, 3)])
+def test_supermap_check_even_rank_limit(capsys, tmp_path, n, code):
+    assert SUPERMAP_MAX_EVEN == 3
+    doc = {"source_nvars": 1, "source_odd": 1, "map": {
+        "coord_images": [[{"exps": [1], "ext": [], "coeff": str(j)}] for j in range(1, n + 1)],
+        "odd_images": [[{"exps": [0], "ext": [1], "coeff": "1"}]]}}
+    path = write(tmp_path, "phi.json", doc)
+    t0 = time.perf_counter()
+    got, out, err = run_cli(capsys, ["supermap-check", path])
+    assert got == code and ("limit of 3" in err) == (code == 3)
+    if code == 3:
+        assert out == "" and time.perf_counter() - t0 < 0.5
+
+
+def test_supermap_check_passes_zero_images(capsys, tmp_path):
+    # criterion-9 shaped 1|2 -> 2|6: every target monomial of exterior degree
+    # above 2 maps to zero, which the filtration check must accept
+    coords = [[{"exps": [0], "ext": [], "coeff": "2"}, {"exps": [1], "ext": [], "coeff": "-1"},
+               {"exps": [j], "ext": [1, 2], "coeff": "3"}] for j in range(2)]
+    odds = [[{"exps": [(a + b) % 2], "ext": [b], "coeff": str(a + b)} for b in (1, 2)]
+            for a in range(6)]
+    p = write(tmp_path, "phi.json", {"source_nvars": 1, "source_odd": 2,
+                                     "map": {"coord_images": coords, "odd_images": odds}})
+    code, out, err = run_cli(capsys, ["supermap-check", p, "--seed", "1"])
+    rep = json.loads(out)
+    assert (code, err) == (0, "") and rep["target"] == [2, 6]
+    assert {c["name"]: c["detail"] for c in rep["checks"]}["filtration-preserved"] == "0 failures"
 
 
 # A criterion-9 shaped morphism 1|4 -> 2|2: both coordinate images carry a
@@ -516,6 +550,32 @@ def test_module_entry_point(tmp_path):
                            "lie-check", str(tmp_path / "missing.json")],
                           capture_output=True, text=True)
     assert proc.returncode == 2 and "malformed" in proc.stderr
+
+
+def test_cached_parser_leaks_no_option_between_calls(capsys, tmp_path):
+    # main parses with one parser per process; each call in a sequence must
+    # print what the same argv prints in a fresh interpreter
+    good = write(tmp_path, "good.json", {"even_dim": 1, "odd_dim": 1,
+                                         "brackets": [{"i": 2, "j": 2, "coeffs": [1, 0]}]})
+    argvs = [["lie-check", good, "--seed", "5", "--out", "tsv"],
+             ["lie-check", good],
+             ["lie-check", good, "--quiet", "--seed", "7"],
+             ["lie-check", good, "--budget", "huge"],
+             ["lie-check", str(tmp_path / "missing.json")],
+             ["lie-check", good, "--out", "tsv"],
+             ["lie-check", good]]
+    alone = [subprocess.run([sys.executable, "-m", "superalg.cli", *argv],
+                            capture_output=True, text=True) for argv in argvs]
+    assert [proc.returncode for proc in alone] == [0, 0, 0, 2, 2, 0, 0]
+    for argv, proc in zip(argvs, alone):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+        cap = capsys.readouterr()
+        assert (code, cap.out, cap.err) == (proc.returncode, proc.stdout, proc.stderr)
+    assert json.loads(alone[1].stdout)["seed"] == 0 and alone[2].stdout == ""
+    assert build_parser() is build_parser()
 
 
 TENSOR_DOC = {"even_dim": 2, "odd_dim": 2, "kind": "sym",

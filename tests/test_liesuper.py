@@ -1,8 +1,12 @@
 from fractions import Fraction
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import fraction_check_lie_superalgebra
+from strat import small_fractions
+from superalg.linalg import mat_mul, solve
 from superalg.liesuper import (
     LieSuperData,
     RepAndForm,
@@ -125,6 +129,45 @@ def _rep_of(L):
     return RepAndForm(p, q, rho, B, even)
 
 
+def _from_matrices(even, odd):
+    """The Lie superalgebra spanned by homogeneous square supermatrices, even
+    ones first, under ⟦A,B⟧ = AB − (−1)^{|A||B|}BA; each bracket is solved
+    for its coordinates in that basis, and a span not closed under the
+    bracket raises."""
+    basis = list(even) + list(odd)
+    parity = [0] * len(even) + [1] * len(odd)
+    n = len(basis[0])
+    entries = [(r, c) for r in range(n) for c in range(n)]
+    rows = [{t: Fraction(M[r][c]) for t, M in enumerate(basis) if M[r][c]} for r, c in entries]
+    table = {}
+    for a, A in enumerate(basis):
+        for b, B in enumerate(basis):
+            sign = -1 if parity[a] * parity[b] else 1
+            AB, BA = mat_mul(A, B), mat_mul(B, A)
+            coords = solve(rows, [AB[r][c] - sign * BA[r][c] for r, c in entries], len(basis))
+            if coords is None:
+                raise ValueError("the span is not closed under the supercommutator")
+            table[(a + 1, b + 1)] = coords
+    return LieSuperData(len(even), len(odd), table)
+
+
+def _unit(n, r, c):
+    return [[int((i, j) == (r, c)) for j in range(1, n + 1)] for i in range(1, n + 1)]
+
+
+def _sum(*mats):
+    return [[sum(row) for row in zip(*rows)] for rows in zip(*mats)]
+
+
+def _matrix_units(p, q):
+    """The even and the odd matrix units of gl(p|q), in endo_superalgebra's order."""
+    n = p + q
+    blk = [0] * p + [1] * q
+    units = [(r, c) for r in range(1, n + 1) for c in range(1, n + 1)]
+    return ([_unit(n, r, c) for r, c in units if blk[r - 1] == blk[c - 1]],
+            [_unit(n, r, c) for r, c in units if blk[r - 1] != blk[c - 1]])
+
+
 @pytest.mark.parametrize("p, q", [(1, 1), (2, 1), (1, 2)])
 def test_gl_pq_is_built_from_its_rho_and_B(p, q):
     # the even part gl(p) ⊕ gl(q) is not abelian for p or q above 1
@@ -132,6 +175,7 @@ def test_gl_pq_is_built_from_its_rho_and_B(p, q):
     rep = _rep_of(L)
     assert check_structure_conditions(rep).passed
     assert build_from_rho_B(rep) == L
+    assert _from_matrices(*_matrix_units(p, q)) == L
 
 
 def test_semidirect_examples():
@@ -227,6 +271,36 @@ def test_json_roundtrip():
                                              {"i": 2, "j": 2, "coeffs": ["0", "0"]}]})
 
 
+def sl_1_2():
+    """sl(1|2), the supertrace-zero 3x3 supermatrices with a 1|2 block split:
+    even E11+E22, E11+E33, E23, E32 and odd E12, E13, E21, E31."""
+    E = lambda r, c: _unit(3, r, c)
+    even = [_sum(E(1, 1), E(2, 2)), _sum(E(1, 1), E(3, 3)), E(2, 3), E(3, 2)]
+    odd = [E(1, 2), E(1, 3), E(2, 1), E(3, 1)]
+    return _from_matrices(even, odd)
+
+
+def test_sl_1_2_is_a_lie_superalgebra():
+    L = sl_1_2()
+    assert (L.even_dim, L.odd_dim) == (4, 4)
+    # ⟦E12, E21⟧ = E11 + E22, the first even basis vector
+    assert L.bracket(5, 7) == (1, 0, 0, 0, 0, 0, 0, 0)
+    rep = check_lie_superalgebra(L)
+    assert rep.passed and rep.convention == "minus"
+    assert rep == fraction_check_lie_superalgebra(L)
+    assert even_part_is_lie_algebra(L)
+    assert check_structure_conditions(_rep_of(L)).passed
+    assert build_from_rho_B(_rep_of(L)) == L
+
+
+def test_gl_3_2_passes_quickly():
+    L = endo_superalgebra(3, 2)
+    assert L.dim == 25
+    t0 = time.perf_counter()
+    assert check_lie_superalgebra(L).passed
+    assert time.perf_counter() - t0 < 0.2
+
+
 def osp_1_2(scale_11=1):
     """osp(1|2) as a RepAndForm: sl2 with basis H, E, F ([H,E] = 2E,
     [H,F] = -2F, [E,F] = H) on its defining representation with weight
@@ -253,3 +327,50 @@ def test_osp_1_2_with_one_entry_rescaled_fails_both_sides():
     rep = check_structure_conditions(data)
     assert not rep.passed and not rep.equivariant
     assert not check_lie_superalgebra(build_from_rho_B(data)).passed
+
+
+# coefficients in lowest terms with numerator and denominator near 10**30
+huge_fractions = st.builds(lambda a, b, sign: Fraction(sign * (10 ** 30 + a), 10 ** 30 + b),
+                           st.integers(-9, 9), st.integers(-9, 9), st.sampled_from((1, -1)))
+
+
+@st.composite
+def bracket_tables(draw):
+    """Parity-respecting tables up to dimension 4: random brackets, each stored
+    one-sided or with its superantisymmetric partner, or gl(1|1) or gl(2|1)
+    scaled by one coefficient (still a Lie superalgebra)."""
+    coeff = st.one_of(st.just(Fraction(0)), small_fractions(), huge_fractions)
+    if draw(st.booleans()):
+        L = endo_superalgebra(*draw(st.sampled_from([(1, 1), (2, 1)])))
+        c = draw(coeff.filter(bool))
+        return LieSuperData(L.even_dim, L.odd_dim,
+                            {ij: [c * x for x in vec] for ij, vec in L.brackets.items()})
+    p = draw(st.integers(0, 2))
+    q = draw(st.integers(1 if p == 0 else 0, 2))
+    dim = p + q
+
+    def parity(i):
+        return 0 if i <= p else 1
+    table = {}
+    for i in range(1, dim + 1):
+        for j in range(1, dim + 1):
+            kind = draw(st.sampled_from(["none", "one-sided", "antisymmetric"]))
+            if kind == "none" or (i, j) in table:
+                continue
+            target = (parity(i) + parity(j)) % 2
+            vec = [draw(coeff) if parity(l) == target else Fraction(0)
+                   for l in range(1, dim + 1)]
+            if kind == "antisymmetric":
+                s = -1 if parity(i) * parity(j) else 1
+                partner = [-s * c for c in vec]
+                if i == j and partner != vec:
+                    continue  # an even basis vector brackets to zero with itself
+                table[(j, i)] = partner
+            table[(i, j)] = vec
+    return LieSuperData(p, q, table)
+
+
+@settings(max_examples=150, deadline=None)
+@given(bracket_tables())
+def test_int_check_matches_fraction_oracle(L):
+    assert check_lie_superalgebra(L) == fraction_check_lie_superalgebra(L)

@@ -391,6 +391,17 @@ def test_filtration_frozen():
     assert img.filtration_degree() == 1
 
 
+def test_filtration_passes_zero_images():
+    # 1|1 -> 1|3, x -> x and ds1, ds2, ds3 -> ds1: ds1ds2ds3 and x1 ds1ds2ds3
+    # map to zero, which lies in every filtration degree
+    s1 = PolySuperFunc.odd_generator(1, 1, 1)
+    phi = SuperMapData([PolySuperFunc.coordinate(1, 1, 1)], [s1, s1, s1])
+    assert apply_map(phi, PolySuperFunc.monomial(1, 3, (0,), (1, 2, 3))) == \
+        PolySuperFunc.zero(1, 1)
+    rep = filtration_check(phi)
+    assert rep.passed and rep.failures == ()
+
+
 @given(supermapdatas())
 @settings(max_examples=30, deadline=None)
 def test_filtration_random(phi):
