@@ -155,6 +155,20 @@ SUPERMAP_MAX_ODD = 10
 # shapes under SUPERMAP_MAX_ODD are 1|6 -> 3|4 (9.7 s) and 1|8 -> 3|2 (7.9 s),
 # which take 28 s each at n = 4.
 SUPERMAP_MAX_EVEN = 3
+# jet-factor's factoring matrix has rank_out rows of C(m + k, k)·rank_in
+# entries, so it refuses a larger one, or m or k at the limit.  The time also
+# grows with m and, through the Taylor coefficients' size, with k (2-CPU host,
+# --budget small): at the limit m = 1998, k = 1 takes 2.9 s (7.4 s at medium),
+# m = 1, k = 1998 1.0 s, the zero operator from rank 1 to 2000 0.14 s, and
+# m = 2, k = 61 or m = 61, k = 2 0.1 s; above it, m = 8, k = 8 (12,870) takes
+# 0.5 s, m = 1, k = 4999 6.0 s, m = 300, k = 2 (45,451) 12 s and the zero
+# operator from rank 1 to 10**5 9 s.
+JET_MAX_DIM = 2000
+# sder-dims prints closed-form dimensions of about n·2^n, whose digits grow
+# with n: nmax 100 takes 0.5 ms and prints 11 KB, 1,000 takes 11 ms and
+# prints 522 KB, 10,000 takes 2.9 s and prints 46 MB, and from about 14,300
+# a dimension has more digits than Python converts to a string.
+SDER_DIMS_MAX_N = 100
 
 
 def fnv1a64(name):
@@ -335,8 +349,8 @@ def _cmd_derivation_classify(args):
 
 def _cmd_sder_dims(args):
     nmax = args.nmax
-    if nmax < 1:
-        raise PreconditionError("nmax must be at least 1")
+    if not 1 <= nmax <= SDER_DIMS_MAX_N:
+        raise PreconditionError("nmax must be in 1..%d, got %d" % (SDER_DIMS_MAX_N, nmax))
     rows, doubling, excess = [], True, True
     for n in range(1, nmax + 1):
         z = dimension_of_derivation_space(n, "Z")
@@ -442,6 +456,12 @@ def _cmd_jet_factor(args):
         raise PreconditionError("jet order must be non-negative")
     if D.order > k:
         raise PreconditionError("operator order %d exceeds jet order %d" % (D.order, k))
+    # C(m + k, k) > max(m, k) unless m or k is 0, where the run still walks m
+    # coordinates and k degrees; either way comb only sees small arguments
+    if max(m, k) >= JET_MAX_DIM or comb(m + k, k) * rin * rout > JET_MAX_DIM:
+        raise PreconditionError("the factoring matrix of a %d-jet in %d variables from rank %d "
+                                "to rank %d has more than %d entries"
+                                % (k, m, rin, rout, JET_MAX_DIM))
     seed = sub_seed(args.seed, "jet-factor")
     rng = random.Random(seed)
     npts = ROUNDS[args.budget]

@@ -118,20 +118,12 @@ class ExtElem(LinComb):
             return self.space.dim + 1
         return min(len(k) for k in self.terms)
 
-    def top_degree(self):
-        if not self.terms:
-            return -1
-        return max(len(k) for k in self.terms)
-
     def degree_part(self, k):
         return ExtElem._raw(self.space, {ks: v for ks, v in self.terms.items() if len(ks) == k})
 
     def parity_part(self, parity):
         p = decode.integer(parity, "parity", 0, 1)
         return ExtElem._raw(self.space, {ks: v for ks, v in self.terms.items() if len(ks) % 2 == p})
-
-    def is_homogeneous(self):
-        return len({len(k) for k in self.terms}) <= 1
 
     def invert_unit(self):
         eps = self.augmentation()

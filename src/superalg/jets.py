@@ -1,9 +1,15 @@
 """Differential operators with polynomial coefficients on trivial bundles,
 iterated commutators, principal symbols, jets, and the factorization of an
-order-k operator through the k-jet at a point."""
+order-k operator through the k-jet at a point.
+
+A k-jet at p is its vector of Taylor coefficients ∂^β s(p)/β! for |β| ≤ k,
+graded-lex β-major with the rank inner; jet_operator realizes the same
+layout as a differential operator, and factor_through_jet reads D̂_p with
+D(s)(p) = D̂_p · jet^k_p s straight off D's coefficients."""
 
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
+from math import factorial, prod
 
 from . import decode
 from .poly import Poly, multi_binom
@@ -79,6 +85,12 @@ def _mat_scale_poly(f, a):
     return [[f * x for x in row] for row in a]
 
 
+def _diagonal(f, rank):
+    """The rank x rank coefficient matrix f·I."""
+    zero = Poly.zero(f.nvars)
+    return [[f if i == j else zero for j in range(rank)] for i in range(rank)]
+
+
 class PolyDiffOp:
     """Σ_α P_α(x) ∂^α between trivial bundles over the same base."""
 
@@ -110,24 +122,16 @@ class PolyDiffOp:
 
     @classmethod
     def identity(cls, nvars, rank):
-        one = Poly.constant(nvars, 1)
-        zero = Poly.zero(nvars)
-        mat = [[one if i == j else zero for j in range(rank)] for i in range(rank)]
-        return cls(nvars, rank, rank, {MultiDegree((0,) * nvars): mat})
+        return cls.multiplication(Poly.constant(nvars, 1), rank)
 
     @classmethod
     def multiplication(cls, f, rank=1):
-        zero = Poly.zero(f.nvars)
-        mat = [[f if i == j else zero for j in range(rank)] for i in range(rank)]
-        return cls(f.nvars, rank, rank, {MultiDegree((0,) * f.nvars): mat})
+        return cls(f.nvars, rank, rank, {MultiDegree((0,) * f.nvars): _diagonal(f, rank)})
 
     @classmethod
     def coordinate_partial(cls, nvars, i, rank=1):
-        one = Poly.constant(nvars, 1)
-        zero = Poly.zero(nvars)
-        mat = [[one if a == b else zero for b in range(rank)] for a in range(rank)]
         alpha = MultiDegree(1 if t == i - 1 else 0 for t in range(nvars))
-        return cls(nvars, rank, rank, {alpha: mat})
+        return cls(nvars, rank, rank, {alpha: _diagonal(Poly.constant(nvars, 1), rank)})
 
     @property
     def order(self):
@@ -286,57 +290,55 @@ def principal_symbol(D, fs):
 
 
 class JetClass:
-    """k-jet of a section at a rational point, stored by the canonical
-    truncated Taylor representative (total degree ≤ k in x − p)."""
+    """k-jet of a section at a rational point, stored as its Taylor
+    coefficients ∂^β s(p)/β! for |β| ≤ k: graded-lex β-major, rank inner."""
 
-    __slots__ = ("point", "order", "rep")
+    __slots__ = ("point", "order", "coeffs")
 
-    def __init__(self, point, order, rep):
+    def __init__(self, point, order, coeffs):
         self.point = tuple(Fraction(x) for x in point)
         self.order = order
-        self.rep = rep
+        self.coeffs = tuple(coeffs)
 
     def __eq__(self, other):
         if not isinstance(other, JetClass):
             return NotImplemented
-        return (self.point, self.order, self.rep) == (other.point, other.order, other.rep)
+        return (self.point, self.order, self.coeffs) == \
+            (other.point, other.order, other.coeffs)
 
     __hash__ = None
 
     def coefficients(self):
-        """Taylor coefficients stacked over the graded-lex multidegree basis."""
-        out = []
-        for beta in jet_multidegrees(len(self.point), self.order):
-            fact = 1
-            for b in beta:
-                for t in range(1, b + 1):
-                    fact *= t
-            for p in self.rep.polys:
-                out.append(p.partial_multi(beta).evaluate(self.point) / fact)
-        return out
+        return list(self.coeffs)
 
     def __repr__(self):
-        return "jet^%d at %s: %r" % (self.order, self.point, self.rep)
+        return "jet^%d at %s: %r" % (self.order, self.point, self.coeffs)
 
 
 def jet_multidegrees(nvars, k):
     """Graded-lex basis of Sym^{≤k}: all |β| ≤ k."""
-    return [MultiDegree(b) for d in range(k + 1)
-            for b in sorted(iter_multidegrees(nvars, d))]
+    return [b for d in range(k + 1) for b in sorted(iter_multidegrees(nvars, d))]
 
 
 def jet(s, k, p):
-    """Taylor truncation of s at p to total degree k."""
-    m = s.nvars
+    """The k-jet of s at p in one pass over the terms of s: the coefficient
+    of y^β in s(p + y) is Σ_e c_e Π_i C(e_i, β_i) p_i^(e_i − β_i)."""
+    if len(p) != s.nvars:
+        raise ValueError("point needs %d coordinates" % s.nvars)
     p = [Fraction(x) for x in p]
-    shifted = [Poly.variable(m, i + 1) + Poly.constant(m, c) for i, c in enumerate(p)]
-    reps = []
-    for poly in s.polys:
-        at_p = poly.compose(shifted)          # now centered: variables are x - p
-        cut = at_p.truncate(k)
-        back = [Poly.variable(m, i + 1) - Poly.constant(m, c) for i, c in enumerate(p)]
-        reps.append(cut.compose(back))
-    return JetClass(p, k, PolySection(reps))
+    pos = {beta: i for i, beta in enumerate(jet_multidegrees(s.nvars, k))}
+    r = s.rank
+    coeffs = [Fraction(0)] * (len(pos) * r)
+    for j, poly in enumerate(s.polys):
+        for e, c in poly.terms.items():
+            for beta in iter_leq(e):
+                if sum(beta) > k:
+                    continue
+                v = c * multi_binom(e, beta)
+                for x, a, b in zip(p, e, beta):
+                    v *= x ** (a - b)
+                coeffs[pos[beta] * r + j] += v
+    return JetClass(p, k, coeffs)
 
 
 def jet_operator(nvars, rank, k):
@@ -347,11 +349,7 @@ def jet_operator(nvars, rank, k):
     zero = Poly.zero(nvars)
     terms = {}
     for pos, beta in enumerate(basis):
-        fact = 1
-        for b in beta:
-            for t in range(1, b + 1):
-                fact *= t
-        coeff = Poly.constant(nvars, Fraction(1, fact))
+        coeff = Poly.constant(nvars, Fraction(1, prod(map(factorial, beta))))
         mat = [[zero] * rank for _ in range(len(basis) * rank)]
         for j in range(rank):
             mat[pos * rank + j][j] = coeff
@@ -362,23 +360,21 @@ def jet_operator(nvars, rank, k):
 def factor_through_jet(D, k, p):
     """The matrix through which D factors at p: D(s)(p) = D̂_p · coeffs(jet^k_p s).
     Columns follow the graded-lex jet coefficient layout, rank-in entries per
-    multidegree."""
+    multidegree.  Since ∂^α (x − p)^β at p is β!·δ_αβ, column (β, j) is
+    β!·P_β(p)[:, j], and zero when β is not a term of D."""
     if D.order > k:
         raise ValueError("operator order %d exceeds jet order %d" % (D.order, k))
-    m = D.nvars
-    p = [Fraction(x) for x in p]
-    cols = []
-    for beta in jet_multidegrees(m, k):
-        base = Poly.constant(m, 1)
-        for i, b in enumerate(beta):
-            var = Poly.variable(m, i + 1) - Poly.constant(m, p[i])
-            for _ in range(b):
-                base = base * var
-        for j in range(D.rank_in):
-            s = PolySection([base if t == j else Poly.zero(m)
-                             for t in range(D.rank_in)])
-            cols.append(D.apply(s).evaluate(p))
-    return [[cols[c][r] for c in range(len(cols))] for r in range(D.rank_out)]
+    rows = [[] for _ in range(D.rank_out)]
+    for beta in jet_multidegrees(D.nvars, k):
+        mat = D.terms.get(beta)
+        if mat is None:
+            for row in rows:
+                row.extend([Fraction(0)] * D.rank_in)
+            continue
+        fact = prod(map(factorial, beta))
+        for row, polys in zip(rows, mat):
+            row.extend(fact * q.evaluate(p) for q in polys)
+    return rows
 
 
 def covariant_derivative(s, i, A):
@@ -400,9 +396,6 @@ def symmetrized_covariant_jet(s, l, A):
     compositions."""
     m = s.nvars
     out = {}
-    fact = 1
-    for t in range(1, l + 1):
-        fact *= t
     for tup in product(range(1, m + 1), repeat=l):
         acc = PolySection.zero(m, s.rank)
         for sigma in permutations(range(l)):
@@ -410,7 +403,7 @@ def symmetrized_covariant_jet(s, l, A):
             for slot in reversed(sigma):
                 cur = covariant_derivative(cur, tup[slot], A)
             acc = acc + cur
-        out[tup] = acc.scale(Fraction(1, fact))
+        out[tup] = acc.scale(Fraction(1, factorial(l)))
     return out
 
 
@@ -447,11 +440,8 @@ class PolyOpAlong:
 
     @classmethod
     def pullback(cls, phi, rank=1):
-        m = phi[0].nvars
-        one = Poly.constant(m, 1)
-        zero = Poly.zero(m)
-        mat = [[one if i == j else zero for j in range(rank)] for i in range(rank)]
-        return cls(phi, rank, rank, {MultiDegree((0,) * len(phi)): mat})
+        return cls(phi, rank, rank, {MultiDegree((0,) * len(phi)):
+                                     _diagonal(Poly.constant(phi[0].nvars, 1), rank)})
 
     @property
     def order(self):

@@ -111,10 +111,6 @@ class Poly(LinComb):
         """-1 on the zero polynomial."""
         return max((sum(k) for k in self.terms), default=-1)
 
-    def truncate(self, k):
-        """Drop monomials of total degree above k."""
-        return Poly._raw(self.nvars, {e: c for e, c in self.terms.items() if sum(e) <= k})
-
     def to_json(self):
         items = sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
         return [{"exps": list(e), "coeff": format_scalar(c)} for e, c in items]

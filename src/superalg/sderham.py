@@ -25,7 +25,7 @@ shifts on int vectors, since scaling by D changes no rank and no equality.
 
 from fractions import Fraction
 from itertools import combinations
-from math import comb, lcm
+from math import comb, factorial, lcm, prod
 from operator import add
 
 from . import decode
@@ -251,9 +251,6 @@ class OddConnection:
 
     def entry(self, gamma, beta, i):
         return self.comps[gamma - 1][beta - 1][i - 1]
-
-    def is_flat_zero(self):
-        return all(p.is_zero() for row in self.comps for cell in row for p in cell)
 
     def max_degree(self):
         degs = [p.total_degree() for row in self.comps for cell in row for p in cell]
@@ -687,10 +684,7 @@ def evaluate(omega, fields):
             count[j - 1] += 1
         if MultiDegree(count) != sym:
             continue
-        perm = 1
-        for e in sym:
-            for r in range(2, e + 1):
-                perm *= r
+        perm = prod(map(factorial, sym))
         # pairing a symmetric power of odd codirections against odd arguments
         # reverses the slot order, a triangular sign
         b_tot = sym.total

@@ -121,11 +121,6 @@ class PolySuperFunc(LinComb):
     def bidegrees(self):
         return sorted({(exps.total, len(key)) for exps, key in self.terms})
 
-    def truncate_lambda(self, r):
-        """Drop terms of exterior degree above r."""
-        return PolySuperFunc._raw(self.nvars, self.odd_dim,
-                                  {t: c for t, c in self.terms.items() if len(t[1]) <= r})
-
     def filtration_degree(self):
         """Least exterior degree present; odd_dim + 1 on zero."""
         return min((len(k) for (_, k) in self.terms), default=self.odd_dim + 1)

@@ -11,7 +11,9 @@ super exterior derivative term by term in Poly arithmetic, and the
 cohomology and Delta oracles rank the images of one SuperForm per basis
 monomial in Fraction, and the supermap commutator oracles multiply whole
 PolySuperFunc elements through apply_map.  The Lie superalgebra oracle reads
-brackets through LieSuperData.bracket and sums dense Fraction vectors.
+brackets through LieSuperData.bracket and sums dense Fraction vectors.  The
+jet oracles work in Poly arithmetic: one shifts, truncates and shifts back,
+the other applies the operator to every basis section (x − p)^β.
 """
 
 from fractions import Fraction
@@ -20,6 +22,7 @@ from operator import add
 import random
 
 from superalg.cartan import ext_contract, ext_wedge
+from superalg.jets import PolySection, jet_multidegrees
 from superalg.liesuper import LieCheckReport
 from superalg.lincomb import add_term, contract, merge_sign, replace
 from superalg.poly import Poly
@@ -591,3 +594,48 @@ def fraction_check_lie_superalgebra(L):
     convention = {(True, True): "both", (True, False): "minus",
                   (False, True): "plus", (False, False): "neither"}[(minus_ok, plus_ok)]
     return LieCheckReport(minus_ok, jacobi_ok, convention, tuple(failures))
+
+
+def jet_by_composition(s, k, p):
+    """Taylor coefficients of the k-jet of s at p, by composing s with x + p,
+    dropping monomials above degree k, composing back with x − p, and
+    differentiating that representative once per multidegree."""
+    m = s.nvars
+    p = [Fraction(x) for x in p]
+    shifted = [Poly.variable(m, i + 1) + Poly.constant(m, c) for i, c in enumerate(p)]
+    back = [Poly.variable(m, i + 1) - Poly.constant(m, c) for i, c in enumerate(p)]
+    reps = []
+    for poly in s.polys:
+        at_p = poly.compose(shifted)
+        cut = Poly(m, {e: c for e, c in at_p.terms.items() if sum(e) <= k})
+        reps.append(cut.compose(back))
+    out = []
+    for beta in jet_multidegrees(m, k):
+        fact = 1
+        for b in beta:
+            for t in range(1, b + 1):
+                fact *= t
+        for rep in reps:
+            out.append(rep.partial_multi(beta).evaluate(p) / fact)
+    return out
+
+
+def factor_through_jet_by_apply(D, k, p):
+    """factor_through_jet by applying D to every basis section (x − p)^β e_j
+    and evaluating at p."""
+    if D.order > k:
+        raise ValueError("operator order %d exceeds jet order %d" % (D.order, k))
+    m = D.nvars
+    p = [Fraction(x) for x in p]
+    cols = []
+    for beta in jet_multidegrees(m, k):
+        base = Poly.constant(m, 1)
+        for i, b in enumerate(beta):
+            var = Poly.variable(m, i + 1) - Poly.constant(m, p[i])
+            for _ in range(b):
+                base = base * var
+        for j in range(D.rank_in):
+            s = PolySection([base if t == j else Poly.zero(m)
+                             for t in range(D.rank_in)])
+            cols.append(D.apply(s).evaluate(p))
+    return [[cols[c][r] for c in range(len(cols))] for r in range(D.rank_out)]

@@ -20,7 +20,9 @@ from superalg.cartan import homology_table_size
 from superalg.cli import (
     FUZZ_CHECKS,
     HOMOLOGY_MAX_DIM,
+    JET_MAX_DIM,
     ROUNDS,
+    SDER_DIMS_MAX_N,
     SDERHAM_MAX_DIM,
     SUPERMAP_MAX_EVEN,
     SUPERMAP_MAX_ODD,
@@ -194,6 +196,20 @@ def test_sder_dims_bad_nmax(capsys):
     assert code == 3 and "precondition" in err
 
 
+# the dimensions grow like n·2^n, so sder-dims caps nmax at 100; 15,000 once
+# ended in a traceback, its dimensions too long to print
+@pytest.mark.parametrize("nmax, code", [(99, 0), (100, 0), (101, 3), (15000, 3)])
+def test_sder_dims_nmax_limit(capsys, nmax, code):
+    assert SDER_DIMS_MAX_N == 100
+    got, out, err = run_cli(capsys, ["sder-dims", "--nmax", str(nmax)])
+    assert got == code and ("1..100" in err) == (code == 3)
+    if code == 0:
+        rows = json.loads(out)["dimensions"]
+        assert len(rows) == nmax and rows[-1]["super"] == nmax * 2 ** nmax
+    else:
+        assert out == ""
+
+
 def test_lie_check_good_and_bad(capsys, tmp_path):
     good = write(tmp_path, "good.json", {"even_dim": 1, "odd_dim": 1,
         "brackets": [{"i": 2, "j": 2, "coeffs": [1, 0]}]})
@@ -305,6 +321,28 @@ def test_jet_factor_order_precondition(capsys, tmp_path):
         "op": [{"alpha": [2], "matrix": [[[{"exps": [0], "coeff": "1"}]]]}]})
     code, _, err = run_cli(capsys, ["jet-factor", p, "--order", "1"])
     assert code == 3 and "order" in err
+
+
+# jet-factor caps the factoring matrix at 2000 entries, rank_out rows of
+# C(m + k, k)·rank_in, and m and k below 2000; the zero operator keeps the
+# runs at the limit short, and the corpus's largest shape (m = 2, k = 3,
+# rank 2 to 2) has 40
+@pytest.mark.parametrize("nvars, order, rank_in, rank_out, code", [
+    (1, 1, 999, 1, 0), (1, 1, 1000, 1, 0), (1, 1, 1001, 1, 3), (1, 0, 1, 2000, 0),
+    (1, 0, 1, 2001, 3), (1, 0, 1, 10 ** 9, 3), (2, 3, 2, 2, 0), (8, 8, 1, 1, 3),
+    (1999, 0, 1, 1, 0), (2000, 0, 1, 1, 3), (0, 1999, 1, 1, 0), (0, 2000, 1, 1, 3),
+    (10 ** 6, 10 ** 9, 1, 1, 3)])
+def test_jet_factor_size_limit(capsys, tmp_path, nvars, order, rank_in, rank_out, code):
+    assert JET_MAX_DIM == 2000
+    p = write(tmp_path, "op.json", {"nvars": nvars, "rank_in": rank_in,
+                                    "rank_out": rank_out, "op": []})
+    t0 = time.perf_counter()
+    got, out, err = run_cli(capsys, ["jet-factor", p, "--order", str(order)])
+    assert got == code and ("more than 2000" in err) == (code == 3)
+    if code == 3:
+        assert out == "" and time.perf_counter() - t0 < 0.5
+    else:
+        assert json.loads(out)["jet_order"] == order
 
 
 def test_supermap_check_passes(capsys, tmp_path):

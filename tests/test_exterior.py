@@ -200,7 +200,4 @@ def test_parts():
     assert e.parity_part(1) == mono(V3, (1,))
     assert e.parity_part(Parity.ODD) == mono(V3, (1,))
     assert e.parity_part(Parity.EVEN) == e.parity_part(0)
-    assert not e.is_homogeneous()
     assert e.coeff((1, 2)) == 3
-    assert e.top_degree() == 2
-    assert ExtElem.zero(V3).top_degree() == -1

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import factor_through_jet_by_apply, jet_by_composition
 from strat import small_fractions
 
 from superalg.jets import (
@@ -64,7 +65,6 @@ def test_poly_arithmetic():
     assert f.partial(1) == p1({1: 2})
     assert f.evaluate([Fraction(3)]) == 9
     assert f.compose([g]) == g * g
-    assert p1({5: 1, 1: 1}).truncate(2) == p1({1: 1})
     assert multi_binom((3, 1), (2, 0)) == 3
     assert multi_binom((1, 0), (2, 0)) == 0
     with pytest.raises(ValueError):
@@ -163,14 +163,34 @@ def test_principal_symbol_examples():
 
 def test_jet_examples():
     s = PolySection([p1({3: 1})])
-    assert jet(s, 2, [0]).rep.is_zero()
+    assert jet(s, 2, [0]).coefficients() == [0, 0, 0]
     s2 = PolySection([p1({2: 1})])
-    assert jet(s2, 1, [1]).rep == PolySection([p1({1: 2, 0: -1})])
+    # the 1-jet of x² at 1 is the tangent line 2x − 1: value 1, slope 2
+    assert jet(s2, 1, [1]).coefficients() == [1, 2]
     const = PolySection([Poly.constant(1, Fraction(7, 2))])
     for k in range(3):
-        assert jet(const, k, [5]).rep == const
-    # truncation is idempotent and lowers nothing of low degree
-    assert jet(s2, 3, [1]).rep == s2
+        assert jet(const, k, [5]).coefficients() == [Fraction(7, 2)] + [0] * k
+    # a jet of order at least the degree keeps every Taylor coefficient
+    assert jet(s2, 3, [1]).coefficients() == [1, 2, 1, 0]
+    assert jet(s2, 3, [1]) == jet(s2, 3, [Fraction(1)])
+    assert jet(s2, 3, [1]) != jet(s2, 2, [1])
+    # rank 2 in two variables: the rank index runs inside each multidegree
+    sec = PolySection([Poly(2, {(1, 1): 1}), Poly(2, {(0, 1): 3})])
+    assert jet(sec, 1, [2, Fraction(1, 2)]).coefficients() == [
+        1, Fraction(3, 2), 2, 3, Fraction(1, 2), 0]
+    with pytest.raises(ValueError):
+        jet(s2, 1, [1, 2])
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_jet_matches_composition_oracle(data):
+    nvars = data.draw(st.integers(1, 3), label="nvars")
+    rank = data.draw(st.integers(1, 2), label="rank")
+    s = PolySection([data.draw(polys(nvars), label="s%d" % j) for j in range(rank)])
+    k = data.draw(st.integers(0, 4), label="k")
+    point = [data.draw(small_fractions(), label="p%d" % i) for i in range(nvars)]
+    assert jet(s, k, point).coefficients() == jet_by_composition(s, k, point)
 
 
 @given(s=polys(2, max_deg=3), k=st.integers(0, 3))
@@ -211,6 +231,35 @@ def test_factor_through_jet_property(data):
     mat = factor_through_jet(D, 2, point)
     coeffs = jet(s, 2, point).coefficients()
     assert D.apply(s).evaluate(point) == mat_vec(mat, coeffs)
+
+
+# the zero operator, multidegrees missing from D (order 1 read at k = 3),
+# rank_in != rank_out and a fraction point
+@pytest.mark.parametrize("D, k, point", [
+    (PolyDiffOp.zero(2, 2, 1), 2, [Fraction(1, 2), 3]),
+    (PolyDiffOp.coordinate_partial(1, 1), 3, [Fraction(-5, 3)]),
+    (PolyDiffOp(2, 1, 2, {(0, 1): [[Poly.variable(2, 1)], [Poly.constant(2, 2)]]}),
+     2, [Fraction(7, 4), Fraction(-1, 2)]),
+    (PolyDiffOp(1, 2, 1, {(2,): [[p1({1: 1}), p1({0: 3})]]}), 2, [Fraction(2, 3)]),
+])
+def test_factor_through_jet_matches_apply_examples(D, k, point):
+    assert factor_through_jet(D, k, point) == factor_through_jet_by_apply(D, k, point)
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_factor_through_jet_matches_apply_oracle(data):
+    nvars = data.draw(st.integers(1, 3), label="nvars")
+    rank_in = data.draw(st.integers(1, 2), label="rank_in")
+    rank_out = data.draw(st.integers(1, 2), label="rank_out")
+    D = data.draw(st.one_of(st.just(PolyDiffOp.zero(nvars, rank_in, rank_out)),
+                            diff_ops(nvars, rank_in, rank_out, max_order=3)), label="D")
+    k = max(D.order, 0) + data.draw(st.integers(0, 2), label="excess")
+    point = [data.draw(small_fractions(), label="p%d" % i) for i in range(nvars)]
+    hat = factor_through_jet(D, k, point)
+    assert hat == factor_through_jet_by_apply(D, k, point)
+    assert len(hat) == rank_out
+    assert all(len(row) == len(jet_multidegrees(nvars, k)) * rank_in for row in hat)
 
 
 def test_symmetrized_jet_flat_examples():

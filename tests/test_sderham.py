@@ -914,9 +914,7 @@ def test_connection_shape_validation():
 
 
 def test_connection_flags():
-    assert OddConnection.zero(2, 2).is_flat_zero()
     conn = matrix_conn()
-    assert not conn.is_flat_zero()
     assert conn.max_degree() == 1
     assert OddConnection.zero(2, 2).max_degree() == -1
 

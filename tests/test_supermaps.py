@@ -142,7 +142,6 @@ def test_superfunc_filtration_and_parts():
     assert f.filtration_degree() == 0
     assert f.degree_part(2).filtration_degree() == 2
     assert PolySuperFunc.zero(1, 3).filtration_degree() == 4
-    assert f.truncate_lambda(1) == sf(1, 3, {((2,), ()): 3})
     assert f.is_even() and not f.is_odd()
 
 
