@@ -52,6 +52,7 @@ from .jets import (
     factor_through_jet,
     iterated_commutator,
     jet,
+    jet_multidegrees,
     nested_commutator,
 )
 from .liesuper import (
@@ -144,25 +145,25 @@ SDERHAM_MAX_DIM = 5000
 # argument spanning 2**q exterior monomials into an algebra spanning 2**p, for
 # source odd rank p and target odd rank q, so it refuses a larger p + q.
 # Criterion-9 shaped maps 1|p -> 2|q (2-CPU host, --budget small): p + q = 10
-# takes 0.1-2.1 s (6|4 the slowest, 4.2 s at --budget medium), p + q = 11
-# takes 0.4-5.3 s (8|3 and 6|5 the slowest), and 9|4 takes 25 s.
+# takes 0.1-0.6 s (6|4 the slowest, 2.3 s at --budget medium), p + q = 11
+# takes 0.2-2.0 s (8|3 and 6|5 the slowest), and 9|4 takes 9.2 s.
 SUPERMAP_MAX_ODD = 10
 # Each random argument of the order bound is a degree-2 polynomial in the n
 # target coordinates, so its time also grows steeply with n, and
 # supermap-check refuses a larger target even rank.  Criterion-9 shaped maps
-# 1|p -> n|q (2-CPU host, --budget small): 1|4 -> n|2 takes 0.06 s at n = 2,
-# 0.2 s at 3, 0.45 s at 4, 3.2 s at 6 and 13 s at 8; at n = 3 the slowest
-# shapes under SUPERMAP_MAX_ODD are 1|6 -> 3|4 (9.7 s) and 1|8 -> 3|2 (7.9 s),
-# which take 28 s each at n = 4.
+# 1|p -> n|q (2-CPU host, --budget small): 1|4 -> n|2 takes 0.03 s at n = 2,
+# 0.07 s at 3, 0.15 s at 4, 0.8 s at 6 and 2.6 s at 8; at n = 3 the slowest
+# shapes under SUPERMAP_MAX_ODD are 1|6 -> 3|4 (2.4 s) and 1|8 -> 3|2 (2.5 s),
+# which take 8.4 s and 14 s at n = 4.
 SUPERMAP_MAX_EVEN = 3
 # jet-factor's factoring matrix has rank_out rows of C(m + k, k)·rank_in
 # entries, so it refuses a larger one, or m or k at the limit.  The time also
 # grows with m and, through the Taylor coefficients' size, with k (2-CPU host,
-# --budget small): at the limit m = 1998, k = 1 takes 2.9 s (7.4 s at medium),
-# m = 1, k = 1998 1.0 s, the zero operator from rank 1 to 2000 0.14 s, and
-# m = 2, k = 61 or m = 61, k = 2 0.1 s; above it, m = 8, k = 8 (12,870) takes
-# 0.5 s, m = 1, k = 4999 6.0 s, m = 300, k = 2 (45,451) 12 s and the zero
-# operator from rank 1 to 10**5 9 s.
+# --budget small, one jet basis per job): at the limit m = 1998, k = 1 takes
+# 0.8 s (1.7 s at medium), m = 1, k = 1998 1.1 s, the zero operator from
+# rank 1 to 2000 0.17 s, and m = 2, k = 61 or m = 61, k = 2 0.1 s; above it,
+# m = 8, k = 8 (12,870) takes 0.6 s, m = 1, k = 4999 5.2 s, m = 300, k = 2
+# (45,451) 3.5 s and the zero operator from rank 1 to 10**5 8 s.
 JET_MAX_DIM = 2000
 # sder-dims prints closed-form dimensions of about n·2^n, whose digits grow
 # with n: nmax 100 takes 0.5 ms and prints 11 KB, 1,000 takes 11 ms and
@@ -430,9 +431,9 @@ def _cmd_straighten(args):
     return checks, {"straightening": g.to_json()}
 
 
-def _jet_factorization_holds(D, k, pt, hat, s):
+def _jet_factorization_holds(D, k, pt, hat, s, basis):
     """D(s)(pt) == hat · (coefficients of the k-jet of s at pt)."""
-    coeffs = jet(s, k, pt).coefficients()
+    coeffs = jet(s, k, pt, basis).coefficients()
     return D.apply(s).evaluate(pt) == [sum(map(mul, row, coeffs), Fraction(0))
                                        for row in hat]
 
@@ -465,13 +466,15 @@ def _cmd_jet_factor(args):
     seed = sub_seed(args.seed, "jet-factor")
     rng = random.Random(seed)
     npts = ROUNDS[args.budget]
+    # one jet basis serves every point's factoring matrix and jets
+    basis = jet_multidegrees(m, k)
     ok = True
     for _ in range(npts):
         pt = [Fraction(rng.randint(-3, 3)) for _ in range(m)]
-        hat = factor_through_jet(D, k, pt)
+        hat = factor_through_jet(D, k, pt, basis)
         for _ in range(2):
             s = PolySection([rand_poly(rng, m, k + 1, 2) for _ in range(rin)])
-            ok = ok and _jet_factorization_holds(D, k, pt, hat, s)
+            ok = ok and _jet_factorization_holds(D, k, pt, hat, s, basis)
     checks = [CheckResult("operator-factors-through-jet", ok,
                           "sub-seed %d, %d points x 2 sections" % (seed, npts))]
     return checks, {"order": D.order, "jet_order": k}
@@ -642,9 +645,10 @@ def _fuzz_jets_factorization(rng, rounds):
         D = _rand_diffop(rng, m, 1, 2)
         k = max(D.order, 0)
         pt = [Fraction(rng.randint(-2, 2)) for _ in range(m)]
-        hat = factor_through_jet(D, k, pt)
+        basis = jet_multidegrees(m, k)
+        hat = factor_through_jet(D, k, pt, basis)
         s = PolySection([rand_poly(rng, m, k + 1, 2)])
-        if not _jet_factorization_holds(D, k, pt, hat, s):
+        if not _jet_factorization_holds(D, k, pt, hat, s, basis):
             return False, "factorization failed at %r" % (pt,)
     return True, "%d operators" % rounds
 

@@ -320,13 +320,17 @@ def jet_multidegrees(nvars, k):
     return [b for d in range(k + 1) for b in sorted(iter_multidegrees(nvars, d))]
 
 
-def jet(s, k, p):
+def jet(s, k, p, basis=None):
     """The k-jet of s at p in one pass over the terms of s: the coefficient
-    of y^β in s(p + y) is Σ_e c_e Π_i C(e_i, β_i) p_i^(e_i − β_i)."""
+    of y^β in s(p + y) is Σ_e c_e Π_i C(e_i, β_i) p_i^(e_i − β_i).  basis,
+    when given, is jet_multidegrees(s.nvars, k), built once by a caller
+    that takes several jets in the same variables and order."""
     if len(p) != s.nvars:
         raise ValueError("point needs %d coordinates" % s.nvars)
     p = [Fraction(x) for x in p]
-    pos = {beta: i for i, beta in enumerate(jet_multidegrees(s.nvars, k))}
+    if basis is None:
+        basis = jet_multidegrees(s.nvars, k)
+    pos = {beta: i for i, beta in enumerate(basis)}
     r = s.rank
     coeffs = [Fraction(0)] * (len(pos) * r)
     for j, poly in enumerate(s.polys):
@@ -357,15 +361,18 @@ def jet_operator(nvars, rank, k):
     return PolyDiffOp(nvars, rank, len(basis) * rank, terms)
 
 
-def factor_through_jet(D, k, p):
+def factor_through_jet(D, k, p, basis=None):
     """The matrix through which D factors at p: D(s)(p) = D̂_p · coeffs(jet^k_p s).
     Columns follow the graded-lex jet coefficient layout, rank-in entries per
     multidegree.  Since ∂^α (x − p)^β at p is β!·δ_αβ, column (β, j) is
-    β!·P_β(p)[:, j], and zero when β is not a term of D."""
+    β!·P_β(p)[:, j], and zero when β is not a term of D.  basis, when given,
+    is jet_multidegrees(D.nvars, k), as for jet."""
     if D.order > k:
         raise ValueError("operator order %d exceeds jet order %d" % (D.order, k))
+    if basis is None:
+        basis = jet_multidegrees(D.nvars, k)
     rows = [[] for _ in range(D.rank_out)]
-    for beta in jet_multidegrees(D.nvars, k):
+    for beta in basis:
         mat = D.terms.get(beta)
         if mat is None:
             for row in rows:

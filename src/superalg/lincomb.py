@@ -7,12 +7,21 @@ in _DIMS and adds its constructors, products and JSON form.
 
 Exterior monomials are IndexSet keys, strictly increasing tuples of 1-based
 generator indices.  merge_sign, contract and replace are the only routines
-that reorder them, and sym_ext_ints is the one product loop of Sym ⊗ Λ: it
-runs on int coefficients, and sym_ext_terms wraps it for rational ones.
+that reorder them.
+
+sym_ext_ints is the one product loop of Sym ⊗ Λ, and it runs on packed int
+keys with int coefficients.  A term x^e ds_A of Sym(n) ⊗ Λ(q) packs into one
+int: the odd bitmask of A in the low q bits (bit a - 1 for ds_a), and the
+exponent e_i in field i of width w above it (pack_key, unpack_key); the unit
+packs to 0.  When the
+masks of two terms are disjoint, their product key is the plain sum of their
+keys, as long as w holds every exponent of the product; mask_sign gives the
+sign.  sym_ext_terms wraps the loop for rational term maps on
+(MultiDegree, IndexSet) keys.
 """
 
 from fractions import Fraction
-from operator import add, attrgetter
+from operator import attrgetter
 
 from .scalars import IndexSet, MultiDegree, cleared
 
@@ -173,49 +182,112 @@ def cleared_terms(terms):
     return d, dict(zip(terms, ints))
 
 
-def _by_ext_key(terms):
-    # {IndexSet: [(MultiDegree, c), ...]}, the terms grouped by exterior key
+def mask_sign(ma, mb):
+    """Sign of ds_A ∧ ds_B against ds_(A ∪ B) for disjoint odd bitmasks ma
+    and mb: the parity of the pairs (a in A, b in B) with a > b, the
+    inversions merge_sign counts."""
+    inv = 0
+    while mb:
+        low = mb & -mb
+        # the bits of ma above the lowest bit of mb
+        inv += (ma & -(low << 1)).bit_count()
+        mb ^= low
+    return -1 if inv & 1 else 1
+
+
+def pack_key(exps, key, q, w):
+    """The packed int of x^exps ds_key with q mask bits and fields of w bits."""
+    k = 0
+    for a in key:
+        k |= 1 << (a - 1)
+    shift = q
+    for e in exps:
+        k |= e << shift
+        shift += w
+    return k
+
+
+def unpack_key(k, n, q, w):
+    """(MultiDegree, IndexSet) of a packed key with n fields of w bits above
+    q mask bits; pack_key undone."""
+    key = _new(IndexSet, [a for a in range(1, q + 1) if k >> (a - 1) & 1])
+    k >>= q
+    field = (1 << w) - 1
+    return _new(MultiDegree, [k >> (i * w) & field for i in range(n)]), key
+
+
+def last_factor(key, q, w):
+    """The packed generator at the right end of the nonzero monomial key:
+    its highest odd generator, or with none, the coordinate of its highest
+    nonzero exponent field.  key minus it is the rest of the monomial."""
+    mask = key & ((1 << q) - 1)
+    if mask:
+        return 1 << (mask.bit_length() - 1)
+    return 1 << (q + (key.bit_length() - 1 - q) // w * w)
+
+
+def pack_terms(terms, q, w):
+    """A term map on (MultiDegree, IndexSet) keys with packed keys."""
+    return {pack_key(e, k, q, w): c for (e, k), c in terms.items()}
+
+
+def _by_mask(terms, low):
+    # {mask: [(key, c), ...]}, the terms grouped by their odd bitmask
     groups = {}
-    for (e, k), c in terms.items():
-        groups.setdefault(k, []).append((e, c))
+    for k, c in terms.items():
+        groups.setdefault(k & low, []).append((k, c))
     return groups
 
 
-def sym_ext_ints(ta, tb):
-    """Product in Sym ⊗ Λ of two term maps on (MultiDegree, IndexSet) keys
-    with int coefficients: exponent vectors add and the exterior monomials
-    wedge with their sign.  No zero coefficient is kept.  On the int parts
-    of two cleared pairs (da, ta) and (db, tb), such as sym_ext_terms and
-    the supermaps routes build, the product is the pair (da * db, result).
+def sym_ext_ints(ta, tb, q):
+    """Product in Sym ⊗ Λ(q) of two term maps on packed keys with int
+    coefficients: exponents add and the odd monomials wedge with their sign.
+    The fields must be wide enough for every exponent of the product.  No
+    zero coefficient is kept.  On the int parts of two cleared pairs
+    (da, ta) and (db, tb), the product is the pair (da * db, result).
 
-    Each operand's terms are grouped by exterior key, so merge_sign runs once
-    per pair of keys, and the polynomial parts of two groups then multiply
-    with the sign folded into the left coefficient."""
+    Each operand's terms are grouped by odd bitmask, so the overlap test and
+    mask_sign run once per pair of masks, and two terms of disjoint masks
+    multiply into the key k1 + k2, with the sign folded into the left
+    coefficient."""
+    low = (1 << q) - 1
     out = {}
     get = out.get
-    gb = _by_ext_key(tb).items()
-    for k1, g1 in _by_ext_key(ta).items():
-        for k2, g2 in gb:
-            key, sign = merge_sign(k1, k2)
-            if key is None:
+    gb = _by_mask(tb, low).items()
+    for m1, g1 in _by_mask(ta, low).items():
+        for m2, g2 in gb:
+            if m1 & m2:
                 continue
-            for e1, c1 in g1:
-                if sign < 0:
+            negate = mask_sign(m1, m2) < 0
+            for k1, c1 in g1:
+                if negate:
                     c1 = -c1
-                for e2, c2 in g2:
-                    k = (_new(MultiDegree, map(add, e1, e2)), key)
+                for k2, c2 in g2:
+                    k = k1 + k2
                     out[k] = get(k, 0) + c1 * c2
     return {k: v for k, v in out.items() if v}
 
 
+def max_degree(terms):
+    """Largest total degree in a term map on (MultiDegree, IndexSet) keys,
+    0 when it is empty."""
+    return max((sum(e) for e, _ in terms), default=0)
+
+
 def sym_ext_terms(ta, tb):
-    """sym_ext_ints for rational coefficients, fraction-free: each operand is
-    cleared to ints over one denominator, and one Fraction is built per
-    surviving key."""
-    da, ia = cleared_terms(ta)
-    db, ib = cleared_terms(tb)
+    """The Sym ⊗ Λ product of two rational term maps on (MultiDegree,
+    IndexSet) keys, fraction-free: each operand is cleared to ints over one
+    denominator and packed, with fields as wide as the product's total
+    degree, and one Fraction is built per surviving key."""
+    if not ta or not tb:
+        return {}
+    n = len(next(iter(ta))[0])
+    q = max((k[-1] for t in (ta, tb) for _, k in t if k), default=0)
+    w = (max_degree(ta) + max_degree(tb)).bit_length()
+    da, ia = cleared_terms(pack_terms(ta, q, w))
+    db, ib = cleared_terms(pack_terms(tb, q, w))
     d = da * db
-    return {k: Fraction(v, d) for k, v in sym_ext_ints(ia, ib).items()}
+    return {unpack_key(k, n, q, w): Fraction(v, d) for k, v in sym_ext_ints(ia, ib, q).items()}
 
 
 def sym_ext_product(a, b):

@@ -94,16 +94,22 @@ class Poly(LinComb):
         return total
 
     def compose(self, args):
-        """Substitute args[i] for variable i+1; args live in a common ring."""
+        """Substitute args[i] for variable i+1; args live in a common ring.
+
+        Each argument's powers are built once per call, by the same repeated
+        multiplication as **, and shared by every term that needs them."""
         if len(args) != self.nvars:
             raise ValueError("need %d substitution polynomials" % self.nvars)
         nv = args[0].nvars if args else 0
+        powers = [[Poly.constant(nv, 1)] for _ in args]
         out = Poly.zero(nv)
         for exps, c in self.terms.items():
             term = Poly.constant(nv, c)
-            for arg, e in zip(args, exps):
+            for arg, pw, e in zip(args, powers, exps):
                 if e:
-                    term = term * arg ** e
+                    while len(pw) <= e:
+                        pw.append(pw[-1] * arg)
+                    term = term * pw[e]
             out = out + term
         return out
 

@@ -35,7 +35,9 @@ def cleared(values):
     and that value's numerator over d is prime to it.
     """
     values = list(values)
-    d = lcm(*(x.denominator for x in values))
+    # star-args from a list, not a generator: a tuple built from a generator
+    # is resized to its length and then kept on the free list of that length
+    d = lcm(*[x.denominator for x in values])
     return d, [x.numerator * (d // x.denominator) for x in values]
 
 

@@ -10,12 +10,21 @@ morphism a differential operator along its base map, of order bounded
 by half the odd rank of the output algebra.
 
 The substitution and the commutator checks run on cleared pairs
-(d, {(MultiDegree, IndexSet): int}), the rational term map divided by d:
+(d, {key: int}), the rational term map divided by d, whose keys are the
+packed ints of lincomb: the odd bitmask in the low bits and one exponent
+field per coordinate above it.  Each map keeps one field width for its
+target algebra and one for its source algebra, and widens both, re-keying
+its memo, before a call that images a target element of higher total
+degree (_widen): a target field never exceeds that degree T, and a source
+field never exceeds T·max(Dc, 1) + q·Do, for Dc and Do the largest total
+degrees of the coordinate and odd images and q the target odd rank.
 _image_ints is the one substitution sum, products go through
 lincomb.sym_ext_ints, and differences are taken over the lcm of the two
-denominators.  Every pair is kept in lowest terms, so two pairs are equal
-exactly when the superfunctions they stand for are.  Fractions are built
-only where a PolySuperFunc is returned.
+denominators.  Every pair is kept in lowest terms, and the packing is
+injective at fixed widths, so two pairs are equal exactly when the
+superfunctions they stand for are.  Terms are packed where an element
+enters, and unpacked, with one Fraction per term, only where a
+PolySuperFunc is returned.
 """
 
 from fractions import Fraction
@@ -25,7 +34,8 @@ import random
 
 from . import decode
 from .exterior import ExtElem, ExtSpace
-from .lincomb import LinComb, cleared_terms, sym_ext_ints, sym_ext_product
+from .lincomb import (LinComb, cleared_terms, last_factor, max_degree, pack_key,
+                      pack_terms, sym_ext_ints, sym_ext_product, unpack_key)
 from .poly import Poly
 from .scalars import IndexSet, MultiDegree, format_scalar
 
@@ -178,12 +188,14 @@ class SuperMapData:
     coord_images[j] is where target coordinate j + 1 goes (even),
     odd_images[a] is where target odd generator a + 1 goes (odd).
     Parity violations are rejected at construction time.  The images of
-    target monomials are memoized per instance as apply_map meets them,
-    so the generator images are treated as immutable after construction.
+    target monomials are memoized per instance as apply_map meets them, as
+    cleared pairs on packed source keys under packed target keys, at the
+    one pair of field widths the map keeps; the generator images are
+    packed at construction and treated as immutable after it.
     """
 
     __slots__ = ("coord_images", "odd_images", "source_nvars", "source_odd",
-                 "_mono_images")
+                 "_source_bound", "_widths", "_mono_images")
 
     def __init__(self, coord_images, odd_images):
         coord_images = tuple(coord_images)
@@ -202,37 +214,66 @@ class SuperMapData:
                 raise ValueError("generator image %d has even-degree terms" % a)
         self.coord_images = coord_images
         self.odd_images = odd_images
-        one = ((0,) * len(coord_images), ())
-        unit = PolySuperFunc.unit(self.source_nvars, self.source_odd)
-        self._mono_images = {one: cleared_terms(unit.terms)}
+        # a source field of an image of total degree T is at most
+        # T * max(Dc, 1) + q * Do (see the module docstring)
+        dc, do = (max((max_degree(g.terms) for g in images), default=0)
+                  for images in (coord_images, odd_images))
+        self._source_bound = max(dc, 1), len(odd_images) * do
+        # the unit goes to the unit, key 0 at any width
+        self._widths = 0, 0
+        self._mono_images = {0: (1, {0: 1})}
+        self._widen(1)
+        n, q, wt = len(coord_images), len(odd_images), self._widths[0]
+        zero = (0,) * n
+        table = self._mono_images
+        for j, g in enumerate(coord_images):
+            x_j = pack_key(zero[:j] + (1,) + zero[j + 1:], (), q, wt)
+            table[x_j] = _source_pair(self, g.terms)
+        for a, g in enumerate(odd_images, start=1):
+            table[pack_key(zero, (a,), q, wt)] = _source_pair(self, g.terms)
 
-    def _monomial_image(self, exps, key):
-        """Image of the target monomial x^exps * ds_key, memoized as
+    def _widen(self, degree):
+        """Make the target and source fields wide enough for a call that
+        images target elements of total degree at most degree; widening
+        re-keys the memo, and its entries carry over."""
+        wt, ws = self._widths
+        c, o = self._source_bound
+        nt, ns = max(wt, degree.bit_length()), max(ws, (degree * c + o).bit_length())
+        if (nt, ns) == (wt, ws):
+            return
+        n, q, m, p = self.target_nvars, self.target_odd, self.source_nvars, self.source_odd
+
+        def rekey(k, nvars, odd, old, new):
+            return pack_key(*unpack_key(k, nvars, odd, old), odd, new)
+
+        self._mono_images = {
+            rekey(k, n, q, wt, nt): (d, {rekey(s, m, p, ws, ns): v for s, v in img.items()})
+            for k, (d, img) in self._mono_images.items()}
+        self._widths = nt, ns
+
+    def _monomial_image(self, key):
+        """Image of the target monomial packed as key, memoized as
         (d, {key: int}) in lowest terms: the image's coefficients are the
         ints over d.
 
-        A new entry is one int product with a cached neighbour: the last odd
-        generator is split off on the right, which keeps the left-to-right
-        order of the odd images, and once none is left the last nonzero
-        exponent is lowered by one.  The chain down to a cached entry is
-        walked iteratively, so high degrees never recurse.  The returned
-        dict is shared and must not be mutated.
+        A new entry is one int product with a cached neighbour: the highest
+        odd generator is split off on the right, which keeps the
+        left-to-right order of the odd images, and once none is left the
+        highest nonzero exponent field is lowered by one.  The generator
+        images are in the memo from construction on.  The chain down to a
+        cached entry is walked iteratively, so high degrees never recurse.
+        The returned dict is shared and must not be mutated.
         """
         table = self._mono_images
-        mono = (exps, key)
+        q, wt = self.target_odd, self._widths[0]
         chain = []
-        while mono not in table:
-            exps, key = mono
-            if key:
-                chain.append((mono, self.odd_images[key[-1] - 1]))
-                mono = (exps, key[:-1])
-            else:
-                j = max(i for i, e in enumerate(exps) if e)
-                chain.append((mono, self.coord_images[j]))
-                mono = (exps[:j] + (exps[j] - 1,) + exps[j + 1:], key)
-        pair = table[mono]
-        for mono, factor in reversed(chain):
-            pair = table[mono] = _product(pair, cleared_terms(factor.terms))
+        while key not in table:
+            g = last_factor(key, q, wt)
+            chain.append((key, g))
+            key -= g
+        pair = table[key]
+        for key, g in reversed(chain):
+            pair = table[key] = _product(pair, table[g], self.source_odd)
         return pair
 
     @property
@@ -279,9 +320,10 @@ def _lowest(d, ints):
     return d, ints
 
 
-def _product(a, b):
-    """Product of two cleared pairs, in lowest terms."""
-    return _lowest(a[0] * b[0], sym_ext_ints(a[1], b[1]))
+def _product(a, b, q):
+    """Product of two cleared pairs of one algebra with q odd generators, in
+    lowest terms."""
+    return _lowest(a[0] * b[0], sym_ext_ints(a[1], b[1], q))
 
 
 def _difference(a, b):
@@ -304,8 +346,8 @@ def _image_ints(phi, d, ints):
     the memoized monomial images, taken on ints over the lcm of their
     denominators and reduced once at the end."""
     table = phi._mono_images
-    images = [(c, table.get(mono) or phi._monomial_image(*mono)) for mono, c in ints.items()]
-    den = lcm(*(e for _, (e, _) in images))
+    images = [(c, table.get(k) or phi._monomial_image(k)) for k, c in ints.items()]
+    den = lcm(*[e for _, (e, _) in images])   # a list, as in scalars.cleared
     out = {}
     get = out.get
     for c, (e, img) in images:
@@ -315,10 +357,21 @@ def _image_ints(phi, d, ints):
     return _lowest(den * d, out)
 
 
+def _target_pair(phi, terms):
+    """A target term map as a cleared pair on the map's target keys."""
+    return cleared_terms(pack_terms(terms, phi.target_odd, phi._widths[0]))
+
+
+def _source_pair(phi, terms):
+    """A source term map as a cleared pair on the map's source keys."""
+    return cleared_terms(pack_terms(terms, phi.source_odd, phi._widths[1]))
+
+
 def _source_element(phi, pair):
     d, ints = pair
-    return PolySuperFunc._raw(phi.source_nvars, phi.source_odd,
-                              {k: Fraction(v, d) for k, v in ints.items()})
+    n, q, w = phi.source_nvars, phi.source_odd, phi._widths[1]
+    return PolySuperFunc._raw(n, q, {unpack_key(k, n, q, w): Fraction(v, d)
+                                     for k, v in ints.items()})
 
 
 def _check_target(phi, f):
@@ -331,11 +384,13 @@ def apply_map(phi, f):
 
     Unital multiplicative substitution; nilpotency of the odd images
     truncates everything after finitely many terms.  The input is cleared
-    to ints over one denominator, _image_ints sums its monomial images on
-    ints, and one Fraction is built per surviving key of the result.
+    to ints over one denominator and packed, _image_ints sums its monomial
+    images on ints, and one Fraction is built per surviving key of the
+    result.
     """
     _check_target(phi, f)
-    return _source_element(phi, _image_ints(phi, *cleared_terms(f.terms)))
+    phi._widen(max_degree(f.terms))
+    return _source_element(phi, _image_ints(phi, *_target_pair(phi, f.terms)))
 
 
 def pull_function(phi, f):
@@ -352,8 +407,8 @@ def _base_factor(phi, f):
     """A base function f as the cleared pairs (f on the target algebra,
     f composed with the base map on the source algebra)."""
     empty = IndexSet()
-    return tuple(cleared_terms({(e, empty): c for e, c in g.terms.items()})
-                 for g in (f, pull_function(phi, f)))
+    return tuple(pair(phi, {(e, empty): c for e, c in g.terms.items()})
+                 for pair, g in ((_target_pair, f), (_source_pair, pull_function(phi, f))))
 
 
 def _nested_ints(phi, factors, eta):
@@ -366,15 +421,21 @@ def _nested_ints(phi, factors, eta):
         return _image_ints(phi, *eta)
     lifted, pulled = factors[-1]
     rest = factors[:-1]
-    return _difference(_nested_ints(phi, rest, _product(lifted, eta)),
-                       _product(pulled, _nested_ints(phi, rest, eta)))
+    return _difference(_nested_ints(phi, rest, _product(lifted, eta, phi.target_odd)),
+                       _product(pulled, _nested_ints(phi, rest, eta), phi.source_odd))
+
+
+def _widen_for_commutators(phi, fs, eta):
+    # the largest element imaged is the product of eta with every f
+    phi._widen(sum(max(f.total_degree(), 0) for f in fs) + max_degree(eta.terms))
 
 
 def iterated_twisted_commutator(phi, fs, eta):
     """Nested twisted commutators, fs[0] innermost, applied to eta."""
     _check_target(phi, eta)
+    _widen_for_commutators(phi, fs, eta)
     factors = [_base_factor(phi, f) for f in fs]
-    return _source_element(phi, _nested_ints(phi, factors, cleared_terms(eta.terms)))
+    return _source_element(phi, _nested_ints(phi, factors, _target_pair(phi, eta.terms)))
 
 
 def twisted_commutator(phi, f, eta):
@@ -440,24 +501,29 @@ def order_bound_check(phi, trials=6, seed=0):
     Both routes are taken: the nested definition on a random argument
     and the product of defects times the morphism.
 
-    Both run on cleared pairs (d, {key: int}) in lowest terms, which are
-    equal exactly when the rationals they stand for are, and each random
-    base function is lifted and pulled back once per trial.
+    Both run on cleared pairs (d, {key: int}) on packed keys, in lowest
+    terms, which are equal exactly when the rationals they stand for are.
+    Each trial draws its base functions and argument first, widens the
+    map's keys for their product, and lifts and pulls back each base
+    function once.
     """
     depth = phi.source_odd // 2 + 1
     rng = random.Random(seed)
     n, q = phi.target_nvars, phi.target_odd
-    unit = cleared_terms(PolySuperFunc.unit(n, q).terms)
-    source_unit = cleared_terms(PolySuperFunc.unit(phi.source_nvars, phi.source_odd).terms)
+    # the unit of either algebra, key 0 at any width
+    unit = 1, {0: 1}
     failures = []
     for t in range(trials):
-        factors = [_base_factor(phi, _random_poly(rng, n)) for _ in range(depth)]
-        prod = source_unit
+        fs = [_random_poly(rng, n) for _ in range(depth)]
+        eta = _random_superfunc(rng, n, q)
+        _widen_for_commutators(phi, fs, eta)
+        factors = [_base_factor(phi, f) for f in fs]
+        prod = unit
         for factor in factors:
-            prod = _product(prod, _nested_ints(phi, [factor], unit))
-        eta = cleared_terms(_random_superfunc(rng, n, q).terms)
+            prod = _product(prod, _nested_ints(phi, [factor], unit), phi.source_odd)
+        eta = _target_pair(phi, eta.terms)
         nested = _nested_ints(phi, factors, eta)
-        if nested != _product(prod, _image_ints(phi, *eta)):
+        if nested != _product(prod, _image_ints(phi, *eta), phi.source_odd):
             failures.append(("route-mismatch", t))
         if prod[1] or nested[1]:
             failures.append(("nonvanishing", t))

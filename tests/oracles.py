@@ -47,11 +47,13 @@ from superalg.supermaps import (
 
 def fraction_sparse_rank(rows):
     """Rank of a sparse rational matrix given as dicts col -> value, by an
-    incremental echelon computed entirely in Fraction."""
+    incremental echelon computed entirely in Fraction.  The nonempty rows
+    are taken shortest first, which keeps the fill-in of the long ones
+    small."""
     pivots = {}
     rank_ = 0
-    for r in rows:
-        row = {c: Fraction(v) for c, v in r.items() if v}
+    rows = [{c: Fraction(v) for c, v in r.items() if v} for r in rows]
+    for row in sorted(filter(None, rows), key=len):
         while row:
             c = min(row)
             piv = pivots.get(c)

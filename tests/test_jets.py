@@ -262,6 +262,20 @@ def test_factor_through_jet_matches_apply_oracle(data):
     assert all(len(row) == len(jet_multidegrees(nvars, k)) * rank_in for row in hat)
 
 
+def test_shared_jet_basis_gives_the_same_results():
+    # jet-factor builds the basis once and passes it to every call
+    D = PolyDiffOp(2, 1, 2, {(0, 1): [[Poly.variable(2, 1)], [Poly.constant(2, 2)]],
+                             (2, 0): [[Poly.constant(2, -1)], [Poly.variable(2, 2)]]})
+    sections = [PolySection([Poly(2, {(3, 1): 2, (0, 2): Fraction(-1, 3)})]),
+                PolySection([Poly.variable(2, 2)])]
+    basis = jet_multidegrees(2, 3)
+    for point in ([Fraction(7, 4), Fraction(-1, 2)], [0, 2]):
+        assert factor_through_jet(D, 3, point, basis) == factor_through_jet(D, 3, point)
+        for s in sections:
+            assert jet(s, 3, point, basis) == jet(s, 3, point)
+    assert basis == jet_multidegrees(2, 3)
+
+
 def test_symmetrized_jet_flat_examples():
     m = 2
     zero = Poly.zero(m)

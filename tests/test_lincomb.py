@@ -8,7 +8,8 @@ from hypothesis import given, strategies as st
 from oracles import fraction_sym_ext_terms
 from strat import small_fractions
 from superalg.exterior import ExtElem, ExtSpace
-from superalg.lincomb import LinComb, contract, merge_sign, replace, sym_ext_terms
+from superalg.lincomb import (LinComb, contract, mask_sign, merge_sign, pack_key, replace,
+                              sym_ext_terms, unpack_key)
 from superalg.poly import Poly
 from superalg.scalars import IndexSet, MultiDegree, inversion_sign
 from superalg.sderham import SuperForm
@@ -114,6 +115,37 @@ def test_merge_sign_matches_inversion_count(a, b):
         assert sign == inversion_sign(a + b)
 
 
+def _mask(key):
+    return sum(1 << (a - 1) for a in key)
+
+
+# two disjoint subsets of 1..10
+disjoint_key_sets = st.sets(st.integers(1, 10)).flatmap(
+    lambda a: st.tuples(st.just(a), st.sets(st.integers(1, 10)).map(lambda b: b - a))).map(
+    lambda ab: tuple(tuple(sorted(s)) for s in ab))
+
+
+@given(disjoint_key_sets)
+def test_mask_sign_matches_merge_sign(ab):
+    a, b = ab
+    assert mask_sign(_mask(a), _mask(b)) == merge_sign(a, b)[1]
+
+
+@given(disjoint_key_sets, st.lists(st.integers(0, 40), min_size=3, max_size=3),
+       st.lists(st.integers(0, 40), min_size=3, max_size=3))
+def test_packed_keys_add_like_their_terms(ab, e1, e2):
+    # with fields as wide as the product's exponents, the product key of two
+    # terms with disjoint masks is the sum of their keys
+    a, b = ab
+    w = max(map(sum, zip(e1, e2))).bit_length()
+    k1, k2 = pack_key(e1, a, 10, w), pack_key(e2, b, 10, w)
+    assert unpack_key(k1, 3, 10, w) == (tuple(e1), a)
+    exps, key = unpack_key(k1 + k2, 3, 10, w)
+    assert type(exps) is MultiDegree and type(key) is IndexSet
+    assert (exps, key) == (tuple(map(sum, zip(e1, e2))), tuple(sorted(a + b)))
+    assert k1 + k2 == pack_key(exps, key, 10, w)
+
+
 @given(key_sets, st.integers(1, 8), st.integers(1, 8))
 def test_contract_and_replace_undo_a_front_wedge(key, i, j):
     rest, sign = contract(key, i)
@@ -207,6 +239,18 @@ def test_sym_ext_product_cancels_within_one_key():
     assert sym_ext_terms(a, b) == fraction_sym_ext_terms(a, b) == want
     assert sym_ext_terms(b, a) == {k: -v for k, v in want.items()}
     assert sym_ext_terms(a, {}) == sym_ext_terms({}, b) == {}
+
+
+def test_sym_ext_product_of_high_degrees():
+    # exponents of 40 and more need wider fields than the operands' own
+    a = {(MultiDegree((17, 0)), IndexSet((2,))): 3, (MultiDegree((0, 1)), IndexSet()): -1}
+    b = {(MultiDegree((23, 40)), IndexSet((1, 3))): Fraction(1, 2),
+         (MultiDegree((15, 2)), IndexSet((2,))): 7}
+    got = sym_ext_terms(a, b)
+    assert got == fraction_sym_ext_terms(a, b)
+    assert got == {(MultiDegree((40, 40)), IndexSet((1, 2, 3))): Fraction(-3, 2),
+                   (MultiDegree((23, 41)), IndexSet((1, 3))): Fraction(-1, 2),
+                   (MultiDegree((15, 3)), IndexSet((2,))): -7}
 
 
 def test_sym_ext_product_drops_cancelled_terms():

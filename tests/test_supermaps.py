@@ -12,6 +12,7 @@ from oracles import (
     order_bound_check_direct,
 )
 from strat import small_fractions
+from superalg.lincomb import pack_key
 from superalg.poly import Poly
 from superalg.scalars import IndexSet, MultiDegree
 from superalg.supermaps import (
@@ -228,6 +229,93 @@ def test_fractional_images_stay_exact():
     assert apply_map(phi, x60.scale(Fraction(3, 7)) + x60_ds1.scale(-5)) == \
         x60.scale(Fraction(3, 7 * 2 ** 60)) + x60_ds1.scale(Fraction(-5, 2 ** 59))
     assert all(gcd(d, *img.values()) == 1 for d, img in phi._mono_images.values())
+    assert all(type(k) is int for d, img in phi._mono_images.values() for k in img)
+
+
+def test_fields_widen_mid_life():
+    # x -> x^3 keys x^2 in 2-bit target and 3-bit source fields; x^600 needs
+    # 10 and 11 bits, so the memo is re-keyed, and x^2 and x^5 still image
+    # right from the re-keyed entries
+    phi = SuperMapData([PolySuperFunc.monomial(1, 0, (3,), ())], [])
+    for e in (2, 600, 5, 2):
+        f = PolySuperFunc.monomial(1, 0, (e,), ())
+        assert apply_map(phi, f).terms == oracle_image(phi, f) == {((3 * e,), ()): 1}
+    assert phi._widths == (10, 11)
+    assert all(type(k) is int for k in phi._mono_images)
+
+
+def test_fields_widen_with_odd_images():
+    # criterion-9 shaped 1|4 -> 2|2 map imaging degrees 1, 7, 30 and 3 in turn
+    x = PolySuperFunc.coordinate(1, 4, 1)
+    one = PolySuperFunc.unit(1, 4)
+
+    def mono(key, c=1):
+        return PolySuperFunc.monomial(1, 4, (0,), key, c)
+
+    coords = [one.scale(2) - x + mono((2, 4), -3), x.scale(3) + x * mono((1, 2), Fraction(1, 2))]
+    odds = [x * mono((1,)) - mono((2,)) + mono((2, 3, 4), -2), mono((1,), -1) + mono((1, 3, 4))]
+    phi = SuperMapData(coords, odds)
+    fs = [sf(2, 2, {((1, 0), (1,)): 1}),
+          sf(2, 2, {((4, 3), (1, 2)): 1, ((0, 7), (2,)): Fraction(-2, 3)}),
+          sf(2, 2, {((11, 19), (1, 2)): 1, ((30, 0), ()): 5}),
+          sf(2, 2, {((1, 2), (2,)): 1})]
+    widths = []
+    for f in fs:
+        assert apply_map(phi, f).terms == oracle_image(phi, f)
+        widths.append(phi._widths)
+    assert widths[0] < widths[1] < widths[2] == widths[3]
+
+
+def _square(g):
+    return g * g
+
+
+# maps into and out of algebras with no even or no odd generators:
+# name -> (source nvars, source odd, coord images, odd images, target elements)
+EDGE_MAPS = {
+    # 0|3 -> 1|2: the coordinate goes to a nilpotent shift of a constant
+    "source-0|q": lambda: (
+        [PolySuperFunc.constant(0, 3, 2) + PolySuperFunc.monomial(0, 3, (), (1, 2))],
+        [PolySuperFunc.odd_generator(0, 3, 3),
+         PolySuperFunc.odd_generator(0, 3, 1) + PolySuperFunc.monomial(0, 3, (), (1, 2, 3), -1)],
+        [sf(1, 2, {((5,), (1, 2)): 1, ((9,), ()): -3}), sf(1, 2, {((2,), (2,)): 1})]),
+    # 2|0 -> 2|1: no odd source generators, so the odd image is zero
+    "source-n|0": lambda: (
+        [_square(PolySuperFunc.coordinate(2, 0, 1)) + PolySuperFunc.coordinate(2, 0, 2),
+         PolySuperFunc.coordinate(2, 0, 1).scale(Fraction(1, 3))],
+        [PolySuperFunc.zero(2, 0)],
+        [sf(2, 1, {((3, 4), ()): 1, ((0, 1), (1,)): 2}), sf(2, 1, {((6, 1), ()): 1})]),
+    # 1|2 -> 0|2: constant base functions only
+    "target-0|q": lambda: (
+        [],
+        [PolySuperFunc.coordinate(1, 2, 1) * PolySuperFunc.odd_generator(1, 2, 1),
+         PolySuperFunc.odd_generator(1, 2, 2) + PolySuperFunc.odd_generator(1, 2, 1)],
+        [sf(0, 2, {((), (1, 2)): 1, ((), ()): 4}), sf(0, 2, {((), (2,)): -1})]),
+    # 1|2 -> 2|0: two even coordinates with nilpotent corrections
+    "target-n|0": lambda: (
+        [PolySuperFunc.coordinate(1, 2, 1) + PolySuperFunc.monomial(1, 2, (0,), (1, 2)),
+         _square(PolySuperFunc.coordinate(1, 2, 1))
+         + PolySuperFunc.monomial(1, 2, (1,), (1, 2), Fraction(-1, 2))],
+        [],
+        [sf(2, 0, {((2, 1), ()): 1}), sf(2, 0, {((7, 3), ()): 1, ((0, 1), ()): 2})]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_MAPS))
+def test_maps_without_even_or_odd_generators(name):
+    coords, odds, fs = EDGE_MAPS[name]()
+    phi = SuperMapData(coords, odds)
+    n = phi.target_nvars
+    for f in fs:
+        assert apply_map(phi, f).terms == oracle_image(phi, f)
+    bases = [Poly.constant(n, 3)] + [Poly.variable(n, j) * Poly.variable(n, 1)
+                                     for j in range(1, n + 1)]
+    for eta in fs:
+        assert iterated_twisted_commutator(phi, bases, eta) == \
+            iterated_twisted_commutator_direct(phi, bases, eta)
+    for seed in (0, 7):
+        assert report_fields(order_bound_check(phi, trials=3, seed=seed)) == \
+            report_fields(order_bound_check_direct(phi, trials=3, seed=seed))
 
 
 def test_high_degree_does_not_recurse():
@@ -275,6 +363,9 @@ def test_maps_never_share_images():
     assert apply_map(shifted, y_sq) == want
     tables = [phi._mono_images for phi in (shifted, plain, twin)]
     assert len({id(t) for t in tables}) == 3
+    # the packed x^2 entry of each map holds its own image
+    x_sq = pack_key((2,), (), 0, shifted._widths[0])
+    assert shifted._mono_images[x_sq] == twin._mono_images[x_sq] != plain._mono_images[x_sq]
 
 
 # --------------------------------------------------------------- commutators
@@ -299,13 +390,15 @@ def test_iterated_commutator_is_defect_product(phi, fs, eta):
 def spoiled(phi):
     """phi with the memoized image of x1^2 off by the constant 1, cached
     before any monomial above it, so every later image built on it carries
-    the error and the map stops being multiplicative."""
+    the error and the map stops being multiplicative.  The memo is keyed at
+    the narrowest width that holds x1^2, so the first call on a larger
+    element re-keys the spoiled entry."""
     n = phi.target_nvars
-    mono = (MultiDegree((2,) + (0,) * (n - 1)), IndexSet())
-    d, img = phi._monomial_image(*mono)
-    one = (MultiDegree((0,) * phi.source_nvars), IndexSet())
+    phi._widen(2)
+    mono = pack_key((2,) + (0,) * (n - 1), (), phi.target_odd, phi._widths[0])
+    d, img = phi._monomial_image(mono)
     img = dict(img)
-    img[one] = img.get(one, 0) + d
+    img[0] = img.get(0, 0) + d      # key 0 is the source unit
     phi._mono_images[mono] = d, {k: v for k, v in img.items() if v}
     return phi
 
@@ -337,7 +430,10 @@ def test_order_bound_check_matches_fraction_routes(phi, spoil, seed):
 
 def test_spoiled_memo_fails_the_order_bound_like_the_fraction_routes():
     chi = spoiled(odd_junk_map())
+    widths = chi._widths
     got = order_bound_check(chi, trials=3, seed=5)
+    # the trials image elements of degree 5, so the spoiled entry was re-keyed
+    assert chi._widths[0] > widths[0] and chi._widths[1] > widths[1]
     assert report_fields(got) == report_fields(order_bound_check_direct(chi, trials=3, seed=5))
     assert {kind for kind, _ in got.failures} == {"route-mismatch", "nonvanishing"}
     assert order_bound_check(odd_junk_map(), trials=3, seed=5).passed
