@@ -111,10 +111,15 @@ FNV_PRIME = 1099511628211
 ROUNDS = {"small": 4, "medium": 12}
 # check_lie_superalgebra visits every basis triple and sums products of two
 # nonzero brackets, so its time grows as dim**3 on a sparse table and about as
-# dim**5 on a dense one, and lie-check refuses a larger total dimension.  On
-# tables with every coefficient nonzero that parity allows (2-CPU host): 8|8
-# takes 0.43 s, 16|16 4.5 s and 32|0 16 s; gl(3|3), of dimension 36, 0.06 s.
+# dim**5 on a dense one, and lie-check refuses a larger total dimension, or
+# more nonzero bracket coefficients.  On tables with every coefficient
+# nonzero that parity allows (2-CPU host, CPU time): 8|8 (2,048 nonzero)
+# takes 0.12 s, 12|12 (6,912) 0.76 s, 20|0 (8,000) 0.89 s, 24|0 (13,824)
+# 2.7 s, 16|16 (16,384) 3.0 s and 32|0 (32,768) 14 s; a 32|0 table whose two
+# halves bracket into each other (8,192) takes 0.63 s, and gl(3|3), of
+# dimension 36 with 420 nonzero, 0.04 s.
 LIE_MAX_DIM = 32
+LIE_MAX_COEFFS = 8192
 # tensor-normalize enumerates every basis word of ranks 0..4, about dim**4 of
 # them, and derivation-classify acts on all 2**n basis monomials of n images.
 TENSOR_MAX_DIM = 32
@@ -135,11 +140,14 @@ HOMOLOGY_MAX_DIM = 14641
 # sderham --op cohomology and --op delta build one column per basis monomial
 # (sderham.assembled_count: for cohomology, the degree k basis and the
 # slack-widened degree k - 1 basis) and rank them, so they refuse more
-# monomials.  Ranking slows most on connections with every entry nonzero,
-# whose columns fill in (2-CPU host): 2|2 with degree-1 entries, k = 2 and
-# cutoff 2 spans 3,232 and takes 1.8 s, 2|3 with k = 2 and cutoff 0 spans
-# 8,504 and takes 42 s; a 3|2 connection with two degree-1 entries, k = 2
-# and cutoff 2 spans 27,080 and takes 1.8 s.
+# monomials.  Ranking slows most on connections with every entry a degree-1
+# Poly with no zero coefficient, whose columns fill in (2-CPU host, CPU
+# time): 2|2 with k = 2 and cutoff 2 spans 3,232 and takes 0.15 s, 2|3 with
+# k = 2 and cutoff 0 spans 8,504 and takes 0.9 s, and 3|2 with k = 2 and
+# cutoff 0 spans 19,428 and takes 4.0-4.2 s; a 3|2 connection with two
+# degree-1 entries, k = 2 and cutoff 2 spans 27,080 and takes 0.3 s.  Under
+# the limit, the slowest such dense run found is --op delta on 3|3 with
+# k = 4 and cutoff 1 (4,128 monomials, 0.7 s).
 SDERHAM_MAX_DIM = 5000
 # supermap-check's order bound images 2**(p // 2 + 1) products of a random
 # argument spanning 2**q exterior monomials into an algebra spanning 2**p, for
@@ -375,6 +383,10 @@ def _cmd_lie_check(args):
     if L.dim > LIE_MAX_DIM:
         raise PreconditionError("even_dim + odd_dim is %d, above the limit of %d"
                                 % (L.dim, LIE_MAX_DIM))
+    coeffs = sum(1 for vec in L.brackets.values() for c in vec if c)
+    if coeffs > LIE_MAX_COEFFS:
+        raise PreconditionError("the brackets have %d nonzero coefficients, above the limit of %d"
+                                % (coeffs, LIE_MAX_COEFFS))
     rep = check_lie_superalgebra(L)
     checks = [
         CheckResult("super-jacobi", rep.super_jacobi,

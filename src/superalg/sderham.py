@@ -16,20 +16,29 @@ the Koszul-type double sum over generator vector fields, and the two routes
 cross-validate each other.
 
 The operator is written once, as monomial_column: the image of one basis
-monomial x^e dx_A ds^b ds_C as an int vector {(dxs, sym, ext, exps): int},
-scaled by the per-connection integer D, the lcm of the denominators of A and
-R = dA + A^A.  super_d is its linear extension divided by D; cohomology_dims
-ranks the columns themselves, and delta_kernel_check composes them with the
-shifts on int vectors, since scaling by D changes no rank and no equality.
+monomial x^e dx_A ds^b ds_C as an int vector, scaled by the per-connection
+integer D, the lcm of the denominators of A and R = dA + A^A.  super_d is
+its linear extension divided by D; cohomology_dims ranks the columns
+themselves, and delta_kernel_check composes them with the shifts on int
+vectors, since scaling by D changes no rank and no equality.
+
+The columns, the shifts and the ranked rows all key a basis monomial by one
+int (FormLayout): from the low bits up, the ext mask of C, the dx mask of A,
+then the n entries of b and the m exponents of e in fields of w bits.  A
+wedge with dx_i sets a bit, a shift or connection move adds or subtracts
+field units, and every sign is the popcount parity of a masked part of the
+key.  Each caller takes w from the largest field value its results can
+reach (form_layout), so no field overflows into its neighbour.  SuperForm
+keeps tuple keys; super_d and the SuperForm shifts pack and unpack around
+the int core.
 """
 
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial, lcm, prod
-from operator import add
 
 from . import decode
-from .lincomb import LinComb, add_term, contract, merge_sign, replace
+from .lincomb import LinComb, add_term, contract, mask_sign, merge_sign, replace
 from .scalars import IndexSet, MultiDegree, cleared, iter_multidegrees, inversion_sign, sym_dim
 from .poly import Poly
 from .supermaps import PolySuperFunc
@@ -38,10 +47,63 @@ from .linalg import sparse_rank
 _new = tuple.__new__
 
 
-def _sym_bump(sym, alpha, delta):
-    # callers only lower a nonzero slot, so every entry stays a non-negative int
-    k = alpha - 1
-    return _new(MultiDegree, sym[:k] + (sym[k] + delta,) + sym[k + 1:])
+class FormLayout:
+    """Where the parts of a basis monomial x^e dx_A ds^b ds_C sit in its int key.
+
+    From the low bits up: the ext mask of C (bit c - 1 for ds_c, n bits),
+    the dx mask of A (bit n + i - 1 for dx_i, m bits), the n sym entries of
+    b and the m exponents of e, each in a field of w bits (sym_shifts and
+    exp_shifts hold the offsets of the fields).  Keys are added and
+    subtracted field unit by field unit, which is exact as long as every
+    field stays in 0..2^w - 1; form_layout picks w for that.
+    """
+
+    __slots__ = ("m", "n", "w", "field", "ext_low", "dx_low", "sym_shifts", "exp_shifts")
+
+    def __init__(self, m, n, w):
+        self.m, self.n, self.w = m, n, w
+        self.field = (1 << w) - 1
+        self.ext_low = (1 << n) - 1
+        self.dx_low = ((1 << m) - 1) << n
+        base = n + m
+        self.sym_shifts = tuple(range(base, base + n * w, w))
+        self.exp_shifts = tuple(range(base + n * w, base + (n + m) * w, w))
+
+    @staticmethod
+    def mask(indices, offset=0):
+        """The bits offset + i - 1 of the 1-based indices."""
+        return sum(1 << (offset + i - 1) for i in indices)
+
+    @staticmethod
+    def fields(values, shifts):
+        """The values placed at the field offsets."""
+        return sum(v << s for v, s in zip(values, shifts))
+
+    def pack(self, dxs, sym, ext, exps):
+        return (self.mask(ext) | self.mask(dxs, self.n)
+                | self.fields(sym, self.sym_shifts) | self.fields(exps, self.exp_shifts))
+
+    def unpack(self, key):
+        """(dxs, sym, ext, exps) of a key as IndexSet and MultiDegree tuples."""
+        n, m, field = self.n, self.m, self.field
+        return (_new(IndexSet, [i for i in range(1, m + 1) if key >> (n + i - 1) & 1]),
+                _new(MultiDegree, [key >> s & field for s in self.sym_shifts]),
+                _new(IndexSet, [c for c in range(1, n + 1) if key >> (c - 1) & 1]),
+                _new(MultiDegree, [key >> s & field for s in self.exp_shifts]))
+
+    def degree(self, key):
+        """The form degree |A| + |b| of a key."""
+        field = self.field
+        return (key & self.dx_low).bit_count() + sum(key >> s & field for s in self.sym_shifts)
+
+
+def form_layout(m, n, max_exp, max_sym):
+    """The layout for keys with exponents up to max_exp and sym entries up to
+    max_sym + 1: w is the bit length of the larger bound.  A caller passes
+    the largest exponent of its basis plus conn.max_exponent, the most one
+    application of the operator adds, and the largest sym degree of its
+    basis; the operator and the left shift raise a sym entry by at most 1."""
+    return FormLayout(m, n, max(max_exp, max_sym + 1).bit_length())
 
 
 class SuperForm(LinComb):
@@ -200,12 +262,19 @@ class OddConnection:
 
     Next to it sit the int tables that monomial_column reads: scale is D,
     the lcm of the denominators of the coefficients of A and R;
-    a_ints[i-1][g-1] lists (b, terms) for each nonzero A_gb in dx_i and
-    r_ints[g-1][b-1] lists (dx pair, terms) for R_gb, each terms a tuple of
-    (exponents, int) pairs of D times the coefficient.
+    max_exponent is the largest exponent in any term of A or R, the most an
+    exponent grows under the operator.  a_ints and r_ints hold D·A and D·R
+    for the FormLayout of field width `width`, each term as (packed
+    exponent offset, int); pack_tables(w) rebuilds them when a column of
+    another width is asked for.  a_ints[i] is (dx bit, mask of the lower dx
+    bits, offset of the field of x_(i+1), rows) with rows[g] listing
+    (ext bit of b, sym unit of b minus that of g, terms) for each nonzero
+    A_(g+1)(b+1) in dx_(i+1); r_ints[g][b] lists (2-bit dx mask, terms) for
+    the 2-forms of R_(g+1)(b+1).
     """
 
-    __slots__ = ("dim_base", "dim_odd", "comps", "curvature", "scale", "a_ints", "r_ints")
+    __slots__ = ("dim_base", "dim_odd", "comps", "curvature", "scale", "max_exponent",
+                 "width", "a_ints", "r_ints")
 
     def __init__(self, m, n, comps):
         if len(comps) != n or any(len(row) != n for row in comps):
@@ -229,20 +298,34 @@ class OddConnection:
         self.dim_odd = n
         self.comps = tuple(clean)
         self.curvature = curvature(self)
-        curv = self.curvature
         polys = [p for row in clean for cell in row for p in cell]
-        polys += [p for row in curv for two in row for p in two.values()]
-        scale = self.scale = lcm(*(c.denominator for p in polys for c in p.terms.values()))
+        polys += [p for row in self.curvature for two in row for p in two.values()]
+        self.scale = lcm(*(c.denominator for p in polys for c in p.terms.values()))
+        self.max_exponent = max((e for p in polys for exps in p.terms for e in exps), default=0)
+        self.width = self.a_ints = self.r_ints = None
+
+    def pack_tables(self, w):
+        """Build a_ints and r_ints for fields of w bits, unless they already are."""
+        if w == self.width:
+            return
+        lay = FormLayout(self.dim_base, self.dim_odd, w)
+        n, scale = self.dim_odd, self.scale
+        units = [1 << s for s in lay.sym_shifts]
 
         def ints(p):
-            return tuple((e, c.numerator * (scale // c.denominator)) for e, c in p.terms.items())
+            return tuple((lay.fields(e, lay.exp_shifts), c.numerator * (scale // c.denominator))
+                         for e, c in p.terms.items())
 
-        self.a_ints = tuple(tuple(tuple((b, ints(cell[i])) for b, cell in enumerate(row, 1)
-                                        if not cell[i].is_zero())
-                                  for row in clean)
-                            for i in range(m))
-        self.r_ints = tuple(tuple(tuple((key, ints(p)) for key, p in two.items()) for two in row)
-                            for row in curv)
+        self.a_ints = tuple(
+            (1 << (n + i), ((1 << i) - 1) << n, s,
+             tuple(tuple((1 << b, units[b] - units[g], ints(cell[i]))
+                         for b, cell in enumerate(row) if not cell[i].is_zero())
+                   for g, row in enumerate(self.comps)))
+            for i, s in enumerate(lay.exp_shifts))
+        self.r_ints = tuple(tuple(tuple((lay.mask(key, n), ints(p)) for key, p in two.items())
+                                  for two in row)
+                            for row in self.curvature)
+        self.width = w
 
     @classmethod
     def zero(cls, m, n):
@@ -381,30 +464,35 @@ def twisted_d_end(conn, mat):
     return out
 
 
-def _left_shifts(sym, ext):
-    """The plain left shift of one monomial ds^sym ds_ext, contracting ds_mu
-    out of the ext block into the sym block: (new sym, new ext, contraction
-    sign) for each mu in ext."""
-    for mu in ext:
-        rest, sign = contract(ext, mu)
-        yield _sym_bump(sym, mu, 1), rest, sign
+def _left_shifts(lay, key):
+    """The plain left shift of one packed monomial, contracting each ds_mu
+    out of the ext mask into sym entry mu: (new key, contraction sign), the
+    sign the parity of the ext bits below mu."""
+    ext = key & lay.ext_low
+    mask = ext
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield (key - low + (1 << lay.sym_shifts[low.bit_length() - 1]),
+               -1 if (ext & (low - 1)).bit_count() & 1 else 1)
 
 
-def _right_shifts(sym, ext):
-    """The plain right shift of one monomial ds^sym ds_ext, moving one ds^mu
-    out of the sym block onto the front of the ext block: (new sym, new ext,
-    multiplicity times wedge sign) for each mu it can move."""
-    for mu, e in enumerate(sym, 1):
-        if e:
-            rest, sign = merge_sign((mu,), ext)
-            if rest is not None:
-                yield _sym_bump(sym, mu, -1), rest, e * sign
+def _right_shifts(lay, key):
+    """The plain right shift of one packed monomial, moving one ds^mu out of
+    sym entry mu onto the front of the ext mask: (new key, multiplicity times
+    wedge sign) for each mu it can move."""
+    ext = key & lay.ext_low
+    field = lay.field
+    for mu, s in enumerate(lay.sym_shifts):
+        e = key >> s & field
+        bit = 1 << mu
+        if e and not ext & bit:
+            yield key - (1 << s) + bit, -e if (ext & (bit - 1)).bit_count() & 1 else e
 
 
-def monomial_column(conn, dxs, sym, ext, exps):
-    """D times the super exterior derivative of the one basis monomial
-    x^exps dx_dxs ds^sym ds_ext, as {(dxs, sym, ext, exps): int} with no
-    zero entry, D = conn.scale.
+def monomial_column(conn, key, lay):
+    """D times the super exterior derivative of the one basis monomial packed
+    as key in lay, as {packed key: int} with no zero entry, D = conn.scale.
 
     The three pieces act as
       dx_i ^ (coefficient derivative + dual connection action on sym and ext),
@@ -412,103 +500,137 @@ def monomial_column(conn, dxs, sym, ext, exps):
       (-1)^(a+b-1) curvature shift moving a sym slot into ext under R's 2-form,
     with a = |dxs| and b = |sym|.  The (-1)^a factors are the operator of
     numbers; the extra (-1)^b factors are the Koszul crossing signs of the
-    odd shift factors past the sym block.  The connection and curvature
-    pieces read the int term lists D*A and D*R of the connection, so every
-    entry is an int.  The keys are built as IndexSet and MultiDegree tuples,
-    ready to serve as SuperForm and Poly keys.
+    odd shift factors past the sym block.  On the key, dx_i ^ sets bit i
+    with the sign of the dx bits below it; the derivative, the sym moves and
+    the shifts add or subtract field units; replacing or contracting an ext
+    generator flips mask bits with the parity of the bits below; the
+    curvature 2-form's sign against dx_A is mask_sign.  The connection and
+    curvature pieces read conn.a_ints and conn.r_ints, packed for lay.w, so
+    every entry is an int.  lay must hold every field of the column: see
+    form_layout.
     """
-    n = conn.dim_odd
+    conn.pack_tables(lay.w)
     scale = conn.scale
+    field = lay.field
+    ext = key & lay.ext_low
+    sym = [key >> s & field for s in lay.sym_shifts]
+    a, b = (key & lay.dx_low).bit_count(), sum(sym)
     col = {}
     get = col.get
-    a, b = len(dxs), sym.total
     # twisted exterior derivative
-    for i, rows in enumerate(conn.a_ints, 1):
-        nk, msign = merge_sign((i,), dxs)
-        if nk is None:
+    for bit, below, eshift, rows in conn.a_ints:
+        if key & bit:
             continue
-        e = exps[i - 1]
+        nk = key | bit
+        msign = -1 if (key & below).bit_count() & 1 else 1
+        e = key >> eshift & field
         if e:
-            key = (nk, sym, ext, _new(MultiDegree, exps[:i - 1] + (e - 1,) + exps[i:]))
-            col[key] = get(key, 0) + msign * e * scale
-        for al, e in enumerate(sym, 1):
-            if not e or not rows[al - 1]:
+            k2 = nk - (1 << eshift)
+            col[k2] = get(k2, 0) + msign * e * scale
+        for al, e in enumerate(sym):
+            if not e or not rows[al]:
                 continue
             f = -e * msign
-            lowered = _sym_bump(sym, al, -1)
-            for be, terms in rows[al - 1]:
-                nsym = _sym_bump(lowered, be, 1)
-                for cexps, c in terms:
-                    key = (nk, nsym, ext, _new(MultiDegree, map(add, exps, cexps)))
-                    col[key] = get(key, 0) + f * c
-        for g in ext:
-            for be, terms in rows[g - 1]:
-                next_, ssign = replace(ext, g, be)
-                if next_ is None:
+            for _bit, move, terms in rows[al]:
+                base = nk + move
+                for off, c in terms:
+                    k2 = base + off
+                    col[k2] = get(k2, 0) + f * c
+        mask = ext
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            rest = ext ^ low
+            csign = (ext & (low - 1)).bit_count()
+            for bbit, _move, terms in rows[low.bit_length() - 1]:
+                if rest & bbit:
                     continue
-                f = -ssign * msign
-                for cexps, c in terms:
-                    key = (nk, sym, next_, _new(MultiDegree, map(add, exps, cexps)))
-                    col[key] = get(key, 0) + f * c
+                f = msign if (csign + (rest & (bbit - 1)).bit_count()) & 1 else -msign
+                base = nk - low + bbit
+                for off, c in terms:
+                    k2 = base + off
+                    col[k2] = get(k2, 0) + f * c
     # identity left shift, ext slot to sym
     nsign = -scale if (a + b) % 2 else scale
-    for nsym, next_, csign in _left_shifts(sym, ext):
-        key = (dxs, nsym, next_, exps)
-        col[key] = get(key, 0) + nsign * csign
+    for k2, csign in _left_shifts(lay, key):
+        col[k2] = get(k2, 0) + nsign * csign
     # curvature right shift, sym slot to ext under the 2-form
     if b:
         rsign = -1 if (a + b - 1) % 2 else 1
-        for mu in range(1, n + 1):
-            next_, isign = merge_sign((mu,), ext)
-            if next_ is None:
+        dxs = key & lay.dx_low
+        r_ints = conn.r_ints
+        for mu in range(lay.n):
+            mbit = 1 << mu
+            if ext & mbit:
                 continue
-            for nu, e in enumerate(sym, 1):
-                if not e:
+            isign = -rsign if (ext & (mbit - 1)).bit_count() & 1 else rsign
+            for nu, e in enumerate(sym):
+                two = r_ints[nu][mu]
+                if not e or not two:
                     continue
-                two = conn.r_ints[nu - 1][mu - 1]
-                if not two:
-                    continue
-                nsym = _sym_bump(sym, nu, -1)
-                for dkey, terms in two:
-                    nk, msign = merge_sign(dkey, dxs)
-                    if nk is None:
+                moved = key + mbit - (1 << lay.sym_shifts[nu])
+                for dmask, terms in two:
+                    if key & dmask:
                         continue
-                    f = rsign * e * msign * isign
-                    for cexps, c in terms:
-                        key = (nk, nsym, next_, _new(MultiDegree, map(add, exps, cexps)))
-                        col[key] = get(key, 0) + f * c
+                    f = isign * e * mask_sign(dmask, dxs)
+                    base = moved + dmask
+                    for off, c in terms:
+                        k2 = base + off
+                        col[k2] = get(k2, 0) + f * c
     return {k: v for k, v in col.items() if v}
+
+
+def _form_ints(omega, lay):
+    """(d, {packed key: int}) of a SuperForm, its coefficients cleared to ints
+    over one denominator d."""
+    den, nums = cleared(c for f in omega.terms.values() for c in f.terms.values())
+    nums = iter(nums)
+    out = {}
+    for (dxs, sym, ext), f in omega.terms.items():
+        base = lay.pack(dxs, sym, ext, ())
+        for exps in f.terms:
+            out[base | lay.fields(exps, lay.exp_shifts)] = next(nums)
+    return den, out
+
+
+def _form_from_ints(lay, ints, den):
+    """The SuperForm of {packed key: int} over the denominator den."""
+    terms = {}
+    for k, v in ints.items():
+        if v:
+            dxs, sym, ext, exps = lay.unpack(k)
+            poly = terms.get((dxs, sym, ext))
+            if poly is None:
+                poly = terms[(dxs, sym, ext)] = {}
+            poly[exps] = Fraction(v, den)
+    return SuperForm._raw(lay.m, lay.n, {key: Poly._raw(lay.m, t) for key, t in terms.items()})
+
+
+def _layout_of(omega, grow):
+    """form_layout for the terms of omega and an operator that adds at most
+    grow to an exponent."""
+    max_exp = max((e for f in omega.terms.values() for exps in f.terms for e in exps), default=0)
+    max_sym = max((e for (_a, sym, _c) in omega.terms for e in sym), default=0)
+    return form_layout(omega.dim_base, omega.dim_odd, max_exp + grow, max_sym)
 
 
 def super_d(conn, omega):
     """The super exterior derivative: the linear extension of monomial_column.
 
-    The coefficients of omega are cleared to ints over one denominator, the
-    columns of its monomials summed with those ints, and the sum divided by
-    that denominator times conn.scale once.
+    The coefficients of omega are cleared to ints over one denominator and
+    its monomials packed, the columns of its monomials summed with those
+    ints, and the sum divided by that denominator times conn.scale once.
     """
     if (conn.dim_base, conn.dim_odd) != (omega.dim_base, omega.dim_odd):
         raise ValueError("connection and form dimensions differ")
-    m, n = omega.dim_base, omega.dim_odd
-    den, nums = cleared(c for f in omega.terms.values() for c in f.terms.values())
-    nums = iter(nums)
+    lay = _layout_of(omega, conn.max_exponent)
+    den, ints = _form_ints(omega, lay)
     acc = {}
     get = acc.get
-    for (dxs, sym, ext), f in omega.terms.items():
-        for exps in f.terms:
-            c = next(nums)
-            for key, v in monomial_column(conn, dxs, sym, ext, exps).items():
-                acc[key] = get(key, 0) + c * v
-    den *= conn.scale
-    terms = {}
-    for (dxs, sym, ext, exps), v in acc.items():
-        if v:
-            key = (dxs, sym, ext)
-            poly = terms.get(key)
-            if poly is None:
-                poly = terms[key] = {}
-            poly[exps] = Fraction(v, den)
-    return SuperForm._raw(m, n, {key: Poly._raw(m, t) for key, t in terms.items()})
+    for key, c in ints.items():
+        for k2, v in monomial_column(conn, key, lay).items():
+            acc[k2] = get(k2, 0) + c * v
+    return _form_from_ints(lay, acc, den * conn.scale)
 
 
 class SuperVectorFieldGen:
@@ -736,25 +858,24 @@ def super_d_by_fields(conn, omega, fields):
     return total
 
 
-def _shift_terms(terms, shifts, number_signed=False):
-    """A fiberwise shift, monomial by monomial, of a term map whose keys start
-    (dxs, sym, ext): the terms of a SuperForm, or the int vectors of
-    monomial_column.  number_signed multiplies the image of each term of form
-    degree p by (-1)^(p-1)."""
+def _shift_terms(lay, terms, shifts, number_signed=False):
+    """A fiberwise shift, monomial by monomial, of a term map on packed keys:
+    the int vectors of monomial_column, or a packed SuperForm.
+    number_signed multiplies the image of each term of form degree p by
+    (-1)^(p-1)."""
     acc = {}
     for key, f in terms.items():
-        dxs, sym, ext = key[:3]
-        tail = key[3:]
-        if number_signed and not (len(dxs) + sym.total) % 2:
+        if number_signed and not lay.degree(key) % 2:
             f = -f
-        for nsym, next_, c in shifts(sym, ext):
-            add_term(acc, (dxs, nsym, next_) + tail, c * f)
+        for k2, c in shifts(lay, key):
+            add_term(acc, k2, c * f)
     return acc
 
 
 def _shift(omega, shifts, number_signed=False):
-    return SuperForm._raw(omega.dim_base, omega.dim_odd,
-                          _shift_terms(omega.terms, shifts, number_signed))
+    lay = _layout_of(omega, 0)
+    den, ints = _form_ints(omega, lay)
+    return _form_from_ints(lay, _shift_terms(lay, ints, shifts, number_signed), den)
 
 
 def shift_left_plain(omega):
@@ -823,17 +944,24 @@ class DeltaReport:
                 "components": [c.as_dict() for c in self.components]}
 
 
-def _component_basis(m, n, a, b, c, poly_cut):
-    for dxs in combinations(range(1, m + 1), a):
-        for sym in _sym_degrees(n, b):
-            for ext in combinations(range(1, n + 1), c):
-                for tot in range(poly_cut + 1):
-                    for exps in iter_multidegrees(m, tot):
-                        yield IndexSet(dxs), sym, IndexSet(ext), exps
+def _masks(lay, top, size, offset=0):
+    return [lay.mask(idx, offset) for idx in combinations(range(1, top + 1), size)]
 
 
-def _sym_degrees(n, b):
-    return list(iter_multidegrees(n, b))
+def _syms(lay, b):
+    return [lay.fields(sym, lay.sym_shifts) for sym in iter_multidegrees(lay.n, b)]
+
+
+def _exps(lay, poly_cut):
+    return [lay.fields(exps, lay.exp_shifts)
+            for tot in range(poly_cut + 1) for exps in iter_multidegrees(lay.m, tot)]
+
+
+def _component_basis(lay, a, b, c, poly_cut):
+    """Packed basis keys of component (a, b, c) with Poly degree <= poly_cut."""
+    exps = _exps(lay, poly_cut)
+    return [dk | sk | ek | xk for dk in _masks(lay, lay.m, a, lay.n) for sk in _syms(lay, b)
+            for ek in _masks(lay, lay.n, c) for xk in exps]
 
 
 def delta_kernel_check(conn, total_degree_cut, poly_cut):
@@ -853,19 +981,20 @@ def delta_kernel_check(conn, total_degree_cut, poly_cut):
     """
     m, n = conn.dim_base, conn.dim_odd
     scale = conn.scale
+    lay = form_layout(m, n, poly_cut + conn.max_exponent, total_degree_cut)
     memo = {}
 
     def column(key):
         col = memo.get(key)
         if col is None:
-            col = memo[key] = monomial_column(conn, *key)
+            col = memo[key] = monomial_column(conn, key, lay)
         return col
 
     comps = []
     for a in range(min(m, total_degree_cut) + 1):
         for b in range(total_degree_cut - a + 1):
             for c in range(n + 1):
-                basis = list(_component_basis(m, n, a, b, c, poly_cut))
+                basis = _component_basis(lay, a, b, c, poly_cut)
                 if not basis:
                     continue
                 lam = b + c
@@ -874,12 +1003,12 @@ def delta_kernel_check(conn, total_degree_cut, poly_cut):
                 rows = []
                 for key in basis:
                     unit = {key: 1}
-                    img = _shift_terms(column(key), _right_shifts, True)
-                    for tkey, t in _shift_terms(unit, _right_shifts, True).items():
+                    img = _shift_terms(lay, column(key), _right_shifts, True)
+                    for tkey, t in _shift_terms(lay, unit, _right_shifts, True).items():
                         for k2, v in column(tkey).items():
                             add_term(img, k2, t * v)
-                    braces = _shift_terms(_shift_terms(unit, _right_shifts), _left_shifts)
-                    for k2, v in _shift_terms(_shift_terms(unit, _left_shifts),
+                    braces = _shift_terms(lay, _shift_terms(lay, unit, _right_shifts), _left_shifts)
+                    for k2, v in _shift_terms(lay, _shift_terms(lay, unit, _left_shifts),
                                               _right_shifts).items():
                         add_term(braces, k2, v)
                     if img != {k2: scale * v for k2, v in braces.items()}:
@@ -900,19 +1029,13 @@ def delta_kernel_check(conn, total_degree_cut, poly_cut):
     return DeltaReport(comps)
 
 
-def _degree_basis(m, n, k, poly_cut):
-    """Basis keys of all total-degree-k components with Poly degree <= poly_cut."""
-    out = []
-    for a in range(min(m, k) + 1):
-        b = k - a
-        for dxs in combinations(range(1, m + 1), a):
-            for sym in _sym_degrees(n, b):
-                for csize in range(n + 1):
-                    for ext in combinations(range(1, n + 1), csize):
-                        for tot in range(poly_cut + 1):
-                            for exps in iter_multidegrees(m, tot):
-                                out.append((IndexSet(dxs), sym, IndexSet(ext), exps))
-    return out
+def _degree_basis(lay, k, poly_cut):
+    """Packed basis keys of all total-degree-k components with Poly degree <= poly_cut."""
+    m, n = lay.m, lay.n
+    exps = _exps(lay, poly_cut)
+    return [dk | sk | ek | xk for a in range(min(m, k) + 1) for dk in _masks(lay, m, a, n)
+            for sk in _syms(lay, k - a) for c in range(n + 1) for ek in _masks(lay, n, c)
+            for xk in exps]
 
 
 def _basis_count(m, n, k, poly_cut, cumulative=False):
@@ -960,14 +1083,16 @@ def cohomology_dims(conn, k, poly_cut):
     m, n = conn.dim_base, conn.dim_odd
     if k < 0:
         return 0
-    basis_k = _degree_basis(m, n, k, poly_cut)
-    rows = [monomial_column(conn, *key) for key in basis_k]
+    image_cut = _image_cutoff(conn, k, poly_cut) if k else poly_cut
+    # one layout for both blocks, whose keys are compared
+    lay = form_layout(m, n, image_cut + conn.max_exponent, k)
+    basis_k = _degree_basis(lay, k, poly_cut)
+    rows = [monomial_column(conn, key, lay) for key in basis_k]
     ker_dim = len(basis_k) - sparse_rank(rows)
     if k == 0:
         return ker_dim
     allowed = set(basis_k)
-    im_rows = [monomial_column(conn, *key)
-               for key in _degree_basis(m, n, k - 1, _image_cutoff(conn, k, poly_cut))]
+    im_rows = [monomial_column(conn, key, lay) for key in _degree_basis(lay, k - 1, image_cut)]
     im_rank = sparse_rank(im_rows)
     outside = [{kk: v for kk, v in row.items() if kk not in allowed} for row in im_rows]
     im_in_cut = im_rank - sparse_rank(outside)

@@ -9,7 +9,8 @@ through the boundary map it equals.  The super de Rham oracles likewise work
 on the package's SuperForm and Poly elements: super_d_direct applies the
 super exterior derivative term by term in Poly arithmetic, and the
 cohomology and Delta oracles rank the images of one SuperForm per basis
-monomial in Fraction, and the supermap commutator oracles multiply whole
+monomial in Fraction, through the fiberwise shifts written here on tuple
+keys (shift_direct), and the supermap commutator oracles multiply whole
 PolySuperFunc elements through apply_map.  The Lie superalgebra oracle reads
 brackets through LieSuperData.bracket and sums dense Fraction vectors.  The
 jet oracles work in Poly arithmetic: one shifts, truncates and shifts back,
@@ -27,14 +28,7 @@ from superalg.liesuper import LieCheckReport
 from superalg.lincomb import add_term, contract, merge_sign, replace
 from superalg.poly import Poly
 from superalg.scalars import MultiDegree, iter_multidegrees
-from superalg.sderham import (
-    DeltaComponentReport,
-    DeltaReport,
-    SuperForm,
-    shift_left_plain,
-    shift_right_plain,
-    shift_right_signed,
-)
+from superalg.sderham import DeltaComponentReport, DeltaReport, SuperForm
 from superalg.supermaps import (
     OrderBoundReport,
     PolySuperFunc,
@@ -477,6 +471,29 @@ def super_d_direct(conn, omega):
     return SuperForm(m, n, acc)
 
 
+def shift_direct(omega, side, number_signed=False):
+    """A fiberwise shift of a SuperForm on its tuple keys.  side "left"
+    contracts each ds_mu of the ext block into sym slot mu with the sign of
+    its position; side "right" moves one ds^mu of the sym block onto the
+    front of the ext block, times its multiplicity and the wedge sign.
+    number_signed multiplies the image of a term of form degree p by
+    (-1)^(p-1)."""
+    acc = {}
+    for (dxs, sym, ext), f in omega.terms.items():
+        if number_signed and not (len(dxs) + sym.total) % 2:
+            f = -f
+        if side == "left":
+            for mu in ext:
+                rest, sign = contract(ext, mu)
+                add_term(acc, (dxs, _bump_slot(sym, mu, 1), rest), f.scale(sign))
+        else:
+            for mu, e in enumerate(sym, 1):
+                rest, sign = merge_sign((mu,), ext)
+                if e and rest is not None:
+                    add_term(acc, (dxs, _bump_slot(sym, mu, -1), rest), f.scale(e * sign))
+    return SuperForm(omega.dim_base, omega.dim_odd, acc)
+
+
 def form_vector(omega):
     """{(dxs, sym, ext, exps): Fraction} of a superform."""
     return {(dxs, sym, ext, exps): c for (dxs, sym, ext), p in omega.terms.items()
@@ -532,10 +549,10 @@ def delta_kernel_check_direct(conn, total_degree_cut, poly_cut):
                 if not basis:
                     continue
                 lam = b + c
-                images = [super_d_direct(conn, shift_right_signed(w))
-                          + shift_right_signed(super_d_direct(conn, w)) for w in basis]
-                braces = [shift_left_plain(shift_right_plain(w))
-                          + shift_right_plain(shift_left_plain(w)) for w in basis]
+                images = [super_d_direct(conn, shift_direct(w, "right", True))
+                          + shift_direct(super_d_direct(conn, w), "right", True) for w in basis]
+                braces = [shift_direct(shift_direct(w, "right"), "left")
+                          + shift_direct(shift_direct(w, "left"), "right") for w in basis]
                 scalar = all(img == w.scale(lam) for img, w in zip(images, basis))
                 dim = len(basis)
                 comps.append(DeltaComponentReport(

@@ -21,6 +21,7 @@ from superalg.cli import (
     FUZZ_CHECKS,
     HOMOLOGY_MAX_DIM,
     JET_MAX_DIM,
+    LIE_MAX_COEFFS,
     ROUNDS,
     SDER_DIMS_MAX_N,
     SDERHAM_MAX_DIM,
@@ -232,6 +233,25 @@ def test_lie_check_dimension_limit(capsys, tmp_path, even, odd, code):
     p = write(tmp_path, "l.json", {"even_dim": even, "odd_dim": odd, "brackets": []})
     got, _, err = run_cli(capsys, ["lie-check", p, "--quiet"])
     assert got == code and ("limit of 32" in err) == (code == 3)
+
+
+# the Jacobi check's time tracks the nonzero bracket coefficients, so they are
+# capped too: a 32|0 table whose halves bracket into each other holds 8,192,
+# the limit, and one coefficient less or more is below or above it
+@pytest.mark.parametrize("extra, code", [(-1, 1), (0, 1), (1, 3)])
+def test_lie_check_coefficient_limit(capsys, tmp_path, extra, code):
+    halves = (range(1, 17), range(17, 33))
+    rows = [{"i": i, "j": j, "coeffs": [int(k in hi) for k in range(1, 33)]}
+            for lo, hi in (halves, halves[::-1]) for i in lo for j in lo]
+    if extra < 0:
+        rows[0]["coeffs"][16] = 0
+    if extra > 0:
+        rows.append({"i": 1, "j": 17, "coeffs": [1] + [0] * 31})
+    assert sum(c != 0 for r in rows for c in r["coeffs"]) == LIE_MAX_COEFFS + extra
+    p = write(tmp_path, "l.json", {"even_dim": 32, "odd_dim": 0, "brackets": rows})
+    got, _, err = run_cli(capsys, ["lie-check", p, "--quiet"])
+    # below and at the limit the table is checked, and fails superalternating
+    assert got == code and ("limit of %d" % LIE_MAX_COEFFS in err) == (code == 3)
 
 
 # tensor-normalize enumerates about dim**4 basis words and derivation-classify

@@ -6,6 +6,7 @@ the operator route (super_d then evaluate) and the Koszul double-sum route
 """
 
 import json
+import time
 from fractions import Fraction
 from itertools import combinations, product
 from math import lcm
@@ -13,12 +14,19 @@ from math import lcm
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from oracles import cohomology_dims_direct, delta_kernel_check_direct, form_vector, super_d_direct
+from oracles import (
+    cohomology_dims_direct,
+    delta_kernel_check_direct,
+    form_vector,
+    shift_direct,
+    super_d_direct,
+)
 from superalg import sderham
 from superalg.cartan import twisted_shift_left, twisted_shift_right
 from superalg.poly import Poly
 from superalg.scalars import IndexSet, MultiDegree, iter_multidegrees
 from superalg.sderham import (
+    FormLayout,
     OddConnection,
     SuperForm,
     SuperVectorFieldGen,
@@ -33,9 +41,11 @@ from superalg.sderham import (
     delta_printed_apply,
     evaluate,
     field_apply,
+    form_layout,
     monomial_column,
     shift_left_plain,
     shift_right_plain,
+    shift_right_signed,
     super_d,
     super_d_by_fields,
     theta_apply,
@@ -467,22 +477,72 @@ def test_monomial_column_is_the_scaled_operator(case, data):
     sym = MultiDegree(data.draw(st.tuples(*[st.integers(0, 2) for _ in range(n)])))
     ext = data.draw(index_subsets(n))
     exps = MultiDegree(data.draw(st.tuples(*[st.integers(0, 2) for _ in range(m)])))
-    col = monomial_column(conn, dxs, sym, ext, exps)
+    _assert_column_is_the_operator(conn, dxs, sym, ext, exps,
+                                   form_layout(m, n, max(exps) + conn.max_exponent, max(sym)))
+
+
+def _assert_column_is_the_operator(conn, dxs, sym, ext, exps, lay):
+    # pack, call, unpack, and compare with D times the Poly-arithmetic operator
+    m, n = conn.dim_base, conn.dim_odd
+    col = monomial_column(conn, lay.pack(dxs, sym, ext, exps), lay)
     w = mono(m, n, dxs, sym, ext).mul_poly(Poly.monomial(m, exps))
-    assert col == {k: conn.scale * v for k, v in form_vector(super_d_direct(conn, w)).items()}
+    want = {k: conn.scale * v for k, v in form_vector(super_d_direct(conn, w)).items()}
+    assert {lay.unpack(k): v for k, v in col.items()} == want
     assert all(type(v) is int and v for v in col.values())
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.large_base_example, HealthCheck.too_slow])
+@given(fraction_cases(), st.data())
+def test_monomial_column_fills_its_fields(case, data):
+    # every exponent at 2^w - 1 minus the connection's largest exponent, and
+    # sym entries up to 2^w - 2, so the column's fields can reach 2^w - 1
+    conn, _ = case
+    m, n = conn.dim_base, conn.dim_odd
+    low = max(conn.max_exponent, 1).bit_length()
+    w = data.draw(st.integers(low, low + 2))
+    top = (1 << w) - 1
+    dxs = data.draw(index_subsets(m))
+    sym = MultiDegree(data.draw(st.tuples(*[st.integers(0, top - 1) for _ in range(n)])))
+    ext = data.draw(index_subsets(n))
+    exps = MultiDegree((top - conn.max_exponent,) * m)
+    lay = form_layout(m, n, top, max(sym))
+    assert lay.w == w
+    _assert_column_is_the_operator(conn, dxs, sym, ext, exps, lay)
+
+
+def test_field_width_is_the_bit_length_of_the_largest_field():
+    assert form_layout(2, 2, 0, 0).w == 1
+    assert form_layout(2, 2, 7, 0).w == 3
+    assert form_layout(2, 2, 8, 0).w == 4
+    assert form_layout(2, 2, 3, 6).w == 3
+    assert form_layout(2, 2, 3, 7).w == 4
+    # the operator adds at most the connection's largest exponent
+    conn = conn_from(1, 1, {(1, 1, 1): V(1, 1) * V(1, 1) * V(1, 1)})
+    assert conn.max_exponent == 3
+    w = mono(1, 1, (), (0,), (1,)).mul_poly(Poly.monomial(1, (4,)))
+    assert super_d(conn, w) == super_d_direct(conn, w)
 
 
 def test_connection_scale_is_the_lcm_of_the_denominators():
     assert OddConnection.zero(2, 2).scale == 1
     # A = x2/2 dx1 in entry (1, 1) and 1/3 dx2 in (2, 1): R_11 = -1/2 dx1 dx2
-    # and R_21 = x2/6 dx1 dx2, so D = lcm(2, 3, 2, 6) = 6
+    # and R_21 = A_21 ^ A_11 = -x2/6 dx1 dx2, so D = lcm(2, 3, 2, 6) = 6
     conn = conn_from(2, 2, {(1, 1, 1): Poly(2, {(0, 1): Fraction(1, 2)}),
                             (2, 1, 2): Fraction(1, 3)})
     assert conn.scale == 6
-    assert conn.a_ints[0][0] == ((1, (((0, 1), 3),)),)
-    assert conn.a_ints[1][1] == ((1, (((0, 0), 2),)),)
-    assert dict(conn.r_ints[0][0]) == {IndexSet((1, 2)): (((0, 0), -3),)}
+    assert conn.max_exponent == 1
+    conn.pack_tables(2)
+    lay = FormLayout(2, 2, 2)
+    x2 = 1 << lay.exp_shifts[1]
+    sym1, sym2 = (1 << s for s in lay.sym_shifts)
+    # a_ints[i]: dx bit, lower dx bits, exponent field of x_(i+1), rows by g
+    assert conn.a_ints[0][:3] == (0b0100, 0, lay.exp_shifts[0])
+    assert conn.a_ints[1][:3] == (0b1000, 0b0100, lay.exp_shifts[1])
+    assert conn.a_ints[0][3][0] == ((0b01, 0, ((x2, 3),)),)
+    assert conn.a_ints[1][3][1] == ((0b01, sym1 - sym2, ((0, 2),)),)
+    assert dict(conn.r_ints[0][0]) == {0b1100: ((0, -3),)}
+    assert dict(conn.r_ints[1][0]) == {0b1100: ((x2, -1),)}
 
 
 def test_super_d_curved_witness_moves_two_dx():
@@ -766,6 +826,23 @@ def test_plain_shifts_match_bigraded_identity_shifts(fiber):
     assert _to_bigraded(shift_right_plain(w)) == twisted_shift_right(ident, _to_bigraded(w))
 
 
+@st.composite
+def wide_forms(draw):
+    """Forms on m|n <= 3|3 with sym entries and exponents up to 7, the
+    fields of their shifts reaching 2^w - 1 of the packed width."""
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    return draw(superforms(m, n, max_sym=7, max_terms=4, max_poly_deg=7))
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.large_base_example])
+@given(wide_forms())
+def test_packed_shifts_are_the_tuple_shifts(w):
+    assert shift_left_plain(w) == shift_direct(w, "left")
+    assert shift_right_plain(w) == shift_direct(w, "right")
+    assert shift_right_signed(w) == shift_direct(w, "right", True)
+
+
 @settings(max_examples=50, deadline=None,
           suppress_health_check=[HealthCheck.large_base_example])
 @given(connections(2, 2, max_deg=1, max_entries=2), form_monomials(2, 2, max_sym=2))
@@ -836,6 +913,29 @@ def test_negative_degree_is_zero():
     assert cohomology_dims(OddConnection.zero(1, 1), -1, 2) == 0
 
 
+def dense_conn(m, n):
+    """Every entry of A a degree-1 Poly in all m coordinates with no zero
+    coefficient, the case whose image block fills in most."""
+    def entry(g, b, i):
+        cs = [(g + 2 * b + 3 * i + t) % 5 - 2 or 1 for t in range(m + 1)]
+        terms = {(0,) * m: cs[0]}
+        for t in range(m):
+            terms[tuple(int(s == t) for s in range(m))] = cs[t + 1]
+        return Poly(m, terms)
+    return OddConnection(m, n, [[[entry(g, b, i) for i in range(m)] for b in range(n)]
+                                for g in range(n)])
+
+
+def test_dense_cohomology_stays_fast():
+    # 3,232 monomials (cli.SDERHAM_MAX_DIM); 0.15 s of CPU time on a 2-CPU
+    # host, and 9 s with the columns keyed by tuples
+    conn = dense_conn(2, 2)
+    assert assembled_count(conn, "cohomology", 2, 2) == 3232
+    start = time.process_time()
+    assert cohomology_dims(conn, 2, 2) == 0
+    assert time.process_time() - start < 0.75
+
+
 @st.composite
 def curved_connections(draw):
     """Connections on m|n <= 2|2 with fraction entries of degree <= 1 and at
@@ -860,9 +960,9 @@ def test_cohomology_and_delta_match_the_element_route(conn, k, cut):
 def test_assembled_count_is_the_columns_built(monkeypatch, op):
     built = []
 
-    def counted(conn, *key):
+    def counted(conn, key, lay):
         built.append(key)
-        return column(conn, *key)
+        return column(conn, key, lay)
 
     column = sderham.monomial_column
     monkeypatch.setattr(sderham, "monomial_column", counted)
