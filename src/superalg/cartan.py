@@ -183,15 +183,16 @@ def operator_columns(op, n, m, src_kl, dst_kl):
 
 
 def boundary_block(F, n, m, k, l, direction):
-    """Sparse int columns of d_F (direction "F", F an m x n matrix) from
+    """Sparse int rows of d_F (direction "F", F an m x n matrix) from
     A^{k,l} to A^{k-1,l+1}, or of d*_G (direction "G", F the n x m matrix G)
-    from A^{k,l} to A^{k+1,l-1}: one {row: int} dict per monomial of
-    bigraded_basis(n, m, k, l), rows in the basis order of the target.
+    from A^{k,l} to A^{k+1,l-1}: one {column: int} dict per monomial of the
+    target in bigraded_basis order, columns in the basis order of the source.
 
     The matrix is scaled by the lcm of its denominators, which leaves every
     rank unchanged.  A term of either operator is a move on the Sym factor
     (dv_mu ⌟ or v_j ·) times a move on the Λ factor (w_i ∧ or dw_mu ⌟), and
-    the pair of moves fixes the target monomial, so no entry is collected."""
+    the pair of moves fixes the target monomial, so no entry is collected.
+    By target rows, echelon takes about half the steps it takes by columns."""
     if direction == "F":
         coeff = transpose(as_matrix(F, m, n))
         dk, dl = -1, 1
@@ -226,18 +227,18 @@ def boundary_block(F, n, m, k, l, direction):
         else:
             hits = [(i, t, key[:t] + key[t + 1:]) for t, i in enumerate(key)]
         ext_moves.append([(i - 1, -1 if t & 1 else 1, dst_key[nk]) for i, t, nk in hits])
-    cols = []
+    rows = [{} for _ in range(len(dst_alpha) * width)]
+    col = 0
     for smoves in sym_moves:
         for emoves in ext_moves:
-            col = {}
             for s, a, offset in smoves:
-                row = coeff[s]
+                cs = coeff[s]
                 for e, sign, t in emoves:
-                    c = row[e]
+                    c = cs[e]
                     if c:
-                        col[offset + t] = a * sign * c
-            cols.append(col)
-    return cols
+                        rows[offset + t][col] = a * sign * c
+            col += 1
+    return rows
 
 
 def _dim_A(n, m, k, l):

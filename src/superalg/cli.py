@@ -117,8 +117,10 @@ ROUNDS = {"small": 4, "medium": 12}
 # takes 0.12 s, 12|12 (6,912) 0.76 s, 20|0 (8,000) 0.89 s, 24|0 (13,824)
 # 2.7 s, 16|16 (16,384) 3.0 s and 32|0 (32,768) 14 s; a 32|0 table whose two
 # halves bracket into each other (8,192) takes 0.63 s, and gl(3|3), of
-# dimension 36 with 420 nonzero, 0.04 s.
-LIE_MAX_DIM = 32
+# dimension 36 with 420 nonzero, 0.04 s.  The slowest table timed that both
+# limits allow, 36|0 with every [L_i, L_j], j <= 15, the sum of L_1 .. L_15
+# (8,100), takes 1.6-1.9 s through lie-check; 1.35 s at 32|0, 2.0 s at 48|0.
+LIE_MAX_DIM = 36
 LIE_MAX_COEFFS = 8192
 # tensor-normalize enumerates every basis word of ranks 0..4, about dim**4 of
 # them, and derivation-classify acts on all 2**n basis monomials of n images.
@@ -130,12 +132,13 @@ STRAIGHTEN_MAX_ODD = 7
 # cp-homology ranks a block per bidegree of its table, and the blocks out of
 # degree kmax + 1 and into l = lmax + 1 next to it, so it refuses a table
 # whose bidegrees span more basis elements (cartan.homology_table_size).  The
-# count tracks the time loosely; on random half-integer F (2-CPU host) the
-# 5x5 table with k, l <= 5 spans 14,574 and takes 1.3-2.7 s, 6x6 with
-# k, l <= 3 spans 6,720 and takes 0.9-1.8 s, 8x8 with k <= 3, l <= 2 spans
-# 11,595 and takes 49 s, 7x7 with k, l <= 3 spans 15,030 and takes 16-19 s,
-# and 9x9 with k <= 2, l <= 3 spans 16,000 and takes about 2 minutes.  The
-# limit, 121², is the span of a 1x2 F with kmax 120 and lmax 0.
+# count tracks the time loosely; on random half-integer F (2-CPU host, CPU
+# time) the 5x5 table with k, l <= 5 spans 14,574 and takes 0.7-1.1 s, 6x6
+# with k, l <= 3 spans 6,720 and takes 0.4-0.7 s, 8x8 with k <= 3, l <= 2
+# spans 11,595 and takes 4.6-7.2 s, 7x7 with k, l <= 3 spans 15,030 and
+# takes 3.5-4.8 s, and 9x9 with k <= 2, l <= 3 spans 16,000 and takes
+# 7.6-9.8 s.  The limit, 121², is the span of a 1x2 F with kmax 120 and
+# lmax 0.
 HOMOLOGY_MAX_DIM = 14641
 # sderham --op cohomology and --op delta build one column per basis monomial
 # (sderham.assembled_count: for cohomology, the degree k basis and the

@@ -3,11 +3,12 @@
 Matrices are lists of rows of Fractions (or ints); sparse matrices are
 iterables of {col: value} dicts.  There is one elimination: echelon clears
 each row to integers and, shortest rows first, reduces it fraction-free
-with content removal against the stored pivot rows by least column.  rank
-and sparse_rank count its pivots; reduced back-substitutes it once, in
-Fraction, to the reduced echelon form, and rref, nullspace, solve and
-invert read their answers off that.  The reduced form depends only on the
-row space, so the canonical solutions read off it are unique.
+against the stored pivot rows by least column, dividing out its content
+after a scaling step and before storing it.  rank and sparse_rank count its
+pivots; reduced back-substitutes it once, in Fraction, to the reduced
+echelon form, and rref, nullspace, solve and invert read their answers off
+that.  The reduced form depends only on the row space, so the canonical
+solutions read off it are unique.
 """
 
 from fractions import Fraction
@@ -26,9 +27,11 @@ def echelon(rows):
     work on the homology and super de Rham blocks).  Each row is cleared to
     integers and reduced against the stored pivot rows by leading column, as
     row <- p*row - a*pivot with a/p its leading entry over the pivot's in
-    lowest terms, then divided by its content, until it dies or is stored
-    as a new pivot row.  The pivot columns depend only on the row space, so
-    the order changes the primitive rows stored but not the pivots.
+    lowest terms, until it dies or is stored as a new pivot row.  It is
+    divided by its content only after a step with |p| > 1 and before it is
+    stored; each step leaves a positive multiple of the row that dividing
+    after every step would, so the same rows are stored.  The pivots depend
+    only on the row space, so the order changes the rows but not the pivots.
     """
     # order the given dicts themselves: a copy of every row at once would
     # hold them all alive, and the garbage collector would walk them
@@ -36,17 +39,19 @@ def echelon(rows):
     todo.sort(key=len)
     pivots = {}
     for r in todo:
-        row = {c: v for c, v in r.items() if v}
-        if not all(type(v) is int for v in row.values()):
+        row, exact = {}, True
+        for c, v in r.items():
+            if v:
+                row[c] = v
+                exact &= type(v) is int
+        if not exact:
             row = dict(zip(row, cleared(row.values())[1]))
         while row:
-            g = gcd(*row.values())
-            if g > 1:
-                row = {cc: vv // g for cc, vv in row.items()}
             c = min(row)
             piv = pivots.get(c)
             if piv is None:
-                pivots[c] = row
+                g = gcd(*row.values())
+                pivots[c] = {cc: vv // g for cc, vv in row.items()} if g > 1 else row
                 break
             f = row.pop(c)
             pc = piv[c]
@@ -63,6 +68,10 @@ def echelon(rows):
                     row[cc] = nv
                 else:
                     row.pop(cc, None)
+            if abs(p) > 1:
+                g = gcd(*row.values())
+                if g > 1:
+                    row = {cc: vv // g for cc, vv in row.items()}
     return pivots
 
 

@@ -15,10 +15,13 @@ PolySuperFunc elements through apply_map.  The Lie superalgebra oracle reads
 brackets through LieSuperData.bracket and sums dense Fraction vectors.  The
 jet oracles work in Poly arithmetic: one shifts, truncates and shifts back,
 the other applies the operator to every basis section (x − p)^β.
+echelon_eager is the integer echelon as it removed a row's content after
+every step; linalg.echelon must store the same primitive rows.
 """
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
+from math import gcd
 from operator import add
 import random
 
@@ -27,7 +30,7 @@ from superalg.jets import PolySection, jet_multidegrees
 from superalg.liesuper import LieCheckReport
 from superalg.lincomb import add_term, contract, merge_sign, replace
 from superalg.poly import Poly
-from superalg.scalars import MultiDegree, iter_multidegrees
+from superalg.scalars import MultiDegree, cleared, iter_multidegrees
 from superalg.sderham import DeltaComponentReport, DeltaReport, SuperForm
 from superalg.supermaps import (
     OrderBoundReport,
@@ -66,6 +69,45 @@ def fraction_sparse_rank(rows):
                 else:
                     row.pop(cc, None)
     return rank_
+
+
+def echelon_eager(rows):
+    """linalg.echelon as it was with content removal after every step: the
+    same row order, clearing and reduction, but the row divided by its
+    content at the head of every step, so it is primitive whenever a pivot
+    is looked up."""
+    todo = [r for r in rows if r][::-1]
+    todo.sort(key=len)
+    pivots = {}
+    for r in todo:
+        row = {c: v for c, v in r.items() if v}
+        if not all(type(v) is int for v in row.values()):
+            row = dict(zip(row, cleared(row.values())[1]))
+        while row:
+            g = gcd(*row.values())
+            if g > 1:
+                row = {cc: vv // g for cc, vv in row.items()}
+            c = min(row)
+            piv = pivots.get(c)
+            if piv is None:
+                pivots[c] = row
+                break
+            f = row.pop(c)
+            pc = piv[c]
+            g = gcd(f, pc)
+            a, p = f // g, pc // g
+            if p != 1:
+                for cc in row:
+                    row[cc] *= p
+            for cc, vv in piv.items():
+                if cc == c:
+                    continue
+                nv = row.get(cc, 0) - a * vv
+                if nv:
+                    row[cc] = nv
+                else:
+                    row.pop(cc, None)
+    return pivots
 
 
 def fraction_rref(rows):

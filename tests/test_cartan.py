@@ -197,6 +197,15 @@ def deficient_matrices(draw, rows, cols):
     return mat
 
 
+def _scaled_rows(cols, nrows, scale):
+    """The transpose of sparse columns, scaled: one {col: value} per row."""
+    rows = [{} for _ in range(nrows)]
+    for j, col in enumerate(cols):
+        for r, v in col.items():
+            rows[r][j] = v * scale
+    return rows
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_boundary_block_is_the_scaled_operator_matrix(data):
@@ -208,17 +217,23 @@ def test_boundary_block_is_the_scaled_operator_matrix(data):
         scale = lcm(*(x.denominator for row in mat for x in row))
         want = operator_columns(lambda x: op(mat, x), n, m, (k, l), (k + dk, l + dl))
         got = boundary_block(mat, n, m, k, l, direction)
-        assert got == [{r: v * scale for r, v in col.items()} for col in want]
-        assert all(type(v) is int for col in got for v in col.values())
+        assert got == _scaled_rows(want, len(bigraded_basis(n, m, k + dk, l + dl)), scale)
+        assert all(type(v) is int for row in got for v in row.values())
 
 
 def test_boundary_block_examples():
-    # d_F(x1 * w1) = (1/2) w2 ^ w1 = -(1/2) w1 ^ w2 on n = 1, m = 2, scaled by 2
-    assert boundary_block([[0], [Fraction(1, 2)]], 1, 2, 1, 1, "F") == [{0: -1}, {}]
-    # d*_G(w1 ^ w2) = 3 x1 * w2 - 3 x1 * w1 with G = [[3, 3]]
-    assert boundary_block([[3, 3]], 1, 2, 0, 2, "G") == [{0: -3, 1: 3}]
-    assert boundary_block([[1, 2]], 2, 1, 0, 0, "F") == [{}]
-    assert boundary_block([[1, 2]], 1, 2, 2, 0, "G") == [{}]
+    # d_F(x1 * w1) = (1/2) w2 ^ w1 = -(1/2) w1 ^ w2 on n = 1, m = 2, scaled by 2;
+    # the one target row w1 ^ w2 has its entry in the column of x1 * w1
+    assert boundary_block([[0], [Fraction(1, 2)]], 1, 2, 1, 1, "F") == [{0: -1}]
+    # d*_G(w1 ^ w2) = 3 x1 * w2 - 3 x1 * w1 with G = [[3, 3]]: rows x1 * w1, x1 * w2
+    assert boundary_block([[3, 3]], 1, 2, 0, 2, "G") == [{0: -3}, {0: 3}]
+    # no target monomials, so no rows
+    assert boundary_block([[1, 2]], 2, 1, 0, 0, "F") == []
+    assert boundary_block([[1, 2]], 1, 2, 2, 0, "G") == []
+    # a target no source reaches is an empty row: d_F on A^{1,0} of n = 2,
+    # m = 1 with F = [[1, 0]] reaches w1 only from x1
+    assert boundary_block([[1, 0]], 2, 1, 1, 0, "F") == [{0: 1}]
+    assert boundary_block([[0, 0]], 2, 1, 1, 0, "F") == [{}]
     with pytest.raises(ValueError, match="expected a 2x1 matrix"):
         boundary_block([[1, 2]], 1, 2, 1, 0, "F")
     with pytest.raises(ValueError, match="direction"):

@@ -22,6 +22,7 @@ from superalg.cli import (
     HOMOLOGY_MAX_DIM,
     JET_MAX_DIM,
     LIE_MAX_COEFFS,
+    LIE_MAX_DIM,
     ROUNDS,
     SDER_DIMS_MAX_N,
     SDERHAM_MAX_DIM,
@@ -32,6 +33,7 @@ from superalg.cli import (
     main,
     sub_seed,
 )
+from superalg.liesuper import endo_superalgebra
 
 
 def run_cli(capsys, argv):
@@ -228,11 +230,22 @@ def test_lie_check_good_and_bad(capsys, tmp_path):
 
 # check_lie_superalgebra's time grows as dim**3 on sparse tables and about as
 # dim**5 on dense ones, so the total dimension is capped
-@pytest.mark.parametrize("even, odd, code", [(3, 2, 0), (16, 16, 0), (17, 16, 3)])
+@pytest.mark.parametrize("even, odd, code",
+                         [(3, 2, 0), (16, 16, 0), (18, 17, 0), (18, 18, 0), (19, 18, 3),
+                          (36, 0, 0), (37, 0, 3)])
 def test_lie_check_dimension_limit(capsys, tmp_path, even, odd, code):
+    assert LIE_MAX_DIM == 36
     p = write(tmp_path, "l.json", {"even_dim": even, "odd_dim": odd, "brackets": []})
     got, _, err = run_cli(capsys, ["lie-check", p, "--quiet"])
-    assert got == code and ("limit of 32" in err) == (code == 3)
+    assert got == code and ("limit of 36" in err) == (code == 3)
+
+
+def test_lie_check_passes_gl_3_3(capsys, tmp_path):
+    # gl(3|3) has dimension 36, the limit, and 420 nonzero coefficients
+    p = write(tmp_path, "gl.json", endo_superalgebra(3, 3).to_json())
+    code, out, _ = run_cli(capsys, ["lie-check", p])
+    rep = json.loads(out)
+    assert code == 0 and rep["passed"] is True and rep["dim"] == 36
 
 
 # the Jacobi check's time tracks the nonzero bracket coefficients, so they are

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import fraction_rref, fraction_sparse_rank
+from oracles import echelon_eager, fraction_rref, fraction_sparse_rank
 from strat import small_fractions
 
 from superalg.linalg import (echelon, identity_matrix, invert, mat_mul, mat_vec, nullspace,
@@ -115,6 +115,7 @@ def test_sparse_rank_matches_dense_rank_and_fraction_oracle(rows):
     got = sparse_rank(rows)
     assert _snapshot(rows) == before
     assert got == rank(_dense(rows)) == fraction_sparse_rank(rows)
+    assert echelon(rows) == echelon_eager(rows)
 
 
 @settings(max_examples=60)
@@ -143,6 +144,40 @@ def test_echelon_ignores_row_order(rows, data):
     assert sorted(echelon(shuffled)) == sorted(echelon(rows))
     assert sparse_rank(shuffled) == sparse_rank(rows)
     assert reduced(shuffled) == reduced(rows)
+
+
+# Int rows whose leading entries are large multiples of small ones, so that
+# steps scale a row by |p| > 1 and leave a content to remove, and Fraction
+# rows with zero entries, over a few columns so that rows meet.
+BIG_LEADS = st.builds(lambda k, s: k * s, st.integers(-40, 40), st.sampled_from((1, 6, 35, 10**12)))
+
+
+@st.composite
+def scaling_rows(draw):
+    cols = st.integers(0, 5)
+    ints = st.dictionaries(cols, st.one_of(st.integers(-5, 5), BIG_LEADS), max_size=5)
+    fracs = st.dictionaries(cols, st.one_of(st.just(0), small_fractions(6, 4)), max_size=5)
+    return draw(st.lists(st.one_of(ints, ints, fracs), max_size=8))
+
+
+@settings(max_examples=300)
+@given(scaling_rows())
+def test_echelon_matches_eager_content_removal(rows):
+    before = _snapshot(rows)
+    got = echelon(rows)
+    assert _snapshot(rows) == before
+    want = echelon_eager(rows)
+    # equal dicts, with the pivots found in the same order
+    assert got == want and list(got) == list(want)
+
+
+def test_echelon_eager_examples():
+    # 6 against the pivot 4 scales its row by p = 2, and that row is stored
+    # at column 3 as -464 divided by its content
+    rows = [{0: 4, 1: 1}, {0: 6, 1: 35, 2: 10}, {1: 6, 2: 1, 3: 2}, {0: Fraction(1, 2), 1: 0, 3: 1}]
+    got = echelon(rows)
+    assert got == echelon_eager(rows) == {0: {0: 4, 1: 1}, 1: {1: -1, 3: 8},
+                                          2: {2: -1, 3: -50}, 3: {3: -1}}
 
 
 def test_echelon_order_examples():
