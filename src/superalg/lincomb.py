@@ -9,15 +9,20 @@ Exterior monomials are IndexSet keys, strictly increasing tuples of 1-based
 generator indices.  merge_sign, contract and replace are the only routines
 that reorder them.
 
-sym_ext_ints is the one product loop of Sym ⊗ Λ, and it runs on packed int
-keys with int coefficients.  A term x^e ds_A of Sym(n) ⊗ Λ(q) packs into one
-int: the odd bitmask of A in the low q bits (bit a - 1 for ds_a), and the
-exponent e_i in field i of width w above it (pack_key, unpack_key); the unit
-packs to 0.  When the
-masks of two terms are disjoint, their product key is the plain sum of their
-keys, as long as w holds every exponent of the product; mask_sign gives the
-sign.  sym_ext_terms wraps the loop for rational term maps on
-(MultiDegree, IndexSet) keys.
+The int cores of Sym ⊗ Λ (sym_ext_ints, supermaps) and of the super de Rham
+forms (sderham) key a monomial by one int, laid out by KeyLayout: from the
+low bits up, one bitmask per block of exterior generators (bit i - 1 of a
+block for its generator i), then fields of w bits for the exponents.  A term
+x^e ds_A of Sym(n) ⊗ Λ(q) has blocks (q,) and n fields; the unit packs to 0.
+A sum of two keys whose masks are disjoint is the key of the merged masks
+and the summed fields, as long as w holds every summed field, and mask_sign
+gives the sign of the merge.  So each caller bounds the largest field value
+its keys can reach and builds its layout with KeyLayout.fitting, and the
+layout clears a rational term map to ints over one denominator on packed
+keys (cleared) and turns ints back into Fractions on unpacked keys
+(rationals).  sym_ext_ints is the one product loop of Sym ⊗ Λ, and
+sym_ext_terms wraps it for rational term maps on (MultiDegree, IndexSet)
+keys.
 """
 
 from fractions import Fraction
@@ -175,13 +180,6 @@ class LinComb:
         return self.scale(c)
 
 
-def cleared_terms(terms):
-    """A term map of rationals over one denominator: (d, {key: int}),
-    in lowest terms when the coefficients are (see scalars.cleared)."""
-    d, ints = cleared(terms.values())
-    return d, dict(zip(terms, ints))
-
-
 def mask_sign(ma, mb):
     """Sign of ds_A ∧ ds_B against ds_(A ∪ B) for disjoint odd bitmasks ma
     and mb: the parity of the pairs (a in A, b in B) with a > b, the
@@ -195,40 +193,73 @@ def mask_sign(ma, mb):
     return -1 if inv & 1 else 1
 
 
-def pack_key(exps, key, q, w):
-    """The packed int of x^exps ds_key with q mask bits and fields of w bits."""
-    k = 0
-    for a in key:
-        k |= 1 << (a - 1)
-    shift = q
-    for e in exps:
-        k |= e << shift
-        shift += w
-    return k
+class KeyLayout:
+    """Where the parts of a monomial sit in its int key.
 
+    From the low bits up: one bitmask per entry of blocks, of that many
+    bits (lows[j] selects block j), then nfields fields of w bits (shifts
+    holds their offsets, field their all-ones value).  Keys of one layout
+    add field by field as long as every field stays in 0..2^w - 1.
+    """
 
-def unpack_key(k, n, q, w):
-    """(MultiDegree, IndexSet) of a packed key with n fields of w bits above
-    q mask bits; pack_key undone."""
-    key = _new(IndexSet, [a for a in range(1, q + 1) if k >> (a - 1) & 1])
-    k >>= q
-    field = (1 << w) - 1
-    return _new(MultiDegree, [k >> (i * w) & field for i in range(n)]), key
+    __slots__ = ("blocks", "nfields", "w", "field", "lows", "shifts", "_bits")
 
+    def __init__(self, blocks, nfields, w):
+        self.blocks, self.nfields, self.w = blocks, nfields, w
+        self.field = (1 << w) - 1
+        offsets = [sum(blocks[:j]) for j in range(len(blocks) + 1)]
+        self.lows = tuple(((1 << b) - 1) << o for b, o in zip(blocks, offsets))
+        self.shifts = tuple(offsets[-1] + i * w for i in range(nfields))
+        # per block, (generator index, its bit) in increasing order
+        self._bits = tuple(tuple((i, 1 << (o + i - 1)) for i in range(1, b + 1))
+                           for b, o in zip(blocks, offsets))
 
-def last_factor(key, q, w):
-    """The packed generator at the right end of the nonzero monomial key:
-    its highest odd generator, or with none, the coordinate of its highest
-    nonzero exponent field.  key minus it is the rest of the monomial."""
-    mask = key & ((1 << q) - 1)
-    if mask:
-        return 1 << (mask.bit_length() - 1)
-    return 1 << (q + (key.bit_length() - 1 - q) // w * w)
+    @classmethod
+    def fitting(cls, blocks, nfields, top):
+        """The layout whose fields hold every value up to top: w is the bit
+        length of top."""
+        return cls(blocks, nfields, top.bit_length())
 
+    def pack(self, fields, *sets):
+        """The key of the field values and one IndexSet per block."""
+        k = 0
+        for key, bits in zip(sets, self._bits):
+            for a in key:
+                k |= bits[a - 1][1]
+        for v, s in zip(fields, self.shifts):
+            k |= v << s
+        return k
 
-def pack_terms(terms, q, w):
-    """A term map on (MultiDegree, IndexSet) keys with packed keys."""
-    return {pack_key(e, k, q, w): c for (e, k), c in terms.items()}
+    def unpack(self, key):
+        """(MultiDegree of the fields, one IndexSet per block): pack undone.
+        For blocks (q,), the (MultiDegree, IndexSet) key of a Sym ⊗ Λ term."""
+        field = self.field
+        return (_new(MultiDegree, [key >> s & field for s in self.shifts]),
+                *[_new(IndexSet, [i for i, bit in bits if key & bit]) for bits in self._bits])
+
+    def last_factor(self, key):
+        """The packed generator at the right end of the nonzero key: its
+        highest mask bit, or with none, the unit of its highest nonzero
+        field.  key minus it is the rest of the monomial."""
+        base = sum(self.blocks)
+        mask = key & ((1 << base) - 1)
+        if mask:
+            return 1 << (mask.bit_length() - 1)
+        return 1 << (base + (key.bit_length() - 1 - base) // self.w * self.w)
+
+    def cleared(self, terms):
+        """(d, {key: int}) of a rational term map on unpacked keys: the
+        coefficients cleared to ints over one denominator d, in lowest terms
+        when they are (see scalars.cleared), each under its packed key."""
+        d, ints = cleared(terms.values())
+        pack = self.pack
+        return d, {pack(*k): v for k, v in zip(terms, ints)}
+
+    def rationals(self, d, ints):
+        """{unpacked key: Fraction(v, d)} of the nonzero entries of
+        {key: int}: cleared undone."""
+        unpack = self.unpack
+        return {unpack(k): Fraction(v, d) for k, v in ints.items() if v}
 
 
 def _by_mask(terms, low):
@@ -239,10 +270,11 @@ def _by_mask(terms, low):
     return groups
 
 
-def sym_ext_ints(ta, tb, q):
-    """Product in Sym ⊗ Λ(q) of two term maps on packed keys with int
-    coefficients: exponents add and the odd monomials wedge with their sign.
-    The fields must be wide enough for every exponent of the product.  No
+def sym_ext_ints(ta, tb, lay):
+    """Product in Sym ⊗ Λ of two term maps on keys packed in lay (blocks
+    (q,)) with int coefficients: exponents add and the odd monomials wedge
+    with their sign.  The fields must be wide enough for every exponent of
+    the product.  No
     zero coefficient is kept.  On the int parts of two cleared pairs
     (da, ta) and (db, tb), the product is the pair (da * db, result).
 
@@ -250,7 +282,7 @@ def sym_ext_ints(ta, tb, q):
     mask_sign run once per pair of masks, and two terms of disjoint masks
     multiply into the key k1 + k2, with the sign folded into the left
     coefficient."""
-    low = (1 << q) - 1
+    low = lay.lows[0]
     out = {}
     get = out.get
     gb = _by_mask(tb, low).items()
@@ -283,11 +315,10 @@ def sym_ext_terms(ta, tb):
         return {}
     n = len(next(iter(ta))[0])
     q = max((k[-1] for t in (ta, tb) for _, k in t if k), default=0)
-    w = (max_degree(ta) + max_degree(tb)).bit_length()
-    da, ia = cleared_terms(pack_terms(ta, q, w))
-    db, ib = cleared_terms(pack_terms(tb, q, w))
-    d = da * db
-    return {unpack_key(k, n, q, w): Fraction(v, d) for k, v in sym_ext_ints(ia, ib, q).items()}
+    lay = KeyLayout.fitting((q,), n, max_degree(ta) + max_degree(tb))
+    da, ia = lay.cleared(ta)
+    db, ib = lay.cleared(tb)
+    return lay.rationals(da * db, sym_ext_ints(ia, ib, lay))
 
 
 def sym_ext_product(a, b):

@@ -23,14 +23,14 @@ themselves, and delta_kernel_check composes them with the shifts on int
 vectors, since scaling by D changes no rank and no equality.
 
 The columns, the shifts and the ranked rows all key a basis monomial by one
-int (FormLayout): from the low bits up, the ext mask of C, the dx mask of A,
-then the n entries of b and the m exponents of e in fields of w bits.  A
-wedge with dx_i sets a bit, a shift or connection move adds or subtracts
-field units, and every sign is the popcount parity of a masked part of the
-key.  Each caller takes w from the largest field value its results can
-reach (form_layout), so no field overflows into its neighbour.  SuperForm
-keeps tuple keys; super_d and the SuperForm shifts pack and unpack around
-the int core.
+int in a lincomb.KeyLayout with blocks (n, m) and n + m fields: the ext
+mask of C, the dx mask of A, then the n entries of b and the m exponents of
+e.  A wedge with dx_i sets a bit, a shift or connection move adds or
+subtracts field units, and every sign is the popcount parity of a masked
+part of the key.  Each caller bounds its fields by the largest exponent of
+its forms plus conn.max_exponent, the most one application of the operator
+adds, and by its largest sym entry plus 1, as the operator and the left
+shift raise a sym entry by at most 1.
 """
 
 from fractions import Fraction
@@ -38,72 +38,13 @@ from itertools import combinations
 from math import comb, factorial, lcm, prod
 
 from . import decode
-from .lincomb import LinComb, add_term, contract, mask_sign, merge_sign, replace
-from .scalars import IndexSet, MultiDegree, cleared, iter_multidegrees, inversion_sign, sym_dim
+from .lincomb import KeyLayout, LinComb, add_term, contract, mask_sign, merge_sign, replace
+from .scalars import IndexSet, MultiDegree, iter_multidegrees, inversion_sign, sym_dim
 from .poly import Poly
 from .supermaps import PolySuperFunc
 from .linalg import sparse_rank
 
 _new = tuple.__new__
-
-
-class FormLayout:
-    """Where the parts of a basis monomial x^e dx_A ds^b ds_C sit in its int key.
-
-    From the low bits up: the ext mask of C (bit c - 1 for ds_c, n bits),
-    the dx mask of A (bit n + i - 1 for dx_i, m bits), the n sym entries of
-    b and the m exponents of e, each in a field of w bits (sym_shifts and
-    exp_shifts hold the offsets of the fields).  Keys are added and
-    subtracted field unit by field unit, which is exact as long as every
-    field stays in 0..2^w - 1; form_layout picks w for that.
-    """
-
-    __slots__ = ("m", "n", "w", "field", "ext_low", "dx_low", "sym_shifts", "exp_shifts")
-
-    def __init__(self, m, n, w):
-        self.m, self.n, self.w = m, n, w
-        self.field = (1 << w) - 1
-        self.ext_low = (1 << n) - 1
-        self.dx_low = ((1 << m) - 1) << n
-        base = n + m
-        self.sym_shifts = tuple(range(base, base + n * w, w))
-        self.exp_shifts = tuple(range(base + n * w, base + (n + m) * w, w))
-
-    @staticmethod
-    def mask(indices, offset=0):
-        """The bits offset + i - 1 of the 1-based indices."""
-        return sum(1 << (offset + i - 1) for i in indices)
-
-    @staticmethod
-    def fields(values, shifts):
-        """The values placed at the field offsets."""
-        return sum(v << s for v, s in zip(values, shifts))
-
-    def pack(self, dxs, sym, ext, exps):
-        return (self.mask(ext) | self.mask(dxs, self.n)
-                | self.fields(sym, self.sym_shifts) | self.fields(exps, self.exp_shifts))
-
-    def unpack(self, key):
-        """(dxs, sym, ext, exps) of a key as IndexSet and MultiDegree tuples."""
-        n, m, field = self.n, self.m, self.field
-        return (_new(IndexSet, [i for i in range(1, m + 1) if key >> (n + i - 1) & 1]),
-                _new(MultiDegree, [key >> s & field for s in self.sym_shifts]),
-                _new(IndexSet, [c for c in range(1, n + 1) if key >> (c - 1) & 1]),
-                _new(MultiDegree, [key >> s & field for s in self.exp_shifts]))
-
-    def degree(self, key):
-        """The form degree |A| + |b| of a key."""
-        field = self.field
-        return (key & self.dx_low).bit_count() + sum(key >> s & field for s in self.sym_shifts)
-
-
-def form_layout(m, n, max_exp, max_sym):
-    """The layout for keys with exponents up to max_exp and sym entries up to
-    max_sym + 1: w is the bit length of the larger bound.  A caller passes
-    the largest exponent of its basis plus conn.max_exponent, the most one
-    application of the operator adds, and the largest sym degree of its
-    basis; the operator and the left shift raise a sym entry by at most 1."""
-    return FormLayout(m, n, max(max_exp, max_sym + 1).bit_length())
 
 
 class SuperForm(LinComb):
@@ -264,17 +205,18 @@ class OddConnection:
     the lcm of the denominators of the coefficients of A and R;
     max_exponent is the largest exponent in any term of A or R, the most an
     exponent grows under the operator.  a_ints and r_ints hold D·A and D·R
-    for the FormLayout of field width `width`, each term as (packed
-    exponent offset, int); pack_tables(w) rebuilds them when a column of
-    another width is asked for.  a_ints[i] is (dx bit, mask of the lower dx
-    bits, offset of the field of x_(i+1), rows) with rows[g] listing
-    (ext bit of b, sym unit of b minus that of g, terms) for each nonzero
-    A_(g+1)(b+1) in dx_(i+1); r_ints[g][b] lists (2-bit dx mask, terms) for
-    the 2-forms of R_(g+1)(b+1).
+    for keys packed in a layout of field width `width`, each term as
+    (packed exponent offset, int), and view is the _form_view of that
+    layout; pack_tables(lay) rebuilds them when a column of another width
+    is asked for.  a_ints[i] is (dx bit, mask of
+    the lower dx bits, offset of the field of x_(i+1), rows) with rows[g]
+    listing (ext bit of b, sym unit of b minus that of g, terms) for each
+    nonzero A_(g+1)(b+1) in dx_(i+1); r_ints[g][b] lists (2-bit dx mask,
+    terms) for the 2-forms of R_(g+1)(b+1).
     """
 
     __slots__ = ("dim_base", "dim_odd", "comps", "curvature", "scale", "max_exponent",
-                 "width", "a_ints", "r_ints")
+                 "width", "view", "a_ints", "r_ints")
 
     def __init__(self, m, n, comps):
         if len(comps) != n or any(len(row) != n for row in comps):
@@ -302,30 +244,31 @@ class OddConnection:
         polys += [p for row in self.curvature for two in row for p in two.values()]
         self.scale = lcm(*(c.denominator for p in polys for c in p.terms.values()))
         self.max_exponent = max((e for p in polys for exps in p.terms for e in exps), default=0)
-        self.width = self.a_ints = self.r_ints = None
+        self.width = self.view = self.a_ints = self.r_ints = None
 
-    def pack_tables(self, w):
-        """Build a_ints and r_ints for fields of w bits, unless they already are."""
-        if w == self.width:
+    def pack_tables(self, lay):
+        """Build view, a_ints and r_ints for keys packed in lay, unless they
+        already are."""
+        if lay.w == self.width:
             return
-        lay = FormLayout(self.dim_base, self.dim_odd, w)
         n, scale = self.dim_odd, self.scale
-        units = [1 << s for s in lay.sym_shifts]
+        zero = (0,) * n
+        units = [1 << s for s in lay.shifts[:n]]
 
         def ints(p):
-            return tuple((lay.fields(e, lay.exp_shifts), c.numerator * (scale // c.denominator))
+            return tuple((lay.pack(zero + e), c.numerator * (scale // c.denominator))
                          for e, c in p.terms.items())
 
         self.a_ints = tuple(
-            (1 << (n + i), ((1 << i) - 1) << n, s,
-             tuple(tuple((1 << b, units[b] - units[g], ints(cell[i]))
+            (lay.pack((), (), (i + 1,)), lay.pack((), (), range(1, i + 1)), s,
+             tuple(tuple((lay.pack((), (b + 1,)), units[b] - units[g], ints(cell[i]))
                          for b, cell in enumerate(row) if not cell[i].is_zero())
                    for g, row in enumerate(self.comps)))
-            for i, s in enumerate(lay.exp_shifts))
-        self.r_ints = tuple(tuple(tuple((lay.mask(key, n), ints(p)) for key, p in two.items())
+            for i, s in enumerate(lay.shifts[n:]))
+        self.r_ints = tuple(tuple(tuple((lay.pack((), (), key), ints(p)) for key, p in two.items())
                                   for two in row)
                             for row in self.curvature)
-        self.width = w
+        self.width, self.view = lay.w, _form_view(lay)
 
     @classmethod
     def zero(cls, m, n):
@@ -464,26 +407,33 @@ def twisted_d_end(conn, mat):
     return out
 
 
-def _left_shifts(lay, key):
+def _form_view(lay):
+    """(ext mask, dx mask, all-ones field, offsets of the n sym fields) of a
+    layout with blocks (n, m): what the column and shift loops read."""
+    return (*lay.lows, lay.field, lay.shifts[:lay.blocks[0]])
+
+
+def _left_shifts(key, view):
     """The plain left shift of one packed monomial, contracting each ds_mu
     out of the ext mask into sym entry mu: (new key, contraction sign), the
     sign the parity of the ext bits below mu."""
-    ext = key & lay.ext_low
+    ext_low, _dx_low, _field, sym_shifts = view
+    ext = key & ext_low
     mask = ext
     while mask:
         low = mask & -mask
         mask ^= low
-        yield (key - low + (1 << lay.sym_shifts[low.bit_length() - 1]),
+        yield (key - low + (1 << sym_shifts[low.bit_length() - 1]),
                -1 if (ext & (low - 1)).bit_count() & 1 else 1)
 
 
-def _right_shifts(lay, key):
+def _right_shifts(key, view):
     """The plain right shift of one packed monomial, moving one ds^mu out of
     sym entry mu onto the front of the ext mask: (new key, multiplicity times
     wedge sign) for each mu it can move."""
-    ext = key & lay.ext_low
-    field = lay.field
-    for mu, s in enumerate(lay.sym_shifts):
+    ext_low, _dx_low, field, sym_shifts = view
+    ext = key & ext_low
+    for mu, s in enumerate(sym_shifts):
         e = key >> s & field
         bit = 1 << mu
         if e and not ext & bit:
@@ -507,14 +457,14 @@ def monomial_column(conn, key, lay):
     curvature 2-form's sign against dx_A is mask_sign.  The connection and
     curvature pieces read conn.a_ints and conn.r_ints, packed for lay.w, so
     every entry is an int.  lay must hold every field of the column: see
-    form_layout.
+    the module docstring.
     """
-    conn.pack_tables(lay.w)
-    scale = conn.scale
-    field = lay.field
-    ext = key & lay.ext_low
-    sym = [key >> s & field for s in lay.sym_shifts]
-    a, b = (key & lay.dx_low).bit_count(), sum(sym)
+    conn.pack_tables(lay)
+    n, scale, view = conn.dim_odd, conn.scale, conn.view
+    ext_low, dx_low, field, sym_shifts = view
+    ext = key & ext_low
+    sym = [key >> s & field for s in sym_shifts]
+    a, b = (key & dx_low).bit_count(), sum(sym)
     col = {}
     get = col.get
     # twisted exterior derivative
@@ -552,14 +502,14 @@ def monomial_column(conn, key, lay):
                     col[k2] = get(k2, 0) + f * c
     # identity left shift, ext slot to sym
     nsign = -scale if (a + b) % 2 else scale
-    for k2, csign in _left_shifts(lay, key):
+    for k2, csign in _left_shifts(key, view):
         col[k2] = get(k2, 0) + nsign * csign
     # curvature right shift, sym slot to ext under the 2-form
     if b:
         rsign = -1 if (a + b - 1) % 2 else 1
-        dxs = key & lay.dx_low
+        dxs = key & dx_low
         r_ints = conn.r_ints
-        for mu in range(lay.n):
+        for mu in range(n):
             mbit = 1 << mu
             if ext & mbit:
                 continue
@@ -568,7 +518,7 @@ def monomial_column(conn, key, lay):
                 two = r_ints[nu][mu]
                 if not e or not two:
                     continue
-                moved = key + mbit - (1 << lay.sym_shifts[nu])
+                moved = key + mbit - (1 << sym_shifts[nu])
                 for dmask, terms in two:
                     if key & dmask:
                         continue
@@ -580,38 +530,23 @@ def monomial_column(conn, key, lay):
     return {k: v for k, v in col.items() if v}
 
 
-def _form_ints(omega, lay):
-    """(d, {packed key: int}) of a SuperForm, its coefficients cleared to ints
-    over one denominator d."""
-    den, nums = cleared(c for f in omega.terms.values() for c in f.terms.values())
-    nums = iter(nums)
-    out = {}
-    for (dxs, sym, ext), f in omega.terms.items():
-        base = lay.pack(dxs, sym, ext, ())
-        for exps in f.terms:
-            out[base | lay.fields(exps, lay.exp_shifts)] = next(nums)
-    return den, out
-
-
-def _form_from_ints(lay, ints, den):
-    """The SuperForm of {packed key: int} over the denominator den."""
-    terms = {}
-    for k, v in ints.items():
-        if v:
-            dxs, sym, ext, exps = lay.unpack(k)
-            poly = terms.get((dxs, sym, ext))
-            if poly is None:
-                poly = terms[(dxs, sym, ext)] = {}
-            poly[exps] = Fraction(v, den)
-    return SuperForm._raw(lay.m, lay.n, {key: Poly._raw(lay.m, t) for key, t in terms.items()})
-
-
-def _layout_of(omega, grow):
-    """form_layout for the terms of omega and an operator that adds at most
-    grow to an exponent."""
+def _apply_packed(omega, grow, op, scale=1):
+    """op applied to omega on packed keys, for an op that adds at most grow
+    to an exponent: omega's coefficients are cleared to ints over one
+    denominator d, op(lay, ints) returns the image's ints, and the image is
+    those over d times scale."""
+    m, n = omega.dim_base, omega.dim_odd
     max_exp = max((e for f in omega.terms.values() for exps in f.terms for e in exps), default=0)
     max_sym = max((e for (_a, sym, _c) in omega.terms for e in sym), default=0)
-    return form_layout(omega.dim_base, omega.dim_odd, max_exp + grow, max_sym)
+    lay = KeyLayout.fitting((n, m), n + m, max(max_exp + grow, max_sym + 1))
+    den, ints = lay.cleared({(sym + exps, ext, dxs): c
+                             for (dxs, sym, ext), f in omega.terms.items()
+                             for exps, c in f.terms.items()})
+    terms = {}
+    for (fields, ext, dxs), c in lay.rationals(den * scale, op(lay, ints)).items():
+        key = (dxs, _new(MultiDegree, fields[:n]), ext)
+        terms.setdefault(key, {})[_new(MultiDegree, fields[n:])] = c
+    return SuperForm._raw(m, n, {key: Poly._raw(m, t) for key, t in terms.items()})
 
 
 def super_d(conn, omega):
@@ -623,14 +558,16 @@ def super_d(conn, omega):
     """
     if (conn.dim_base, conn.dim_odd) != (omega.dim_base, omega.dim_odd):
         raise ValueError("connection and form dimensions differ")
-    lay = _layout_of(omega, conn.max_exponent)
-    den, ints = _form_ints(omega, lay)
-    acc = {}
-    get = acc.get
-    for key, c in ints.items():
-        for k2, v in monomial_column(conn, key, lay).items():
-            acc[k2] = get(k2, 0) + c * v
-    return _form_from_ints(lay, acc, den * conn.scale)
+
+    def columns(lay, ints):
+        acc = {}
+        get = acc.get
+        for key, c in ints.items():
+            for k2, v in monomial_column(conn, key, lay).items():
+                acc[k2] = get(k2, 0) + c * v
+        return acc
+
+    return _apply_packed(omega, conn.max_exponent, columns, conn.scale)
 
 
 class SuperVectorFieldGen:
@@ -858,24 +795,26 @@ def super_d_by_fields(conn, omega, fields):
     return total
 
 
-def _shift_terms(lay, terms, shifts, number_signed=False):
-    """A fiberwise shift, monomial by monomial, of a term map on packed keys:
-    the int vectors of monomial_column, or a packed SuperForm.
+def _shift_terms(view, terms, shifts, number_signed=False):
+    """A fiberwise shift, monomial by monomial, of a term map on keys of the
+    _form_view view: the int vectors of monomial_column, or a packed SuperForm.
     number_signed multiplies the image of each term of form degree p by
     (-1)^(p-1)."""
+    _ext_low, dx_low, field, sym_shifts = view
     acc = {}
     for key, f in terms.items():
-        if number_signed and not lay.degree(key) % 2:
+        if number_signed and not ((key & dx_low).bit_count()
+                                  + sum(key >> s & field for s in sym_shifts)) % 2:
             f = -f
-        for k2, c in shifts(lay, key):
+        for k2, c in shifts(key, view):
             add_term(acc, k2, c * f)
     return acc
 
 
 def _shift(omega, shifts, number_signed=False):
-    lay = _layout_of(omega, 0)
-    den, ints = _form_ints(omega, lay)
-    return _form_from_ints(lay, _shift_terms(lay, ints, shifts, number_signed), den)
+    return _apply_packed(omega, 0,
+                         lambda lay, ints: _shift_terms(_form_view(lay), ints, shifts,
+                                                        number_signed))
 
 
 def shift_left_plain(omega):
@@ -944,26 +883,6 @@ class DeltaReport:
                 "components": [c.as_dict() for c in self.components]}
 
 
-def _masks(lay, top, size, offset=0):
-    return [lay.mask(idx, offset) for idx in combinations(range(1, top + 1), size)]
-
-
-def _syms(lay, b):
-    return [lay.fields(sym, lay.sym_shifts) for sym in iter_multidegrees(lay.n, b)]
-
-
-def _exps(lay, poly_cut):
-    return [lay.fields(exps, lay.exp_shifts)
-            for tot in range(poly_cut + 1) for exps in iter_multidegrees(lay.m, tot)]
-
-
-def _component_basis(lay, a, b, c, poly_cut):
-    """Packed basis keys of component (a, b, c) with Poly degree <= poly_cut."""
-    exps = _exps(lay, poly_cut)
-    return [dk | sk | ek | xk for dk in _masks(lay, lay.m, a, lay.n) for sk in _syms(lay, b)
-            for ek in _masks(lay, lay.n, c) for xk in exps]
-
-
 def delta_kernel_check(conn, total_degree_cut, poly_cut):
     """Assemble the Delta operator on each homogeneous component and check its kernel.
 
@@ -981,7 +900,8 @@ def delta_kernel_check(conn, total_degree_cut, poly_cut):
     """
     m, n = conn.dim_base, conn.dim_odd
     scale = conn.scale
-    lay = form_layout(m, n, poly_cut + conn.max_exponent, total_degree_cut)
+    lay = KeyLayout.fitting((n, m), n + m, max(poly_cut + conn.max_exponent, total_degree_cut + 1))
+    view = _form_view(lay)
     memo = {}
 
     def column(key):
@@ -994,7 +914,7 @@ def delta_kernel_check(conn, total_degree_cut, poly_cut):
     for a in range(min(m, total_degree_cut) + 1):
         for b in range(total_degree_cut - a + 1):
             for c in range(n + 1):
-                basis = _component_basis(lay, a, b, c, poly_cut)
+                basis = _degree_basis(lay, a + b, poly_cut, (a,), (c,))
                 if not basis:
                     continue
                 lam = b + c
@@ -1003,12 +923,13 @@ def delta_kernel_check(conn, total_degree_cut, poly_cut):
                 rows = []
                 for key in basis:
                     unit = {key: 1}
-                    img = _shift_terms(lay, column(key), _right_shifts, True)
-                    for tkey, t in _shift_terms(lay, unit, _right_shifts, True).items():
+                    img = _shift_terms(view, column(key), _right_shifts, True)
+                    for tkey, t in _shift_terms(view, unit, _right_shifts, True).items():
                         for k2, v in column(tkey).items():
                             add_term(img, k2, t * v)
-                    braces = _shift_terms(lay, _shift_terms(lay, unit, _right_shifts), _left_shifts)
-                    for k2, v in _shift_terms(lay, _shift_terms(lay, unit, _left_shifts),
+                    braces = _shift_terms(view, _shift_terms(view, unit, _right_shifts),
+                                          _left_shifts)
+                    for k2, v in _shift_terms(view, _shift_terms(view, unit, _left_shifts),
                                               _right_shifts).items():
                         add_term(braces, k2, v)
                     if img != {k2: scale * v for k2, v in braces.items()}:
@@ -1029,13 +950,18 @@ def delta_kernel_check(conn, total_degree_cut, poly_cut):
     return DeltaReport(comps)
 
 
-def _degree_basis(lay, k, poly_cut):
-    """Packed basis keys of all total-degree-k components with Poly degree <= poly_cut."""
-    m, n = lay.m, lay.n
-    exps = _exps(lay, poly_cut)
-    return [dk | sk | ek | xk for a in range(min(m, k) + 1) for dk in _masks(lay, m, a, n)
-            for sk in _syms(lay, k - a) for c in range(n + 1) for ek in _masks(lay, n, c)
-            for xk in exps]
+def _degree_basis(lay, k, poly_cut, a_sizes=None, c_sizes=None):
+    """Packed basis keys x^e dx_A ds^b ds_C of total degree |A| + |b| = k
+    with Poly degree <= poly_cut, |A| in a_sizes and |C| in c_sizes (every
+    size by default)."""
+    n, m = lay.blocks
+    zero = (0,) * n
+    exps = [lay.pack(zero + e) for tot in range(poly_cut + 1) for e in iter_multidegrees(m, tot)]
+    exts = [[lay.pack((), ext) for ext in combinations(range(1, n + 1), c)] for c in range(n + 1)]
+    heads = [lay.pack(sym, (), dxs) for a in a_sizes or range(min(m, k) + 1)
+             for dxs in combinations(range(1, m + 1), a) for sym in iter_multidegrees(n, k - a)]
+    return [hk | ek | xk for hk in heads for c in c_sizes or range(n + 1)
+            for ek in exts[c] for xk in exps]
 
 
 def _basis_count(m, n, k, poly_cut, cumulative=False):
@@ -1085,7 +1011,7 @@ def cohomology_dims(conn, k, poly_cut):
         return 0
     image_cut = _image_cutoff(conn, k, poly_cut) if k else poly_cut
     # one layout for both blocks, whose keys are compared
-    lay = form_layout(m, n, image_cut + conn.max_exponent, k)
+    lay = KeyLayout.fitting((n, m), n + m, max(image_cut + conn.max_exponent, k + 1))
     basis_k = _degree_basis(lay, k, poly_cut)
     rows = [monomial_column(conn, key, lay) for key in basis_k]
     ker_dim = len(basis_k) - sparse_rank(rows)

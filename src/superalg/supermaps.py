@@ -10,21 +10,19 @@ morphism a differential operator along its base map, of order bounded
 by half the odd rank of the output algebra.
 
 The substitution and the commutator checks run on cleared pairs
-(d, {key: int}), the rational term map divided by d, whose keys are the
-packed ints of lincomb: the odd bitmask in the low bits and one exponent
-field per coordinate above it.  Each map keeps one field width for its
-target algebra and one for its source algebra, and widens both, re-keying
-its memo, before a call that images a target element of higher total
-degree (_widen): a target field never exceeds that degree T, and a source
-field never exceeds T·max(Dc, 1) + q·Do, for Dc and Do the largest total
-degrees of the coordinate and odd images and q the target odd rank.
-_image_ints is the one substitution sum, products go through
-lincomb.sym_ext_ints, and differences are taken over the lcm of the two
-denominators.  Every pair is kept in lowest terms, and the packing is
-injective at fixed widths, so two pairs are equal exactly when the
-superfunctions they stand for are.  Terms are packed where an element
-enters, and unpacked, with one Fraction per term, only where a
-PolySuperFunc is returned.
+(d, {key: int}), the rational term map divided by d, on Sym ⊗ Λ keys packed
+by a lincomb.KeyLayout.  Each map keeps one layout for its target algebra
+and one for its source algebra, and widens both, re-keying its memo, before
+a call that images a target element of higher total degree (_widen): a
+target field never exceeds that degree T, and a source field never exceeds
+T·max(Dc, 1) + q·Do, for Dc and Do the largest total degrees of the
+coordinate and odd images and q the target odd rank.  _image_ints is the
+one substitution sum, products go through lincomb.sym_ext_ints, and
+differences are taken over the lcm of the two denominators.  Every pair is
+kept in lowest terms, and the packing is injective at fixed widths, so two
+pairs are equal exactly when the superfunctions they stand for are.  Terms
+are packed where an element enters, and unpacked, with one Fraction per
+term, only where a PolySuperFunc is returned.
 """
 
 from fractions import Fraction
@@ -34,8 +32,7 @@ import random
 
 from . import decode
 from .exterior import ExtElem, ExtSpace
-from .lincomb import (LinComb, cleared_terms, last_factor, max_degree, pack_key,
-                      pack_terms, sym_ext_ints, sym_ext_product, unpack_key)
+from .lincomb import KeyLayout, LinComb, max_degree, sym_ext_ints, sym_ext_product
 from .poly import Poly
 from .scalars import IndexSet, MultiDegree, format_scalar
 
@@ -189,13 +186,14 @@ class SuperMapData:
     odd_images[a] is where target odd generator a + 1 goes (odd).
     Parity violations are rejected at construction time.  The images of
     target monomials are memoized per instance as apply_map meets them, as
-    cleared pairs on packed source keys under packed target keys, at the
-    one pair of field widths the map keeps; the generator images are
-    packed at construction and treated as immutable after it.
+    cleared pairs on packed source keys under packed target keys, in the
+    one pair of layouts the map keeps, wide enough for the largest total
+    degree _degree imaged so far; the generator images are packed at
+    construction and treated as immutable after it.
     """
 
     __slots__ = ("coord_images", "odd_images", "source_nvars", "source_odd",
-                 "_source_bound", "_widths", "_mono_images")
+                 "_source_bound", "_degree", "_layouts", "_mono_images")
 
     def __init__(self, coord_images, odd_images):
         coord_images = tuple(coord_images)
@@ -219,37 +217,38 @@ class SuperMapData:
         dc, do = (max((max_degree(g.terms) for g in images), default=0)
                   for images in (coord_images, odd_images))
         self._source_bound = max(dc, 1), len(odd_images) * do
-        # the unit goes to the unit, key 0 at any width
-        self._widths = 0, 0
+        # the unit goes to the unit, key 0 in any layout
+        n, q = len(coord_images), len(odd_images)
+        self._degree = 0
+        self._layouts = KeyLayout((q,), n, 0), KeyLayout((self.source_odd,), self.source_nvars, 0)
         self._mono_images = {0: (1, {0: 1})}
         self._widen(1)
-        n, q, wt = len(coord_images), len(odd_images), self._widths[0]
+        target, source = self._layouts
         zero = (0,) * n
         table = self._mono_images
         for j, g in enumerate(coord_images):
-            x_j = pack_key(zero[:j] + (1,) + zero[j + 1:], (), q, wt)
-            table[x_j] = _source_pair(self, g.terms)
+            table[target.pack(zero[:j] + (1,) + zero[j + 1:], ())] = source.cleared(g.terms)
         for a, g in enumerate(odd_images, start=1):
-            table[pack_key(zero, (a,), q, wt)] = _source_pair(self, g.terms)
+            table[target.pack(zero, (a,))] = source.cleared(g.terms)
 
     def _widen(self, degree):
-        """Make the target and source fields wide enough for a call that
+        """Make the target and source layouts wide enough for a call that
         images target elements of total degree at most degree; widening
         re-keys the memo, and its entries carry over."""
-        wt, ws = self._widths
-        c, o = self._source_bound
-        nt, ns = max(wt, degree.bit_length()), max(ws, (degree * c + o).bit_length())
-        if (nt, ns) == (wt, ws):
+        if degree <= self._degree:
             return
-        n, q, m, p = self.target_nvars, self.target_odd, self.source_nvars, self.source_odd
-
-        def rekey(k, nvars, odd, old, new):
-            return pack_key(*unpack_key(k, nvars, odd, old), odd, new)
-
+        self._degree = degree
+        old_t, old_s = self._layouts
+        c, o = self._source_bound
+        target = KeyLayout.fitting(old_t.blocks, old_t.nfields, degree)
+        source = KeyLayout.fitting(old_s.blocks, old_s.nfields, degree * c + o)
+        if (target.w, source.w) == (old_t.w, old_s.w):
+            return
         self._mono_images = {
-            rekey(k, n, q, wt, nt): (d, {rekey(s, m, p, ws, ns): v for s, v in img.items()})
+            target.pack(*old_t.unpack(k)):
+                (d, {source.pack(*old_s.unpack(s)): v for s, v in img.items()})
             for k, (d, img) in self._mono_images.items()}
-        self._widths = nt, ns
+        self._layouts = target, source
 
     def _monomial_image(self, key):
         """Image of the target monomial packed as key, memoized as
@@ -265,15 +264,15 @@ class SuperMapData:
         The returned dict is shared and must not be mutated.
         """
         table = self._mono_images
-        q, wt = self.target_odd, self._widths[0]
+        target, source = self._layouts
         chain = []
         while key not in table:
-            g = last_factor(key, q, wt)
+            g = target.last_factor(key)
             chain.append((key, g))
             key -= g
         pair = table[key]
         for key, g in reversed(chain):
-            pair = table[key] = _product(pair, table[g], self.source_odd)
+            pair = table[key] = _product(pair, table[g], source)
         return pair
 
     @property
@@ -320,10 +319,9 @@ def _lowest(d, ints):
     return d, ints
 
 
-def _product(a, b, q):
-    """Product of two cleared pairs of one algebra with q odd generators, in
-    lowest terms."""
-    return _lowest(a[0] * b[0], sym_ext_ints(a[1], b[1], q))
+def _product(a, b, lay):
+    """Product of two cleared pairs on keys packed in lay, in lowest terms."""
+    return _lowest(a[0] * b[0], sym_ext_ints(a[1], b[1], lay))
 
 
 def _difference(a, b):
@@ -357,23 +355,6 @@ def _image_ints(phi, d, ints):
     return _lowest(den * d, out)
 
 
-def _target_pair(phi, terms):
-    """A target term map as a cleared pair on the map's target keys."""
-    return cleared_terms(pack_terms(terms, phi.target_odd, phi._widths[0]))
-
-
-def _source_pair(phi, terms):
-    """A source term map as a cleared pair on the map's source keys."""
-    return cleared_terms(pack_terms(terms, phi.source_odd, phi._widths[1]))
-
-
-def _source_element(phi, pair):
-    d, ints = pair
-    n, q, w = phi.source_nvars, phi.source_odd, phi._widths[1]
-    return PolySuperFunc._raw(n, q, {unpack_key(k, n, q, w): Fraction(v, d)
-                                     for k, v in ints.items()})
-
-
 def _check_target(phi, f):
     if f.nvars != phi.target_nvars or f.odd_dim != phi.target_odd:
         raise ValueError("superfunction does not live on the target algebra")
@@ -390,7 +371,9 @@ def apply_map(phi, f):
     """
     _check_target(phi, f)
     phi._widen(max_degree(f.terms))
-    return _source_element(phi, _image_ints(phi, *_target_pair(phi, f.terms)))
+    target, source = phi._layouts
+    return PolySuperFunc._raw(phi.source_nvars, phi.source_odd,
+                              source.rationals(*_image_ints(phi, *target.cleared(f.terms))))
 
 
 def pull_function(phi, f):
@@ -407,8 +390,8 @@ def _base_factor(phi, f):
     """A base function f as the cleared pairs (f on the target algebra,
     f composed with the base map on the source algebra)."""
     empty = IndexSet()
-    return tuple(pair(phi, {(e, empty): c for e, c in g.terms.items()})
-                 for pair, g in ((_target_pair, f), (_source_pair, pull_function(phi, f))))
+    return tuple(lay.cleared({(e, empty): c for e, c in g.terms.items()})
+                 for lay, g in zip(phi._layouts, (f, pull_function(phi, f))))
 
 
 def _nested_ints(phi, factors, eta):
@@ -421,8 +404,9 @@ def _nested_ints(phi, factors, eta):
         return _image_ints(phi, *eta)
     lifted, pulled = factors[-1]
     rest = factors[:-1]
-    return _difference(_nested_ints(phi, rest, _product(lifted, eta, phi.target_odd)),
-                       _product(pulled, _nested_ints(phi, rest, eta), phi.source_odd))
+    target, source = phi._layouts
+    return _difference(_nested_ints(phi, rest, _product(lifted, eta, target)),
+                       _product(pulled, _nested_ints(phi, rest, eta), source))
 
 
 def _widen_for_commutators(phi, fs, eta):
@@ -435,7 +419,9 @@ def iterated_twisted_commutator(phi, fs, eta):
     _check_target(phi, eta)
     _widen_for_commutators(phi, fs, eta)
     factors = [_base_factor(phi, f) for f in fs]
-    return _source_element(phi, _nested_ints(phi, factors, _target_pair(phi, eta.terms)))
+    target, source = phi._layouts
+    nested = _nested_ints(phi, factors, target.cleared(eta.terms))
+    return PolySuperFunc._raw(phi.source_nvars, phi.source_odd, source.rationals(*nested))
 
 
 def twisted_commutator(phi, f, eta):
@@ -518,12 +504,13 @@ def order_bound_check(phi, trials=6, seed=0):
         eta = _random_superfunc(rng, n, q)
         _widen_for_commutators(phi, fs, eta)
         factors = [_base_factor(phi, f) for f in fs]
+        target, source = phi._layouts
         prod = unit
         for factor in factors:
-            prod = _product(prod, _nested_ints(phi, [factor], unit), phi.source_odd)
-        eta = _target_pair(phi, eta.terms)
+            prod = _product(prod, _nested_ints(phi, [factor], unit), source)
+        eta = target.cleared(eta.terms)
         nested = _nested_ints(phi, factors, eta)
-        if nested != _product(prod, _image_ints(phi, *eta), phi.source_odd):
+        if nested != _product(prod, _image_ints(phi, *eta), source):
             failures.append(("route-mismatch", t))
         if prod[1] or nested[1]:
             failures.append(("nonvanishing", t))

@@ -104,7 +104,7 @@ HALF_9X9 = [[str((3 * i + 5 * j) % 7 - 3) + "/2" for j in range(9)] for i in ran
 ])
 def test_cp_homology_size_limit(capsys, tmp_path, F, kmax, lmax, code):
     # the 5x5 table with k, l <= 5 runs; the 9x9 one with k <= 2, l <= 3,
-    # which took about 2 minutes, is refused
+    # which takes 7.6-9.8 s of CPU time on random half-integer F, is refused
     assert homology_table_size(5, 5, 5, 5) == 14574 < HOMOLOGY_MAX_DIM == 14641
     assert homology_table_size(9, 9, 2, 3) == 16000
     p = write(tmp_path, "m.json", F)

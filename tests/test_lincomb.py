@@ -8,8 +8,8 @@ from hypothesis import given, strategies as st
 from oracles import fraction_sym_ext_terms
 from strat import small_fractions
 from superalg.exterior import ExtElem, ExtSpace
-from superalg.lincomb import (LinComb, contract, mask_sign, merge_sign, pack_key, replace,
-                              sym_ext_terms, unpack_key)
+from superalg.lincomb import (KeyLayout, LinComb, contract, mask_sign, merge_sign, replace,
+                              sym_ext_terms)
 from superalg.poly import Poly
 from superalg.scalars import IndexSet, MultiDegree, inversion_sign
 from superalg.sderham import SuperForm
@@ -131,19 +131,50 @@ def test_mask_sign_matches_merge_sign(ab):
     assert mask_sign(_mask(a), _mask(b)) == merge_sign(a, b)[1]
 
 
-@given(disjoint_key_sets, st.lists(st.integers(0, 40), min_size=3, max_size=3),
-       st.lists(st.integers(0, 40), min_size=3, max_size=3))
-def test_packed_keys_add_like_their_terms(ab, e1, e2):
-    # with fields as wide as the product's exponents, the product key of two
-    # terms with disjoint masks is the sum of their keys
-    a, b = ab
-    w = max(map(sum, zip(e1, e2))).bit_length()
-    k1, k2 = pack_key(e1, a, 10, w), pack_key(e2, b, 10, w)
-    assert unpack_key(k1, 3, 10, w) == (tuple(e1), a)
-    exps, key = unpack_key(k1 + k2, 3, 10, w)
-    assert type(exps) is MultiDegree and type(key) is IndexSet
-    assert (exps, key) == (tuple(map(sum, zip(e1, e2))), tuple(sorted(a + b)))
-    assert k1 + k2 == pack_key(exps, key, 10, w)
+def _subset(data, size):
+    return frozenset(data.draw(st.sets(st.integers(1, size)))) if size else frozenset()
+
+
+# the two shapes in use: (blocks, nfields) of x^e ds_A in Sym(n) ⊗ Λ(q), and
+# of x^e dx_A ds^b ds_C on an m|n patch
+LAYOUT_SHAPES = {
+    "sym-ext": lambda q, n: ((q,), n),
+    "form": lambda n, m: ((n, m), n + m),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(LAYOUT_SHAPES))
+@given(st.data(), st.integers(0, 10), st.integers(0, 4), st.integers(0, 4))
+def test_key_layout_packs_unpacks_and_adds(shape, data, w, d1, d2):
+    # two monomials x and y with disjoint masks whose summed fields reach any
+    # value up to top, for a top of bit length w
+    blocks, nfields = LAYOUT_SHAPES[shape](d1, d2)
+    top = data.draw(st.integers(1 << w >> 1, (1 << w) - 1))
+    lay = KeyLayout.fitting(blocks, nfields, top)
+    assert lay.w == w
+    sums = [data.draw(st.integers(0, top)) for _ in range(nfields)]
+    xf = [data.draw(st.integers(0, s)) for s in sums]
+    xs = [_subset(data, b) for b in blocks]
+    ys = [_subset(data, b) - a for b, a in zip(blocks, xs)]
+    x = (MultiDegree(xf), *[IndexSet(sorted(a)) for a in xs])
+    y = (MultiDegree(s - e for s, e in zip(sums, xf)), *[IndexSet(sorted(b)) for b in ys])
+    xy = (MultiDegree(sums), *[IndexSet(sorted(a | b)) for a, b in zip(xs, ys)])
+    for z in (x, y, xy):
+        got = lay.unpack(lay.pack(*z))
+        assert got == z
+        assert type(got[0]) is MultiDegree and all(type(k) is IndexSet for k in got[1:])
+    key = lay.pack(*x) + lay.pack(*y)
+    assert key == lay.pack(*xy)
+    if key:
+        # the last factor is the highest generator of the highest nonempty
+        # block, or with none, one unit of the last nonzero field
+        fields, sets = list(sums), list(xy[1:])
+        full = [j for j, k in enumerate(sets) if k]
+        if full:
+            sets[full[-1]] = IndexSet(sets[full[-1]][:-1])
+        else:
+            fields[max(i for i, e in enumerate(fields) if e)] -= 1
+        assert lay.unpack(key - lay.last_factor(key)) == (MultiDegree(fields), *sets)
 
 
 @given(key_sets, st.integers(1, 8), st.integers(1, 8))

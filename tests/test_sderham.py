@@ -23,10 +23,10 @@ from oracles import (
 )
 from superalg import sderham
 from superalg.cartan import twisted_shift_left, twisted_shift_right
+from superalg.lincomb import KeyLayout
 from superalg.poly import Poly
 from superalg.scalars import IndexSet, MultiDegree, iter_multidegrees
 from superalg.sderham import (
-    FormLayout,
     OddConnection,
     SuperForm,
     SuperVectorFieldGen,
@@ -41,7 +41,6 @@ from superalg.sderham import (
     delta_printed_apply,
     evaluate,
     field_apply,
-    form_layout,
     monomial_column,
     shift_left_plain,
     shift_right_plain,
@@ -478,16 +477,26 @@ def test_monomial_column_is_the_scaled_operator(case, data):
     ext = data.draw(index_subsets(n))
     exps = MultiDegree(data.draw(st.tuples(*[st.integers(0, 2) for _ in range(m)])))
     _assert_column_is_the_operator(conn, dxs, sym, ext, exps,
-                                   form_layout(m, n, max(exps) + conn.max_exponent, max(sym)))
+                                   _layout(m, n, max(exps) + conn.max_exponent, max(sym)))
+
+
+def _layout(m, n, max_exp, max_sym):
+    # the layout sderham builds for exponents up to max_exp, counting the
+    # operator's growth, and sym entries up to max_sym
+    return KeyLayout.fitting((n, m), n + m, max(max_exp, max_sym + 1))
 
 
 def _assert_column_is_the_operator(conn, dxs, sym, ext, exps, lay):
     # pack, call, unpack, and compare with D times the Poly-arithmetic operator
     m, n = conn.dim_base, conn.dim_odd
-    col = monomial_column(conn, lay.pack(dxs, sym, ext, exps), lay)
+    col = monomial_column(conn, lay.pack(sym + exps, ext, dxs), lay)
     w = mono(m, n, dxs, sym, ext).mul_poly(Poly.monomial(m, exps))
     want = {k: conn.scale * v for k, v in form_vector(super_d_direct(conn, w)).items()}
-    assert {lay.unpack(k): v for k, v in col.items()} == want
+    got = {}
+    for k, v in col.items():
+        fields, ext2, dxs2 = lay.unpack(k)
+        got[(dxs2, fields[:n], ext2, fields[n:])] = v
+    assert got == want
     assert all(type(v) is int and v for v in col.values())
 
 
@@ -506,17 +515,17 @@ def test_monomial_column_fills_its_fields(case, data):
     sym = MultiDegree(data.draw(st.tuples(*[st.integers(0, top - 1) for _ in range(n)])))
     ext = data.draw(index_subsets(n))
     exps = MultiDegree((top - conn.max_exponent,) * m)
-    lay = form_layout(m, n, top, max(sym))
+    lay = _layout(m, n, top, max(sym))
     assert lay.w == w
     _assert_column_is_the_operator(conn, dxs, sym, ext, exps, lay)
 
 
 def test_field_width_is_the_bit_length_of_the_largest_field():
-    assert form_layout(2, 2, 0, 0).w == 1
-    assert form_layout(2, 2, 7, 0).w == 3
-    assert form_layout(2, 2, 8, 0).w == 4
-    assert form_layout(2, 2, 3, 6).w == 3
-    assert form_layout(2, 2, 3, 7).w == 4
+    assert _layout(2, 2, 0, 0).w == 1
+    assert _layout(2, 2, 7, 0).w == 3
+    assert _layout(2, 2, 8, 0).w == 4
+    assert _layout(2, 2, 3, 6).w == 3
+    assert _layout(2, 2, 3, 7).w == 4
     # the operator adds at most the connection's largest exponent
     conn = conn_from(1, 1, {(1, 1, 1): V(1, 1) * V(1, 1) * V(1, 1)})
     assert conn.max_exponent == 3
@@ -532,13 +541,13 @@ def test_connection_scale_is_the_lcm_of_the_denominators():
                             (2, 1, 2): Fraction(1, 3)})
     assert conn.scale == 6
     assert conn.max_exponent == 1
-    conn.pack_tables(2)
-    lay = FormLayout(2, 2, 2)
-    x2 = 1 << lay.exp_shifts[1]
-    sym1, sym2 = (1 << s for s in lay.sym_shifts)
+    lay = KeyLayout((2, 2), 4, 2)
+    conn.pack_tables(lay)
+    x2 = 1 << lay.shifts[3]
+    sym1, sym2 = (1 << s for s in lay.shifts[:2])
     # a_ints[i]: dx bit, lower dx bits, exponent field of x_(i+1), rows by g
-    assert conn.a_ints[0][:3] == (0b0100, 0, lay.exp_shifts[0])
-    assert conn.a_ints[1][:3] == (0b1000, 0b0100, lay.exp_shifts[1])
+    assert conn.a_ints[0][:3] == (0b0100, 0, lay.shifts[2])
+    assert conn.a_ints[1][:3] == (0b1000, 0b0100, lay.shifts[3])
     assert conn.a_ints[0][3][0] == ((0b01, 0, ((x2, 3),)),)
     assert conn.a_ints[1][3][1] == ((0b01, sym1 - sym2, ((0, 2),)),)
     assert dict(conn.r_ints[0][0]) == {0b1100: ((0, -3),)}

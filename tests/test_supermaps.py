@@ -12,7 +12,6 @@ from oracles import (
     order_bound_check_direct,
 )
 from strat import small_fractions
-from superalg.lincomb import pack_key
 from superalg.poly import Poly
 from superalg.scalars import IndexSet, MultiDegree
 from superalg.supermaps import (
@@ -232,6 +231,10 @@ def test_fractional_images_stay_exact():
     assert all(type(k) is int for d, img in phi._mono_images.values() for k in img)
 
 
+def _widths(phi):
+    return tuple(lay.w for lay in phi._layouts)
+
+
 def test_fields_widen_mid_life():
     # x -> x^3 keys x^2 in 2-bit target and 3-bit source fields; x^600 needs
     # 10 and 11 bits, so the memo is re-keyed, and x^2 and x^5 still image
@@ -240,7 +243,7 @@ def test_fields_widen_mid_life():
     for e in (2, 600, 5, 2):
         f = PolySuperFunc.monomial(1, 0, (e,), ())
         assert apply_map(phi, f).terms == oracle_image(phi, f) == {((3 * e,), ()): 1}
-    assert phi._widths == (10, 11)
+    assert _widths(phi) == (10, 11)
     assert all(type(k) is int for k in phi._mono_images)
 
 
@@ -262,7 +265,7 @@ def test_fields_widen_with_odd_images():
     widths = []
     for f in fs:
         assert apply_map(phi, f).terms == oracle_image(phi, f)
-        widths.append(phi._widths)
+        widths.append(_widths(phi))
     assert widths[0] < widths[1] < widths[2] == widths[3]
 
 
@@ -364,7 +367,7 @@ def test_maps_never_share_images():
     tables = [phi._mono_images for phi in (shifted, plain, twin)]
     assert len({id(t) for t in tables}) == 3
     # the packed x^2 entry of each map holds its own image
-    x_sq = pack_key((2,), (), 0, shifted._widths[0])
+    x_sq = shifted._layouts[0].pack((2,), ())
     assert shifted._mono_images[x_sq] == twin._mono_images[x_sq] != plain._mono_images[x_sq]
 
 
@@ -395,7 +398,7 @@ def spoiled(phi):
     element re-keys the spoiled entry."""
     n = phi.target_nvars
     phi._widen(2)
-    mono = pack_key((2,) + (0,) * (n - 1), (), phi.target_odd, phi._widths[0])
+    mono = phi._layouts[0].pack((2,) + (0,) * (n - 1), ())
     d, img = phi._monomial_image(mono)
     img = dict(img)
     img[0] = img.get(0, 0) + d      # key 0 is the source unit
@@ -430,10 +433,10 @@ def test_order_bound_check_matches_fraction_routes(phi, spoil, seed):
 
 def test_spoiled_memo_fails_the_order_bound_like_the_fraction_routes():
     chi = spoiled(odd_junk_map())
-    widths = chi._widths
+    widths = _widths(chi)
     got = order_bound_check(chi, trials=3, seed=5)
     # the trials image elements of degree 5, so the spoiled entry was re-keyed
-    assert chi._widths[0] > widths[0] and chi._widths[1] > widths[1]
+    assert _widths(chi)[0] > widths[0] and _widths(chi)[1] > widths[1]
     assert report_fields(got) == report_fields(order_bound_check_direct(chi, trials=3, seed=5))
     assert {kind for kind, _ in got.failures} == {"route-mismatch", "nonvanishing"}
     assert order_bound_check(odd_junk_map(), trials=3, seed=5).passed
