@@ -150,7 +150,7 @@ HOMOLOGY_MAX_DIM = 14641
 # cutoff 0 spans 19,428 and takes 4.0-4.2 s; a 3|2 connection with two
 # degree-1 entries, k = 2 and cutoff 2 spans 27,080 and takes 0.3 s.  Under
 # the limit, the slowest such dense run found is --op delta on 3|3 with
-# k = 4 and cutoff 1 (4,128 monomials, 0.7 s).
+# k = 4 and cutoff 1 (4,128 monomials, 0.6-0.7 s, median of 7 runs).
 SDERHAM_MAX_DIM = 5000
 # supermap-check's order bound images 2**(p // 2 + 1) products of a random
 # argument spanning 2**q exterior monomials into an algebra spanning 2**p, for

@@ -19,8 +19,9 @@ The operator is written once, as monomial_column: the image of one basis
 monomial x^e dx_A ds^b ds_C as an int vector, scaled by the per-connection
 integer D, the lcm of the denominators of A and R = dA + A^A.  super_d is
 its linear extension divided by D; cohomology_dims ranks the columns
-themselves, and delta_kernel_check composes them with the shifts on int
-vectors, since scaling by D changes no rank and no equality.
+themselves, and delta_kernel_check composes them with the number-signed
+right shift T on int vectors, since scaling by D changes no rank and no
+equality.
 
 The columns, the shifts and the ranked rows all key a basis monomial by one
 int in a lincomb.KeyLayout with blocks (n, m) and n + m fields: the ext
@@ -198,8 +199,8 @@ class OddConnection:
     comps[g][b][i] is the Poly coefficient of dx_{i+1} in the 1-form A with
     nabla_i s_{b+1} = sum_g comps[g][b][i] s_{g+1}.  A connection is never
     changed after it is built, so its curvature R = dA + A^A is computed
-    once, here, and kept in the curvature slot for bracket_fields to read;
-    callers must not mutate it.
+    once, here, and kept in the curvature slot, which bracket_fields and
+    pack_tables (for r_ints) read; callers must not mutate it.
 
     Next to it sit the int tables that monomial_column reads: scale is D,
     the lcm of the denominators of the coefficients of A and R;
@@ -530,25 +531,6 @@ def monomial_column(conn, key, lay):
     return {k: v for k, v in col.items() if v}
 
 
-def _apply_packed(omega, grow, op, scale=1):
-    """op applied to omega on packed keys, for an op that adds at most grow
-    to an exponent: omega's coefficients are cleared to ints over one
-    denominator d, op(lay, ints) returns the image's ints, and the image is
-    those over d times scale."""
-    m, n = omega.dim_base, omega.dim_odd
-    max_exp = max((e for f in omega.terms.values() for exps in f.terms for e in exps), default=0)
-    max_sym = max((e for (_a, sym, _c) in omega.terms for e in sym), default=0)
-    lay = KeyLayout.fitting((n, m), n + m, max(max_exp + grow, max_sym + 1))
-    den, ints = lay.cleared({(sym + exps, ext, dxs): c
-                             for (dxs, sym, ext), f in omega.terms.items()
-                             for exps, c in f.terms.items()})
-    terms = {}
-    for (fields, ext, dxs), c in lay.rationals(den * scale, op(lay, ints)).items():
-        key = (dxs, _new(MultiDegree, fields[:n]), ext)
-        terms.setdefault(key, {})[_new(MultiDegree, fields[n:])] = c
-    return SuperForm._raw(m, n, {key: Poly._raw(m, t) for key, t in terms.items()})
-
-
 def super_d(conn, omega):
     """The super exterior derivative: the linear extension of monomial_column.
 
@@ -556,18 +538,25 @@ def super_d(conn, omega):
     its monomials packed, the columns of its monomials summed with those
     ints, and the sum divided by that denominator times conn.scale once.
     """
-    if (conn.dim_base, conn.dim_odd) != (omega.dim_base, omega.dim_odd):
+    m, n = omega.dim_base, omega.dim_odd
+    if (conn.dim_base, conn.dim_odd) != (m, n):
         raise ValueError("connection and form dimensions differ")
-
-    def columns(lay, ints):
-        acc = {}
-        get = acc.get
-        for key, c in ints.items():
-            for k2, v in monomial_column(conn, key, lay).items():
-                acc[k2] = get(k2, 0) + c * v
-        return acc
-
-    return _apply_packed(omega, conn.max_exponent, columns, conn.scale)
+    max_exp = max((e for f in omega.terms.values() for exps in f.terms for e in exps), default=0)
+    max_sym = max((e for (_a, sym, _c) in omega.terms for e in sym), default=0)
+    lay = KeyLayout.fitting((n, m), n + m, max(max_exp + conn.max_exponent, max_sym + 1))
+    den, ints = lay.cleared({(sym + exps, ext, dxs): c
+                             for (dxs, sym, ext), f in omega.terms.items()
+                             for exps, c in f.terms.items()})
+    acc = {}
+    get = acc.get
+    for key, c in ints.items():
+        for k2, v in monomial_column(conn, key, lay).items():
+            acc[k2] = get(k2, 0) + c * v
+    terms = {}
+    for (fields, ext, dxs), c in lay.rationals(den * conn.scale, acc).items():
+        key = (dxs, _new(MultiDegree, fields[:n]), ext)
+        terms.setdefault(key, {})[_new(MultiDegree, fields[n:])] = c
+    return SuperForm._raw(m, n, {key: Poly._raw(m, t) for key, t in terms.items()})
 
 
 class SuperVectorFieldGen:
@@ -795,56 +784,17 @@ def super_d_by_fields(conn, omega, fields):
     return total
 
 
-def _shift_terms(view, terms, shifts, number_signed=False):
-    """A fiberwise shift, monomial by monomial, of a term map on keys of the
-    _form_view view: the int vectors of monomial_column, or a packed SuperForm.
-    number_signed multiplies the image of each term of form degree p by
-    (-1)^(p-1)."""
+def _shift_terms(view, terms):
+    """T = (-1)^(p-1) id-right of a term map on keys of the _form_view view,
+    monomial by monomial, p the form degree of each key."""
     _ext_low, dx_low, field, sym_shifts = view
     acc = {}
     for key, f in terms.items():
-        if number_signed and not ((key & dx_low).bit_count()
-                                  + sum(key >> s & field for s in sym_shifts)) % 2:
+        if not ((key & dx_low).bit_count() + sum(key >> s & field for s in sym_shifts)) % 2:
             f = -f
-        for k2, c in shifts(key, view):
+        for k2, c in _right_shifts(key, view):
             add_term(acc, k2, c * f)
     return acc
-
-
-def _shift(omega, shifts, number_signed=False):
-    return _apply_packed(omega, 0,
-                         lambda lay, ints: _shift_terms(_form_view(lay), ints, shifts,
-                                                        number_signed))
-
-
-def shift_left_plain(omega):
-    """Fiberwise ds_mu multiplication tensor contraction, no crossing signs."""
-    return _shift(omega, _left_shifts)
-
-
-def shift_right_plain(omega):
-    """Fiberwise sym contraction tensor ds_mu wedge, no crossing signs."""
-    return _shift(omega, _right_shifts)
-
-
-def shift_right_signed(omega):
-    """(-1)^N right shift with the Koszul crossing signs, the T of the Delta lemma."""
-    return _shift(omega, _right_shifts, number_signed=True)
-
-
-def theta_apply(conn, omega):
-    """The anticommutator {super_d, (-1)^N id-rightshift}."""
-    return super_d(conn, shift_right_signed(omega)) + shift_right_signed(super_d(conn, omega))
-
-
-def _shift_braces(omega):
-    """The anticommutator {id-left, id-right}."""
-    return shift_left_plain(shift_right_plain(omega)) + shift_right_plain(shift_left_plain(omega))
-
-
-def delta_printed_apply(conn, omega):
-    """The printed difference {d, (-1)^N id-right} - {id-left, id-right}."""
-    return theta_apply(conn, omega) - _shift_braces(omega)
 
 
 class DeltaComponentReport:
@@ -888,15 +838,18 @@ def delta_kernel_check(conn, total_degree_cut, poly_cut):
 
     For every component (a, b, c) with a + b <= total_degree_cut and Poly
     coefficients of degree <= poly_cut this measures whether the
-    anticommutator {d, (-1)^N id-right} acts as the scalar b + c (kernel
-    exactly the pure (a, 0, 0) forms) and whether the printed difference
-    against {id-left, id-right} vanishes identically.
+    anticommutator Theta = {d, T}, T = (-1)^(p-1) id-right on forms of
+    degree p, acts as the scalar b + c (kernel exactly the pure (a, 0, 0)
+    forms).  The printed difference Theta - {id-left, id-right} vanishes
+    exactly when it does: by the Koszul Euler identity the brace is
+    (b + c)·id on every monomial of the component, so printed_delta_zero
+    is the same comparison.
 
     Each basis monomial's image is composed on int vectors from the
-    monomial columns, D·Theta = (D·d)∘T + T∘(D·d), and compared with
-    D·(b + c) times the monomial and with D times the shift braces.  The
-    T-image of a basis monomial is a basis monomial of another component,
-    so a memo builds each column once.
+    monomial columns, D·Theta = T∘(D·d) + (D·d)∘T, and compared with
+    D·(b + c) times the monomial.  T of the basis monomial is read off
+    _right_shifts with its number sign; its terms are basis monomials of
+    another component, so a memo builds each column once.
     """
     m, n = conn.dim_base, conn.dim_odd
     scale = conn.scale
@@ -913,27 +866,19 @@ def delta_kernel_check(conn, total_degree_cut, poly_cut):
     comps = []
     for a in range(min(m, total_degree_cut) + 1):
         for b in range(total_degree_cut - a + 1):
+            tsign = 1 if (a + b) % 2 else -1
             for c in range(n + 1):
                 basis = _degree_basis(lay, a + b, poly_cut, (a,), (c,))
                 if not basis:
                     continue
                 lam = b + c
                 scalar = True
-                zero_printed = True
                 rows = []
                 for key in basis:
-                    unit = {key: 1}
-                    img = _shift_terms(view, column(key), _right_shifts, True)
-                    for tkey, t in _shift_terms(view, unit, _right_shifts, True).items():
+                    img = _shift_terms(view, column(key))
+                    for tkey, t in _right_shifts(key, view):
                         for k2, v in column(tkey).items():
-                            add_term(img, k2, t * v)
-                    braces = _shift_terms(view, _shift_terms(view, unit, _right_shifts),
-                                          _left_shifts)
-                    for k2, v in _shift_terms(view, _shift_terms(view, unit, _left_shifts),
-                                              _right_shifts).items():
-                        add_term(braces, k2, v)
-                    if img != {k2: scale * v for k2, v in braces.items()}:
-                        zero_printed = False
+                            add_term(img, k2, tsign * t * v)
                     if img != ({key: scale * lam} if lam else {}):
                         scalar = False
                     rows.append(img)
@@ -946,7 +891,7 @@ def delta_kernel_check(conn, total_degree_cut, poly_cut):
                     eigenvalue=lam if scalar else None,
                     kernel_dim=dim - rank,
                     expected_kernel_dim=expected,
-                    printed_delta_zero=zero_printed))
+                    printed_delta_zero=scalar))
     return DeltaReport(comps)
 
 

@@ -23,7 +23,7 @@ from oracles import (
 )
 from superalg import sderham
 from superalg.cartan import twisted_shift_left, twisted_shift_right
-from superalg.lincomb import KeyLayout
+from superalg.lincomb import KeyLayout, add_term
 from superalg.poly import Poly
 from superalg.scalars import IndexSet, MultiDegree, iter_multidegrees
 from superalg.sderham import (
@@ -38,16 +38,11 @@ from superalg.sderham import (
     curvature,
     curvature_apply,
     delta_kernel_check,
-    delta_printed_apply,
     evaluate,
     field_apply,
     monomial_column,
-    shift_left_plain,
-    shift_right_plain,
-    shift_right_signed,
     super_d,
     super_d_by_fields,
-    theta_apply,
     twisted_d,
     twisted_d_end,
 )
@@ -819,6 +814,42 @@ def _to_bigraded(w):
     return out
 
 
+def _shifted(w, shift):
+    """shift(view, {packed key: coefficient}) applied to w: w is packed in
+    the layout sderham builds for its fields (a left shift raises a sym
+    entry by 1), shifted, and unpacked."""
+    m, n = w.dim_base, w.dim_odd
+    max_exp = max((e for p in w.terms.values() for exps in p.terms for e in exps), default=0)
+    lay = _layout(m, n, max_exp, max((e for (_a, sym, _c) in w.terms for e in sym), default=0))
+    terms = {lay.pack(sym + exps, ext, dxs): c
+             for (dxs, sym, ext), p in w.terms.items() for exps, c in p.terms.items()}
+    acc = {}
+    for k, c in shift(sderham._form_view(lay), terms).items():
+        fields, ext, dxs = lay.unpack(k)
+        acc.setdefault((dxs, fields[:n], ext), {})[fields[n:]] = c
+    return SuperForm(m, n, {key: Poly(m, t) for key, t in acc.items()})
+
+
+def _plain(shifts):
+    # the plain shift of a term map, key by key
+    def shift(view, terms):
+        acc = {}
+        for key, c in terms.items():
+            for k2, s in shifts(key, view):
+                add_term(acc, k2, s * c)
+        return acc
+    return shift
+
+
+LEFT, RIGHT = _plain(sderham._left_shifts), _plain(sderham._right_shifts)
+
+
+def _theta(conn, w):
+    """{super_d, T} with the oracle's T = (-1)^(p-1) id-right."""
+    return (super_d(conn, shift_direct(w, "right", True))
+            + shift_direct(super_d(conn, w), "right", True))
+
+
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.large_base_example])
 @given(st.dictionaries(
@@ -826,13 +857,13 @@ def _to_bigraded(w):
               index_subsets(2)),
     st.integers(-3, 3).map(Fraction), max_size=3))
 def test_plain_shifts_match_bigraded_identity_shifts(fiber):
-    # the fiberwise shifts are the bigraded identity-matrix shifts
+    # the packed fiberwise shifts are the bigraded identity-matrix shifts
     n = 2
     w = SuperForm(1, n, {(IndexSet(), sym, ext): Poly.constant(1, c)
                          for (sym, ext), c in fiber.items()})
     ident = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    assert _to_bigraded(shift_left_plain(w)) == twisted_shift_left(ident, _to_bigraded(w))
-    assert _to_bigraded(shift_right_plain(w)) == twisted_shift_right(ident, _to_bigraded(w))
+    assert _to_bigraded(_shifted(w, LEFT)) == twisted_shift_left(ident, _to_bigraded(w))
+    assert _to_bigraded(_shifted(w, RIGHT)) == twisted_shift_right(ident, _to_bigraded(w))
 
 
 @st.composite
@@ -847,9 +878,39 @@ def wide_forms(draw):
           suppress_health_check=[HealthCheck.large_base_example])
 @given(wide_forms())
 def test_packed_shifts_are_the_tuple_shifts(w):
-    assert shift_left_plain(w) == shift_direct(w, "left")
-    assert shift_right_plain(w) == shift_direct(w, "right")
-    assert shift_right_signed(w) == shift_direct(w, "right", True)
+    assert _shifted(w, LEFT) == shift_direct(w, "left")
+    assert _shifted(w, RIGHT) == shift_direct(w, "right")
+    assert _shifted(w, sderham._shift_terms) == shift_direct(w, "right", True)
+
+
+@st.composite
+def wide_basis_monomials(draw):
+    """(layout, sym, exps, ext, dxs) of a basis monomial on m|n <= 3|3 in a
+    layout of width w <= 3, with exponents up to 2^w - 1 and sym entries up
+    to 2^w - 2, so that a left shift reaches 2^w - 1."""
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    top = (1 << draw(st.integers(1, 3))) - 1
+    sym = draw(st.tuples(*[st.integers(0, top - 1) for _ in range(n)]))
+    exps = draw(st.tuples(*[st.integers(0, top) for _ in range(m)]))
+    lay = KeyLayout.fitting((n, m), n + m, top)
+    return lay, sym, exps, draw(index_subsets(n)), draw(index_subsets(m))
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_basis_monomials())
+def test_shift_braces_are_the_euler_operator(case):
+    # {id-left, id-right} = (b + c)·id on component (a, b, c), and 0 on the
+    # pure base forms: the Koszul Euler identity behind delta_kernel_check's
+    # printed_delta_zero
+    lay, sym, exps, ext, dxs = case
+    view = sderham._form_view(lay)
+    for key, lam in ((lay.pack(sym + exps, ext, dxs), sum(sym) + len(ext)),
+                     (lay.pack((0,) * len(sym) + exps, (), dxs), 0)):
+        unit = {key: 1}
+        braces = LEFT(view, RIGHT(view, unit))
+        for k2, c in RIGHT(view, LEFT(view, unit)).items():
+            add_term(braces, k2, c)
+        assert braces == ({key: lam} if lam else {})
 
 
 @settings(max_examples=50, deadline=None,
@@ -860,8 +921,7 @@ def test_theta_is_the_component_scalar(conn, w):
         return
     ((_dxs, sym, ext),) = tuple(w.terms)
     lam = sym.total + len(ext)
-    assert theta_apply(conn, w) == w.scale(lam)
-    assert delta_printed_apply(conn, w).is_zero()
+    assert _theta(conn, w) == w.scale(lam)
 
 
 def test_delta_report_flat():
@@ -889,13 +949,13 @@ def test_delta_report_curved():
 def test_delta_pure_base_form_in_kernel():
     conn = abelian_conn()
     w = mono(2, 1, (1, 2), (0,), ()).mul_poly(V(2, 1))
-    assert theta_apply(conn, w).is_zero()
+    assert _theta(conn, w).is_zero()
 
 
 def test_delta_single_sym_generator_eigenvalue_one():
     conn = abelian_conn()
     w = mono(2, 1, (), (1,), ())
-    assert theta_apply(conn, w) == w
+    assert _theta(conn, w) == w
 
 
 # ---------------------------------------------------------------- cohomology

@@ -10,8 +10,9 @@ OUT/<workload>-<seed>-<side>-<pair>.log.  `summarize` reads those logs: the
 last line of each is the JSON result of bench/run.py, and the lines before it
 carry the corpus and report digests.  For every workload and seed it prints
 each side's median and quartiles of every end-to-end metric in
-BENCHMARK.json, the pairs the change won (ties count for neither), the
-digests, failed jobs, and the host's cpu count and Python version.
+BENCHMARK.json, the pairs the change won (ties count for neither), whether
+the gain rule and the no-regression rule hold, the digests, failed jobs,
+and the host's cpu count and Python version.
 """
 
 import argparse
@@ -81,27 +82,36 @@ def summarize_set(runs, metrics):
             "all_correct": all(r["correct"] for r in results),
         }
     out["metrics"] = {}
-    for name, better in metrics.items():
+    for name, (better, bound) in metrics.items():
         value = {side: [runs[side][p]["metrics"][name]["value"] for p in pairs]
                  for side in SIDES}
         sign = 1 if better == "higher" else -1
         wins = sum(1 for a, b in zip(value["parent"], value["change"]) if sign * (b - a) > 0)
         parent, change = spread(value["parent"]), spread(value["change"])
         gain = sign * (change["median"] - parent["median"])
+        allowed = bound * abs(parent["median"])
+        beats_all = (min(sign * v for v in value["change"])
+                     > max(sign * v for v in value["parent"]))
         out["metrics"][name] = {
-            "better": better, "parent": parent, "change": change,
+            "better": better, "bound": bound, "parent": parent, "change": change,
             "change_over_parent": change["median"] / parent["median"],
             "change_wins": wins,
             # the gain rule: 9 of 10 pairs won, and the medians further apart
             # than the parent's quartiles
             "gain_rule_met": 10 * wins >= 9 * len(pairs) and gain > parent["q3"] - parent["q1"],
+            # the no-regression rule: the change's median worse than the
+            # parent's by at most the bound, a fraction of the parent median
+            "within_bound": -gain <= allowed,
+            # the parent's quartiles spread wider than the bound, and not
+            # every change run beats every parent run
+            "unresolved": parent["q3"] - parent["q1"] > allowed and not beats_all,
         }
     return out
 
 
 def summarize(args):
     spec = benchmark_spec()
-    metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    metrics = {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
     runs = defaultdict(lambda: {side: {} for side in SIDES})
     for path in sorted(Path(args.out).iterdir()):
         m = LOG.fullmatch(path.name)
