@@ -141,16 +141,19 @@ STRAIGHTEN_MAX_ODD = 7
 # lmax 0.
 HOMOLOGY_MAX_DIM = 14641
 # sderham --op cohomology and --op delta build one column per basis monomial
-# (sderham.assembled_count: for cohomology, the degree k basis and the
-# slack-widened degree k - 1 basis) and rank them, so they refuse more
-# monomials.  Ranking slows most on connections with every entry a degree-1
-# Poly with no zero coefficient, whose columns fill in (2-CPU host, CPU
-# time): 2|2 with k = 2 and cutoff 2 spans 3,232 and takes 0.15 s, 2|3 with
-# k = 2 and cutoff 0 spans 8,504 and takes 0.9 s, and 3|2 with k = 2 and
-# cutoff 0 spans 19,428 and takes 4.0-4.2 s; a 3|2 connection with two
-# degree-1 entries, k = 2 and cutoff 2 spans 27,080 and takes 0.3 s.  Under
-# the limit, the slowest such dense run found is --op delta on 3|3 with
-# k = 4 and cutoff 1 (4,128 monomials, 0.6-0.7 s, median of 7 runs).
+# (sderham.assembled_count: for cohomology, the degree k basis and the degree
+# k - 1 basis at cutoff + 1) and rank them, so they refuse more monomials.
+# The image rank fills in with the terms of A, so cohomology counts each
+# image monomial once per term of A plus once; a zero connection counts
+# what it builds.  Every cohomology shape under the limit with m, n <= 4,
+# k <= 6 and cutoff <= 5 was timed (2-CPU host, CPU time) on the zero
+# connection, on connections with every entry a degree-1 Poly with no zero
+# coefficient (dense) and on random ones with up to 8 entries of degree <= 2:
+# with k >= 1 the slowest took 0.06 s (zero 4|4, k = 2, cutoff 1, 4,480),
+# and at k = 0 on dense connections up to the limit 0.26 s (3|4, cutoff 10).
+# Dense 4|4 with k = 2 and cutoff 0 builds 1,152 monomials and took 12 s; it
+# counts 205,952.  The slowest dense --op delta run found under the limit is
+# 3|3 with k = 4 and cutoff 1 (4,128 monomials, 0.6-0.7 s).
 SDERHAM_MAX_DIM = 5000
 # supermap-check's order bound images 2**(p // 2 + 1) products of a random
 # argument spanning 2**q exterior monomials into an algebra spanning 2**p, for
@@ -545,10 +548,10 @@ def _cmd_sderham(args):
         return checks, {"result": out.to_json()}
     if k < 0:
         raise PreconditionError("k must be non-negative")
-    size = assembled_count(conn, op, k, cutoff)
+    size = assembled_count(conn, op, k, cutoff, weighted=True)
     if size > SDERHAM_MAX_DIM:
-        raise PreconditionError("--op %s assembles %d basis monomials, above the limit of %d"
-                                % (op, size, SDERHAM_MAX_DIM))
+        raise PreconditionError("--op %s assembles %d weighted basis monomials, above the"
+                                " limit of %d" % (op, size, SDERHAM_MAX_DIM))
     if op == "delta":
         rep = delta_kernel_check(conn, k, cutoff)
         checks = [

@@ -21,7 +21,8 @@ integer D, the lcm of the denominators of A and R = dA + A^A.  super_d is
 its linear extension divided by D; cohomology_dims ranks the columns
 themselves, and delta_kernel_check composes them with the number-signed
 right shift T on int vectors, since scaling by D changes no rank and no
-equality.
+equality.  The homotopy Theta = {d, T} = (b + c)·id bounds primitives, so
+cohomology_dims takes its image block one coefficient degree above the cutoff.
 
 The columns, the shifts and the ranked rows all key a basis monomial by one
 int in a lincomb.KeyLayout with blocks (n, m) and n + m fields: the ext
@@ -278,10 +279,6 @@ class OddConnection:
 
     def entry(self, gamma, beta, i):
         return self.comps[gamma - 1][beta - 1][i - 1]
-
-    def max_degree(self):
-        degs = [p.total_degree() for row in self.comps for cell in row for p in cell]
-        return max([d for d in degs if d >= 0], default=-1)
 
     def to_json(self):
         return {"dim_base": self.dim_base, "dim_odd": self.dim_odd,
@@ -784,14 +781,12 @@ def super_d_by_fields(conn, omega, fields):
     return total
 
 
-def _shift_terms(view, terms):
-    """T = (-1)^(p-1) id-right of a term map on keys of the _form_view view,
-    monomial by monomial, p the form degree of each key."""
-    _ext_low, dx_low, field, sym_shifts = view
+def _shift_terms(view, terms, sign):
+    """T = (-1)^(p-1) id-right of a term map on keys of the _form_view view
+    that all have form degree p, with sign = (-1)^(p-1)."""
     acc = {}
     for key, f in terms.items():
-        if not ((key & dx_low).bit_count() + sum(key >> s & field for s in sym_shifts)) % 2:
-            f = -f
+        f *= sign
         for k2, c in _right_shifts(key, view):
             add_term(acc, k2, c * f)
     return acc
@@ -848,8 +843,10 @@ def delta_kernel_check(conn, total_degree_cut, poly_cut):
     Each basis monomial's image is composed on int vectors from the
     monomial columns, D·Theta = T∘(D·d) + (D·d)∘T, and compared with
     D·(b + c) times the monomial.  T of the basis monomial is read off
-    _right_shifts with its number sign; its terms are basis monomials of
-    another component, so a memo builds each column once.
+    _right_shifts with its number sign, and every key of its column has form
+    degree a + b + 1, so T of the column takes one sign per component; the
+    terms of T are basis monomials of another component, so a memo builds
+    each column once.
     """
     m, n = conn.dim_base, conn.dim_odd
     scale = conn.scale
@@ -875,7 +872,7 @@ def delta_kernel_check(conn, total_degree_cut, poly_cut):
                 scalar = True
                 rows = []
                 for key in basis:
-                    img = _shift_terms(view, column(key))
+                    img = _shift_terms(view, column(key), -tsign)
                     for tkey, t in _right_shifts(key, view):
                         for k2, v in column(tkey).items():
                             add_term(img, k2, tsign * t * v)
@@ -920,41 +917,39 @@ def _basis_count(m, n, k, poly_cut, cumulative=False):
             * 2 ** n * comb(m + poly_cut, poly_cut))
 
 
-def _image_cutoff(conn, k, poly_cut):
-    """The slack-widened coefficient cutoff of the degree k - 1 forms whose
-    images cohomology_dims takes."""
-    slack = (k + conn.dim_odd + 1) * (1 + 2 * max(conn.max_degree(), 0)) + 1
-    return poly_cut + slack
-
-
-def assembled_count(conn, op, k, poly_cut):
+def assembled_count(conn, op, k, poly_cut, weighted=False):
     """The number of basis monomials whose columns cohomology_dims (op
     "cohomology") or delta_kernel_check (op "delta") builds for these
-    arguments, counted without building any."""
+    arguments, counted without building any.  With weighted, a monomial of
+    the cohomology image block counts once plus once per term of A, since
+    the image rank fills in with the terms of A."""
     m, n = conn.dim_base, conn.dim_odd
     if op == "delta":
         return _basis_count(m, n, k, poly_cut, cumulative=True)
     if op != "cohomology":
         raise ValueError("op must be 'delta' or 'cohomology'")
-    count = _basis_count(m, n, k, poly_cut)
-    if k > 0:
-        count += _basis_count(m, n, k - 1, _image_cutoff(conn, k, poly_cut))
-    return count
+    weight = (1 + sum(len(p.terms) for row in conn.comps for cell in row for p in cell)
+              if weighted else 1)
+    return _basis_count(m, n, k, poly_cut) + weight * _basis_count(m, n, k - 1, poly_cut + 1)
 
 
 def cohomology_dims(conn, k, poly_cut):
     """dim H^k of super_d with polynomial coefficient cutoffs.
 
-    Kernel is taken on total degree k with coefficients of degree <= poly_cut;
-    the image is taken from degree k - 1 forms with a slack-widened cutoff so
-    that every primitive that exists polynomially is in range.  The expected
-    answer is 1 for k = 0 and 0 for k >= 1.  Both ranks are taken on the
-    int monomial columns, which are D times those of super_d.
+    Kernel is taken on total degree k with coefficients of degree <= poly_cut,
+    the image from degree k - 1 forms of coefficient degree <= poly_cut + 1,
+    which holds a primitive of every exact form in the cutoff.  Theta =
+    {d, T} is (b + c)·id and commutes with d, so a closed form's part with
+    lambda = b + c > 0 is d(T w / lambda), T leaving coefficients alone, and
+    its pure base part (lambda = 0, where d is the base d) is d of its radial
+    homotopy, whose coefficients are one degree higher.  The expected answer
+    is 1 for k = 0 and 0 for k >= 1.  Both ranks are taken on the int
+    monomial columns, which are D times those of super_d.
     """
     m, n = conn.dim_base, conn.dim_odd
     if k < 0:
         return 0
-    image_cut = _image_cutoff(conn, k, poly_cut) if k else poly_cut
+    image_cut = poly_cut + 1 if k else poly_cut
     # one layout for both blocks, whose keys are compared
     lay = KeyLayout.fitting((n, m), n + m, max(image_cut + conn.max_exponent, k + 1))
     basis_k = _degree_basis(lay, k, poly_cut)

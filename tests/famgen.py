@@ -1,8 +1,12 @@
-"""Relabel a commuting odd family, and its straightening, by a permutation of
-the odd generators; straighten.conjugated_family builds the families."""
+"""Input families shared by the test modules: relabel a commuting odd family,
+and its straightening, by a permutation of the odd generators
+(straighten.conjugated_family builds the families), and the dense odd
+connections on which the super de Rham ranks fill in most."""
 
 from superalg.exterior import ExtElem
+from superalg.poly import Poly
 from superalg.scalars import IndexSet, inversion_sign
+from superalg.sderham import OddConnection
 from superalg.straighten import CompElem, OddFamily, Straightening
 
 
@@ -34,3 +38,16 @@ def pull_back_straightening(g, perm):
             out = out + ExtElem.monomial(g.space, sorted(seq), inversion_sign(seq) * c)
         images.append(out)
     return Straightening(q, images)
+
+
+def dense_conn(m, n):
+    """Every entry of A a degree-1 Poly in all m coordinates with no zero
+    coefficient, the case whose image block fills in most."""
+    def entry(g, b, i):
+        cs = [(g + 2 * b + 3 * i + t) % 5 - 2 or 1 for t in range(m + 1)]
+        terms = {(0,) * m: cs[0]}
+        for t in range(m):
+            terms[tuple(int(s == t) for s in range(m))] = cs[t + 1]
+        return Poly(m, terms)
+    return OddConnection(m, n, [[[entry(g, b, i) for i in range(m)] for b in range(n)]
+                                for g in range(n)])

@@ -562,7 +562,10 @@ def _degree_forms(m, n, k, poly_cut):
 
 def cohomology_dims_direct(conn, k, poly_cut):
     """cohomology_dims by ranking super_d_direct of one SuperForm per basis
-    monomial in Fraction, with the same slack-widened image cutoff."""
+    monomial in Fraction.  The image is taken from degree k - 1 forms at the
+    slack-widened cutoff poly_cut + (k + n + 1)(1 + 2g) + 1, g the degree of
+    the connection, not at cohomology_dims's poly_cut + 1, so agreement also
+    checks that the narrower block holds every primitive the wide one does."""
     m, n = conn.dim_base, conn.dim_odd
     if k < 0:
         return 0
@@ -572,11 +575,42 @@ def cohomology_dims_direct(conn, k, poly_cut):
     if k == 0:
         return ker_dim
     allowed = set().union(*(form_vector(w) for w in basis_k))
-    slack = (k + n + 1) * (1 + 2 * max(conn.max_degree(), 0)) + 1
+    g = max([p.total_degree() for row in conn.comps for cell in row for p in cell] + [0])
+    slack = (k + n + 1) * (1 + 2 * g) + 1
     images = [form_vector(super_d_direct(conn, w))
               for w in _degree_forms(m, n, k - 1, poly_cut + slack)]
     outside = [{key: v for key, v in row.items() if key not in allowed} for row in images]
     return ker_dim - (fraction_sparse_rank(images) - fraction_sparse_rank(outside))
+
+
+def homotopy_primitive(omega):
+    """A primitive of a closed superform of degree >= 1, from the homotopies.
+
+    Theta = {d, T} acts as lambda = |sym| + |ext| on each monomial, so the
+    part omega_lambda with lambda > 0 is d(T omega_lambda / lambda), T the
+    number-signed right shift.  The pure base part (lambda = 0) is d of its
+    radial homotopy K: x^e dx_I goes to (1 / (|e| + |I|)) times the
+    contraction of the Euler field sum x_i d/dx_i into it, raising the
+    coefficient degree by one."""
+    m, n = omega.dim_base, omega.dim_odd
+    parts = {}
+    for (dxs, sym, ext), f in omega.terms.items():
+        parts.setdefault(sym.total + len(ext), {})[(dxs, sym, ext)] = f
+    out = SuperForm.zero(m, n)
+    for lam, terms in parts.items():
+        if lam:
+            out = out + shift_direct(SuperForm(m, n, terms), "right", True).scale(Fraction(1, lam))
+            continue
+        acc = {}
+        for (dxs, sym, ext), f in terms.items():
+            for exps, c in f.terms.items():
+                for r, i in enumerate(dxs):
+                    rest = tuple(j for j in dxs if j != i)
+                    x = Poly.monomial(m, tuple(e + (t == i - 1) for t, e in enumerate(exps)),
+                                      c * (-1) ** r / (sum(exps) + len(dxs)))
+                    add_term(acc, (rest, sym, ext), x)
+        out = out + SuperForm(m, n, acc)
+    return out
 
 
 def delta_kernel_check_direct(conn, total_degree_cut, poly_cut):

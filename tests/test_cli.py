@@ -15,6 +15,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from famgen import dense_conn
+
 from superalg import cartan
 from superalg.cartan import homology_table_size
 from superalg.cli import (
@@ -542,21 +544,32 @@ def test_sderham_delta_and_cohomology(capsys, tmp_path):
 
 
 FLAT_1_1 = {"dim_base": 1, "dim_odd": 1, "entries": [[[[]]]]}
+FLAT_3_2 = {"dim_base": 3, "dim_odd": 2, "entries": [[[[]] * 3] * 2] * 2}
 FLAT_3_3 = {"dim_base": 3, "dim_odd": 3, "entries": [[[[]] * 3] * 3] * 3}
+DENSE_2_4, DENSE_3_3, DENSE_4_4 = (dense_conn(m, n).to_json() for m, n in ((2, 4), (3, 3), (4, 4)))
 
 
 # on a 1|1 connection --op delta assembles 2 (2k + 1)(cutoff + 1) monomials
 # and --op cohomology at k = 0 2 (cutoff + 1), so delta at k = 12, cutoff 99
-# and cohomology at cutoff 2499 sit at the limit; 3|3 at k = 3, cutoff 1
-# assembles 375,616
+# and cohomology at cutoff 2499 sit at the limit; cohomology assembles 2,656
+# on flat 3|3 at k = 3, cutoff 1 and 5,040 on flat 3|2 at k = 4, cutoff 3.
+# A dense connection weighs each image monomial once per term of A plus
+# once: 2|4 at k = 1, cutoff 0 weighs 96 + 97 * 48 = 4,752, while 4|4 at
+# k = 2 and 3, cutoff 0, and 3|3 at k = 6, cutoff 0, which ran 12 s, 216 s
+# and 70 s, weigh over 100,000
 @pytest.mark.parametrize("conn, op, k, cutoff, code", [
     (FLAT_1_1, "delta", 12, 98, 0),
     (FLAT_1_1, "delta", 12, 99, 0),
     (FLAT_1_1, "delta", 12, 100, 3),
     (FLAT_1_1, "cohomology", 0, 2499, 0),
     (FLAT_1_1, "cohomology", 0, 2500, 3),
-    (FLAT_3_3, "cohomology", 3, 1, 3),
+    (FLAT_3_3, "cohomology", 3, 1, 0),
     (FLAT_3_3, "delta", 10 ** 9, 10 ** 9, 3),
+    (FLAT_3_2, "cohomology", 4, 3, 3),
+    (DENSE_2_4, "cohomology", 1, 0, 0),
+    (DENSE_4_4, "cohomology", 2, 0, 3),
+    (DENSE_4_4, "cohomology", 3, 0, 3),
+    (DENSE_3_3, "cohomology", 6, 0, 3),
 ])
 def test_sderham_size_limit(capsys, tmp_path, conn, op, k, cutoff, code):
     assert SDERHAM_MAX_DIM == 5000
