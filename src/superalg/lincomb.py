@@ -262,7 +262,7 @@ class KeyLayout:
         return {unpack(k): Fraction(v, d) for k, v in ints.items() if v}
 
 
-def _by_mask(terms, low):
+def by_mask(terms, low):
     # {mask: [(key, c), ...]}, the terms grouped by their odd bitmask
     groups = {}
     for k, c in terms.items():
@@ -285,8 +285,8 @@ def sym_ext_ints(ta, tb, lay):
     low = lay.lows[0]
     out = {}
     get = out.get
-    gb = _by_mask(tb, low).items()
-    for m1, g1 in _by_mask(ta, low).items():
+    gb = by_mask(tb, low).items()
+    for m1, g1 in by_mask(ta, low).items():
         for m2, g2 in gb:
             if m1 & m2:
                 continue

@@ -12,17 +12,19 @@ by half the odd rank of the output algebra.
 The substitution and the commutator checks run on cleared pairs
 (d, {key: int}), the rational term map divided by d, on Sym ⊗ Λ keys packed
 by a lincomb.KeyLayout.  Each map keeps one layout for its target algebra
-and one for its source algebra, and widens both, re-keying its memo, before
+and one for its source algebra, and widens both, re-keying its memos, before
 a call that images a target element of higher total degree (_widen): a
 target field never exceeds that degree T, and a source field never exceeds
 T·max(Dc, 1) + q·Do, for Dc and Do the largest total degrees of the
-coordinate and odd images and q the target odd rank.  _image_ints is the
-one substitution sum, products go through lincomb.sym_ext_ints, and
-differences are taken over the lcm of the two denominators.  Every pair is
-kept in lowest terms, and the packing is injective at fixed widths, so two
-pairs are equal exactly when the superfunctions they stand for are.  Terms
-are packed where an element enters, and unpacked, with one Fraction per
-term, only where a PolySuperFunc is returned.
+coordinate and odd images and q the target odd rank.  The memo holds the
+images of pure monomials, x^e or θ^K, only: Σ_K g_K θ^K, each g_K free of
+odd generators, goes to Σ_K φ(g_K)·φ(θ^K), summed one odd mask at a time
+(_nested_ints).  Products go through lincomb.sym_ext_ints and sums through
+_combine, over the lcm of the denominators.  Every pair is kept in lowest
+terms, and the packing is injective at fixed widths, so two pairs are equal
+exactly when the superfunctions they stand for are.  Terms are packed where
+an element enters, and unpacked, with one Fraction per term, only where a
+PolySuperFunc or Poly is returned.
 """
 
 from fractions import Fraction
@@ -32,7 +34,7 @@ import random
 
 from . import decode
 from .exterior import ExtElem, ExtSpace
-from .lincomb import KeyLayout, LinComb, max_degree, sym_ext_ints, sym_ext_product
+from .lincomb import KeyLayout, LinComb, by_mask, max_degree, sym_ext_ints, sym_ext_product
 from .poly import Poly
 from .scalars import IndexSet, MultiDegree, format_scalar
 
@@ -185,15 +187,17 @@ class SuperMapData:
     coord_images[j] is where target coordinate j + 1 goes (even),
     odd_images[a] is where target odd generator a + 1 goes (odd).
     Parity violations are rejected at construction time.  The images of
-    target monomials are memoized per instance as apply_map meets them, as
+    pure target monomials are memoized per instance as they are met, as
     cleared pairs on packed source keys under packed target keys, in the
     one pair of layouts the map keeps, wide enough for the largest total
-    degree _degree imaged so far; the generator images are packed at
-    construction and treated as immutable after it.
+    degree _degree imaged so far; _pulled memoizes the products of the
+    coordinate bodies (the epsilon parts of their images) in the same way.
+    The generator images are packed at construction and treated as
+    immutable after it.
     """
 
     __slots__ = ("coord_images", "odd_images", "source_nvars", "source_odd",
-                 "_source_bound", "_degree", "_layouts", "_mono_images")
+                 "_source_bound", "_degree", "_layouts", "_mono_images", "_pulled")
 
     def __init__(self, coord_images, odd_images):
         coord_images = tuple(coord_images)
@@ -221,20 +225,21 @@ class SuperMapData:
         n, q = len(coord_images), len(odd_images)
         self._degree = 0
         self._layouts = KeyLayout((q,), n, 0), KeyLayout((self.source_odd,), self.source_nvars, 0)
-        self._mono_images = {0: (1, {0: 1})}
+        self._mono_images, self._pulled = {0: (1, {0: 1})}, {0: (1, {0: 1})}
         self._widen(1)
         target, source = self._layouts
         zero = (0,) * n
-        table = self._mono_images
         for j, g in enumerate(coord_images):
-            table[target.pack(zero[:j] + (1,) + zero[j + 1:], ())] = source.cleared(g.terms)
+            key = target.pack(zero[:j] + (1,) + zero[j + 1:], ())
+            self._mono_images[key] = source.cleared(g.terms)
+            self._pulled[key] = source.cleared({t: c for t, c in g.terms.items() if not t[1]})
         for a, g in enumerate(odd_images, start=1):
-            table[target.pack(zero, (a,))] = source.cleared(g.terms)
+            self._mono_images[target.pack(zero, (a,))] = source.cleared(g.terms)
 
     def _widen(self, degree):
         """Make the target and source layouts wide enough for a call that
         images target elements of total degree at most degree; widening
-        re-keys the memo, and its entries carry over."""
+        re-keys both memos, and their entries carry over."""
         if degree <= self._degree:
             return
         self._degree = degree
@@ -244,26 +249,25 @@ class SuperMapData:
         source = KeyLayout.fitting(old_s.blocks, old_s.nfields, degree * c + o)
         if (target.w, source.w) == (old_t.w, old_s.w):
             return
-        self._mono_images = {
-            target.pack(*old_t.unpack(k)):
+        self._mono_images, self._pulled = (
+            {target.pack(*old_t.unpack(k)):
                 (d, {source.pack(*old_s.unpack(s)): v for s, v in img.items()})
-            for k, (d, img) in self._mono_images.items()}
+             for k, (d, img) in table.items()} for table in (self._mono_images, self._pulled))
         self._layouts = target, source
 
-    def _monomial_image(self, key):
-        """Image of the target monomial packed as key, memoized as
-        (d, {key: int}) in lowest terms: the image's coefficients are the
-        ints over d.
+    def _monomial_image(self, key, table=None):
+        """Image of the target monomial packed as key, memoized in table (by
+        default the map's own memo) as (d, {key: int}) in lowest terms: the
+        image's coefficients are the ints over d.
 
-        A new entry is one int product with a cached neighbour: the highest
-        odd generator is split off on the right, which keeps the
-        left-to-right order of the odd images, and once none is left the
-        highest nonzero exponent field is lowered by one.  The generator
-        images are in the memo from construction on.  The chain down to a
-        cached entry is walked iteratively, so high degrees never recurse.
-        The returned dict is shared and must not be mutated.
+        Keys are pure, x^e or theta^K.  A new entry is one int product with
+        a cached neighbour: the highest nonzero exponent field of x^e is
+        lowered by one, or the highest odd generator of theta^K is split off
+        on the right, which keeps the order of the odd images.  The chain
+        down to a cached entry is walked iteratively, so high degrees never
+        recurse.  The returned dict is shared and must not be mutated.
         """
-        table = self._mono_images
+        table = self._mono_images if table is None else table
         target, source = self._layouts
         chain = []
         while key not in table:
@@ -310,8 +314,7 @@ class SuperMapData:
 
 
 def _lowest(d, ints):
-    """A cleared pair (d, {key: int}) in lowest terms, zeros dropped."""
-    ints = {k: v for k, v in ints.items() if v}
+    """A cleared pair (d, {key: int}) with no zero int, in lowest terms."""
     g = gcd(d, *ints.values())
     if g > 1:
         d //= g
@@ -320,39 +323,57 @@ def _lowest(d, ints):
 
 
 def _product(a, b, lay):
-    """Product of two cleared pairs on keys packed in lay, in lowest terms."""
+    """Product of two cleared pairs on keys packed in lay, in lowest terms
+    (sym_ext_ints keeps no zero)."""
     return _lowest(a[0] * b[0], sym_ext_ints(a[1], b[1], lay))
 
 
-def _difference(a, b):
-    """a - b for two cleared pairs, taken over the lcm of their denominators."""
-    (da, ta), (db, tb) = a, b
-    d = lcm(da, db)
-    ma, mb = d // da, d // db
-    out = {k: ma * v for k, v in ta.items()}
-    get = out.get
-    for k, v in tb.items():
-        out[k] = get(k, 0) - mb * v
-    return _lowest(d, out)
-
-
-def _image_ints(phi, d, ints):
-    """Image of the target superfunction ints / d as a cleared pair on the
-    source algebra, in lowest terms.
-
-    The morphism is linear, so the image is the coefficient-weighted sum of
-    the memoized monomial images, taken on ints over the lcm of their
-    denominators and reduced once at the end."""
-    table = phi._mono_images
-    images = [(c, table.get(k) or phi._monomial_image(k)) for k, c in ints.items()]
-    den = lcm(*[e for _, (e, _) in images])   # a list, as in scalars.cleared
+def _combine(weighted, d=1):
+    """The sum of c * pair over the (int c, cleared pair) of weighted, over d,
+    as one cleared pair in lowest terms, taken over the lcm of the pairs'
+    denominators."""
+    den = lcm(*[e for _, (e, _) in weighted])   # a list, as in scalars.cleared
     out = {}
     get = out.get
-    for c, (e, img) in images:
+    for c, (e, img) in weighted:
         m = c * (den // e)
         for k, v in img.items():
             out[k] = get(k, 0) + m * v
-    return _lowest(den * d, out)
+    return _lowest(den * d, {k: v for k, v in out.items() if v})
+
+
+def _even_image(phi, eta, table):
+    """Image of a target pair with no odd generator, summed from the images
+    of its monomials in table (see _monomial_image)."""
+    return _combine([(c, table.get(k) or phi._monomial_image(k, table))
+                     for k, c in eta[1].items()], eta[0])
+
+
+def _nested_ints(phi, factors, eta):
+    """Nested twisted commutators on cleared pairs: factors[-1] outermost,
+    each a _base_factor pair (lifted, pulled), applied to the target pair
+    eta; with no factor, the image of eta.  The factors are even, so on
+    eta = sum of g_K theta^K, each g_K free of odd generators, the value is
+    the sum of the commutators of g_K (_nested_even) times phi(theta^K)."""
+    target, source = phi._layouts
+    parts = []
+    for m, group in by_mask(eta[1], target.lows[0]).items():
+        pair = _nested_even(phi, factors, (eta[0], {k ^ m: c for k, c in group}))
+        parts.append((1, _product(pair, phi._monomial_image(m), source) if m else pair))
+    return _combine(parts)
+
+
+def _nested_even(phi, factors, eta):
+    # _nested_ints on a target pair eta with no odd generator:
+    # [f, -](eta) = phi(f eta) - (f o phi_0) phi(eta), which images the
+    # products f_S eta over the subsets S of the factors, all even sums
+    if not factors:
+        return _even_image(phi, eta, phi._mono_images)
+    lifted, pulled = factors[-1]
+    rest = factors[:-1]
+    target, source = phi._layouts
+    return _combine([(1, _nested_even(phi, rest, _product(lifted, eta, target))),
+                     (-1, _product(pulled, _nested_even(phi, rest, eta), source))])
 
 
 def _check_target(phi, f):
@@ -365,48 +386,33 @@ def apply_map(phi, f):
 
     Unital multiplicative substitution; nilpotency of the odd images
     truncates everything after finitely many terms.  The input is cleared
-    to ints over one denominator and packed, _image_ints sums its monomial
-    images on ints, and one Fraction is built per surviving key of the
-    result.
+    and packed, _nested_ints sums its monomial images on ints, and one
+    Fraction is built per surviving key of the result.
     """
     _check_target(phi, f)
     phi._widen(max_degree(f.terms))
     target, source = phi._layouts
     return PolySuperFunc._raw(phi.source_nvars, phi.source_odd,
-                              source.rationals(*_image_ints(phi, *target.cleared(f.terms))))
-
-
-def pull_function(phi, f):
-    """Compose a polynomial on the target coordinates with the base map."""
-    if f.nvars != phi.target_nvars:
-        raise ValueError("polynomial does not live on the target coordinates")
-    if not phi.coord_images:
-        # a map into 0|q has no base map to substitute: f is a constant
-        return Poly.constant(phi.source_nvars, f.evaluate(()))
-    return f.compose(list(phi.base_map()))
+                              source.rationals(*_nested_ints(phi, (), target.cleared(f.terms))))
 
 
 def _base_factor(phi, f):
     """A base function f as the cleared pairs (f on the target algebra,
-    f composed with the base map on the source algebra)."""
+    f composed with the base map on the source algebra); the second is
+    summed from the memo of body products, independent of the image memo."""
     empty = IndexSet()
-    return tuple(lay.cleared({(e, empty): c for e, c in g.terms.items()})
-                 for lay, g in zip(phi._layouts, (f, pull_function(phi, f))))
+    lifted = phi._layouts[0].cleared({(e, empty): c for e, c in f.terms.items()})
+    return lifted, _even_image(phi, lifted, phi._pulled)
 
 
-def _nested_ints(phi, factors, eta):
-    """Nested twisted commutators on cleared pairs: factors[-1] outermost,
-    each a _base_factor pair (lifted, pulled), applied to the target pair eta.
-
-    [f, -](eta) = phi(f eta) - (f o phi_0) phi(eta), so the recursion images
-    the products f_S eta over the subsets S of the factors."""
-    if not factors:
-        return _image_ints(phi, *eta)
-    lifted, pulled = factors[-1]
-    rest = factors[:-1]
-    target, source = phi._layouts
-    return _difference(_nested_ints(phi, rest, _product(lifted, eta, target)),
-                       _product(pulled, _nested_ints(phi, rest, eta), source))
+def pull_function(phi, f):
+    """Compose a polynomial on the target coordinates with the base map; into
+    0|q, f is a constant."""
+    if f.nvars != phi.target_nvars:
+        raise ValueError("polynomial does not live on the target coordinates")
+    phi._widen(max(f.total_degree(), 0))
+    pulled = phi._layouts[1].rationals(*_base_factor(phi, f)[1])
+    return Poly._raw(phi.source_nvars, {e: c for (e, _), c in pulled.items()})
 
 
 def _widen_for_commutators(phi, fs, eta):
@@ -435,36 +441,21 @@ def commutator_defect(phi, f):
 
 
 def _random_poly(rng, nvars, max_degree=2):
-    terms = {}
-    for exps in _all_exponents(nvars, max_degree):
-        c = rng.randint(-3, 3)
-        if c:
-            terms[MultiDegree(exps)] = Fraction(c)
-    return Poly(nvars, terms)
+    return Poly(nvars, {exps: rng.randint(-3, 3) for exps in _all_exponents(nvars, max_degree)})
 
 
 def _all_exponents(nvars, max_degree):
     if nvars == 0:
         return [()]
-    out = []
-    for head in range(max_degree + 1):
-        for tail in _all_exponents(nvars - 1, max_degree - head):
-            out.append((head,) + tail)
-    return out
+    return [(head,) + tail for head in range(max_degree + 1)
+            for tail in _all_exponents(nvars - 1, max_degree - head)]
 
 
 def _random_superfunc(rng, nvars, odd_dim, max_degree=1):
     # one _random_poly coefficient per exterior monomial, drawn in the same order
-    exps = [MultiDegree(e) for e in _all_exponents(nvars, max_degree)]
-    terms = {}
-    for r in range(odd_dim + 1):
-        for key in combinations(range(1, odd_dim + 1), r):
-            key = IndexSet(key)
-            for e in exps:
-                c = rng.randint(-3, 3)
-                if c:
-                    terms[(e, key)] = Fraction(c)
-    return PolySuperFunc._raw(nvars, odd_dim, terms)
+    exps = _all_exponents(nvars, max_degree)
+    keys = [k for r in range(odd_dim + 1) for k in combinations(range(1, odd_dim + 1), r)]
+    return PolySuperFunc(nvars, odd_dim, {(e, k): rng.randint(-3, 3) for k in keys for e in exps})
 
 
 class OrderBoundReport:
@@ -487,11 +478,9 @@ def order_bound_check(phi, trials=6, seed=0):
     Both routes are taken: the nested definition on a random argument
     and the product of defects times the morphism.
 
-    Both run on cleared pairs (d, {key: int}) on packed keys, in lowest
-    terms, which are equal exactly when the rationals they stand for are.
-    Each trial draws its base functions and argument first, widens the
-    map's keys for their product, and lifts and pulls back each base
-    function once.
+    Both run on cleared pairs in lowest terms.  Each trial draws its base
+    functions and argument first, widens the map's keys for their product,
+    and lifts and pulls back each base function once.
     """
     depth = phi.source_odd // 2 + 1
     rng = random.Random(seed)
@@ -510,7 +499,7 @@ def order_bound_check(phi, trials=6, seed=0):
             prod = _product(prod, _nested_ints(phi, [factor], unit), source)
         eta = target.cleared(eta.terms)
         nested = _nested_ints(phi, factors, eta)
-        if nested != _product(prod, _image_ints(phi, *eta), source):
+        if nested != _product(prod, _nested_ints(phi, (), eta), source):
             failures.append(("route-mismatch", t))
         if prod[1] or nested[1]:
             failures.append(("nonvanishing", t))
@@ -528,16 +517,20 @@ class FiltrationReport:
 
 def filtration_check(phi):
     """Images of exterior-degree-r monomials keep filtration degree >= r; a
-    zero image lies in every filtration degree."""
+    zero image lies in every filtration degree.  An image's filtration
+    degree is the least popcount of the odd masks of its packed keys."""
     n, q = phi.target_nvars, phi.target_odd
+    # the layouts hold total degree 1 from construction on
+    target, source = phi._layouts
+    low = source.lows[0]
     probes = [(0,) * n]
     probes += [tuple(1 if t == j else 0 for t in range(n)) for j in range(n)]
     failures = []
     for r in range(q + 1):
         for key in combinations(range(1, q + 1), r):
             for exps in probes:
-                img = apply_map(phi, PolySuperFunc.monomial(n, q, exps, key))
-                if img.terms and img.filtration_degree() < r:
+                img = _nested_ints(phi, (), (1, {target.pack(exps, key): 1}))[1]
+                if img and min((k & low).bit_count() for k in img) < r:
                     failures.append((MultiDegree(exps), IndexSet(key)))
     return FiltrationReport(failures)
 

@@ -11,10 +11,12 @@ super exterior derivative term by term in Poly arithmetic, and the
 cohomology and Delta oracles rank the images of one SuperForm per basis
 monomial in Fraction, through the fiberwise shifts written here on tuple
 keys (shift_direct), and the supermap commutator oracles multiply whole
-PolySuperFunc elements through apply_map.  The Lie superalgebra oracle reads
-brackets through LieSuperData.bracket and sums dense Fraction vectors.  The
-jet oracles work in Poly arithmetic: one shifts, truncates and shifts back,
-the other applies the operator to every basis section (x − p)^β.
+PolySuperFunc elements through apply_map, with base functions pulled back
+by Fraction Poly substitution (pull_function_direct).  The Lie superalgebra
+oracle reads brackets through LieSuperData.bracket and sums dense Fraction
+vectors.  The jet oracles work in Poly arithmetic: one shifts, truncates
+and shifts back, the other applies the operator to every basis section
+(x − p)^β.
 echelon_eager is the integer echelon as it removed a row's content after
 every step; linalg.echelon must store the same primitive rows.
 """
@@ -30,7 +32,7 @@ from superalg.jets import PolySection, jet_multidegrees
 from superalg.liesuper import LieCheckReport
 from superalg.lincomb import add_term, contract, merge_sign, replace
 from superalg.poly import Poly
-from superalg.scalars import MultiDegree, cleared, iter_multidegrees
+from superalg.scalars import IndexSet, MultiDegree, cleared, iter_multidegrees
 from superalg.sderham import DeltaComponentReport, DeltaReport, SuperForm
 from superalg.supermaps import (
     OrderBoundReport,
@@ -38,7 +40,6 @@ from superalg.supermaps import (
     _random_poly,
     _random_superfunc,
     apply_map,
-    pull_function,
 )
 
 
@@ -342,10 +343,18 @@ def naive_apply_map(coord_images, odd_images, source_nvars, f):
     return out
 
 
+def pull_function_direct(phi, f):
+    """f composed with the base map by Fraction Poly substitution of the
+    bodies of the coordinate images; into 0|q, f is a constant."""
+    if not phi.coord_images:
+        return Poly.constant(phi.source_nvars, f.evaluate(()))
+    return f.compose(list(phi.base_map()))
+
+
 def commutator_defect_direct(phi, f):
     """Image of a base function minus its pullback, as whole elements."""
     img = apply_map(phi, PolySuperFunc.from_poly(f, phi.target_odd))
-    return img - PolySuperFunc.from_poly(pull_function(phi, f), phi.source_odd)
+    return img - PolySuperFunc.from_poly(pull_function_direct(phi, f), phi.source_odd)
 
 
 def iterated_twisted_commutator_direct(phi, fs, eta):
@@ -356,7 +365,7 @@ def iterated_twisted_commutator_direct(phi, fs, eta):
         return apply_map(phi, eta)
     last = fs[-1]
     lifted = PolySuperFunc.from_poly(last, phi.target_odd)
-    pulled = PolySuperFunc.from_poly(pull_function(phi, last), phi.source_odd)
+    pulled = PolySuperFunc.from_poly(pull_function_direct(phi, last), phi.source_odd)
     return (iterated_twisted_commutator_direct(phi, fs[:-1], lifted * eta)
             - pulled * iterated_twisted_commutator_direct(phi, fs[:-1], eta))
 
@@ -381,6 +390,17 @@ def order_bound_check_direct(phi, trials=6, seed=0):
         if not prod.is_zero() or not nested.is_zero():
             failures.append(("nonvanishing", t))
     return OrderBoundReport(depth, trials, failures)
+
+
+def filtration_failures_direct(phi):
+    """filtration_check's failures from the Fraction images: the probes
+    1, x_j times each odd monomial ds_K whose image has a term of exterior
+    degree below |K|."""
+    n, q = phi.target_nvars, phi.target_odd
+    probes = [(0,) * n] + [tuple(int(t == j) for t in range(n)) for j in range(n)]
+    return [(MultiDegree(e), IndexSet(k))
+            for r in range(q + 1) for k in combinations(range(1, q + 1), r) for e in probes
+            if any(len(key) < r for _, key in apply_map(phi, PolySuperFunc.monomial(n, q, e, k)).terms)]
 
 
 def leibniz_solution_dim(n, mode):

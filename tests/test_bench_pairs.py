@@ -86,3 +86,47 @@ def test_unresolved_when_the_parent_spreads_wider_than_the_bound(tmp_path, capsy
     # a narrow parent spread is never unresolved, and here the gain rule holds
     assert not metrics["job_p50_s"]["unresolved"]
     assert metrics["job_p50_s"]["gain_rule_met"]
+
+
+# A stand-in for bench/run.py: the digest lines, then a result whose
+# end-to-end metrics all read 1.0.
+FAKE_RUN = """import json
+print("corpus 20 jobs sha256 abcdef0123456789")
+print("reports digest 0123456789abcdef")
+metrics = {name: {"value": 1.0} for name in %r}
+print(json.dumps({"metrics": metrics, "failed": 0, "attempted": 10, "correct": True}))
+"""
+
+
+def _checkout(root, lines):
+    """A checkout whose bench/run.py is FAKE_RUN and whose src/superalg
+    holds lines lines of Python over two files, next to a file that is not
+    counted."""
+    (root / "bench").mkdir(parents=True)
+    (root / "bench" / "run.py").write_text(FAKE_RUN % sorted(METRICS))
+    src = root / "src" / "superalg"
+    src.mkdir(parents=True)
+    (src / "a.py").write_text("x = 1\n" * (lines - 1))
+    (src / "b.py").write_text("y = 2\n")
+    (src / "notes.txt").write_text("not counted\n")
+    return root
+
+
+def test_run_records_each_checkouts_src_lines(tmp_path, capsys):
+    parent, change = _checkout(tmp_path / "parent", 3), _checkout(tmp_path / "change", 5)
+    assert bench_pairs.src_lines(parent) == 3 and bench_pairs.src_lines(change) == 5
+    out = tmp_path / "out"
+    bench_pairs.main(["run", str(parent), str(change), str(out),
+                      "--workload", "supermaps", "--pairs", "2"])
+    assert len(list(out.glob("supermaps-1-*.log"))) == 4
+    bench_pairs.main(["summarize", str(out), "--pr", "1"])
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["src_lines"] == {"parent": 3, "change": 5}
+    (run,) = doc["runs"]
+    assert run["pairs"] == 2 and run["change"]["reports_digests"] == ["0123456789ab"]
+
+
+def test_logs_without_src_lines_summarize_to_none(tmp_path, capsys):
+    _write_logs(tmp_path, "sderham", {"jobs_per_s": ([100.0] * 3, [100.0] * 3)})
+    bench_pairs.main(["summarize", str(tmp_path), "--pr", "1"])
+    assert json.loads(capsys.readouterr().out)["src_lines"] == {"parent": None, "change": None}

@@ -7,9 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (
     commutator_defect_direct,
+    filtration_failures_direct,
     iterated_twisted_commutator_direct,
     naive_apply_map,
     order_bound_check_direct,
+    pull_function_direct,
 )
 from strat import small_fractions
 from superalg.poly import Poly
@@ -43,6 +45,17 @@ def nilpotent_shift_map():
     # target 1|0, source 1|2, coordinate goes to x + ds1 ds2
     img = PolySuperFunc.coordinate(1, 2, 1) + PolySuperFunc.monomial(1, 2, (0,), (1, 2))
     return SuperMapData([img], [])
+
+
+def nilpotent_junk_map():
+    # 1|3 -> 2|2: both coordinates carry a nilpotent correction, the first
+    # generator image a degree-3 term
+    x, one = PolySuperFunc.coordinate(1, 3, 1), PolySuperFunc.unit(1, 3)
+    coords = [x + PolySuperFunc.monomial(1, 3, (0,), (1, 2)),
+              one.scale(2) - x.scale(Fraction(1, 3)) + PolySuperFunc.monomial(1, 3, (1,), (2, 3))]
+    odds = [PolySuperFunc.odd_generator(1, 3, 1) + PolySuperFunc.monomial(1, 3, (0,), (1, 2, 3)),
+            x * PolySuperFunc.odd_generator(1, 3, 2) + PolySuperFunc.odd_generator(1, 3, 3)]
+    return SuperMapData(coords, odds)
 
 
 def odd_junk_map():
@@ -321,6 +334,36 @@ def test_maps_without_even_or_odd_generators(name):
             report_fields(order_bound_check_direct(phi, trials=3, seed=seed))
 
 
+@given(st.one_of(junk_maps(), supermapdatas(n=3, q=1), supermapdatas(n=0, q=2)).flatmap(
+    lambda phi: st.tuples(st.just(phi), st.lists(polys(phi.target_nvars, max_deg=4),
+                                                 min_size=1, max_size=3))))
+@settings(max_examples=60, deadline=None)
+def test_pull_function_matches_fraction_substitution(case):
+    # junk maps have rational bodies; 0|q targets have no coordinates, so
+    # f is a constant; later fs of higher degree widen the map mid-life
+    phi, fs = case
+    for f in fs:
+        assert pull_function(phi, f) == pull_function_direct(phi, f)
+
+
+def _memo_keys_pure(phi):
+    # every memo key is x^e or ds_K, and the body memo holds x^e only
+    low = phi._layouts[0].lows[0]
+    return (all(k & low == 0 or k & low == k for k in phi._mono_images)
+            and not any(k & low for k in phi._pulled))
+
+
+@given(junk_maps(), deep_superfuncs(max_deg=4))
+@settings(max_examples=30, deadline=None)
+def test_memo_holds_pure_keys_only(phi, f):
+    apply_map(phi, f)
+    assert _memo_keys_pure(phi)
+    filtration_check(phi)
+    assert _memo_keys_pure(phi)
+    order_bound_check(phi, trials=2)
+    assert _memo_keys_pure(phi)
+
+
 def test_high_degree_does_not_recurse():
     phi = SuperMapData.identity(1, 0)
     f = PolySuperFunc.monomial(1, 0, (2000,), ())
@@ -390,20 +433,30 @@ def test_iterated_commutator_is_defect_product(phi, fs, eta):
     assert iterated_twisted_commutator(phi, fs, eta) == prod * apply_map(phi, eta)
 
 
+def _spoil(phi, exps, key):
+    # phi with the memo entry of x^exps ds_key off by the constant 1
+    phi._widen(2)
+    mono = phi._layouts[0].pack(exps, key)
+    d, img = phi._monomial_image(mono)
+    img = dict(img)
+    img[0] = img.get(0, 0) + d      # key 0 is the source unit
+    phi._mono_images[mono] = d, {k: v for k, v in img.items() if v}
+    return phi
+
+
 def spoiled(phi):
     """phi with the memoized image of x1^2 off by the constant 1, cached
     before any monomial above it, so every later image built on it carries
     the error and the map stops being multiplicative.  The memo is keyed at
     the narrowest width that holds x1^2, so the first call on a larger
     element re-keys the spoiled entry."""
-    n = phi.target_nvars
-    phi._widen(2)
-    mono = phi._layouts[0].pack((2,) + (0,) * (n - 1), ())
-    d, img = phi._monomial_image(mono)
-    img = dict(img)
-    img[0] = img.get(0, 0) + d      # key 0 is the source unit
-    phi._mono_images[mono] = d, {k: v for k, v in img.items() if v}
-    return phi
+    return _spoil(phi, (2,) + (0,) * (phi.target_nvars - 1), ())
+
+
+def spoiled_odd_pair(phi):
+    """phi with the memoized image of ds1 ds2 off by the constant 1: every
+    target monomial x^e ds1 ds2 is imaged as phi(x^e) times that entry."""
+    return _spoil(phi, (0,) * phi.target_nvars, (1, 2))
 
 
 @given(supermapdatas(), st.lists(polys(2, max_deg=2, max_terms=2), max_size=3),
@@ -429,6 +482,26 @@ def test_order_bound_check_matches_fraction_routes(phi, spoil, seed):
         spoiled(phi)
     assert report_fields(order_bound_check(phi, trials=2, seed=seed)) == \
         report_fields(order_bound_check_direct(phi, trials=2, seed=seed))
+
+
+@given(junk_maps(), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_order_bound_check_matches_fraction_routes_spoiled_odd_pair(phi, seed):
+    # both routes multiply each mask's commutators by the same entry on the
+    # right, so they agree; the filtration check is the one that sees it
+    spoiled_odd_pair(phi)
+    assert report_fields(order_bound_check(phi, trials=2, seed=seed)) == \
+        report_fields(order_bound_check_direct(phi, trials=2, seed=seed))
+
+
+def test_spoiled_odd_pair_reaches_every_monomial_of_its_mask():
+    # phi(x^e ds1 ds2) = phi(x^e) phi(ds1 ds2), so adding 1 to the entry of
+    # ds1 ds2 adds phi(x^e) to the image of x^e ds1 ds2
+    for e in ((0, 0), (1, 0), (2, 3)):
+        f = PolySuperFunc.monomial(2, 2, e, (1, 2))
+        phi = nilpotent_junk_map()
+        want = apply_map(phi, f) + apply_map(phi, PolySuperFunc.monomial(2, 2, e, ()))
+        assert apply_map(spoiled_odd_pair(phi), f) == want
 
 
 def test_spoiled_memo_fails_the_order_bound_like_the_fraction_routes():
@@ -487,6 +560,22 @@ def test_filtration_frozen():
     assert rep.passed
     img = apply_map(psi, PolySuperFunc.odd_generator(1, 3, 1))
     assert img.filtration_degree() == 1
+
+
+@given(junk_maps(), st.sampled_from([None, spoiled, spoiled_odd_pair]))
+@settings(max_examples=30, deadline=None)
+def test_filtration_check_matches_fraction_images(phi, spoil):
+    if spoil:
+        spoil(phi)
+    assert filtration_check(phi).failures == tuple(filtration_failures_direct(phi))
+
+
+def test_filtration_fails_on_a_spoiled_odd_pair():
+    # the entry of ds1 ds2 gains a constant, so ds1 ds2 and x_j ds1 ds2 image
+    # into filtration degree 0
+    phi = spoiled_odd_pair(nilpotent_junk_map())
+    want = [(MultiDegree(e), IndexSet((1, 2))) for e in ((0, 0), (1, 0), (0, 1))]
+    assert filtration_check(phi).failures == tuple(want) == tuple(filtration_failures_direct(phi))
 
 
 def test_filtration_passes_zero_images():

@@ -4,15 +4,17 @@
     python3 tools/bench_pairs.py summarize OUT --pr N --claim supermaps:jobs_per_s > BENCH_N.json
 
 PARENT and CHANGE are checkouts holding bench/ and src/.  `run` runs
-bench/run.py for the run_seconds of BENCHMARK.json alternately in each, the parent first in even pairs
-and the change first in odd ones, and keeps every run's stdout as
-OUT/<workload>-<seed>-<side>-<pair>.log.  `summarize` reads those logs: the
-last line of each is the JSON result of bench/run.py, and the lines before it
-carry the corpus and report digests.  For every workload and seed it prints
-each side's median and quartiles of every end-to-end metric in
-BENCHMARK.json, the pairs the change won (ties count for neither), whether
-the gain rule and the no-regression rule hold, the digests, failed jobs,
-and the host's cpu count and Python version.
+bench/run.py for the run_seconds of BENCHMARK.json alternately in each, the
+parent first in even pairs and the change first in odd ones, and keeps every
+run's stdout as OUT/<workload>-<seed>-<side>-<pair>.log, after a first line
+with the checkout's src/superalg line count.  `summarize` reads those logs:
+the last line of each is the JSON result of bench/run.py, and the lines
+before it carry the line count and the corpus and report digests.  For every
+workload and seed it prints each side's median and quartiles of every
+end-to-end metric in BENCHMARK.json, the pairs the change won (ties count
+for neither), whether the gain rule and the no-regression rule hold, the
+digests and failed jobs.  It also prints each side's src line count and the
+host's cpu count and Python version.
 """
 
 import argparse
@@ -35,19 +37,25 @@ def benchmark_spec():
     return json.loads((ROOT / "BENCHMARK.json").read_text())
 
 
+def src_lines(checkout):
+    """Lines of the src/superalg/*.py files of a checkout, as wc -l counts them."""
+    return sum(p.read_bytes().count(b"\n") for p in (Path(checkout) / "src" / "superalg").glob("*.py"))
+
+
 def run(args):
     seconds = benchmark_spec()["run_seconds"]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    checkouts = {"parent": Path(args.parent), "change": Path(args.change)}
+    lines = {side: src_lines(checkouts[side]) for side in SIDES}
     for pair in range(args.pairs):
         for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
-            checkout = Path(args.parent if side == "parent" else args.change)
             proc = subprocess.run(
                 [sys.executable, "bench/run.py", "--workload", args.workload,
                  "--seed", str(args.seed), "--seconds", str(seconds)],
-                cwd=checkout, capture_output=True, text=True, check=True)
+                cwd=checkouts[side], capture_output=True, text=True, check=True)
             log = out / ("%s-%d-%s-%d.log" % (args.workload, args.seed, side, pair))
-            log.write_text(proc.stdout)
+            log.write_text("src_lines %d\n%s" % (lines[side], proc.stdout))
 
 
 def read_log(path):
@@ -58,6 +66,8 @@ def read_log(path):
             result["corpus_digest"] = line.split()[-1][:12]
         elif line.startswith("reports digest "):
             result["reports_digest"] = line.split()[-1][:12]
+        elif line.startswith("src_lines "):
+            result["src_lines"] = int(line.split()[-1])
     return result
 
 
@@ -121,6 +131,14 @@ def summarize(args):
             sys.stderr.write("skipped %s: the run has not finished\n" % path.name)
             continue
         runs[(m["workload"], int(m["seed"]))][m["side"]][int(m["pair"])] = read_log(path)
+    lines = {}
+    for side in SIDES:
+        counts = {r["src_lines"] for sides in runs.values() for r in sides[side].values()
+                  if "src_lines" in r}
+        if len(counts) > 1:
+            sys.exit("the %s logs come from checkouts of %s src lines"
+                     % (side, " and ".join(map(str, sorted(counts)))))
+        lines[side] = counts.pop() if counts else None
     workload, metric = args.claim.split(":") if args.claim else (None, None)
     doc = {
         "pr": args.pr,
@@ -129,6 +147,7 @@ def summarize(args):
                     % spec["run_seconds"],
         "claim": {"workload": workload, "metric": metric} if args.claim else None,
         "host": {"cpu_count": os.cpu_count(), "python": platform.python_version()},
+        "src_lines": lines,
         "runs": [dict(workload=w, seed=s, **summarize_set(runs[(w, s)], metrics))
                  for w, s in sorted(runs)],
     }
