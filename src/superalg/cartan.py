@@ -9,10 +9,17 @@ Elements are PolySuperFunc values on n Sym and m Λ generators: finite sums
 of (multidegree, index set) monomials.  The Sym factor is polynomial, so
 everything is accessed through explicit degree cutoffs; no operator here
 ever needs the infinite tail.
+
+A homology table ranks the blocks of its boundary map bidegree by bidegree.
+One block assembler serves the whole table: it clears the matrix to ints
+once, and builds the index maps and move tables of each Sym degree k and
+each Λ degree l on first use; each block then only scatters products of
+those tables into its rows.  Nothing outlives the table.
 """
 
 from bisect import bisect_left
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import comb
 
@@ -182,6 +189,73 @@ def operator_columns(op, n, m, src_kl, dst_kl):
     return cols
 
 
+def _block_assembler(F, n, m, direction):
+    """The boundary_block(F, n, m, k, l, direction) of one matrix and
+    direction, as a function of (k, l).  Built once per assembler: the int
+    coefficient matrix, and on first use the index maps of each Sym degree k
+    and Λ degree l, the Sym move table of each k and the Λ move table of
+    each l.  Built once per block: only its rows."""
+    if direction == "F":
+        coeff = transpose(as_matrix(F, m, n))
+        dk, dl = -1, 1
+    elif direction == "G":
+        coeff = as_matrix(F, n, m)
+        dk, dl = 1, -1
+    else:
+        raise ValueError("direction must be 'F' or 'G'")
+    ints = cleared(x for row in coeff for x in row)[1]
+    coeff = [ints[s * m:(s + 1) * m] for s in range(n)]  # coeff[sym][ext]
+
+    @cache
+    def alphas(k):
+        return {a: t for t, a in enumerate(iter_multidegrees(n, k))}
+
+    @cache
+    def keys(l):
+        return {key: t for t, key in enumerate(_keys(m, l))}
+
+    @cache
+    def sym_moves(k):
+        # (Sym generator, factor, target multidegree index) per source
+        # multidegree: dv_s ⌟ x^a = a_s x^(a - e_s), v_s · x^a = x^(a + e_s)
+        dst = alphas(k + dk)
+        return [[(s, alpha[s] if dk < 0 else 1,
+                  dst[alpha[:s] + (alpha[s] + dk,) + alpha[s + 1:]])
+                 for s in range(n) if dk > 0 or alpha[s]] for alpha in alphas(k)]
+
+    @cache
+    def ext_moves(l):
+        # per source index set and Sym generator s: (target key index,
+        # sign * coeff[s][i]) for each Λ generator i it moves, zeros dropped,
+        # the sign (-1)^t for i at position t of the target or source key
+        dst = keys(l + dl)
+        table = []
+        for key in keys(l):
+            if dl > 0:
+                hits = [(i, bisect_left(key, i)) for i in range(1, m + 1) if i not in key]
+                hits = [(i, t, key[:t] + (i,) + key[t:]) for i, t in hits]
+            else:
+                hits = [(i, t, key[:t] + key[t + 1:]) for t, i in enumerate(key)]
+            table.append([[(dst[nk], -cs[i - 1] if t & 1 else cs[i - 1])
+                           for i, t, nk in hits if cs[i - 1]] for cs in coeff])
+        return table
+
+    def block(k, l):
+        width = len(keys(l + dl))
+        rows = [{} for _ in range(len(alphas(k + dk)) * width)]
+        col = 0
+        for smoves in sym_moves(k):
+            for emoves in ext_moves(l):
+                for s, a, t in smoves:
+                    offset = t * width
+                    for e, c in emoves[s]:
+                        rows[offset + e][col] = a * c
+                col += 1
+        return rows
+
+    return block
+
+
 def boundary_block(F, n, m, k, l, direction):
     """Sparse int rows of d_F (direction "F", F an m x n matrix) from
     A^{k,l} to A^{k-1,l+1}, or of d*_G (direction "G", F the n x m matrix G)
@@ -192,53 +266,10 @@ def boundary_block(F, n, m, k, l, direction):
     rank unchanged.  A term of either operator is a move on the Sym factor
     (dv_mu ⌟ or v_j ·) times a move on the Λ factor (w_i ∧ or dw_mu ⌟), and
     the pair of moves fixes the target monomial, so no entry is collected.
-    By target rows, echelon takes about half the steps it takes by columns."""
-    if direction == "F":
-        coeff = transpose(as_matrix(F, m, n))
-        dk, dl = -1, 1
-    elif direction == "G":
-        coeff = as_matrix(F, n, m)
-        dk, dl = 1, -1
-    else:
-        raise ValueError("direction must be 'F' or 'G'")
-    scale = cleared(x for row in coeff for x in row)[0]
-    coeff = [[int(x * scale) for x in row] for row in coeff]  # coeff[sym][ext]
-    dst_alpha = {a: t for t, a in enumerate(iter_multidegrees(n, k + dk))}
-    dst_key = {key: t for t, key in enumerate(_keys(m, l + dl))}
-    width = len(dst_key)
-    # (Sym generator, factor, target row offset) per source multidegree:
-    # dv_s ⌟ x^alpha = alpha_s x^(alpha - e_s), v_s · x^alpha = x^(alpha + e_s)
-    sym_moves = []
-    for alpha in iter_multidegrees(n, k):
-        moves = []
-        for s in range(n):
-            a = alpha[s] if dk < 0 else 1
-            if a:
-                na = alpha[:s] + (alpha[s] + dk,) + alpha[s + 1:]
-                moves.append((s, a, dst_alpha[na] * width))
-        sym_moves.append(moves)
-    # (Λ generator, sign, target key index) per source index set, the sign
-    # (-1)^t for the generator at position t of the target or source key
-    ext_moves = []
-    for key in _keys(m, l):
-        if dl > 0:
-            hits = [(i, bisect_left(key, i)) for i in range(1, m + 1) if i not in key]
-            hits = [(i, t, key[:t] + (i,) + key[t:]) for i, t in hits]
-        else:
-            hits = [(i, t, key[:t] + key[t + 1:]) for t, i in enumerate(key)]
-        ext_moves.append([(i - 1, -1 if t & 1 else 1, dst_key[nk]) for i, t, nk in hits])
-    rows = [{} for _ in range(len(dst_alpha) * width)]
-    col = 0
-    for smoves in sym_moves:
-        for emoves in ext_moves:
-            for s, a, offset in smoves:
-                cs = coeff[s]
-                for e, sign, t in emoves:
-                    c = cs[e]
-                    if c:
-                        rows[offset + t][col] = a * sign * c
-            col += 1
-    return rows
+    By target rows, echelon takes about half the steps it takes by columns.
+    One block of _block_assembler, whose tables a homology table shares
+    across its blocks."""
+    return _block_assembler(F, n, m, direction)(k, l)
 
 
 def _dim_A(n, m, k, l):
@@ -247,10 +278,13 @@ def _dim_A(n, m, k, l):
     return sym_dim(n, k) * comb(m, l)
 
 
-def _homology_table(mat, n, m, k_max, l_max, direction):
+def _homology_table(F, n, m, k_max, l_max, direction):
     """dim A^{k,l} less the ranks of the boundary map of the direction out of
-    (k, l) and into it."""
+    (k, l) and into it.  One _block_assembler builds every block, so the int
+    matrix is cleared once per table and each degree's move table is built
+    once, while each block builds only its rows."""
     dk, dl = (-1, 1) if direction == "F" else (1, -1)
+    block = _block_assembler(F, n, m, direction)
     ranks = {}
 
     def rank_at(k, l):
@@ -258,7 +292,7 @@ def _homology_table(mat, n, m, k_max, l_max, direction):
             if _dim_A(n, m, k, l) == 0 or _dim_A(n, m, k + dk, l + dl) == 0:
                 ranks[(k, l)] = 0
             else:
-                ranks[(k, l)] = sparse_rank(boundary_block(mat, n, m, k, l, direction))
+                ranks[(k, l)] = sparse_rank(block(k, l))
         return ranks[(k, l)]
 
     return [[_dim_A(n, m, k, l) - rank_at(k, l) - rank_at(k - dk, l - dl)
@@ -287,7 +321,7 @@ def homology_table_size(m, n, k_max, l_max):
 def homology_dims(F, k_max, l_max):
     """dim H^{k,l}(d_F) over 0 <= k <= k_max, 0 <= l <= l_max, exactly."""
     m, n = len(F), len(F[0]) if F else 0
-    return _homology_table(as_matrix(F, m, n), n, m, k_max, l_max, "F")
+    return _homology_table(F, n, m, k_max, l_max, "F")
 
 
 def predicted_homology_dims(F, k_max, l_max):
@@ -302,7 +336,7 @@ def predicted_homology_dims(F, k_max, l_max):
 def dstar_homology_dims(G, k_max, l_max):
     """dim H^{k,l}(d*_G), same conventions; d*_G has bidegree (+1, -1)."""
     n, m = len(G), len(G[0]) if G else 0
-    return _homology_table(as_matrix(G, n, m), n, m, k_max, l_max, "G")
+    return _homology_table(G, n, m, k_max, l_max, "G")
 
 
 def predicted_dstar_homology_dims(G, k_max, l_max):

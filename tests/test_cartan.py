@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 from math import lcm
 
 import pytest
@@ -15,6 +16,7 @@ from oracles import (
 from strat import small_fractions
 
 from superalg.cartan import (
+    _block_assembler,
     bigraded_basis,
     boundary_block,
     d_F,
@@ -219,6 +221,25 @@ def test_boundary_block_is_the_scaled_operator_matrix(data):
         got = boundary_block(mat, n, m, k, l, direction)
         assert got == _scaled_rows(want, len(bigraded_basis(n, m, k + dk, l + dl)), scale)
         assert all(type(v) is int for row in got for v in row.values())
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_block_assembler_serves_every_block_of_a_table(data):
+    # one assembler per direction, asked for every block with k <= 4 in a
+    # drawn order: a move table cached by k alone or by l alone, or reused
+    # across (k, l) pairs, builds a wrong block
+    m, n = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    F = data.draw(deficient_matrices(m, n))
+    G = data.draw(deficient_matrices(n, m))
+    for mat, direction, op, (dk, dl) in ((F, "F", d_F, (-1, 1)), (G, "G", d_star_G, (1, -1))):
+        scale = lcm(*(x.denominator for row in mat for x in row))
+        block = _block_assembler(mat, n, m, direction)
+        for k, l in data.draw(st.permutations(list(product(range(5), range(m + 1))))):
+            want = operator_columns(lambda x: op(mat, x), n, m, (k, l), (k + dk, l + dl))
+            got = block(k, l)
+            assert got == _scaled_rows(want, len(bigraded_basis(n, m, k + dk, l + dl)), scale)
+            assert all(type(v) is int for row in got for v in row.values())
 
 
 def test_boundary_block_examples():

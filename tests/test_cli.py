@@ -119,15 +119,20 @@ def test_cp_homology_size_limit(capsys, tmp_path, F, kmax, lmax, code):
 
 def test_homology_table_size_counts_every_block_read(monkeypatch):
     # the union of the bidegrees of the table and of every block it ranks
-    real = cartan.boundary_block
+    # through the per-table block function of _homology_table
+    real = cartan._block_assembler
     for m, n, kmax, lmax in product(range(1, 4), range(1, 4), range(4), range(5)):
         seen = set(product(range(kmax + 1), range(lmax + 1)))
 
-        def record(F, n_, m_, k, l, direction):
-            seen.update({(k, l), (k - 1, l + 1)})
-            return real(F, n_, m_, k, l, direction)
+        def assembler(F, n_, m_, direction):
+            block = real(F, n_, m_, direction)
 
-        monkeypatch.setattr(cartan, "boundary_block", record)
+            def record(k, l):
+                seen.update({(k, l), (k - 1, l + 1)})
+                return block(k, l)
+            return record
+
+        monkeypatch.setattr(cartan, "_block_assembler", assembler)
         cartan.homology_dims([[1] * n for _ in range(m)], kmax, lmax)
         want = sum(cartan._dim_A(n, m, k, l) for k, l in seen)
         assert homology_table_size(m, n, kmax, lmax) == want, (m, n, kmax, lmax)

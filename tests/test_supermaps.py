@@ -459,6 +459,42 @@ def spoiled_odd_pair(phi):
     return _spoil(phi, (0,) * phi.target_nvars, (1, 2))
 
 
+def odd_memo_mismatches(phi):
+    """The number of theta^K entries in the memo of phi, and the index sets
+    K whose entry is not the ordered product phi(ds_k1) ... phi(ds_kr) of
+    the generator images, multiplied out by the Fraction oracle."""
+    target, source = phi._layouts
+    low, n, q = target.lows[0], phi.target_nvars, phi.target_odd
+    odd = {target.unpack(k)[1]: pair for k, pair in phi._mono_images.items()
+           if k and k & low == k}
+    wrong = [K for K, pair in odd.items() if source.rationals(*pair)
+             != oracle_image(phi, PolySuperFunc.monomial(n, q, (0,) * n, K))]
+    return len(odd), wrong
+
+
+@given(st.one_of(junk_maps(), supermapdatas(m=2)), deep_superfuncs(max_deg=4), st.booleans())
+@settings(max_examples=30, deadline=None)
+def test_odd_memo_entries_are_ordered_generator_products(phi, f, spoil):
+    # both routes of order_bound_check multiply by the same entry phi(ds_K),
+    # so it cannot see a wrong one; this reads every entry it reaches, before
+    # and after _widen re-keys the memo (which moves the source fields only
+    # when the source has two even generators)
+    if spoil:
+        spoiled_odd_pair(phi)
+    want = [IndexSet((1, 2))] if spoil else []
+    apply_map(phi, f)
+    order_bound_check(phi, trials=2)
+    checked, wrong = odd_memo_mismatches(phi)
+    assert checked >= 2 and wrong == want
+    widths = _widths(phi)
+    phi._widen(2 ** (widths[0] + 1))
+    assert _widths(phi)[0] > widths[0]
+    assert odd_memo_mismatches(phi) == (checked, want)
+    # the entry of ds1 ds2, built after the re-key when not spoiled
+    apply_map(phi, sf(2, 2, {((0, 0), (1, 2)): 1}))
+    assert odd_memo_mismatches(phi)[1] == want
+
+
 @given(supermapdatas(), st.lists(polys(2, max_deg=2, max_terms=2), max_size=3),
        superfuncs(2, 2, max_terms=3), st.booleans())
 @settings(max_examples=40, deadline=None)
