@@ -23,7 +23,7 @@ from functools import cache
 from itertools import combinations
 from math import comb
 
-from .lincomb import add_term, contract, merge_sign, replace
+from .lincomb import add_term, contract, merge_sign
 from .linalg import echelon, invert, mat_mul, rank, sparse_rank, transpose
 from .scalars import IndexSet, MultiDegree, cleared, iter_multidegrees, sym_dim
 from .supermaps import PolySuperFunc
@@ -89,36 +89,32 @@ def _shape_FG(mat, x, direction):
             raise ValueError("G must map the Λ side into the Sym side")
 
 
+def _raise_lower(M, raise_, lower, nraise, nlower, x):
+    """Σ_{i, mu} M[i][mu] · raise_i ∘ lower_mu (x), for i = 1..nraise and
+    mu = 1..nlower."""
+    terms = {}
+    for mu in range(1, nlower + 1):
+        y = lower(mu, x)
+        if y.is_zero():
+            continue
+        for i in range(1, nraise + 1):
+            c = M[i - 1][mu - 1]
+            if c:
+                for key, v in raise_(i, y).terms.items():
+                    add_term(terms, key, c * v)
+    return x._like(terms)
+
+
 def d_F(F, x):
     """Σ_mu dv_mu ⌟ ⊗ F(v_mu) ∧; bidegree (-1, +1)."""
     _shape_FG(F, x, "F")
-    terms = {}
-    for mu in range(1, x.nvars + 1):
-        y = sym_contract(mu, x)
-        if y.is_zero():
-            continue
-        for i in range(1, x.odd_dim + 1):
-            c = F[i - 1][mu - 1]
-            if c:
-                for key, v in ext_wedge(i, y).terms.items():
-                    add_term(terms, key, c * v)
-    return x._like(terms)
+    return _raise_lower(F, ext_wedge, sym_contract, x.odd_dim, x.nvars, x)
 
 
 def d_star_G(G, x):
     """Σ_mu G(w_mu) · ⊗ dw_mu ⌟; bidegree (+1, -1)."""
     _shape_FG(G, x, "G")
-    terms = {}
-    for mu in range(1, x.odd_dim + 1):
-        y = ext_contract(mu, x)
-        if y.is_zero():
-            continue
-        for j in range(1, x.nvars + 1):
-            c = G[j - 1][mu - 1]
-            if c:
-                for key, v in sym_multiply(j, y).terms.items():
-                    add_term(terms, key, c * v)
-    return x._like(terms)
+    return _raise_lower(G, sym_multiply, ext_contract, x.nvars, x.odd_dim, x)
 
 
 def delta(F, G, x):
@@ -127,34 +123,15 @@ def delta(F, G, x):
 
 
 def sym_derivation(M, x):
-    """Derivation of the Sym factor extending the endomorphism M of V."""
-    n = x.nvars
-    out = PolySuperFunc.zero(n, x.odd_dim)
-    for nu in range(1, n + 1):
-        y = sym_contract(nu, x)
-        if y.is_zero():
-            continue
-        for j in range(1, n + 1):
-            c = M[j - 1][nu - 1]
-            if c:
-                out = out + sym_multiply(j, y).scale(c)
-    return out
+    """Derivation of the Sym factor extending the endomorphism M of V:
+    Σ_{j, nu} M[j][nu] v_j · ∘ dv_nu ⌟."""
+    return _raise_lower(M, sym_multiply, sym_contract, x.nvars, x.nvars, x)
 
 
 def ext_derivation(M, x):
-    """Plain derivation of the Λ factor extending the endomorphism M of W."""
-    m = x.odd_dim
-    terms = {}
-    for (alpha, key), c in x.terms.items():
-        for mu in key:
-            for i in range(1, m + 1):
-                cm = M[i - 1][mu - 1]
-                if not cm:
-                    continue
-                nk, sign = replace(key, mu, i)
-                if nk is not None:
-                    add_term(terms, (alpha, nk), sign * cm * c)
-    return x._like(terms)
+    """Plain derivation of the Λ factor extending the endomorphism M of W:
+    Σ_{i, mu} M[i][mu] w_i ∧ ∘ dw_mu ⌟."""
+    return _raise_lower(M, ext_wedge, ext_contract, x.odd_dim, x.odd_dim, x)
 
 
 def delta_via_derivations(F, G, x):

@@ -45,7 +45,7 @@ from .derivations import (
     reconstruct,
     ungraded_extend,
 )
-from .exterior import ExtElem, ExtSpace, augmentation, invert_unit
+from .exterior import ExtElem, ExtSpace, invert_unit
 from .jets import (
     PolyDiffOp,
     PolySection,
@@ -132,13 +132,14 @@ STRAIGHTEN_MAX_ODD = 7
 # cp-homology ranks a block per bidegree of its table, and the blocks out of
 # degree kmax + 1 and into l = lmax + 1 next to it, so it refuses a table
 # whose bidegrees span more basis elements (cartan.homology_table_size).  The
-# count tracks the time loosely; on random half-integer F (2-CPU host, CPU
-# time) the 5x5 table with k, l <= 5 spans 14,574 and takes 0.7-1.1 s, 6x6
-# with k, l <= 3 spans 6,720 and takes 0.4-0.7 s, 8x8 with k <= 3, l <= 2
-# spans 11,595 and takes 4.6-7.2 s, 7x7 with k, l <= 3 spans 15,030 and
-# takes 3.5-4.8 s, and 9x9 with k <= 2, l <= 3 spans 16,000 and takes
-# 7.6-9.8 s.  The limit, 121², is the span of a 1x2 F with kmax 120 and
-# lmax 0.
+# count tracks the time loosely.  Timed on a few random half-integer F each
+# (2-CPU host, CPU time, min of 3 runs per F), so the ranges are samples and
+# not bounds: another F can take longer.  The 5x5 table with k, l <= 5 spans
+# 14,574 and took 0.78-0.83 s, 6x6 with k, l <= 3 spans 6,720 and took
+# 0.29-0.47 s, 8x8 with k <= 3, l <= 2 spans 11,595 and took 5.4-5.9 s, 7x7
+# with k, l <= 3 spans 15,030 and took 7.2-10.6 s, and the refused 9x9 with
+# k <= 2, l <= 3 spans 16,000 and took 11.8-15.1 s.  The limit, 121², is the
+# span of a 1x2 F with kmax 120 and lmax 0.
 HOMOLOGY_MAX_DIM = 14641
 # sderham --op cohomology and --op delta build one column per basis monomial
 # (sderham.assembled_count: for cohomology, the degree k basis and the degree
@@ -622,7 +623,7 @@ def _fuzz_exterior_inverse(rng, rounds):
     done = 0
     while done < rounds:
         a = rand_ext(rng, space)
-        if augmentation(a) == 0:
+        if a.augmentation() == 0:
             continue
         done += 1
         if invert_unit(a).wedge(a) != ExtElem.unit(space):

@@ -89,10 +89,6 @@ class SuperDerivation:
         return cls(space, Parity.from_json(parity), images)
 
 
-def extend(D, a):
-    return D(a)
-
-
 def ungraded_extend(space, images, a):
     """Plain-Leibniz (ungraded) expansion of arbitrary generator images."""
     return _leibniz(space, images, 0, a)
@@ -104,7 +100,7 @@ def build_DF(space, images):
 
 
 def apply_DF_sum(space, images, a):
-    # the defining sum, kept separate so tests can compare it with extend()
+    # the defining sum, kept separate so tests can compare it with build_DF
     out = ExtElem.zero(space)
     for mu in range(1, space.dim + 1):
         v = [0] * space.dim

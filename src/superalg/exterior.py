@@ -163,9 +163,5 @@ class ExtElem(LinComb):
         return " + ".join(bits)
 
 
-def augmentation(a):
-    return a.augmentation()
-
-
 def invert_unit(a):
     return a.invert_unit()

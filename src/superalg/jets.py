@@ -2,6 +2,12 @@
 iterated commutators, principal symbols, jets, and the factorization of an
 order-k operator through the k-jet at a point.
 
+An operator may act along a polynomial map φ: ℝ^m → ℝ^n, taking sections
+over the target to sections over the source, Σ_α P_α(x) · (∂^α s)(φ(x)):
+the form of a supersmooth map in prop:supermaps-are-diffops.  Commutators
+multiply by f on the target and by f ∘ φ on the source, so every operation
+here holds along a map as it does along the identity.
+
 A k-jet at p is its vector of Taylor coefficients ∂^β s(p)/β! for |β| ≤ k,
 graded-lex β-major with the rank inner; jet_operator realizes the same
 layout as a differential operator, and factor_through_jet reads D̂_p with
@@ -92,12 +98,27 @@ def _diagonal(f, rank):
 
 
 class PolyDiffOp:
-    """Σ_α P_α(x) ∂^α between trivial bundles over the same base."""
+    """Σ_α P_α(x) ∂^α between trivial bundles over the same base, or, along a
+    polynomial map φ = (φ_1, …, φ_n): ℝ^m → ℝ^n, Σ_α P_α(x) · (∂^α s)(φ(x))
+    from sections over the target to sections over the source.  α indexes
+    the nvars target variables and the P_α are polynomials on φ's source
+    ring; phi is the tuple of the φ_i, None for the identity."""
 
-    __slots__ = ("nvars", "rank_in", "rank_out", "terms")
+    __slots__ = ("nvars", "src_nvars", "phi", "rank_in", "rank_out", "terms")
 
-    def __init__(self, nvars, rank_in, rank_out, terms=None):
+    def __init__(self, nvars, rank_in, rank_out, terms=None, phi=None):
+        src = nvars
+        if phi is not None:
+            phi = tuple(phi)
+            if not phi or len(phi) != nvars:
+                raise ValueError("the map needs one component per target variable, "
+                                 "and at least one")
+            src = phi[0].nvars
+            if any(c.nvars != src for c in phi):
+                raise ValueError("map components live in different rings")
         self.nvars = nvars
+        self.src_nvars = src
+        self.phi = phi
         self.rank_in = rank_in
         self.rank_out = rank_out
         out = {}
@@ -110,8 +131,8 @@ class PolyDiffOp:
             mat = [list(row) for row in mat]
             for row in mat:
                 for p in row:
-                    if p.nvars != nvars:
-                        raise ValueError("coefficient in the wrong ring")
+                    if p.nvars != src:
+                        raise ValueError("coefficient is not on the source ring")
             if any(not p.is_zero() for row in mat for p in row):
                 out[alpha] = mat
         self.terms = out
@@ -129,6 +150,13 @@ class PolyDiffOp:
         return cls(f.nvars, rank, rank, {MultiDegree((0,) * f.nvars): _diagonal(f, rank)})
 
     @classmethod
+    def pullback(cls, phi, rank=1):
+        """s ↦ s ∘ φ, the order-0 operator along φ."""
+        return cls(len(phi), rank, rank, {MultiDegree((0,) * len(phi)):
+                                          _diagonal(Poly.constant(phi[0].nvars, 1), rank)},
+                   phi=phi)
+
+    @classmethod
     def coordinate_partial(cls, nvars, i, rank=1):
         alpha = MultiDegree(1 if t == i - 1 else 0 for t in range(nvars))
         return cls(nvars, rank, rank, {alpha: _diagonal(Poly.constant(nvars, 1), rank)})
@@ -141,30 +169,36 @@ class PolyDiffOp:
     def is_zero(self):
         return not self.terms
 
+    def _shape(self):
+        return self.nvars, self.phi, self.rank_in, self.rank_out
+
+    def _like(self, terms):
+        return PolyDiffOp(self.nvars, self.rank_in, self.rank_out, terms, self.phi)
+
+    def _pulled(self, f):
+        """f ∘ φ: a target-ring polynomial on the source ring."""
+        return f if self.phi is None else f.compose(self.phi)
+
     def __eq__(self, other):
         if not isinstance(other, PolyDiffOp):
             return NotImplemented
-        return (self.nvars, self.rank_in, self.rank_out) == \
-            (other.nvars, other.rank_in, other.rank_out) and self.terms == other.terms
+        return self._shape() == other._shape() and self.terms == other.terms
 
     __hash__ = None
 
     def __add__(self, other):
-        if (self.nvars, self.rank_in, self.rank_out) != \
-                (other.nvars, other.rank_in, other.rank_out):
-            raise ValueError("operator shapes differ")
+        if self._shape() != other._shape():
+            raise ValueError("operator shapes or maps differ")
         terms = {a: [row[:] for row in m] for a, m in self.terms.items()}
-        zero = Poly.zero(self.nvars)
         for a, m in other.terms.items():
             if a in terms:
                 terms[a] = _mat_add(terms[a], m)
             else:
                 terms[a] = m
-        return PolyDiffOp(self.nvars, self.rank_in, self.rank_out, terms)
+        return self._like(terms)
 
     def scale(self, c):
-        return PolyDiffOp(self.nvars, self.rank_in, self.rank_out,
-                          {a: [[p.scale(c) for p in row] for row in m]
+        return self._like({a: [[p.scale(c) for p in row] for row in m]
                            for a, m in self.terms.items()})
 
     def __sub__(self, other):
@@ -173,20 +207,21 @@ class PolyDiffOp:
     def apply(self, s):
         if s.rank != self.rank_in or s.nvars != self.nvars:
             raise ValueError("section has the wrong shape")
-        out = PolySection.zero(self.nvars, self.rank_out)
+        out = PolySection.zero(self.src_nvars, self.rank_out)
         for alpha, mat in self.terms.items():
-            ds = s.partial_multi(alpha)
+            ds = [self._pulled(p) for p in s.partial_multi(alpha).polys]
             rows = []
             for i in range(self.rank_out):
-                acc = Poly.zero(self.nvars)
+                acc = Poly.zero(self.src_nvars)
                 for j in range(self.rank_in):
-                    acc = acc + mat[i][j] * ds.polys[j]
+                    acc = acc + mat[i][j] * ds[j]
                 rows.append(acc)
             out = out + PolySection(rows)
         return out
 
     def compose_multiplication(self, f):
-        """D ∘ (f·): generalized Leibniz on each ∂^α."""
+        """D ∘ (f·): generalized Leibniz on each ∂^α, each ∂^γ f pulled back
+        along φ."""
         terms = {}
         for alpha, mat in self.terms.items():
             for gamma in iter_leq(alpha):
@@ -194,19 +229,21 @@ class PolyDiffOp:
                 df = f.partial_multi(MultiDegree(a - g for a, g in zip(alpha, gamma)))
                 if df.is_zero():
                     continue
-                add = _mat_scale_poly(df.scale(b), mat)
+                add = _mat_scale_poly(self._pulled(df).scale(b), mat)
                 if gamma in terms:
                     terms[gamma] = _mat_add(terms[gamma], add)
                 else:
                     terms[gamma] = add
-        return PolyDiffOp(self.nvars, self.rank_in, self.rank_out, terms)
+        return self._like(terms)
 
     def multiplication_compose(self, f):
-        """(f·) ∘ D."""
-        return PolyDiffOp(self.nvars, self.rank_in, self.rank_out,
-                          {a: _mat_scale_poly(f, m) for a, m in self.terms.items()})
+        """(f ∘ φ ·) ∘ D."""
+        f = self._pulled(f)
+        return self._like({a: _mat_scale_poly(f, m) for a, m in self.terms.items()})
 
     def to_json(self):
+        if self.phi is not None:
+            raise ValueError("only operators along the identity have a JSON form")
         rows = []
         for alpha in sorted(self.terms, key=lambda a: (sum(a), a)):
             rows.append({"alpha": list(alpha),
@@ -231,15 +268,15 @@ def iter_leq(alpha):
 
 
 def commutator(D, f):
-    """[D, f·] = D∘(f·) − (f·)∘D, order drops by one."""
+    """[D, f·] = D∘(f·) − (f∘φ·)∘D, order drops by one."""
     if f.nvars != D.nvars:
         raise ValueError("function in the wrong ring")
     return D.compose_multiplication(f) - D.multiplication_compose(f)
 
 
 def iterated_commutator(D, fs):
-    """Closed form Σ_{A⊆K} (−1)^{|A|} f_A · D ∘ (f_{K∖A}·)."""
-    out = PolyDiffOp.zero(D.nvars, D.rank_in, D.rank_out)
+    """Closed form Σ_{A⊆K} (−1)^{|A|} (f_A∘φ) · D ∘ (f_{K∖A}·)."""
+    out = D._like({})
     k = len(fs)
     for bits in product((0, 1), repeat=k):
         fa = Poly.constant(D.nvars, 1)
@@ -285,7 +322,7 @@ def principal_symbol(D, fs):
             raise RuntimeError("internal invariant violated: symbol has positive order")
     if zero_alpha in sym.terms:
         return sym.terms[zero_alpha]
-    z = Poly.zero(D.nvars)
+    z = Poly.zero(D.src_nvars)
     return [[z] * D.rank_in for _ in range(D.rank_out)]
 
 
@@ -366,7 +403,9 @@ def factor_through_jet(D, k, p, basis=None):
     Columns follow the graded-lex jet coefficient layout, rank-in entries per
     multidegree.  Since ∂^α (x − p)^β at p is β!·δ_αβ, column (β, j) is
     β!·P_β(p)[:, j], and zero when β is not a term of D.  basis, when given,
-    is jet_multidegrees(D.nvars, k), as for jet."""
+    is jet_multidegrees(D.nvars, k), as for jet.  Along φ, p is a point of
+    the source and the matrix acts on the jet at φ(p): D(s)(p) =
+    D̂_p · coeffs(jet^k_{φ(p)} s)."""
     if D.order > k:
         raise ValueError("operator order %d exceeds jet order %d" % (D.order, k))
     if basis is None:
@@ -412,94 +451,3 @@ def symmetrized_covariant_jet(s, l, A):
             acc = acc + cur
         out[tup] = acc.scale(Fraction(1, factorial(l)))
     return out
-
-
-class PolyOpAlong:
-    """Operator along a polynomial map φ: ℝ^m → ℝ^n, from sections over the
-    target to sections over the source: Σ_α P_α(x) · (∂^α s)(φ(x))."""
-
-    __slots__ = ("src_nvars", "dst_nvars", "phi", "rank_in", "rank_out", "terms")
-
-    def __init__(self, phi, rank_in, rank_out, terms=None):
-        phi = tuple(phi)
-        if not phi:
-            raise ValueError("target needs at least one coordinate")
-        m = phi[0].nvars
-        if any(c.nvars != m for c in phi):
-            raise ValueError("map components live in different rings")
-        self.src_nvars = m
-        self.dst_nvars = len(phi)
-        self.phi = phi
-        self.rank_in = rank_in
-        self.rank_out = rank_out
-        out = {}
-        for alpha, mat in (terms or {}).items():
-            alpha = MultiDegree(alpha)
-            if len(alpha) != self.dst_nvars:
-                raise ValueError("derivative multidegree indexes target variables")
-            if len(mat) != rank_out or any(len(row) != rank_in for row in mat):
-                raise ValueError("coefficient matrix must be %d x %d" % (rank_out, rank_in))
-            if any(p.nvars != m for row in mat for p in row):
-                raise ValueError("coefficients are source-side polynomials")
-            if any(not p.is_zero() for row in mat for p in row):
-                out[alpha] = [list(row) for row in mat]
-        self.terms = out
-
-    @classmethod
-    def pullback(cls, phi, rank=1):
-        return cls(phi, rank, rank, {MultiDegree((0,) * len(phi)):
-                                     _diagonal(Poly.constant(phi[0].nvars, 1), rank)})
-
-    @property
-    def order(self):
-        return max((sum(a) for a in self.terms), default=-1)
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, PolyOpAlong):
-            return NotImplemented
-        return self.src_nvars == other.src_nvars and \
-            (self.phi, self.rank_in, self.rank_out) == \
-            (other.phi, other.rank_in, other.rank_out) and self.terms == other.terms
-
-    __hash__ = None
-
-    def apply(self, s):
-        if s.rank != self.rank_in or s.nvars != self.dst_nvars:
-            raise ValueError("section has the wrong shape")
-        out = PolySection.zero(self.src_nvars, self.rank_out)
-        for alpha, mat in self.terms.items():
-            ds = s.partial_multi(alpha)
-            pulled = [p.compose(list(self.phi)) for p in ds.polys]
-            rows = []
-            for i in range(self.rank_out):
-                acc = Poly.zero(self.src_nvars)
-                for j in range(self.rank_in):
-                    acc = acc + mat[i][j] * pulled[j]
-                rows.append(acc)
-            out = out + PolySection(rows)
-        return out
-
-
-def commutator_along(Phi, f):
-    """[Φ, f](η) = Φ(f·η) − (f∘φ)·Φ(η) as a new operator along the same map."""
-    if f.nvars != Phi.dst_nvars:
-        raise ValueError("function lives on the target")
-    terms = {}
-    for alpha, mat in Phi.terms.items():
-        for gamma in iter_leq(alpha):
-            if gamma == alpha:
-                continue  # cancels against (f∘φ)·Φ
-            b = multi_binom(alpha, gamma)
-            df = f.partial_multi(MultiDegree(a - g for a, g in zip(alpha, gamma)))
-            if df.is_zero():
-                continue
-            pulled = df.compose(list(Phi.phi)).scale(b)
-            add = _mat_scale_poly(pulled, mat)
-            if gamma in terms:
-                terms[gamma] = _mat_add(terms[gamma], add)
-            else:
-                terms[gamma] = add
-    return PolyOpAlong(Phi.phi, Phi.rank_in, Phi.rank_out, terms)

@@ -15,7 +15,6 @@ from superalg.derivations import (
     classify,
     dimension_of_derivation_space,
     dimension_of_superderivation_space,
-    extend,
     insertion_derivation,
     number_operator,
     reconstruct,
@@ -55,7 +54,7 @@ def superderivations(draw, space):
 
 def test_extend_insertion_example():
     D = SuperDerivation(V2, ODD, [ExtElem.unit(V2), ExtElem.zero(V2)])
-    assert extend(D, mono(V2, 1, 2)) == mono(V2, 2)
+    assert D(mono(V2, 1, 2)) == mono(V2, 2)
 
 
 def test_extend_number_example():

@@ -8,10 +8,8 @@ from strat import small_fractions
 
 from superalg.jets import (
     PolyDiffOp,
-    PolyOpAlong,
     PolySection,
     commutator,
-    commutator_along,
     detect_order,
     factor_through_jet,
     iterated_commutator,
@@ -45,7 +43,9 @@ def polys(draw, nvars, max_deg=3):
 
 
 @st.composite
-def diff_ops(draw, nvars, rank_in=1, rank_out=1, max_order=2):
+def diff_ops(draw, nvars, rank_in=1, rank_out=1, max_order=2, phi=None):
+    # along phi the coefficients live on its source ring
+    src = nvars if phi is None else phi[0].nvars
     n_terms = draw(st.integers(1, 3))
     terms = {}
     for _ in range(n_terms):
@@ -53,9 +53,9 @@ def diff_ops(draw, nvars, rank_in=1, rank_out=1, max_order=2):
                                              for _ in range(nvars)])))
         if sum(alpha) > max_order:
             continue
-        terms[alpha] = [[draw(polys(nvars, max_deg=2)) for _ in range(rank_in)]
+        terms[alpha] = [[draw(polys(src, max_deg=2)) for _ in range(rank_in)]
                         for _ in range(rank_out)]
-    return PolyDiffOp(nvars, rank_in, rank_out, terms)
+    return PolyDiffOp(nvars, rank_in, rank_out, terms, phi=phi)
 
 
 def test_poly_arithmetic():
@@ -306,42 +306,70 @@ def test_symmetrized_jet_symmetric_with_connection(data):
 def test_operator_along_examples():
     # φ: ℝ¹ → ℝ¹, φ(x) = x²
     phi = [p1({2: 1})]
-    pull = PolyOpAlong.pullback(phi)
+    pull = PolyDiffOp.pullback(phi)
     y = Poly.variable(1, 1)
-    assert commutator_along(pull, y).is_zero()
+    assert commutator(pull, y).is_zero()
     assert pull.apply(PolySection([p1({1: 1, 0: 1})])) == PolySection([p1({2: 1, 0: 1})])
-    d_pull = PolyOpAlong(phi, 1, 1, {MultiDegree((1,)): [[ONE1]]})
-    got = commutator_along(d_pull, y)
-    assert got.terms == PolyOpAlong.pullback(phi).terms  # multiplication by dy/dy ∘ φ = 1
-    nested = commutator_along(commutator_along(d_pull, y), y)
+    d_pull = PolyDiffOp(1, 1, 1, {MultiDegree((1,)): [[ONE1]]}, phi=phi)
+    got = commutator(d_pull, y)
+    assert got.terms == PolyDiffOp.pullback(phi).terms  # multiplication by dy/dy ∘ φ = 1
+    nested = commutator(commutator(d_pull, y), y)
     assert nested.is_zero()
+    # φ: ℝ² → ℝ¹, φ(x) = x1·x2; a vanishing symbol is a zero matrix on the source ring
+    x1x2 = Poly(2, {(1, 1): 1})
+    d_along = PolyDiffOp(1, 1, 1, {MultiDegree((1,)): [[Poly.constant(2, 1)]]}, phi=[x1x2])
+    assert principal_symbol(d_along, [ONE1]) == [[Poly.zero(2)]]
+    assert principal_symbol(d_along, [y]) == [[Poly.constant(2, 1)]]
 
 
 @given(data=st.data())
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=25, deadline=None)
 def test_operator_along_annihilation(data):
-    phi = [data.draw(polys(1, max_deg=2), label="phi")]
-    k = data.draw(st.integers(1, 2), label="order")
-    terms = {MultiDegree((a,)): [[data.draw(polys(1, max_deg=1), label="P%d" % a)]]
-             for a in range(k + 1)}
-    Phi = PolyOpAlong(phi, 1, 1, terms)
-    out = Phi
-    for i in range(k + 1):
-        out = commutator_along(out, data.draw(polys(1, max_deg=2), label="f%d" % i))
-    assert out.is_zero()
+    m = data.draw(st.integers(1, 2), label="source nvars")
+    n = data.draw(st.integers(1, 2), label="target nvars")
+    phi = [data.draw(polys(m, max_deg=2), label="phi%d" % i) for i in range(n)]
+    Phi = data.draw(diff_ops(n, max_order=2, phi=phi), label="Phi")
+    k = max(Phi.order, 0)
+    fs = [data.draw(polys(n, max_deg=2), label="f%d" % i) for i in range(k + 1)]
+    assert iterated_commutator(Phi, fs[:k]) == nested_commutator(Phi, fs[:k])
+    assert iterated_commutator(Phi, fs).is_zero()
+    assert nested_commutator(Phi, fs).is_zero()
+    # [Φ,f](η) = Φ(f·η) − (f∘φ)·Φ(η) pointwise on a section
+    f = fs[0]
+    eta = PolySection([data.draw(polys(n, max_deg=3), label="eta")])
+    assert commutator(Phi, f).apply(eta) == Phi.apply(PolySection([f * eta.polys[0]])) - \
+        PolySection([f.compose(phi) * q for q in Phi.apply(eta).polys])
 
 
 def test_operator_along_is_twisted_commutator():
     # [Φ,f](η) = Φ(f·η) − (f∘φ)·Φ(η) checked pointwise on sections
     phi = [p1({2: 1, 0: 1})]
-    Phi = PolyOpAlong(phi, 1, 1, {MultiDegree((1,)): [[X]], MultiDegree((0,)): [[ONE1]]})
+    Phi = PolyDiffOp(1, 1, 1, {MultiDegree((1,)): [[X]], MultiDegree((0,)): [[ONE1]]},
+                     phi=phi)
     f = p1({1: 3})
     eta = PolySection([p1({2: 1, 1: -1})])
-    direct = commutator_along(Phi, f).apply(eta)
+    direct = commutator(Phi, f).apply(eta)
     f_eta = PolySection([f * eta.polys[0]])
     f_pulled = f.compose(phi)
     assert direct == Phi.apply(f_eta) - PolySection(
         [f_pulled * q for q in Phi.apply(eta).polys])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: PolyDiffOp(2, 1, 1, phi=[X]),
+    lambda: PolyDiffOp(0, 1, 1, phi=[]),
+    lambda: PolyDiffOp(2, 1, 1, phi=[X, Poly.variable(2, 1)]),
+    lambda: PolyDiffOp(1, 1, 1, {MultiDegree((1,)): [[X]]}, phi=[Poly.variable(2, 1)]),
+    lambda: PolyDiffOp(1, 1, 1, {MultiDegree((0,)): [[Poly.variable(2, 2)]]}),
+    lambda: PolyDiffOp.pullback([X * X]) + PolyDiffOp.identity(1, 1),
+    lambda: PolyDiffOp.pullback([X * X]) + PolyDiffOp.pullback([X]),
+    lambda: PolyDiffOp.pullback([X * X]).to_json(),
+], ids=["map-too-short", "map-empty", "map-rings-differ", "coefficient-off-source",
+        "coefficient-off-base", "add-along-and-identity", "add-along-two-maps",
+        "json-along-a-map"])
+def test_operator_along_rejections(build):
+    with pytest.raises(ValueError):
+        build()
 
 
 def test_diff_op_json_roundtrip():
