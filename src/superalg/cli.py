@@ -156,20 +156,20 @@ HOMOLOGY_MAX_DIM = 14641
 # counts 205,952.  The slowest dense --op delta run found under the limit is
 # 3|3 with k = 4 and cutoff 1 (4,128 monomials, 0.6-0.7 s).
 SDERHAM_MAX_DIM = 5000
-# supermap-check's order bound images 2**(p // 2 + 1) products of a random
-# argument spanning 2**q exterior monomials into an algebra spanning 2**p, for
-# source odd rank p and target odd rank q, so it refuses a larger p + q.
-# Criterion-9 shaped maps 1|p -> 2|q (2-CPU host, --budget small): p + q = 10
-# takes 0.1-0.6 s (6|4 the slowest, 2.3 s at --budget medium), p + q = 11
-# takes 0.2-2.0 s (8|3 and 6|5 the slowest), and 9|4 takes 9.2 s.
+# supermap-check's order bound images a random argument spanning 2**q exterior
+# monomials through p // 2 + 1 nested commutators, one memoized level at a
+# time, into an algebra spanning 2**p (source odd rank p, target odd rank q),
+# so it refuses a larger p + q.  Criterion-9 shaped maps 1|p -> 2|q (2-CPU
+# host, --budget small, CPU time): p + q = 10 takes 0.013-0.06 s (1|1 -> 2|9
+# the slowest, 1|6 -> 2|4 0.045 s at --budget medium), and above the limit
+# 1|9 -> 2|4 takes 0.05 s and 1|4 -> 2|10 0.23 s.
 SUPERMAP_MAX_ODD = 10
 # Each random argument of the order bound is a degree-2 polynomial in the n
 # target coordinates, so its time also grows steeply with n, and
 # supermap-check refuses a larger target even rank.  Criterion-9 shaped maps
-# 1|p -> n|q (2-CPU host, --budget small): 1|4 -> n|2 takes 0.03 s at n = 2,
-# 0.07 s at 3, 0.15 s at 4, 0.8 s at 6 and 2.6 s at 8; at n = 3 the slowest
-# shapes under SUPERMAP_MAX_ODD are 1|6 -> 3|4 (2.4 s) and 1|8 -> 3|2 (2.5 s),
-# which take 8.4 s and 14 s at n = 4.
+# 1|p -> n|q (2-CPU host, --budget small): 1|4 -> n|2 takes 0.006 s at n = 2,
+# 0.015 s at 3, 0.04 s at 4, 0.26 s at 6 and 1.1 s at 8; the slowest at n = 3
+# with p + q = 10 is 1|9 -> 3|1 (0.15 s), and 1|8 -> 4|2 takes 0.94 s.
 SUPERMAP_MAX_EVEN = 3
 # jet-factor's factoring matrix has rank_out rows of C(m + k, k)·rank_in
 # entries, so it refuses a larger one, or m or k at the limit.  The time also

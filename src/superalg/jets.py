@@ -116,6 +116,8 @@ class PolyDiffOp:
             src = phi[0].nvars
             if any(c.nvars != src for c in phi):
                 raise ValueError("map components live in different rings")
+            if src == nvars and phi == tuple(Poly.variable(src, i) for i in range(1, src + 1)):
+                phi = None   # the identity, written out
         self.nvars = nvars
         self.src_nvars = src
         self.phi = phi

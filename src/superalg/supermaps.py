@@ -19,12 +19,13 @@ T·max(Dc, 1) + q·Do, for Dc and Do the largest total degrees of the
 coordinate and odd images and q the target odd rank.  The memo holds the
 images of pure monomials, x^e or θ^K, only: Σ_K g_K θ^K, each g_K free of
 odd generators, goes to Σ_K φ(g_K)·φ(θ^K), summed one odd mask at a time
-(_nested_ints).  Products go through lincomb.sym_ext_ints and sums through
-_combine, over the lcm of the denominators.  Every pair is kept in lowest
-terms, and the packing is injective at fixed widths, so two pairs are equal
-exactly when the superfunctions they stand for are.  Terms are packed where
-an element enters, and unpacked, with one Fraction per term, only where a
-PolySuperFunc or Poly is returned.
+(_nested_ints); nested twisted commutators take the place of φ(g_K) one
+level at a time, each level a linear map memoized on pure even keys.
+Products go through lincomb.sym_ext_ints and sums through _combine, over the
+lcm of the denominators.  Every pair is kept in lowest terms, and the
+packing is injective at fixed widths, so two pairs are equal exactly when
+the superfunctions they stand for are.  Terms are packed where an element
+enters, and unpacked, one Fraction per term, only where a result is returned.
 """
 
 from fractions import Fraction
@@ -342,38 +343,34 @@ def _combine(weighted, d=1):
     return _lowest(den * d, {k: v for k, v in out.items() if v})
 
 
-def _even_image(phi, eta, table):
-    """Image of a target pair with no odd generator, summed from the images
-    of its monomials in table (see _monomial_image)."""
-    return _combine([(c, table.get(k) or phi._monomial_image(k, table))
-                     for k, c in eta[1].items()], eta[0])
-
-
 def _nested_ints(phi, factors, eta):
     """Nested twisted commutators on cleared pairs: factors[-1] outermost,
     each a _base_factor pair (lifted, pulled), applied to the target pair
-    eta; with no factor, the image of eta.  The factors are even, so on
-    eta = sum of g_K theta^K, each g_K free of odd generators, the value is
-    the sum of the commutators of g_K (_nested_even) times phi(theta^K)."""
+    eta; with no factor, the image of eta.  Level j is the linear map
+    N_j(g) = N_{j-1}(f_j g) - (f_j o phi_0) N_{j-1}(g), N_0 the image and
+    f_j = factors[j - 1] lifted to (d, {k: c_k}); on a pure even key x^e it
+    is (sum c_k N_{j-1}(x^(e+k)) - d (f_j o phi_0) N_{j-1}(x^e)) / d, x^(e+k)
+    packed as key + k, memoized per level for this call.  The factors are
+    even, so on eta = sum of g_K theta^K, each g_K free of odd generators,
+    the value is the sum of N_top(g_K) times phi(theta^K)."""
     target, source = phi._layouts
-    parts = []
-    for m, group in by_mask(eta[1], target.lows[0]).items():
-        pair = _nested_even(phi, factors, (eta[0], {k ^ m: c for k, c in group}))
-        parts.append((1, _product(pair, phi._monomial_image(m), source) if m else pair))
-    return _combine(parts)
+    levels = [phi._mono_images] + [{} for _ in factors]
 
+    def column(j, key):
+        pair = levels[j].get(key)
+        if pair is None:
+            if not j:
+                return phi._monomial_image(key)
+            (d, lifted), pulled = factors[j - 1]
+            pair = levels[j][key] = _combine(
+                [(c, column(j - 1, key + k)) for k, c in lifted.items()]
+                + [(-d, _product(pulled, column(j - 1, key), source))], d)
+        return pair
 
-def _nested_even(phi, factors, eta):
-    # _nested_ints on a target pair eta with no odd generator:
-    # [f, -](eta) = phi(f eta) - (f o phi_0) phi(eta), which images the
-    # products f_S eta over the subsets S of the factors, all even sums
-    if not factors:
-        return _even_image(phi, eta, phi._mono_images)
-    lifted, pulled = factors[-1]
-    rest = factors[:-1]
-    target, source = phi._layouts
-    return _combine([(1, _nested_even(phi, rest, _product(lifted, eta, target))),
-                     (-1, _product(pulled, _nested_even(phi, rest, eta), source))])
+    tops = [(m, _combine([(c, column(len(factors), k ^ m)) for k, c in group], eta[0]))
+            for m, group in by_mask(eta[1], target.lows[0]).items()]
+    return _combine([(1, _product(pair, phi._monomial_image(m), source) if m else pair)
+                     for m, pair in tops])
 
 
 def _check_target(phi, f):
@@ -401,8 +398,9 @@ def _base_factor(phi, f):
     f composed with the base map on the source algebra); the second is
     summed from the memo of body products, independent of the image memo."""
     empty = IndexSet()
-    lifted = phi._layouts[0].cleared({(e, empty): c for e, c in f.terms.items()})
-    return lifted, _even_image(phi, lifted, phi._pulled)
+    d, lifted = phi._layouts[0].cleared({(e, empty): c for e, c in f.terms.items()})
+    return (d, lifted), _combine([(c, phi._monomial_image(k, phi._pulled))
+                                  for k, c in lifted.items()], d)
 
 
 def pull_function(phi, f):
@@ -475,8 +473,8 @@ def order_bound_check(phi, trials=6, seed=0):
     Each commutator multiplies by a defect with no exterior-degree-0
     part, and those defects are even, so floor(p/2) + 1 of them overflow
     the exterior algebra on the p odd generators of the output side.
-    Both routes are taken: the nested definition on a random argument
-    and the product of defects times the morphism.
+    Both routes run on a random argument: the nested definition, one linear
+    level at a time (_nested_ints), and the defects' product times its image.
 
     Both run on cleared pairs in lowest terms.  Each trial draws its base
     functions and argument first, widens the map's keys for their product,

@@ -355,6 +355,20 @@ def test_operator_along_is_twisted_commutator():
         [f_pulled * q for q in Phi.apply(eta).polys])
 
 
+def test_identity_map_written_out_is_no_map():
+    # φ = (x_1, …, x_n) is the identity, so operators along it are the plain ones
+    pull = PolyDiffOp.pullback([X])
+    assert pull.phi is None
+    assert pull == PolyDiffOp.identity(1, 1)
+    assert pull + PolyDiffOp.identity(1, 1) == PolyDiffOp.multiplication(Poly.constant(1, 2))
+    coords = [Poly.variable(2, 1), Poly.variable(2, 2)]
+    d = PolyDiffOp.coordinate_partial(2, 1)
+    assert PolyDiffOp(2, 1, 1, d.terms, phi=coords) == d
+    # swapped coordinates are a map, and one on a larger source ring too
+    assert PolyDiffOp(2, 1, 1, d.terms, phi=coords[::-1]).phi is not None
+    assert PolyDiffOp.pullback([Poly.variable(2, 1)]).phi is not None
+
+
 @pytest.mark.parametrize("build", [
     lambda: PolyDiffOp(2, 1, 1, phi=[X]),
     lambda: PolyDiffOp(0, 1, 1, phi=[]),

@@ -12,7 +12,7 @@ from itertools import combinations, product
 from math import lcm
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from famgen import dense_conn
 from oracles import (
@@ -345,6 +345,17 @@ def test_twisted_d_square_is_curvature(conn, s):
           suppress_health_check=[HealthCheck.large_base_example])
 @given(connections(2, 2, max_deg=1, max_entries=3))
 def test_twisted_derivative_of_curvature_vanishes(conn):
+    out = twisted_d_end(conn, curvature(conn))
+    assert all(not out[g][b] for g in range(2) for b in range(2))
+
+
+@settings(max_examples=10, deadline=None,
+          suppress_health_check=[HealthCheck.large_base_example])
+@given(connections(3, 2, max_deg=1, max_entries=4))
+@example(conn_from(3, 2, {(1, 1, 2): V(3, 1), (1, 2, 1): V(3, 2), (2, 1, 3): 1}))
+def test_bianchi_on_a_three_dimensional_base(conn):
+    # on a 2-dimensional base every 3-form vanishes, so F wedge A, and the
+    # sign of the right wedge, only shows from m = 3 on
     out = twisted_d_end(conn, curvature(conn))
     assert all(not out[g][b] for g in range(2) for b in range(2))
 

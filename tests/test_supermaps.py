@@ -507,6 +507,70 @@ def test_commutators_match_fraction_recursion(phi, fs, eta, spoil):
         assert commutator_defect(phi, f) == commutator_defect_direct(phi, f)
 
 
+def six_odd_map():
+    # 1|6 -> 2|2: the defects of x1 and x2 are ds1 ds2 + x ds3 ds4 and
+    # ds5 ds6 + ds1 ds2 ds3 ds4, whose product nu1^2 nu2 = 2x ds1 ... ds6 is
+    # not zero, so three commutators need not vanish and the bound is four
+    def mono(exps, key, c=1):
+        return PolySuperFunc.monomial(1, 6, exps, key, c)
+    x = PolySuperFunc.coordinate(1, 6, 1)
+    coords = [x + mono((0,), (1, 2)) + mono((1,), (3, 4)),
+              PolySuperFunc.constant(1, 6, 2) - x + mono((0,), (5, 6)) + mono((0,), (1, 2, 3, 4))]
+    odds = [mono((0,), (1,)) + mono((1,), (2,)) + mono((0,), (3, 4, 5)),
+            mono((0,), (3,), -1) + mono((1,), (6,), Fraction(1, 2))]
+    return SuperMapData(coords, odds)
+
+
+def p2(entries):
+    return Poly(2, {MultiDegree(e): Fraction(c) for e, c in entries.items()})
+
+
+# an argument with every odd mask and several even keys per mask
+LEVEL_ETA = sf(2, 2, {((0, 0), ()): 1, ((1, 0), ()): -2, ((0, 1), (1,)): 3,
+                      ((2, 1), (2,)): Fraction(1, 2), ((1, 1), (1, 2)): 1, ((0, 0), (1, 2)): -1})
+# name -> (map, base functions fs[0] innermost, whether the commutator vanishes)
+LEVEL_CASES = {
+    "zero-f-inner": (nilpotent_junk_map, [p2({}), p2({(1, 0): 1, (0, 1): 1})], True),
+    "zero-f-outer": (nilpotent_junk_map, [p2({(1, 1): 1}), p2({})], True),
+    # a constant lifts to key 0, so both branches of its level read one entry
+    "constant-f": (nilpotent_junk_map, [p2({(0, 0): 3}), p2({(1, 0): 1})], True),
+    "constant-terms": (six_odd_map, [p2({(0, 0): 2, (1, 0): 1}),
+                                     p2({(0, 0): -1, (0, 2): 1})], False),
+    "repeated-f": (six_odd_map, [p2({(0, 0): 1, (1, 0): 1, (0, 2): -1})] * 3, False),
+    "depth-3-on-1|6": (six_odd_map, [p2({(1, 0): 1}), p2({(0, 1): 2, (1, 1): 1}),
+                                     p2({(1, 0): 1, (0, 0): 5})], False),
+    "depth-4-on-1|6": (six_odd_map, [p2({(1, 0): 1}), p2({(0, 1): 2, (1, 1): 1}),
+                                     p2({(1, 0): 1, (0, 0): 5}),
+                                     p2({(2, 0): Fraction(1, 3), (0, 1): -1})], True),
+}
+
+
+def memo_mismatches(phi):
+    """The target monomials whose memo entry is not their image by the
+    Fraction oracle."""
+    target, source = phi._layouts
+    n, q = phi.target_nvars, phi.target_odd
+    return [target.unpack(k) for k, pair in phi._mono_images.items()
+            if source.rationals(*pair)
+            != oracle_image(phi, PolySuperFunc.monomial(n, q, *target.unpack(k)))]
+
+
+@pytest.mark.parametrize("name", sorted(LEVEL_CASES))
+def test_commutator_levels_match_fraction_recursion(name):
+    build, fs, vanishes = LEVEL_CASES[name]
+    want = iterated_twisted_commutator_direct(build(), fs, LEVEL_ETA)
+    assert want.is_zero() == vanishes
+    phi = build()
+    assert iterated_twisted_commutator(phi, fs, LEVEL_ETA) == want
+    # the base functions commute, and each call builds its own level memos
+    assert iterated_twisted_commutator(phi, fs[::-1], LEVEL_ETA) == want
+    for k in range(len(fs)):
+        assert iterated_twisted_commutator(phi, fs[:k], LEVEL_ETA) == \
+            iterated_twisted_commutator_direct(build(), fs[:k], LEVEL_ETA)
+    # no level's column lands in the map's image memo
+    assert memo_mismatches(phi) == []
+
+
 def report_fields(rep):
     return rep.depth, rep.trials, rep.failures, rep.passed
 
