@@ -63,6 +63,7 @@ from .liesuper import (
     check_structure_conditions,
 )
 from .linalg import mat_mul
+from .lincomb import add_term
 from .poly import Poly
 from .scalars import IndexSet, MultiDegree, Permutation, sym_dim
 from .sderham import (
@@ -251,13 +252,13 @@ def parse_matrix(data):
 # ------------------------------------------------------- random inputs
 
 def rand_poly(rng, m, max_deg=2, terms=2):
-    out = Poly.zero(m)
+    out = {}
     for _ in range(terms):
         exps = [0] * m
         for _ in range(rng.randint(0, max_deg) if m else 0):
             exps[rng.randrange(m)] += 1
-        out = out + Poly.monomial(m, exps, Fraction(rng.randint(-3, 3)))
-    return out
+        add_term(out, MultiDegree(exps), Fraction(rng.randint(-3, 3)))
+    return Poly._raw(m, out)
 
 
 def rand_ext(rng, space, max_terms=3, parity=None):

@@ -1,32 +1,38 @@
 """Derivations and superderivations of the exterior algebra of a based space.
 
 A (super)derivation is stored by its generator images only; applying it
-expands the graded Leibniz rule in place.  The classification splits an
-ungraded derivation into a generator-image part with odd-degree images and
-a left-multiplication part encoded by a single odd form.
+expands the graded Leibniz rule in place, into one output dict, with no
+intermediate element built.  The classification splits an ungraded
+derivation into a generator-image part with odd-degree images and a
+left-multiplication part encoded by a single odd form.
 """
 
 from fractions import Fraction
 
 from . import decode
 from .exterior import ExtElem
+from .lincomb import add_term, merge_sign
 from .scalars import EVEN, ODD, Parity
 
 
 def _leibniz(space, images, parity, a):
     """Expand the generator images over a by the Leibniz rule, the image
-    replacing the t-th factor of a monomial carrying the sign (−1)^(parity·t)."""
-    out = ExtElem.zero(space)
+    replacing the t-th factor of a monomial carrying the sign (−1)^(parity·t).
+    Each (term of a, slot, image term) is two merge_sign calls, head ∧ image
+    term, then ∧ tail, and one Fraction product."""
+    images = [im.terms for im in images]
+    terms = {}
     for key, coeff in a.terms.items():
         for t in range(len(key)):
-            img = images[key[t] - 1]
-            if img.is_zero():
-                continue
-            sign = -1 if (parity * t) % 2 else 1
-            head = ExtElem.monomial(space, key[:t], sign * coeff)
-            tail = ExtElem.monomial(space, key[t + 1:])
-            out = out + head.wedge(img).wedge(tail)
-    return out
+            c = -coeff if parity & t & 1 else coeff
+            head, tail = key[:t], key[t + 1:]
+            for k, v in images[key[t] - 1].items():
+                mid, s1 = merge_sign(head, k)
+                if mid is not None:
+                    out, s2 = merge_sign(mid, tail)
+                    if out is not None:
+                        add_term(terms, out, c * v if s1 == s2 else -(c * v))
+    return ExtElem._raw(space, terms)
 
 
 class SuperDerivation:
@@ -97,16 +103,6 @@ def ungraded_extend(space, images, a):
 def build_DF(space, images):
     """The even superderivation Σ_μ F(dv_μ) ∧ (v_μ ⌟ ·) from odd-degree images."""
     return SuperDerivation(space, EVEN, images)
-
-
-def apply_DF_sum(space, images, a):
-    # the defining sum, kept separate so tests can compare it with build_DF
-    out = ExtElem.zero(space)
-    for mu in range(1, space.dim + 1):
-        v = [0] * space.dim
-        v[mu - 1] = 1
-        out = out + images[mu - 1].wedge(a.insert(v))
-    return out
 
 
 def number_operator(space):

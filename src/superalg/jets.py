@@ -19,7 +19,7 @@ from math import factorial, prod
 
 from . import decode
 from .poly import Poly, multi_binom
-from .scalars import MultiDegree, iter_multidegrees
+from .scalars import MultiDegree, cleared, iter_multidegrees
 
 
 class PolySection:
@@ -361,9 +361,11 @@ def jet_multidegrees(nvars, k):
 
 def jet(s, k, p, basis=None):
     """The k-jet of s at p in one pass over the terms of s: the coefficient
-    of y^β in s(p + y) is Σ_e c_e Π_i C(e_i, β_i) p_i^(e_i − β_i).  basis,
-    when given, is jet_multidegrees(s.nvars, k), built once by a caller
-    that takes several jets in the same variables and order."""
+    of y^β in s(p + y) is Σ_e c_e Π_i C(e_i, β_i) p_i^(e_i − β_i), summed on
+    ints as in Poly.evaluate, a summand scaled by b^(top − |e| + |β|), and
+    one Fraction is built per jet coefficient.  basis, when given, is
+    jet_multidegrees(s.nvars, k), built once by a caller that takes several
+    jets in the same variables and order."""
     if len(p) != s.nvars:
         raise ValueError("point needs %d coordinates" % s.nvars)
     p = [Fraction(x) for x in p]
@@ -371,17 +373,21 @@ def jet(s, k, p, basis=None):
         basis = jet_multidegrees(s.nvars, k)
     pos = {beta: i for i, beta in enumerate(basis)}
     r = s.rank
-    coeffs = [Fraction(0)] * (len(pos) * r)
-    for j, poly in enumerate(s.polys):
-        for e, c in poly.terms.items():
-            for beta in iter_leq(e):
-                if sum(beta) > k:
-                    continue
-                v = c * multi_binom(e, beta)
-                for x, a, b in zip(p, e, beta):
-                    v *= x ** (a - b)
-                coeffs[pos[beta] * r + j] += v
-    return JetClass(p, k, coeffs)
+    b, xs = cleared(p)
+    terms = [(j, e) for j, poly in enumerate(s.polys) for e in poly.terms]
+    d, nums = cleared([c for poly in s.polys for c in poly.terms.values()])
+    top = max((sum(e) for _, e in terms), default=0)
+    acc = [0] * (len(pos) * r)
+    for (j, e), n in zip(terms, nums):
+        for beta in iter_leq(e):
+            nb = sum(beta)
+            if nb <= k:
+                v = n * multi_binom(e, beta) * b ** (top - sum(e) + nb)
+                for x, a, c in zip(xs, e, beta):
+                    v *= x ** (a - c)
+                acc[pos[beta] * r + j] += v
+    den = d * b ** top
+    return JetClass(p, k, [Fraction(v, den) for v in acc])
 
 
 def jet_operator(nvars, rank, k):

@@ -6,7 +6,7 @@ from operator import add
 
 from . import decode
 from .lincomb import LinComb, add_term
-from .scalars import MultiDegree, format_scalar
+from .scalars import MultiDegree, cleared, format_scalar
 
 _new = tuple.__new__
 
@@ -82,16 +82,21 @@ class Poly(LinComb):
         return out
 
     def evaluate(self, point):
+        """Summed on ints: the point is cleared once to (b, ints) and the
+        coefficients to (d, ints), term e is scaled by b^(top − |e|), top the
+        total degree, and one Fraction is built, the sum over d·b^top."""
         if len(point) != self.nvars:
             raise ValueError("point needs %d coordinates" % self.nvars)
-        point = [Fraction(x) for x in point]
-        total = Fraction(0)
-        for exps, c in self.terms.items():
-            v = c
-            for x, e in zip(point, exps):
-                v *= x ** e
-            total += v
-        return total
+        b, xs = cleared([Fraction(x) for x in point])
+        d, nums = cleared(self.terms.values())
+        top = max(map(sum, self.terms), default=0)
+        total = 0
+        for exps, n in zip(self.terms, nums):
+            n *= b ** (top - sum(exps))
+            for x, e in zip(xs, exps):
+                n *= x ** e
+            total += n
+        return Fraction(total, d * b ** top)
 
     def compose(self, args):
         """Substitute args[i] for variable i+1; args live in a common ring.

@@ -195,9 +195,12 @@ def family_is_commuting(fam):
 
 
 class Straightening:
-    """Generator images ds_ν ↦ ds_ν + (odd higher-degree corrections)."""
+    """Generator images ds_ν ↦ ds_ν + (odd higher-degree corrections).
 
-    __slots__ = ("dim_s", "images")
+    The images are immutable after construction, so each G(ds_K) is built
+    once per instance and kept in _memo, which == and to_json ignore."""
+
+    __slots__ = ("dim_s", "images", "_memo")
 
     def __init__(self, dim_s, images):
         images = tuple(images)
@@ -213,6 +216,7 @@ class Straightening:
                 raise ValueError("images must have odd exterior degrees")
         self.dim_s = dim_s
         self.images = images
+        self._memo = {(): ExtElem.unit(space)}
 
     @property
     def space(self):
@@ -234,18 +238,26 @@ class Straightening:
         return CompElem(self.dim_s, terms)
 
     def apply_to_monomial(self, key):
-        """Multiplicative extension on ds_key."""
-        out = ExtElem.unit(self.space)
-        for k in key:
-            out = out.wedge(self.images[k - 1])
+        """Multiplicative extension on ds_key, key strictly increasing in
+        1..dim_s and checked on a memo miss only.  A new entry is the one
+        wedge G(ds_K[:-1]) ∧ G(ds_K[-1]), factors left to right; it is shared."""
+        key = tuple(key)
+        out = self._memo.get(key)
+        if out is None:
+            head = self.apply_to_monomial(key[:-1])
+            last, prev = key[-1], key[-2] if len(key) > 1 else 0
+            if type(last) is not int or not prev < last <= self.dim_s:
+                raise ValueError("%r is not strictly increasing in 1..%d" % (key, self.dim_s))
+            out = self._memo[key] = head.wedge(self.images[last - 1])
         return out
 
     def apply(self, x):
         """Linear extension of apply_to_monomial to an exterior element."""
-        out = ExtElem.zero(self.space)
+        terms = {}
         for key, c in x.terms.items():
-            out = out + self.apply_to_monomial(key).scale(c)
-        return out
+            for k, v in self.apply_to_monomial(key).terms.items():
+                add_term(terms, k, c * v)
+        return ExtElem._raw(self.space, terms)
 
     def to_json(self):
         return {"dim_s": self.dim_s, "images": [im.to_json() for im in self.images]}
@@ -321,13 +333,7 @@ def _kernel_rows(f_mat, q, mu, src_index):
     if len(kernel) < 2 * mu + 1:
         return []
     space = _ds_space(q)
-    kvecs = []
-    for v in kernel:
-        e = ExtElem.zero(space)
-        for nu, c in enumerate(v, start=1):
-            if c:
-                e = e + ExtElem.generator(space, nu).scale(c)
-        kvecs.append(e)
+    kvecs = [ExtElem(space, {(nu,): c for nu, c in enumerate(v, start=1)}) for v in kernel]
     rows = []
     for pick in combinations(range(len(kvecs)), 2 * mu + 1):
         w = ExtElem.unit(space)
@@ -425,19 +431,19 @@ def verify_straightening(fam, g):
         raise ValueError("family and straightening sizes differ")
     q = fam.dim_s
     f_mat = fam.f_matrix()
-    space = g.space
     failures = []
     for i in range(1, fam.dim_v + 1):
         D = fam.as_superderivation(i)
         for size in range(q + 1):
             for K in combinations(range(1, q + 1), size):
                 lhs = D(g.apply_to_monomial(K))
-                rhs = ExtElem.zero(space)
+                rhs = {}
                 for s in K:
                     rest, sgn = contract(K, s)
-                    c = f_mat[s - 1][i - 1]
+                    c = sgn * f_mat[s - 1][i - 1]
                     if c:
-                        rhs = rhs + g.apply_to_monomial(rest).scale(sgn * c)
-                if lhs != rhs:
+                        for k, v in g.apply_to_monomial(rest).terms.items():
+                            add_term(rhs, k, c * v)
+                if lhs.terms != rhs:
                     failures.append((i, K))
     return StraighteningReport(failures)

@@ -16,7 +16,10 @@ by Fraction Poly substitution (pull_function_direct).  The Lie superalgebra
 oracle reads brackets through LieSuperData.bracket and sums dense Fraction
 vectors.  The jet oracles work in Poly arithmetic: one shifts, truncates
 and shifts back, the other applies the operator to every basis section
-(x − p)^β.
+(x − p)^β.  The exterior oracles multiply whole ExtElem elements with
+ExtElem.wedge: leibniz_by_wedges builds head ∧ image ∧ tail for every slot,
+and the straightening oracles wedge the generator images left to right
+without a memo.  fraction_evaluate evaluates a Poly in Fraction.
 echelon_eager is the integer echelon as it removed a row's content after
 every step; linalg.echelon must store the same primitive rows.
 """
@@ -28,6 +31,7 @@ from operator import add
 import random
 
 from superalg.cartan import ext_contract, ext_wedge
+from superalg.exterior import ExtElem
 from superalg.jets import PolySection, jet_multidegrees
 from superalg.liesuper import LieCheckReport
 from superalg.lincomb import add_term, contract, merge_sign, replace
@@ -754,3 +758,57 @@ def factor_through_jet_by_apply(D, k, p):
                              for t in range(D.rank_in)])
             cols.append(D.apply(s).evaluate(p))
     return [[cols[c][r] for c in range(len(cols))] for r in range(D.rank_out)]
+
+
+def leibniz_by_wedges(space, images, parity, a):
+    """The Leibniz expansion of generator images over a, one slot at a time:
+    head ∧ image ∧ tail as whole wedges, head carrying (−1)^(parity·t)."""
+    out = ExtElem.zero(space)
+    for key, coeff in a.terms.items():
+        for t in range(len(key)):
+            img = images[key[t] - 1]
+            if img.is_zero():
+                continue
+            sign = -1 if (parity * t) % 2 else 1
+            head = ExtElem.monomial(space, key[:t], sign * coeff)
+            tail = ExtElem.monomial(space, key[t + 1:])
+            out = out + head.wedge(img).wedge(tail)
+    return out
+
+
+def apply_DF_sum(space, images, a):
+    """The defining sum Σ_μ F(dv_μ) ∧ (v_μ ⌟ a) of build_DF."""
+    out = ExtElem.zero(space)
+    for mu in range(1, space.dim + 1):
+        v = [0] * space.dim
+        v[mu - 1] = 1
+        out = out + images[mu - 1].wedge(a.insert(v))
+    return out
+
+
+def straightening_monomial(g, key):
+    """G(ds_key) as the product of the generator images, left to right."""
+    out = ExtElem.unit(g.space)
+    for k in key:
+        out = out.wedge(g.images[k - 1])
+    return out
+
+
+def straightening_apply(g, x):
+    """G(x) as the linear extension of straightening_monomial."""
+    out = ExtElem.zero(g.space)
+    for key, c in x.terms.items():
+        out = out + straightening_monomial(g, key).scale(c)
+    return out
+
+
+def fraction_evaluate(poly, point):
+    """The value of a Poly at a point, term by term in Fraction."""
+    point = [Fraction(x) for x in point]
+    total = Fraction(0)
+    for exps, c in poly.terms.items():
+        v = c
+        for x, e in zip(point, exps):
+            v *= x ** e
+        total += v
+    return total

@@ -3,13 +3,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import leibniz_solution_dim
+from oracles import apply_DF_sum, leibniz_by_wedges, leibniz_solution_dim
 from strat import small_fractions
 
 from superalg.derivations import (
     DerivationClassification,
     SuperDerivation,
-    apply_DF_sum,
+    _leibniz,
     apply_classified,
     build_DF,
     classify,
@@ -138,6 +138,33 @@ def test_superbracket_is_operator_commutator(D1, D2, a):
     br = superbracket(D1, D2)
     assert br.parity == D1.parity + D2.parity
     assert br(a) == D1(D2(a)) - D2(D1(a)).scale(sign)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_leibniz_matches_wedge_oracle(data):
+    space = ExtSpace(data.draw(st.integers(1, 6), label="dim"))
+    parity = data.draw(st.sampled_from([0, 1]), label="parity")
+    images = [data.draw(st.one_of(st.just(ExtElem.zero(space)), elems(space, max_terms=3)))
+              for _ in range(space.dim)]
+    a = data.draw(elems(space), label="a")
+    assert _leibniz(space, images, parity, a) == leibniz_by_wedges(space, images, parity, a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_superbracket_matches_wedge_oracle(data):
+    space = ExtSpace(data.draw(st.integers(1, 5), label="dim"))
+    D1 = data.draw(superderivations(space), label="D1")
+    D2 = data.draw(superderivations(space), label="D2")
+    sign = -1 if int(D1.parity) * int(D2.parity) else 1
+
+    def by_wedges(D, x):
+        return leibniz_by_wedges(space, D.images, int(D.parity), x)
+
+    want = tuple(by_wedges(D1, by_wedges(D2, g)) - by_wedges(D2, by_wedges(D1, g)).scale(sign)
+                 for g in (ExtElem.generator(space, mu) for mu in range(1, space.dim + 1)))
+    assert superbracket(D1, D2).images == want
 
 
 def test_classify_number_operator():

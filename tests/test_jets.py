@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import factor_through_jet_by_apply, jet_by_composition
+from oracles import factor_through_jet_by_apply, fraction_evaluate, jet_by_composition
 from strat import small_fractions
 
 from superalg.jets import (
@@ -69,6 +69,31 @@ def test_poly_arithmetic():
     assert multi_binom((1, 0), (2, 0)) == 0
     with pytest.raises(ValueError):
         Poly(2, {(1,): 1})
+
+
+def test_evaluate_examples():
+    half = Fraction(1, 2)
+    f = Poly(2, {(2, 0): Fraction(1, 3), (0, 1): -2, (0, 0): Fraction(5, 4)})
+    # 1/3 · 1/4 − 2 · 3/2 + 5/4
+    assert f.evaluate([-half, Fraction(3, 2)]) == Fraction(-5, 3)
+    assert Poly(1, {(3,): 2, (1,): -1}).evaluate([Fraction(-3, 2)]) == Fraction(-21, 4)
+    assert Poly.zero(2).evaluate([half, -half]) == 0
+    assert Poly.constant(0, Fraction(-7, 3)).evaluate([]) == Fraction(-7, 3)
+    assert Poly.zero(0).evaluate(()) == 0
+    assert type(f.evaluate([1, 2])) is type(Poly.zero(0).evaluate([])) is Fraction
+
+
+coords = st.one_of(small_fractions(), st.integers(-4, 4),
+                   st.integers(-9, 9).map(lambda n: Fraction(n, 2)))
+
+
+@given(data=st.data())
+@settings(max_examples=120, deadline=None)
+def test_evaluate_matches_fraction_oracle(data):
+    nvars = data.draw(st.integers(0, 3), label="nvars")
+    f = data.draw(polys(nvars), label="f")
+    point = data.draw(st.lists(coords, min_size=nvars, max_size=nvars), label="point")
+    assert f.evaluate(point) == fraction_evaluate(f, point)
 
 
 def test_poly_json_roundtrip():

@@ -2,16 +2,26 @@
 is a fixed point of decode -> encode, also through JSON text."""
 
 import json
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from strat import small_fractions
+from superalg.derivations import SuperDerivation
 from superalg.exterior import ExtElem, ExtSpace
 from superalg.poly import Poly
 from superalg.sderham import OddConnection, SuperForm
-from superalg.straighten import CompElem
+from superalg.scalars import EVEN, ODD
+from superalg.straighten import (
+    CompElem,
+    Straightening,
+    conjugated_family,
+    identity_straightening,
+    straighten,
+    verify_straightening,
+)
 from superalg.supermaps import PolySuperFunc, SuperMapData
 from superalg.supertensor import SuperSpace, tensor_from_json, tensor_to_json
 
@@ -77,6 +87,31 @@ def comp_elems(draw):
 
 
 @st.composite
+def straightenings(draw):
+    q = draw(st.integers(1, 4))
+    space = identity_straightening(q).space
+    higher = [k for r in range(3, q + 1, 2) for k in combinations(range(1, q + 1), r)]
+    images = []
+    for nu in range(1, q + 1):
+        terms = {(nu,): 1}
+        if higher:
+            terms.update(draw(st.dictionaries(st.sampled_from(higher), small_fractions(),
+                                              max_size=2)))
+        images.append(ExtElem(space, terms))
+    return None, Straightening(q, images)
+
+
+@st.composite
+def superderivations(draw):
+    space = ExtSpace(draw(st.integers(1, 3)))
+    parity = draw(st.sampled_from([EVEN, ODD]))
+    image_keys = index_sets(space.dim, (int(parity) + 1) % 2)
+    images = [ExtElem(space, draw(st.dictionaries(image_keys, small_fractions(), max_size=3)))
+              for _ in range(space.dim)]
+    return space, SuperDerivation(space, parity, images)
+
+
+@st.composite
 def superforms(draw):
     m, n = draw(dims), draw(dims)
     keys = st.tuples(index_sets(m), exponents(n), index_sets(n))
@@ -116,6 +151,11 @@ CASES = {
     "tensor-ext": (tensors("ext"), lambda x: tensor_to_json("ext", x),
                    lambda space, d: tensor_from_json("ext", space, d), _same),
     "CompElem": (comp_elems(), CompElem.to_json, CompElem.from_json, _same),
+    "Straightening": (straightenings(), Straightening.to_json,
+                      lambda _, d: Straightening.from_json(d),
+                      lambda g: (g.dim_s, g.images)),
+    "SuperDerivation": (superderivations(), SuperDerivation.to_json,
+                        SuperDerivation.from_json, _same),
     "SuperForm": (superforms(), SuperForm.to_json,
                   lambda dims, d: SuperForm.from_json(*dims, d), _same),
     "OddConnection": (connections(), OddConnection.to_json,
@@ -137,3 +177,18 @@ def test_json_roundtrip(name, data):
     assert kept(decode(ctx, enc)) == kept(x)
     for d in (enc, json.loads(json.dumps(enc))):
         assert encode(decode(ctx, d)) == enc
+
+
+def test_filled_memo_changes_neither_equality_nor_encoding():
+    g0 = identity_straightening(4)
+    images = list(g0.images)
+    images[0] = images[0] + ExtElem.monomial(g0.space, (1, 2, 3), Fraction(1, 2))
+    images[3] = images[3] - ExtElem.monomial(g0.space, (2, 3, 4))
+    fam = conjugated_family([[Fraction(c)] for c in (1, 0, 2, 0)], Straightening(4, images))
+    g = straighten(fam)
+    enc = g.to_json()
+    fresh = Straightening.from_json(enc)
+    assert verify_straightening(fam, g).passed
+    assert len(g._memo) == 2 ** 4 and len(fresh._memo) == 1
+    assert g == fresh and fresh == g
+    assert g.to_json() == enc == fresh.to_json()

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from famgen import pull_back_straightening, relabel_family
+from oracles import straightening_apply, straightening_monomial
 from strat import small_fractions
 
 from superalg.cartan import d_star_G
@@ -23,6 +24,7 @@ from superalg.straighten import (
     level_operator_columns,
     psi,
     straighten,
+    subst_inverse_image,
     verify_straightening,
 )
 from superalg.supermaps import PolySuperFunc
@@ -283,6 +285,63 @@ def test_conjugated_families_straighten(data):
         perm = tuple(data.draw(st.permutations(range(1, q + 1)), label="perm"))
         other = straighten(relabel_family(fam, perm))
         assert pull_back_straightening(other, perm) == g
+
+
+def all_keys(q):
+    return [K for size in range(q + 1) for K in combinations(range(1, q + 1), size)]
+
+
+@st.composite
+def deep_substitutions(draw, q):
+    """ds_ν plus up to two corrections each, of exterior degree 3 or 5."""
+    space = identity_straightening(q).space
+    odd = [K for K in all_keys(q) if len(K) in (3, 5)]
+    images = []
+    for nu in range(1, q + 1):
+        terms = {(nu,): 1}
+        if odd:
+            for key in draw(st.lists(st.sampled_from(odd), max_size=2, unique=True)):
+                terms[key] = draw(small_fractions())
+        images.append(ExtElem(space, terms))
+    return Straightening(q, images)
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_memo_entries_are_left_to_right_products(data):
+    q = data.draw(st.integers(1, 6), label="dim S")
+    g = data.draw(deep_substitutions(q), label="G")
+    for K in data.draw(st.permutations(all_keys(q)), label="order"):
+        assert g.apply_to_monomial(K) == straightening_monomial(g, K)
+    # each key twice: a second ask reads the memo
+    for K in all_keys(q):
+        assert g.apply_to_monomial(K) == straightening_monomial(g, K)
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_apply_matches_linear_oracle(data):
+    q = data.draw(st.integers(1, 5), label="dim S")
+    g = data.draw(deep_substitutions(q), label="G")
+    x = ExtElem(g.space, data.draw(st.dictionaries(st.sampled_from(all_keys(q)),
+                                                   small_fractions(), max_size=5), label="x"))
+    assert g.apply(x) == straightening_apply(g, x)
+
+
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_subst_inverse_image_certifies(data):
+    q = data.draw(st.integers(1, 6), label="dim S")
+    g = data.draw(deep_substitutions(q), label="G")
+    for nu in range(1, q + 1):
+        x = subst_inverse_image(g, nu)
+        assert straightening_apply(g, x) == ExtElem.generator(g.space, nu)
+
+
+@pytest.mark.parametrize("key", [(0,), (4,), (2, 1), (1, 1), (1, 2, 2), (1, 4), (True,)])
+def test_apply_to_monomial_rejects_bad_keys(key):
+    with pytest.raises(ValueError, match="strictly increasing in 1..3"):
+        identity_straightening(3).apply_to_monomial(key)
 
 
 def test_straighten_output_shape():
