@@ -8,6 +8,13 @@ the form of a supersmooth map in prop:supermaps-are-diffops.  Commutators
 multiply by f on the target and by f ∘ φ on the source, so every operation
 here holds along a map as it does along the identity.
 
+Sections and operators are LinCombs with sparse Poly-valued terms: a
+section keys each nonzero component by its index, an operator each nonzero
+matrix entry P_α[i][j] by (α, i, j).  So +, −, scale and == are LinComb's,
+and operands of another rank, ring or map raise ValueError under == as
+under +.  Constructors and JSON keep the dense {α: rank_out × rank_in
+matrix} form.
+
 A k-jet at p is its vector of Taylor coefficients ∂^β s(p)/β! for |β| ≤ k,
 graded-lex β-major with the rank inner; jet_operator realizes the same
 layout as a differential operator, and factor_through_jet reads D̂_p with
@@ -18,14 +25,18 @@ from itertools import combinations_with_replacement, permutations, product
 from math import factorial, prod
 
 from . import decode
+from .lincomb import LinComb, add_term
 from .poly import Poly, multi_binom
 from .scalars import MultiDegree, cleared, iter_multidegrees
 
 
-class PolySection:
-    """Section of the trivial rank-r bundle: a vector of polynomials."""
+class PolySection(LinComb):
+    """Section of the trivial rank-r bundle: terms maps a component index
+    in 0..rank-1 to its nonzero Poly, and polys lists all rank components,
+    zeros included."""
 
-    __slots__ = ("nvars", "polys")
+    __slots__ = ("nvars", "rank")
+    _DIMS = ("nvars", "rank")
 
     def __init__(self, polys):
         polys = tuple(polys)
@@ -35,39 +46,13 @@ class PolySection:
         if any(p.nvars != nv for p in polys):
             raise ValueError("components live in different rings")
         self.nvars = nv
-        self.polys = polys
-
-    @classmethod
-    def zero(cls, nvars, rank):
-        return cls([Poly.zero(nvars)] * rank)
+        self.rank = len(polys)
+        self.terms = {j: p for j, p in enumerate(polys) if p}
 
     @property
-    def rank(self):
-        return len(self.polys)
-
-    def is_zero(self):
-        return all(p.is_zero() for p in self.polys)
-
-    def __eq__(self, other):
-        if not isinstance(other, PolySection):
-            return NotImplemented
-        return self.nvars == other.nvars and self.polys == other.polys
-
-    __hash__ = None
-
-    def __add__(self, other):
-        if other.rank != self.rank:
-            raise ValueError("rank mismatch")
-        return PolySection([a + b for a, b in zip(self.polys, other.polys)])
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        return PolySection([p.scale(c) for p in self.polys])
-
-    def partial_multi(self, alpha):
-        return PolySection([p.partial_multi(alpha) for p in self.polys])
+    def polys(self):
+        zero = Poly.zero(self.nvars)
+        return tuple(self.terms.get(j, zero) for j in range(self.rank))
 
     def evaluate(self, point):
         return [p.evaluate(point) for p in self.polys]
@@ -83,28 +68,22 @@ class PolySection:
         return "(" + ", ".join(repr(p) for p in self.polys) + ")"
 
 
-def _mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def _mat_scale_poly(f, a):
-    return [[f * x for x in row] for row in a]
-
-
-def _diagonal(f, rank):
-    """The rank x rank coefficient matrix f·I."""
-    zero = Poly.zero(f.nvars)
-    return [[f if i == j else zero for j in range(rank)] for i in range(rank)]
-
-
-class PolyDiffOp:
+class PolyDiffOp(LinComb):
     """Σ_α P_α(x) ∂^α between trivial bundles over the same base, or, along a
     polynomial map φ = (φ_1, …, φ_n): ℝ^m → ℝ^n, Σ_α P_α(x) · (∂^α s)(φ(x))
     from sections over the target to sections over the source.  α indexes
-    the nvars target variables and the P_α are polynomials on φ's source
-    ring; phi is the tuple of the φ_i, None for the identity."""
+    the nvars target variables, and each P_α is a rank_out × rank_in matrix
+    of polynomials on φ's source ring of src_nvars variables; phi is the
+    tuple of the φ_i, None for the identity.
 
-    __slots__ = ("nvars", "src_nvars", "phi", "rank_in", "rank_out", "terms")
+    terms maps (α, i, j) to the nonzero entry P_α[i][j], and matrix(α) is
+    the dense P_α.  Operators of another target or source ring, map or rank
+    are refused by ==, + and − alike."""
+
+    __slots__ = ("nvars", "src_nvars", "phi", "rank_in", "rank_out")
+    # src_nvars before phi: two maps are compared only once their
+    # polynomials are known to live in one ring
+    _DIMS = ("nvars", "src_nvars", "phi", "rank_in", "rank_out")
 
     def __init__(self, nvars, rank_in, rank_out, terms=None, phi=None):
         src = nvars
@@ -130,13 +109,12 @@ class PolyDiffOp:
                 raise ValueError("derivative multidegree needs %d slots" % nvars)
             if len(mat) != rank_out or any(len(row) != rank_in for row in mat):
                 raise ValueError("coefficient matrix must be %d x %d" % (rank_out, rank_in))
-            mat = [list(row) for row in mat]
-            for row in mat:
-                for p in row:
+            for i, row in enumerate(mat):
+                for j, p in enumerate(row):
                     if p.nvars != src:
                         raise ValueError("coefficient is not on the source ring")
-            if any(not p.is_zero() for row in mat for p in row):
-                out[alpha] = mat
+                    if p:
+                        out[alpha, i, j] = p
         self.terms = out
 
     @classmethod
@@ -144,113 +122,94 @@ class PolyDiffOp:
         return cls(nvars, rank_in, rank_out, {})
 
     @classmethod
+    def diagonal(cls, f, alpha, rank=1, phi=None):
+        """f·∂^α on each of the rank components, along phi: P_α = f·I and no
+        other term.  f lives on the source ring."""
+        alpha = MultiDegree(alpha)
+        return cls(len(alpha), rank, rank, phi=phi)._like(
+            {(alpha, i, i): f for i in range(rank)} if f else {})
+
+    @classmethod
     def identity(cls, nvars, rank):
         return cls.multiplication(Poly.constant(nvars, 1), rank)
 
     @classmethod
     def multiplication(cls, f, rank=1):
-        return cls(f.nvars, rank, rank, {MultiDegree((0,) * f.nvars): _diagonal(f, rank)})
+        return cls.diagonal(f, (0,) * f.nvars, rank)
 
     @classmethod
     def pullback(cls, phi, rank=1):
         """s ↦ s ∘ φ, the order-0 operator along φ."""
-        return cls(len(phi), rank, rank, {MultiDegree((0,) * len(phi)):
-                                          _diagonal(Poly.constant(phi[0].nvars, 1), rank)},
-                   phi=phi)
+        return cls.diagonal(Poly.constant(phi[0].nvars, 1), (0,) * len(phi), rank, phi)
 
     @classmethod
     def coordinate_partial(cls, nvars, i, rank=1):
-        alpha = MultiDegree(1 if t == i - 1 else 0 for t in range(nvars))
-        return cls(nvars, rank, rank, {alpha: _diagonal(Poly.constant(nvars, 1), rank)})
+        alpha = (1 if t == i - 1 else 0 for t in range(nvars))
+        return cls.diagonal(Poly.constant(nvars, 1), alpha, rank)
 
     @property
     def order(self):
         """Structural order max |α|; -1 for the zero operator."""
-        return max((sum(a) for a in self.terms), default=-1)
+        return max((sum(a) for a, _, _ in self.terms), default=-1)
 
-    def is_zero(self):
-        return not self.terms
-
-    def _shape(self):
-        return self.nvars, self.phi, self.rank_in, self.rank_out
-
-    def _like(self, terms):
-        return PolyDiffOp(self.nvars, self.rank_in, self.rank_out, terms, self.phi)
+    def matrix(self, alpha):
+        """The dense rank_out × rank_in coefficient matrix P_α."""
+        zero = Poly.zero(self.src_nvars)
+        get = self.terms.get
+        return [[get((alpha, i, j), zero) for j in range(self.rank_in)]
+                for i in range(self.rank_out)]
 
     def _pulled(self, f):
         """f ∘ φ: a target-ring polynomial on the source ring."""
         return f if self.phi is None else f.compose(self.phi)
 
-    def __eq__(self, other):
-        if not isinstance(other, PolyDiffOp):
-            return NotImplemented
-        return self._shape() == other._shape() and self.terms == other.terms
-
-    __hash__ = None
-
-    def __add__(self, other):
-        if self._shape() != other._shape():
-            raise ValueError("operator shapes or maps differ")
-        terms = {a: [row[:] for row in m] for a, m in self.terms.items()}
-        for a, m in other.terms.items():
-            if a in terms:
-                terms[a] = _mat_add(terms[a], m)
-            else:
-                terms[a] = m
-        return self._like(terms)
-
-    def scale(self, c):
-        return self._like({a: [[p.scale(c) for p in row] for row in m]
-                           for a, m in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
     def apply(self, s):
+        """Entry (α, i, j) adds P_α[i][j] · (∂^α s_j ∘ φ) to component i;
+        each pulled-back partial is built once."""
         if s.rank != self.rank_in or s.nvars != self.nvars:
             raise ValueError("section has the wrong shape")
-        out = PolySection.zero(self.src_nvars, self.rank_out)
-        for alpha, mat in self.terms.items():
-            ds = [self._pulled(p) for p in s.partial_multi(alpha).polys]
-            rows = []
-            for i in range(self.rank_out):
-                acc = Poly.zero(self.src_nvars)
-                for j in range(self.rank_in):
-                    acc = acc + mat[i][j] * ds[j]
-                rows.append(acc)
-            out = out + PolySection(rows)
+        zero = Poly.zero(self.nvars)
+        partials = {}
+        out = {}
+        for (alpha, i, j), p in self.terms.items():
+            ds = partials.get((alpha, j))
+            if ds is None:
+                ds = partials[alpha, j] = self._pulled(s.terms.get(j, zero).partial_multi(alpha))
+            add_term(out, i, p * ds)
+        return PolySection._raw(self.src_nvars, self.rank_out, out)
+
+    def _leibniz(self, f, alpha):
+        """[(γ, C(α, γ) · ∂^(α−γ) f ∘ φ)] over γ ≤ α, zero factors left out."""
+        out = []
+        for gamma in iter_leq(alpha):
+            df = f.partial_multi(MultiDegree(a - g for a, g in zip(alpha, gamma)))
+            if df:
+                out.append((gamma, self._pulled(df).scale(multi_binom(alpha, gamma))))
         return out
 
     def compose_multiplication(self, f):
         """D ∘ (f·): generalized Leibniz on each ∂^α, each ∂^γ f pulled back
-        along φ."""
+        along φ once per α."""
+        factors = {}
         terms = {}
-        for alpha, mat in self.terms.items():
-            for gamma in iter_leq(alpha):
-                b = multi_binom(alpha, gamma)
-                df = f.partial_multi(MultiDegree(a - g for a, g in zip(alpha, gamma)))
-                if df.is_zero():
-                    continue
-                add = _mat_scale_poly(self._pulled(df).scale(b), mat)
-                if gamma in terms:
-                    terms[gamma] = _mat_add(terms[gamma], add)
-                else:
-                    terms[gamma] = add
+        for (alpha, i, j), p in self.terms.items():
+            if alpha not in factors:
+                factors[alpha] = self._leibniz(f, alpha)
+            for gamma, c in factors[alpha]:
+                add_term(terms, (gamma, i, j), c * p)
         return self._like(terms)
 
     def multiplication_compose(self, f):
         """(f ∘ φ ·) ∘ D."""
         f = self._pulled(f)
-        return self._like({a: _mat_scale_poly(f, m) for a, m in self.terms.items()})
+        return self._like({k: f * p for k, p in self.terms.items()} if f else {})
 
     def to_json(self):
         if self.phi is not None:
             raise ValueError("only operators along the identity have a JSON form")
-        rows = []
-        for alpha in sorted(self.terms, key=lambda a: (sum(a), a)):
-            rows.append({"alpha": list(alpha),
-                         "matrix": [[p.to_json() for p in row] for row in self.terms[alpha]]})
-        return rows
+        alphas = sorted({a for a, _, _ in self.terms}, key=lambda a: (sum(a), a))
+        return [{"alpha": list(a), "matrix": [[p.to_json() for p in row] for row in self.matrix(a)]}
+                for a in alphas]
 
     @classmethod
     def from_json(cls, nvars, rank_in, rank_out, data):
@@ -319,13 +278,9 @@ def principal_symbol(D, fs):
         raise ValueError("need exactly %d functions" % D.order)
     sym = iterated_commutator(D, fs)
     zero_alpha = MultiDegree((0,) * D.nvars)
-    for alpha in sym.terms:
-        if alpha != zero_alpha:
-            raise RuntimeError("internal invariant violated: symbol has positive order")
-    if zero_alpha in sym.terms:
-        return sym.terms[zero_alpha]
-    z = Poly.zero(D.src_nvars)
-    return [[z] * D.rank_in for _ in range(D.rank_out)]
+    if any(alpha != zero_alpha for alpha, _, _ in sym.terms):
+        raise RuntimeError("internal invariant violated: symbol has positive order")
+    return sym.matrix(zero_alpha)
 
 
 class JetClass:
@@ -374,8 +329,8 @@ def jet(s, k, p, basis=None):
     pos = {beta: i for i, beta in enumerate(basis)}
     r = s.rank
     b, xs = cleared(p)
-    terms = [(j, e) for j, poly in enumerate(s.polys) for e in poly.terms]
-    d, nums = cleared([c for poly in s.polys for c in poly.terms.values()])
+    terms = [(j, e) for j, poly in s.terms.items() for e in poly.terms]
+    d, nums = cleared([c for poly in s.terms.values() for c in poly.terms.values()])
     top = max((sum(e) for _, e in terms), default=0)
     acc = [0] * (len(pos) * r)
     for (j, e), n in zip(terms, nums):
@@ -395,15 +350,12 @@ def jet_operator(nvars, rank, k):
     operator of order k into the stacked coefficient bundle (graded-lex
     layout, matching JetClass.coefficients at each base point)."""
     basis = jet_multidegrees(nvars, k)
-    zero = Poly.zero(nvars)
     terms = {}
     for pos, beta in enumerate(basis):
         coeff = Poly.constant(nvars, Fraction(1, prod(map(factorial, beta))))
-        mat = [[zero] * rank for _ in range(len(basis) * rank)]
         for j in range(rank):
-            mat[pos * rank + j][j] = coeff
-        terms[beta] = mat
-    return PolyDiffOp(nvars, rank, len(basis) * rank, terms)
+            terms[beta, pos * rank + j, j] = coeff
+    return PolyDiffOp.zero(nvars, rank, len(basis) * rank)._like(terms)
 
 
 def factor_through_jet(D, k, p, basis=None):
@@ -414,33 +366,24 @@ def factor_through_jet(D, k, p, basis=None):
     is jet_multidegrees(D.nvars, k), as for jet.  Along φ, p is a point of
     the source and the matrix acts on the jet at φ(p): D(s)(p) =
     D̂_p · coeffs(jet^k_{φ(p)} s)."""
+    if len(p) != D.src_nvars:
+        raise ValueError("point needs %d coordinates" % D.src_nvars)
     if D.order > k:
         raise ValueError("operator order %d exceeds jet order %d" % (D.order, k))
     if basis is None:
         basis = jet_multidegrees(D.nvars, k)
-    rows = [[] for _ in range(D.rank_out)]
-    for beta in basis:
-        mat = D.terms.get(beta)
-        if mat is None:
-            for row in rows:
-                row.extend([Fraction(0)] * D.rank_in)
-            continue
-        fact = prod(map(factorial, beta))
-        for row, polys in zip(rows, mat):
-            row.extend(fact * q.evaluate(p) for q in polys)
+    pos = {beta: t for t, beta in enumerate(basis)}
+    rows = [[Fraction(0)] * (len(basis) * D.rank_in) for _ in range(D.rank_out)]
+    for (beta, i, j), q in D.terms.items():
+        rows[i][pos[beta] * D.rank_in + j] = prod(map(factorial, beta)) * q.evaluate(p)
     return rows
 
 
 def covariant_derivative(s, i, A):
     """∇_{∂_i} s = ∂_i s + A_i s on the trivial bundle."""
-    mat = A[i - 1]
-    rows = []
-    for a in range(s.rank):
-        acc = s.polys[a].partial(i)
-        for b in range(s.rank):
-            acc = acc + mat[a][b] * s.polys[b]
-        rows.append(acc)
-    return PolySection(rows)
+    m, r = s.nvars, s.rank
+    nabla = PolyDiffOp.coordinate_partial(m, i, r) + PolyDiffOp(m, r, r, {(0,) * m: A[i - 1]})
+    return nabla.apply(s)
 
 
 def symmetrized_covariant_jet(s, l, A):

@@ -195,10 +195,6 @@ def inversion_sign(seq):
     return -1 if inv % 2 else 1
 
 
-def signature(sigma):
-    return inversion_sign(sigma)
-
-
 def relative_signature(sigma, A):
     """Sign of the permutation that sorts (sigma(a_1),...,sigma(a_r)), a_i in A sorted.
 

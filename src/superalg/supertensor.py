@@ -24,7 +24,6 @@ from .scalars import (
     inversion_sign,
     iter_multidegrees,
     relative_signature,
-    signature,
 )
 from .supermaps import PolySuperFunc
 
@@ -115,7 +114,7 @@ def act_sym(sigma, word):
 
 
 def act_alt(sigma, word):
-    s = odd_signature(sigma, word) * signature(sigma)
+    s = odd_signature(sigma, word) * sigma.signature
     return TensorWord(word.space, _reposition(sigma, word), s * word.coeff)
 
 

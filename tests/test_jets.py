@@ -258,6 +258,24 @@ def test_factor_through_jet_property(data):
     assert D.apply(s).evaluate(point) == mat_vec(mat, coeffs)
 
 
+X1X2 = Poly(2, {(1, 1): 1})
+
+
+# a point with one coordinate is refused before any work, for the zero
+# operator too: the source has two, also along φ = x1·x2 into ℝ¹; at (1, 2)
+# the matrix is β!·P_β(1, 2) at column β
+@pytest.mark.parametrize("D, hat", [
+    (PolyDiffOp.zero(2, 1, 1), [[0, 0, 0]]),
+    (PolyDiffOp.coordinate_partial(2, 1), [[0, 0, 1]]),
+    (PolyDiffOp(1, 1, 1, phi=[X1X2]), [[0, 0]]),
+    (PolyDiffOp(1, 1, 1, {(1,): [[Poly.variable(2, 2)]]}, phi=[X1X2]), [[0, 2]]),
+], ids=["zero", "partial", "zero-along-a-map", "along-a-map"])
+def test_factor_through_jet_needs_a_source_point(D, hat):
+    with pytest.raises(ValueError, match="point needs 2 coordinates"):
+        factor_through_jet(D, 1, [1])
+    assert factor_through_jet(D, 1, [1, 2]) == hat
+
+
 # the zero operator, multidegrees missing from D (order 1 read at k = 3),
 # rank_in != rank_out and a fraction point
 @pytest.mark.parametrize("D, k, point", [
@@ -388,9 +406,10 @@ def test_identity_map_written_out_is_no_map():
     assert pull + PolyDiffOp.identity(1, 1) == PolyDiffOp.multiplication(Poly.constant(1, 2))
     coords = [Poly.variable(2, 1), Poly.variable(2, 2)]
     d = PolyDiffOp.coordinate_partial(2, 1)
-    assert PolyDiffOp(2, 1, 1, d.terms, phi=coords) == d
+    alpha = MultiDegree((1, 0))
+    assert PolyDiffOp(2, 1, 1, {alpha: d.matrix(alpha)}, phi=coords) == d
     # swapped coordinates are a map, and one on a larger source ring too
-    assert PolyDiffOp(2, 1, 1, d.terms, phi=coords[::-1]).phi is not None
+    assert PolyDiffOp(2, 1, 1, {alpha: d.matrix(alpha)}, phi=coords[::-1]).phi is not None
     assert PolyDiffOp.pullback([Poly.variable(2, 1)]).phi is not None
 
 
@@ -402,10 +421,12 @@ def test_identity_map_written_out_is_no_map():
     lambda: PolyDiffOp(1, 1, 1, {MultiDegree((0,)): [[Poly.variable(2, 2)]]}),
     lambda: PolyDiffOp.pullback([X * X]) + PolyDiffOp.identity(1, 1),
     lambda: PolyDiffOp.pullback([X * X]) + PolyDiffOp.pullback([X]),
+    lambda: PolyDiffOp.pullback([X * X]) == PolyDiffOp.identity(1, 1),
+    lambda: PolyDiffOp.pullback([X * X]) == PolyDiffOp.pullback([X * X * X]),
     lambda: PolyDiffOp.pullback([X * X]).to_json(),
 ], ids=["map-too-short", "map-empty", "map-rings-differ", "coefficient-off-source",
         "coefficient-off-base", "add-along-and-identity", "add-along-two-maps",
-        "json-along-a-map"])
+        "eq-along-and-identity", "eq-along-two-maps", "json-along-a-map"])
 def test_operator_along_rejections(build):
     with pytest.raises(ValueError):
         build()

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from strat import small_fractions
 from superalg.derivations import SuperDerivation
 from superalg.exterior import ExtElem, ExtSpace
+from superalg.jets import PolyDiffOp, PolySection
 from superalg.poly import Poly
 from superalg.sderham import OddConnection, SuperForm
 from superalg.scalars import EVEN, ODD
@@ -62,6 +63,22 @@ def ext_elems(draw):
 def poly_elems(draw):
     n = draw(dims)
     return n, draw(polys(n))
+
+
+@st.composite
+def sections(draw):
+    n = draw(dims)
+    return n, PolySection(draw(st.lists(polys(n), min_size=1, max_size=3)))
+
+
+@st.composite
+def diff_ops(draw):
+    # polys draws zero entries too, and now and then a whole zero matrix
+    n, rank_in, rank_out = draw(dims), draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    matrices = st.lists(st.lists(polys(n), min_size=rank_in, max_size=rank_in),
+                        min_size=rank_out, max_size=rank_out)
+    return (n, rank_in, rank_out), PolyDiffOp(n, rank_in, rank_out, draw(
+        st.dictionaries(exponents(n), matrices, max_size=3)))
 
 
 @st.composite
@@ -164,6 +181,9 @@ CASES = {
     "SuperMapData": (supermaps(), SuperMapData.to_json,
                      lambda dims, d: SuperMapData.from_json(*dims, d),
                      lambda phi: (phi.coord_images, phi.odd_images)),
+    "PolySection": (sections(), PolySection.to_json, PolySection.from_json, _same),
+    "PolyDiffOp": (diff_ops(), PolyDiffOp.to_json,
+                   lambda dims, d: PolyDiffOp.from_json(*dims, d), _same),
 }
 
 
@@ -192,3 +212,19 @@ def test_filled_memo_changes_neither_equality_nor_encoding():
     assert len(g._memo) == 2 ** 4 and len(fresh._memo) == 1
     assert g == fresh and fresh == g
     assert g.to_json() == enc == fresh.to_json()
+
+
+def test_explicit_zero_entries_change_neither_equality_nor_encoding():
+    # jet-factor reads operators in this form: a zero entry, or a whole zero
+    # matrix, is no term
+    x, zero = Poly.variable(2, 1), Poly.zero(2)
+    dense = PolyDiffOp(2, 2, 1, {(1, 0): [[x, zero]], (0, 2): [[zero, zero]]})
+    sparse = PolyDiffOp(2, 2, 1, {(1, 0): [[x, zero]]})
+    assert dense == sparse and dense.terms == sparse.terms == {((1, 0), 0, 0): x}
+    assert dense.to_json() == sparse.to_json() == [
+        {"alpha": [1, 0], "matrix": [[[{"exps": [1, 0], "coeff": "1"}], []]]}]
+    assert PolyDiffOp.from_json(2, 2, 1, dense.to_json()) == sparse
+    section = PolySection([zero, x, zero])
+    assert section.terms == {1: x} and section.polys == (zero, x, zero)
+    assert section.to_json() == [[], x.to_json(), []]
+    assert PolySection.from_json(2, section.to_json()) == section

@@ -1,13 +1,17 @@
 """The shared linear-combination base and the exterior-monomial sign rules."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import superalg
 from oracles import fraction_sym_ext_terms
 from strat import small_fractions
 from superalg.exterior import ExtElem, ExtSpace
+from superalg.jets import PolyDiffOp, PolySection
 from superalg.lincomb import (KeyLayout, LinComb, contract, mask_sign, merge_sign, replace,
                               sym_ext_terms)
 from superalg.poly import Poly
@@ -16,6 +20,14 @@ from superalg.sderham import SuperForm
 from superalg.straighten import CompElem
 from superalg.supermaps import PolySuperFunc
 
+
+def _diff_op(d):
+    # x1 into the first component plus 5·∂_2 into the second, with zero entries
+    x1, zero = Poly.variable(d, 1), Poly.zero(d)
+    d2 = (0, 1) + (0,) * (d - 2)
+    return PolyDiffOp(d, 1, 2, {(0,) * d: [[x1], [zero]], d2: [[zero], [Poly.constant(d, 5)]]})
+
+
 # one element in each of two ambient spaces that differ in one dimension
 ELEMENTS = {
     "Poly": lambda d: Poly.variable(d, 1).scale(Fraction(3, 2)),
@@ -23,6 +35,11 @@ ELEMENTS = {
     "CompElem": lambda d: CompElem.monomial(d, (1, 2), 2, Fraction(1, 3)),
     "PolySuperFunc": lambda d: PolySuperFunc.monomial(1, d, (2,), (1, 2), -1),
     "SuperForm": lambda d: SuperForm.monomial(d, 1, (1,), (1,), (1,), Poly.variable(d, 1)),
+    "PolySection": lambda d: PolySection([Poly.zero(d), Poly.variable(d, 2).scale(-3)]),
+    "PolyDiffOp": _diff_op,
+    # along φ(x) = x1·x2 from ℝ^d to ℝ: the source ring differs
+    "PolyDiffOp-along": lambda d: PolyDiffOp(1, 1, 1, {(1,): [[Poly.variable(d, d)]]},
+                                             phi=[Poly.monomial(d, (1, 1) + (0,) * (d - 2))]),
 }
 
 
@@ -49,6 +66,32 @@ def test_linear_plumbing(name):
     assert 2 * x == x + x == x.scale(2)
     assert x == x.scale(Fraction(1, 3)).scale(3) and x != x.scale(-1)
     assert x.__hash__ is None
+
+
+# the methods every element class takes from LinComb; Parity adds in Z/2,
+# and SuperDerivation still hand-rolls them until it becomes a generator-image
+# operator class (ROADMAP item 5)
+PLUMBING = {"__add__", "__sub__", "scale", "is_zero"}
+OWN_PLUMBING = {("lincomb", "LinComb"), ("scalars", "Parity"),
+                ("derivations", "SuperDerivation")}
+
+
+def test_only_lincomb_defines_linear_plumbing():
+    defines = set()
+    for path in Path(superalg.__file__).parent.glob("*.py"):
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names = {node.name}
+                else:
+                    targets = node.targets if isinstance(node, ast.Assign) else []
+                    names = {t.id for t in targets if isinstance(t, ast.Name)}
+                if names & PLUMBING:
+                    defines.add((path.stem, cls.name))
+    assert ("lincomb", "LinComb") in defines
+    assert defines <= OWN_PLUMBING, sorted(defines - OWN_PLUMBING)
 
 
 # elements with several terms, for the scale paths
