@@ -151,11 +151,14 @@ HOMOLOGY_MAX_DIM = 14641
 # k <= 6 and cutoff <= 5 was timed (2-CPU host, CPU time) on the zero
 # connection, on connections with every entry a degree-1 Poly with no zero
 # coefficient (dense) and on random ones with up to 8 entries of degree <= 2:
-# with k >= 1 the slowest took 0.06 s (zero 4|4, k = 2, cutoff 1, 4,480),
-# and at k = 0 on dense connections up to the limit 0.26 s (3|4, cutoff 10).
-# Dense 4|4 with k = 2 and cutoff 0 builds 1,152 monomials and took 12 s; it
+# with k >= 1 the slowest took 0.015-0.019 s (zero 4|4, k = 2, cutoff 1,
+# 4,480), and at k = 0 on dense connections up to the limit 0.095-0.10 s
+# (3|4, cutoff 10, 4,576).  Dense 4|4 with k = 2 and cutoff 0 builds 1,152
+# monomials and took 8.7-8.8 s, nearly all of it ranking the image block; it
 # counts 205,952.  The slowest dense --op delta run found under the limit is
-# 3|3 with k = 4 and cutoff 1 (4,128 monomials, 0.6-0.7 s).
+# 3|3 with k = 4 and cutoff 1 (4,128 monomials, 0.17-0.28 s, the first run
+# the slowest as it builds the connection's form columns).  Each time is
+# the min-max of 3 runs, 2 for dense 4|4.
 SDERHAM_MAX_DIM = 5000
 # supermap-check's order bound images a random argument spanning 2**q exterior
 # monomials through p // 2 + 1 nested commutators, one memoized level at a

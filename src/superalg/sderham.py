@@ -17,12 +17,15 @@ cross-validate each other.
 
 The operator is written once, as monomial_column: the image of one basis
 monomial x^e dx_A ds^b ds_C as an int vector, scaled by the per-connection
-integer D, the lcm of the denominators of A and R = dA + A^A.  super_d is
-its linear extension divided by D; cohomology_dims ranks the columns
-themselves, and delta_kernel_check composes them with the number-signed
-right shift T on int vectors, since scaling by D changes no rank and no
-equality.  The homotopy Theta = {d, T} = (b + c)·id bounds primitives, so
-cohomology_dims takes its image block one coefficient degree above the cutoff.
+integer D, the lcm of the denominators of A and R = dA + A^A.  It is first
+order, d(f·w) = df ^ w + f·dw, so the column of x^e times a form part is
+that part's column, built once per connection and width, translated by e,
+plus the derivative of x^e.  super_d is its linear extension divided by D;
+cohomology_dims ranks the columns themselves, and delta_kernel_check
+composes them with the number-signed right shift T on int vectors, since
+scaling by D changes no rank and no equality.  The homotopy Theta = {d, T}
+= (b + c)·id bounds primitives, so cohomology_dims takes its image block
+one coefficient degree above the cutoff.
 
 The columns, the shifts and the ranked rows all key a basis monomial by one
 int in a lincomb.KeyLayout with blocks (n, m) and n + m fields: the ext
@@ -214,11 +217,14 @@ class OddConnection:
     the lower dx bits, offset of the field of x_(i+1), rows) with rows[g]
     listing (ext bit of b, sym unit of b minus that of g, terms) for each
     nonzero A_(g+1)(b+1) in dx_(i+1); r_ints[g][b] lists (2-bit dx mask,
-    terms) for the 2-forms of R_(g+1)(b+1).
+    terms) for the 2-forms of R_(g+1)(b+1).  form_low masks the form part
+    of a key, the bits below its exponent fields, and forms memoizes the
+    monomial_column of each form part; pack_tables empties it on each change
+    of width.
     """
 
     __slots__ = ("dim_base", "dim_odd", "comps", "curvature", "scale", "max_exponent",
-                 "width", "view", "a_ints", "r_ints")
+                 "width", "view", "a_ints", "r_ints", "form_low", "forms")
 
     def __init__(self, m, n, comps):
         if len(comps) != n or any(len(row) != n for row in comps):
@@ -246,11 +252,11 @@ class OddConnection:
         polys += [p for row in self.curvature for two in row for p in two.values()]
         self.scale = lcm(*(c.denominator for p in polys for c in p.terms.values()))
         self.max_exponent = max((e for p in polys for exps in p.terms for e in exps), default=0)
-        self.width = self.view = self.a_ints = self.r_ints = None
+        self.width = self.view = self.a_ints = self.r_ints = self.form_low = self.forms = None
 
     def pack_tables(self, lay):
-        """Build view, a_ints and r_ints for keys packed in lay, unless they
-        already are."""
+        """Build view, a_ints, r_ints and form_low for keys packed in lay and
+        start an empty forms memo, unless they already are."""
         if lay.w == self.width:
             return
         n, scale = self.dim_odd, self.scale
@@ -271,6 +277,7 @@ class OddConnection:
                                   for two in row)
                             for row in self.curvature)
         self.width, self.view = lay.w, _form_view(lay)
+        self.form_low, self.forms = (1 << sum(lay.blocks) + n * lay.w) - 1, {}
 
     @classmethod
     def zero(cls, m, n):
@@ -456,76 +463,94 @@ def monomial_column(conn, key, lay):
     curvature pieces read conn.a_ints and conn.r_ints, packed for lay.w, so
     every entry is an int.  lay must hold every field of the column: see
     the module docstring.
+
+    All but the derivative is linear over functions of x: the column of
+    x^e·w, w the form part dx_A ds^b ds_C of the key, is w's column shifted
+    by the key's exponent fields X, plus e_i·D·dx_i ^ w·x^(e - unit_i) for
+    each dx_i outside A.  w's column, built at X = 0 where the derivative
+    vanishes, is kept in conn.forms and returned itself when X = 0: callers
+    must not mutate a column.  No term cancels: a derivative term has field
+    i at e_i - 1, a shifted one every field >= e, and two derivative terms
+    differ in their dx bit.
     """
     conn.pack_tables(lay)
-    n, scale, view = conn.dim_odd, conn.scale, conn.view
-    ext_low, dx_low, field, sym_shifts = view
-    ext = key & ext_low
-    sym = [key >> s & field for s in sym_shifts]
-    a, b = (key & dx_low).bit_count(), sum(sym)
-    col = {}
-    get = col.get
-    # twisted exterior derivative
-    for bit, below, eshift, rows in conn.a_ints:
-        if key & bit:
-            continue
-        nk = key | bit
-        msign = -1 if (key & below).bit_count() & 1 else 1
-        e = key >> eshift & field
-        if e:
-            k2 = nk - (1 << eshift)
-            col[k2] = get(k2, 0) + msign * e * scale
-        for al, e in enumerate(sym):
-            if not e or not rows[al]:
+    ext_low, dx_low, field, sym_shifts = view = conn.view
+    n, scale = conn.dim_odd, conn.scale
+    x = key & ~conn.form_low
+    form = key ^ x
+    col = conn.forms.get(form)
+    if col is None:
+        ext = form & ext_low
+        sym = [form >> s & field for s in sym_shifts]
+        a, b = (form & dx_low).bit_count(), sum(sym)
+        col = {}
+        get = col.get
+        # dual connection action of the twisted exterior derivative
+        for bit, below, _eshift, rows in conn.a_ints:
+            if form & bit:
                 continue
-            f = -e * msign
-            for _bit, move, terms in rows[al]:
-                base = nk + move
-                for off, c in terms:
-                    k2 = base + off
-                    col[k2] = get(k2, 0) + f * c
-        mask = ext
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            rest = ext ^ low
-            csign = (ext & (low - 1)).bit_count()
-            for bbit, _move, terms in rows[low.bit_length() - 1]:
-                if rest & bbit:
+            nk = form | bit
+            msign = -1 if (form & below).bit_count() & 1 else 1
+            for al, e in enumerate(sym):
+                if not e or not rows[al]:
                     continue
-                f = msign if (csign + (rest & (bbit - 1)).bit_count()) & 1 else -msign
-                base = nk - low + bbit
-                for off, c in terms:
-                    k2 = base + off
-                    col[k2] = get(k2, 0) + f * c
-    # identity left shift, ext slot to sym
-    nsign = -scale if (a + b) % 2 else scale
-    for k2, csign in _left_shifts(key, view):
-        col[k2] = get(k2, 0) + nsign * csign
-    # curvature right shift, sym slot to ext under the 2-form
-    if b:
-        rsign = -1 if (a + b - 1) % 2 else 1
-        dxs = key & dx_low
-        r_ints = conn.r_ints
-        for mu in range(n):
-            mbit = 1 << mu
-            if ext & mbit:
-                continue
-            isign = -rsign if (ext & (mbit - 1)).bit_count() & 1 else rsign
-            for nu, e in enumerate(sym):
-                two = r_ints[nu][mu]
-                if not e or not two:
-                    continue
-                moved = key + mbit - (1 << sym_shifts[nu])
-                for dmask, terms in two:
-                    if key & dmask:
-                        continue
-                    f = isign * e * mask_sign(dmask, dxs)
-                    base = moved + dmask
+                f = -e * msign
+                for _bit, move, terms in rows[al]:
+                    base = nk + move
                     for off, c in terms:
                         k2 = base + off
                         col[k2] = get(k2, 0) + f * c
-    return {k: v for k, v in col.items() if v}
+            mask = ext
+            while mask:
+                low = mask & -mask
+                mask ^= low
+                rest = ext ^ low
+                csign = (ext & (low - 1)).bit_count()
+                for bbit, _move, terms in rows[low.bit_length() - 1]:
+                    if rest & bbit:
+                        continue
+                    f = msign if (csign + (rest & (bbit - 1)).bit_count()) & 1 else -msign
+                    base = nk - low + bbit
+                    for off, c in terms:
+                        k2 = base + off
+                        col[k2] = get(k2, 0) + f * c
+        # identity left shift, ext slot to sym
+        nsign = -scale if (a + b) % 2 else scale
+        for k2, csign in _left_shifts(form, view):
+            col[k2] = get(k2, 0) + nsign * csign
+        # curvature right shift, sym slot to ext under the 2-form
+        if b:
+            rsign = -1 if (a + b - 1) % 2 else 1
+            dxs = form & dx_low
+            r_ints = conn.r_ints
+            for mu in range(n):
+                mbit = 1 << mu
+                if ext & mbit:
+                    continue
+                isign = -rsign if (ext & (mbit - 1)).bit_count() & 1 else rsign
+                for nu, e in enumerate(sym):
+                    two = r_ints[nu][mu]
+                    if not e or not two:
+                        continue
+                    moved = form + mbit - (1 << sym_shifts[nu])
+                    for dmask, terms in two:
+                        if form & dmask:
+                            continue
+                        f = isign * e * mask_sign(dmask, dxs)
+                        base = moved + dmask
+                        for off, c in terms:
+                            k2 = base + off
+                            col[k2] = get(k2, 0) + f * c
+        col = conn.forms[form] = {k: v for k, v in col.items() if v}
+    if not x:
+        return col
+    out = {k + x: v for k, v in col.items()}
+    # coefficient derivative of the twisted exterior derivative
+    for bit, below, eshift, _rows in conn.a_ints:
+        e = key >> eshift & field
+        if e and not key & bit:
+            out[(key | bit) - (1 << eshift)] = (-e if (key & below).bit_count() & 1 else e) * scale
+    return out
 
 
 def super_d(conn, omega):
@@ -781,17 +806,6 @@ def super_d_by_fields(conn, omega, fields):
     return total
 
 
-def _shift_terms(view, terms, sign):
-    """T = (-1)^(p-1) id-right of a term map on keys of the _form_view view
-    that all have form degree p, with sign = (-1)^(p-1)."""
-    acc = {}
-    for key, f in terms.items():
-        f *= sign
-        for k2, c in _right_shifts(key, view):
-            add_term(acc, k2, c * f)
-    return acc
-
-
 class DeltaComponentReport:
     __slots__ = ("a", "b", "c", "dim", "theta_scalar", "eigenvalue",
                  "kernel_dim", "expected_kernel_dim", "printed_delta_zero")
@@ -841,18 +855,21 @@ def delta_kernel_check(conn, total_degree_cut, poly_cut):
     is the same comparison.
 
     Each basis monomial's image is composed on int vectors from the
-    monomial columns, D·Theta = T∘(D·d) + (D·d)∘T, and compared with
-    D·(b + c) times the monomial.  T of the basis monomial is read off
-    _right_shifts with its number sign, and every key of its column has form
-    degree a + b + 1, so T of the column takes one sign per component; the
-    terms of T are basis monomials of another component, so a memo builds
-    each column once.
+    monomial columns, D·Theta = T∘(D·d) + (D·d)∘T, summed into one dict
+    and compared with D·(b + c) times the monomial.  T of a key is its
+    _right_shifts, kept in a table of this call, with its number sign; every
+    key of a column has form degree a + b + 1, so T of the column takes one
+    sign per component.  The terms of T are basis monomials of another
+    component, so a memo builds each column once.  If every row is D·lambda
+    times its own key, lambda = b + c, the rank is dim (or 0 if lambda = 0):
+    distinct keys scaled by one nonzero int are independent.  sparse_rank
+    ranks only a component with some other row.
     """
     m, n = conn.dim_base, conn.dim_odd
     scale = conn.scale
     lay = KeyLayout.fitting((n, m), n + m, max(poly_cut + conn.max_exponent, total_degree_cut + 1))
     view = _form_view(lay)
-    memo = {}
+    memo, shifts = {}, {}
 
     def column(key):
         col = memo.get(key)
@@ -860,56 +877,78 @@ def delta_kernel_check(conn, total_degree_cut, poly_cut):
             col = memo[key] = monomial_column(conn, key, lay)
         return col
 
+    def right(key):
+        t = shifts.get(key)
+        if t is None:
+            t = shifts[key] = tuple(_right_shifts(key, view))
+        return t
+
+    tails = _basis_tails(lay, poly_cut)
     comps = []
     for a in range(min(m, total_degree_cut) + 1):
         for b in range(total_degree_cut - a + 1):
             tsign = 1 if (a + b) % 2 else -1
+            heads = _basis_heads(lay, a, b)
             for c in range(n + 1):
-                basis = _degree_basis(lay, a + b, poly_cut, (a,), (c,))
+                basis = [hk | tk for hk in heads for tk in tails[c]]
                 if not basis:
                     continue
-                lam = b + c
-                scalar = True
-                rows = []
+                lam, scalar, rows = b + c, True, []
                 for key in basis:
-                    img = _shift_terms(view, column(key), -tsign)
-                    for tkey, t in _right_shifts(key, view):
+                    img = {}
+                    get = img.get
+                    for k2, v in column(key).items():
+                        v *= -tsign
+                        for k3, t in right(k2):
+                            img[k3] = get(k3, 0) + t * v
+                    for tkey, t in right(key):
+                        t *= tsign
                         for k2, v in column(tkey).items():
-                            add_term(img, k2, tsign * t * v)
+                            img[k2] = get(k2, 0) + t * v
+                    img = {k: v for k, v in img.items() if v}
                     if img != ({key: scale * lam} if lam else {}):
                         scalar = False
                     rows.append(img)
-                rank = sparse_rank(rows)
                 dim = len(basis)
-                expected = dim if (b == 0 and c == 0) else 0
+                rank = (dim if lam else 0) if scalar else sparse_rank(rows)
                 comps.append(DeltaComponentReport(
                     a=a, b=b, c=c, dim=dim,
                     theta_scalar=scalar,
                     eigenvalue=lam if scalar else None,
                     kernel_dim=dim - rank,
-                    expected_kernel_dim=expected,
+                    expected_kernel_dim=dim if (b == 0 and c == 0) else 0,
                     printed_delta_zero=scalar))
     return DeltaReport(comps)
 
 
-def _degree_basis(lay, k, poly_cut, a_sizes=None, c_sizes=None):
-    """Packed basis keys x^e dx_A ds^b ds_C of total degree |A| + |b| = k
-    with Poly degree <= poly_cut, |A| in a_sizes and |C| in c_sizes (every
-    size by default)."""
+def _basis_heads(lay, a, b):
+    """The packed heads dx_A ds^b of basis keys with |A| = a and |b| = b."""
+    n, m = lay.blocks
+    return [lay.pack(sym, (), dxs) for dxs in combinations(range(1, m + 1), a)
+            for sym in iter_multidegrees(n, b)]
+
+
+def _basis_tails(lay, poly_cut):
+    """Per size c, the packed tails ds_C x^e of basis keys with |C| = c and
+    Poly degree <= poly_cut; a basis key is a head | a tail."""
     n, m = lay.blocks
     zero = (0,) * n
     exps = [lay.pack(zero + e) for tot in range(poly_cut + 1) for e in iter_multidegrees(m, tot)]
-    exts = [[lay.pack((), ext) for ext in combinations(range(1, n + 1), c)] for c in range(n + 1)]
-    heads = [lay.pack(sym, (), dxs) for a in a_sizes or range(min(m, k) + 1)
-             for dxs in combinations(range(1, m + 1), a) for sym in iter_multidegrees(n, k - a)]
-    return [hk | ek | xk for hk in heads for c in c_sizes or range(n + 1)
-            for ek in exts[c] for xk in exps]
+    return [[lay.pack((), ext) | xk for ext in combinations(range(1, n + 1), c) for xk in exps]
+            for c in range(n + 1)]
+
+
+def _degree_basis(lay, k, poly_cut):
+    """The packed basis keys of total degree k and Poly degree <= poly_cut."""
+    tails = [tk for part in _basis_tails(lay, poly_cut) for tk in part]
+    return [hk | tk for a in range(min(lay.blocks[1], k) + 1)
+            for hk in _basis_heads(lay, a, k - a) for tk in tails]
 
 
 def _basis_count(m, n, k, poly_cut, cumulative=False):
-    """len(_degree_basis(m, n, k, poly_cut)) without building it; with
-    cumulative, the count of all total degrees 0..k together (a sum of
-    sym_dim(n, b) over b <= B is sym_dim(n + 1, B))."""
+    """len(_degree_basis(lay, k, poly_cut)), lay of blocks (n, m), without
+    building it; with cumulative, the count of all total degrees 0..k
+    together (a sum of sym_dim(n, b) over b <= B is sym_dim(n + 1, B))."""
     if k < 0:
         return 0
     sym_n = n + 1 if cumulative else n

@@ -740,17 +740,19 @@ def jet_by_composition(s, k, p):
 
 
 def factor_through_jet_by_apply(D, k, p):
-    """factor_through_jet by applying D to every basis section (x − p)^β e_j
-    and evaluating at p."""
+    """factor_through_jet by applying D to every basis section (y − q)^β e_j,
+    q = φ(p) the image of the source point p (q = p with no map), and
+    evaluating at p."""
     if D.order > k:
         raise ValueError("operator order %d exceeds jet order %d" % (D.order, k))
     m = D.nvars
     p = [Fraction(x) for x in p]
+    q = p if D.phi is None else [fraction_evaluate(c, p) for c in D.phi]
     cols = []
     for beta in jet_multidegrees(m, k):
         base = Poly.constant(m, 1)
         for i, b in enumerate(beta):
-            var = Poly.variable(m, i + 1) - Poly.constant(m, p[i])
+            var = Poly.variable(m, i + 1) - Poly.constant(m, q[i])
             for _ in range(b):
                 base = base * var
         for j in range(D.rank_in):

@@ -305,6 +305,28 @@ def test_factor_through_jet_matches_apply_oracle(data):
     assert all(len(row) == len(jet_multidegrees(nvars, k)) * rank_in for row in hat)
 
 
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_factor_through_jet_matches_apply_oracle_along_a_map(data):
+    m = data.draw(st.integers(1, 2), label="source nvars")
+    n = data.draw(st.integers(1, 2), label="target nvars")
+    rank_in = data.draw(st.integers(1, 2), label="rank_in")
+    rank_out = data.draw(st.integers(1, 2), label="rank_out")
+    phi = [data.draw(polys(m, max_deg=2), label="phi%d" % i) for i in range(n)]
+    D = data.draw(diff_ops(n, rank_in, rank_out, max_order=2, phi=phi), label="D")
+    k = max(D.order, 0) + data.draw(st.integers(0, 1), label="excess")
+    point = [data.draw(small_fractions(), label="p%d" % i) for i in range(m)]
+    assert factor_through_jet(D, k, point) == factor_through_jet_by_apply(D, k, point)
+
+
+def test_apply_oracle_along_a_map_expands_at_the_image_point():
+    # D(s)(p) = s(φ(p)) = s(2) at p = (1, 2): of the 1-jet (s(2), s'(2)) at
+    # φ(p) only the value counts
+    D = PolyDiffOp.pullback([X1X2])
+    assert factor_through_jet(D, 1, [1, 2]) == [[1, 0]]
+    assert factor_through_jet_by_apply(D, 1, [1, 2]) == [[1, 0]]
+
+
 def test_shared_jet_basis_gives_the_same_results():
     # jet-factor builds the basis once and passes it to every call
     D = PolyDiffOp(2, 1, 2, {(0, 1): [[Poly.variable(2, 1)], [Poly.constant(2, 2)]],

@@ -16,10 +16,12 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from famgen import dense_conn
 from oracles import (
+    _basis_forms,
     _degree_forms,
     cohomology_dims_direct,
     delta_kernel_check_direct,
     form_vector,
+    fraction_sparse_rank,
     homotopy_primitive,
     shift_direct,
     super_d_direct,
@@ -530,6 +532,25 @@ def test_monomial_column_fills_its_fields(case, data):
     _assert_column_is_the_operator(conn, dxs, sym, ext, exps, lay)
 
 
+def test_form_columns_are_rebuilt_at_each_width():
+    # a form part whose sym entries are 0 packs to the same int at every
+    # width, so a form-column memo kept across a width change would hand
+    # back a column packed at the old width; super_d packs its own layout,
+    # here of width 3
+    conn = matrix_conn()
+    wide = mono(2, 2, (), (0, 0), (1,)).mul_poly(Poly.monomial(2, (5, 0)))
+    cases = [((), (0, 0), (1,), (1, 0)), ((1,), (0, 0), (1, 2), (0, 1)),
+             ((), (1, 0), (2,), (1, 1)), ((2,), (0, 1), (), (0, 0))]
+    w = _layout(2, 2, 1 + conn.max_exponent, 1).w
+    assert w == 2
+    for width in (w, w + 1, w):
+        lay = KeyLayout((2, 2), 4, width)
+        for dxs, sym, ext, exps in cases:
+            _assert_column_is_the_operator(conn, IndexSet(dxs), MultiDegree(sym), IndexSet(ext),
+                                           MultiDegree(exps), lay)
+        assert super_d(conn, wide) == super_d_direct(conn, wide)
+
+
 def test_field_width_is_the_bit_length_of_the_largest_field():
     assert _layout(2, 2, 0, 0).w == 1
     assert _layout(2, 2, 7, 0).w == 3
@@ -898,8 +919,8 @@ def test_packed_shifts_are_the_tuple_shifts(w):
     for p in w.form_degrees():
         part = SuperForm(w.dim_base, w.dim_odd, {key: f for key, f in w.terms.items()
                                                  if len(key[0]) + key[1].total == p})
-        signed = _shifted(part, lambda view, terms: sderham._shift_terms(view, terms, (-1) ** (p - 1)))
-        assert signed == shift_direct(part, "right", True)
+        # delta_kernel_check's T: the plain right shift times (-1)^(p - 1)
+        assert _shifted(part, RIGHT).scale((-1) ** (p - 1)) == shift_direct(part, "right", True)
 
 
 @st.composite
@@ -963,6 +984,37 @@ def test_delta_report_curved():
     assert 0 in rep.eigenvalues
     data = json.dumps(rep.as_dict())
     assert "kernel_dim" in data
+
+
+def test_delta_ranks_a_component_that_is_not_scalar(monkeypatch):
+    # one spurious term 2·D ds^(1) x^e in the column of each x^e: T moves it
+    # to ds_1 x^e, so Theta is not scalar on the 0-forms, where it has rank
+    # dim; its kernel must come from ranking the composed images, which
+    # super_d composes here from the same spoiled columns
+    column = sderham.monomial_column
+
+    def spoiled(conn, key, lay):
+        col = column(conn, key, lay)
+        fields, ext, dxs = lay.unpack(key)
+        if dxs or ext or any(fields[:conn.dim_odd]):
+            return col
+        col = dict(col)
+        add_term(col, key + (1 << lay.shifts[0]), 2 * conn.scale)
+        return col
+
+    monkeypatch.setattr(sderham, "monomial_column", spoiled)
+    conn, cut = matrix_conn(), 1
+    rep = delta_kernel_check(conn, 1, cut)
+    for comp in rep.components:
+        lam = comp.b + comp.c
+        basis = _basis_forms(2, 2, (comp.a,), lambda _a: comp.b, cut, (comp.c,))
+        images = [super_d(conn, shift_direct(w, "right", True))
+                  + shift_direct(super_d(conn, w), "right", True) for w in basis]
+        assert comp.theta_scalar == all(img == w.scale(lam) for img, w in zip(images, basis))
+        assert comp.kernel_dim == comp.dim - fraction_sparse_rank(form_vector(i) for i in images)
+    assert [(c.a, c.b, c.c, c.kernel_dim) for c in rep.components if not c.theta_scalar] == \
+        [(0, 0, 0, 0)]
+    assert not rep.passed
 
 
 def test_delta_pure_base_form_in_kernel():
