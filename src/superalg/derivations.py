@@ -18,20 +18,20 @@ from .scalars import EVEN, ODD, Parity
 def _leibniz(space, images, parity, a):
     """Expand the generator images over a by the Leibniz rule, the image
     replacing the t-th factor of a monomial carrying the sign (−1)^(parity·t).
-    Each (term of a, slot, image term) is two merge_sign calls, head ∧ image
-    term, then ∧ tail, and one Fraction product."""
+    An image term ω of degree |ω| moves to the front past the t factors
+    before it, head ∧ ω ∧ tail = (−1)^(t·|ω|) ω ∧ rest with rest the key less
+    its t-th index, so each (term of a, slot, image term) is one merge_sign
+    call and one Fraction product."""
     images = [im.terms for im in images]
     terms = {}
     for key, coeff in a.terms.items():
         for t in range(len(key)):
             c = -coeff if parity & t & 1 else coeff
-            head, tail = key[:t], key[t + 1:]
+            rest = key[:t] + key[t + 1:]
             for k, v in images[key[t] - 1].items():
-                mid, s1 = merge_sign(head, k)
-                if mid is not None:
-                    out, s2 = merge_sign(mid, tail)
-                    if out is not None:
-                        add_term(terms, out, c * v if s1 == s2 else -(c * v))
+                out, s = merge_sign(k, rest)
+                if out is not None:
+                    add_term(terms, out, c * v if (s < 0) == bool(t & len(k) & 1) else -(c * v))
     return ExtElem._raw(space, terms)
 
 

@@ -42,6 +42,11 @@ class ExtSpace:
                 yield IndexSet(c)
 
 
+def ds_space(q):
+    """The space of q odd codirections, generators named ds1, ..., dsq."""
+    return ExtSpace(q, tuple("ds%d" % i for i in range(1, q + 1)))
+
+
 class ExtElem(LinComb):
     __slots__ = ("space",)
     _DIMS = ("space",)

@@ -374,8 +374,10 @@ def factor_through_jet(D, k, p, basis=None):
         basis = jet_multidegrees(D.nvars, k)
     pos = {beta: t for t, beta in enumerate(basis)}
     rows = [[Fraction(0)] * (len(basis) * D.rank_in) for _ in range(D.rank_out)]
+    # p is cleared once, for the value of every entry
+    b, xs = cleared([Fraction(x) for x in p])
     for (beta, i, j), q in D.terms.items():
-        rows[i][pos[beta] * D.rank_in + j] = prod(map(factorial, beta)) * q.evaluate(p)
+        rows[i][pos[beta] * D.rank_in + j] = prod(map(factorial, beta)) * q._at_cleared(b, xs)
     return rows
 
 

@@ -7,7 +7,8 @@ in _DIMS and adds its constructors, products and JSON form.
 
 Exterior monomials are IndexSet keys, strictly increasing tuples of 1-based
 generator indices.  merge_sign, contract and replace are the only routines
-that reorder them.
+that reorder them; replace has no caller in the package, only in the tests
+(tests/oracles.py and tests/test_lincomb.py).
 
 The int cores of Sym ⊗ Λ (sym_ext_ints, supermaps) and of the super de Rham
 forms (sderham) key a monomial by one int, laid out by KeyLayout: from the

@@ -83,11 +83,15 @@ class Poly(LinComb):
 
     def evaluate(self, point):
         """Summed on ints: the point is cleared once to (b, ints) and the
-        coefficients to (d, ints), term e is scaled by b^(top − |e|), top the
-        total degree, and one Fraction is built, the sum over d·b^top."""
+        value taken by _at_cleared."""
         if len(point) != self.nvars:
             raise ValueError("point needs %d coordinates" % self.nvars)
-        b, xs = cleared([Fraction(x) for x in point])
+        return self._at_cleared(*cleared([Fraction(x) for x in point]))
+
+    def _at_cleared(self, b, xs):
+        """The value at the point xs / b, given cleared: the coefficients
+        are cleared to (d, ints), term e is scaled by b^(top − |e|), top the
+        total degree, and one Fraction is built, the sum over d·b^top."""
         d, nums = cleared(self.terms.values())
         top = max(map(sum, self.terms), default=0)
         total = 0

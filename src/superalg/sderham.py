@@ -8,12 +8,14 @@ total form degree), and ds_C an exterior monomial in the same odd codirections
 (form degree, Z2 parity) = (|A| + |b|, |b| + |C| mod 2), and the wedge is
 supercommutative for that bigrading.
 
-An odd connection d + A turns the split model into a supermanifold chart with
-straightened odd directions; super_d is the conjugated exterior derivative,
-assembled from the twisted exterior derivative plus number-signed shift and
-curvature-shift pieces.  super_d_by_fields evaluates the same operator through
-the Koszul-type double sum over generator vector fields, and the two routes
-cross-validate each other.
+An odd connection d + A turns the split model into a supermanifold chart
+with straightened odd directions.  Base forms {IndexSet: Poly} have one
+calculus, base_d and the matrix wedge, in which R = dA + A^A and the twisted
+derivatives are written.  super_d is the conjugated exterior
+derivative, assembled from the twisted exterior derivative plus number-signed
+shift and curvature-shift pieces; super_d_by_fields evaluates it through the
+Koszul-type double sum over generator vector fields, which act through
+cartan's Sym ⊗ Λ moves, and the two routes cross-validate each other.
 
 The operator is written once, as monomial_column: the image of one basis
 monomial x^e dx_A ds^b ds_C as an int vector, scaled by the per-connection
@@ -39,11 +41,12 @@ shift raise a sym entry by at most 1.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import comb, factorial, lcm, prod
 
 from . import decode
-from .lincomb import KeyLayout, LinComb, add_term, contract, mask_sign, merge_sign, replace
+from .cartan import ext_contract, ext_wedge, sym_contract
+from .lincomb import KeyLayout, LinComb, add_term, mask_sign, merge_sign
 from .scalars import IndexSet, MultiDegree, iter_multidegrees, inversion_sign, sym_dim
 from .poly import Poly
 from .supermaps import PolySuperFunc
@@ -307,24 +310,33 @@ class OddConnection:
 
 
 def curvature(conn):
-    """R = dA + A^A as an n x n matrix of base 2-forms {IndexSet (i,j): Poly}.
+    """R = dA + A^A, A^A the matrix wedge of the 1-forms of A, as an n x n
+    matrix of base 2-forms {IndexSet (i,j): Poly}.  OddConnection calls this
+    once per connection and keeps the result as conn.curvature; every other
+    caller gets a fresh matrix."""
+    a = _one_forms(conn)
+    return [[_form_sum(base_d(conn.dim_base, f), w) for f, w in zip(*rows)]
+            for rows in zip(a, _mat_wedge(a, a))]
 
-    OddConnection calls this once per connection and keeps the result as
-    conn.curvature; every other caller gets a fresh matrix.
-    """
-    m, n = conn.dim_base, conn.dim_odd
-    out = [[{} for _ in range(n)] for _ in range(n)]
-    for g in range(1, n + 1):
-        for b in range(1, n + 1):
-            for i in range(1, m + 1):
-                for j in range(i + 1, m + 1):
-                    p = conn.entry(g, b, j).partial(i) - conn.entry(g, b, i).partial(j)
-                    for k in range(1, n + 1):
-                        p = p + conn.entry(g, k, i) * conn.entry(k, b, j) \
-                              - conn.entry(g, k, j) * conn.entry(k, b, i)
-                    if not p.is_zero():
-                        out[g - 1][b - 1][IndexSet((i, j))] = p
+
+def _one_forms(conn):
+    """A as an n x n matrix of base 1-forms {IndexSet (i,): Poly}."""
+    return [[{IndexSet((i,)): p for i, p in enumerate(cell, start=1) if not p.is_zero()}
+             for cell in row] for row in conn.comps]
+
+
+def _form_sum(*forms):
+    out = {}
+    for form in forms:
+        for key, p in form.items():
+            add_term(out, key, p)
     return out
+
+
+def _mat_wedge(P, Q):
+    """(P ^ Q)_gb = sum_k P_gk ^ Q_kb for matrices of base forms, lists of rows."""
+    return [[_form_sum(*(base_wedge(p, Q[k][b]) for k, p in enumerate(row)))
+             for b in range(len(Q[0]))] for row in P]
 
 
 def base_d(m, comp):
@@ -332,24 +344,20 @@ def base_d(m, comp):
     out = {}
     for key, p in comp.items():
         for i in range(1, m + 1):
-            dp = p.partial(i)
-            if dp.is_zero():
-                continue
             nk, sgn = merge_sign((i,), key)
-            if nk is None:
-                continue
-            add_term(out, nk, dp.scale(sgn))
+            if nk is not None:
+                add_term(out, nk, p.partial(i).scale(sgn))
     return out
 
 
 def base_wedge(c1, c2):
+    """The wedge of two base forms {dx IndexSet: Poly}."""
     out = {}
     for k1, p1 in c1.items():
         for k2, p2 in c2.items():
             nk, sgn = merge_sign(k1, k2)
-            if nk is None:
-                continue
-            add_term(out, nk, (p1 * p2).scale(sgn))
+            if nk is not None:
+                add_term(out, nk, (p1 * p2).scale(sgn))
     return out
 
 
@@ -359,57 +367,29 @@ def twisted_d(conn, omega):
     omega is a list of n components, each a {dx IndexSet: Poly} form; the
     result is d omega + A wedge omega componentwise.
     """
-    m, n = conn.dim_base, conn.dim_odd
-    if len(omega) != n:
+    if len(omega) != conn.dim_odd:
         raise ValueError("section needs one component per odd generator")
-    out = [base_d(m, comp) for comp in omega]
-    for g in range(1, n + 1):
-        for b in range(1, n + 1):
-            a_form = {IndexSet((i,)): conn.entry(g, b, i) for i in range(1, m + 1)
-                      if not conn.entry(g, b, i).is_zero()}
-            if a_form:
-                for key, p in base_wedge(a_form, omega[b - 1]).items():
-                    add_term(out[g - 1], key, p)
-    return out
+    aw = _mat_wedge(_one_forms(conn), [[w] for w in omega])
+    return [_form_sum(base_d(conn.dim_base, w), row[0]) for w, row in zip(omega, aw)]
 
 
 def curvature_apply(curv, omega):
     """Matrix of 2-forms applied to a bundle-valued form: (R omega)_g = sum R_gb ^ omega_b."""
-    n = len(curv)
-    out = [{} for _ in range(n)]
-    for g in range(n):
-        for b in range(n):
-            if curv[g][b]:
-                for key, p in base_wedge(curv[g][b], omega[b]).items():
-                    add_term(out[g], key, p)
-    return out
+    return [row[0] for row in _mat_wedge(curv, [[w] for w in omega])]
 
 
 def twisted_d_end(conn, mat):
     """Twisted derivative of an endomorphism-valued form: d mat + A^mat - (-1)^deg mat^A.
 
-    mat is n x n of {dx IndexSet: Poly}.  With mat = curvature this is the
-    Bianchi identity and must vanish.
+    mat is n x n of {dx IndexSet: Poly}; the sign of the last wedge is taken
+    term by term, by the degree of each term of mat.  With mat = curvature
+    this is the Bianchi identity and must vanish.
     """
-    m, n = conn.dim_base, conn.dim_odd
-    out = [[base_d(m, mat[g][b]) for b in range(n)] for g in range(n)]
-    a_forms = [[{IndexSet((i,)): conn.entry(g + 1, b + 1, i) for i in range(1, m + 1)
-                 if not conn.entry(g + 1, b + 1, i).is_zero()}
-                for b in range(n)] for g in range(n)]
-    for g in range(n):
-        for b in range(n):
-            for k in range(n):
-                for key, p in base_wedge(a_forms[g][k], mat[k][b]).items():
-                    add_term(out[g][b], key, p)
-                # per-term degree sign for the right wedge
-                for mk, mp in mat[g][k].items():
-                    sgn0 = -1 if len(mk) % 2 else 1
-                    for ak, ap in a_forms[k][b].items():
-                        nk, sgn = merge_sign(mk, ak)
-                        if nk is None:
-                            continue
-                        add_term(out[g][b], nk, (mp * ap).scale(-sgn0 * sgn))
-    return out
+    a = _one_forms(conn)
+    signed = [[{k: p.scale(1 if len(k) % 2 else -1) for k, p in f.items()} for f in row]
+              for row in mat]
+    return [[_form_sum(base_d(conn.dim_base, f), x, y) for f, x, y in zip(*rows)]
+            for rows in zip(mat, _mat_wedge(a, mat), _mat_wedge(signed, a))]
 
 
 def _form_view(lay):
@@ -618,41 +598,26 @@ class SuperVectorFieldGen:
 def field_apply(conn, field, g):
     """Action of a generator field on a superfunction.
 
-    Coordinate fields differentiate the Poly part and rotate the ext part by
-    the dual connection; odd generators contract.  A coefficient multiplies
-    the result from the left.
+    A coordinate field acts as nabla_i = d/dx_i - sum_(gamma, beta)
+    A_(gamma beta),i · ds_beta ^ (ds_gamma ⌟ ·): cartan's sym_contract on
+    the Poly part, the dual connection through ext_contract and ext_wedge on
+    the ext part.  An odd generator s_j acts as ext_contract(j, ·).  A
+    coefficient multiplies the result from the left.
     """
     m, n = g.nvars, g.odd_dim
-    out = {}
     if field.kind == "x":
         i = field.index
         if i > m:
             raise ValueError("coordinate index out of range")
-        for (exps, key), c in g.terms.items():
-            p = Poly.monomial(m, exps, c).partial(i)
-            for e2, c2 in p.terms.items():
-                out[(e2, key)] = out.get((e2, key), Fraction(0)) + c2
-            for g in key:
-                for be in range(1, n + 1):
-                    ap = conn.entry(g, be, i)
-                    if ap.is_zero():
-                        continue
-                    nk, ssign = replace(key, g, be)
-                    if nk is None:
-                        continue
-                    prod = Poly.monomial(m, exps, -c * ssign) * ap
-                    for e2, c2 in prod.terms.items():
-                        out[(e2, nk)] = out.get((e2, nk), Fraction(0)) + c2
+        res = sym_contract(i, g)
+        for gam, be in product(range(1, n + 1), repeat=2):
+            ap = conn.entry(gam, be, i)
+            if not ap.is_zero():
+                res = res - PolySuperFunc.from_poly(ap, n) * ext_wedge(be, ext_contract(gam, g))
     else:
-        j = field.index
-        if j > n:
+        if field.index > n:
             raise ValueError("odd generator index out of range")
-        for (exps, key), c in g.terms.items():
-            nk, sgn = contract(key, j)
-            if nk is None:
-                continue
-            out[(exps, nk)] = out.get((exps, nk), Fraction(0)) + sgn * c
-    res = PolySuperFunc(m, n, out)
+        res = ext_contract(field.index, g)
     if field.coeff is not None:
         res = field.coeff * res
     return res

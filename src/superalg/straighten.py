@@ -12,14 +12,10 @@ from itertools import combinations
 
 from . import decode
 from .derivations import SuperDerivation
-from .exterior import ExtElem, ExtSpace
+from .exterior import ExtElem, ds_space
 from .lincomb import LinComb, add_term, contract, merge_sign
 from .linalg import nullspace, rank, reduced, solve, transpose
 from .scalars import IndexSet, format_scalar
-
-
-def _ds_space(q):
-    return ExtSpace(q, tuple("ds%d" % i for i in range(1, q + 1)))
 
 
 class CompElem(LinComb):
@@ -117,11 +113,17 @@ def psi(a):
     if len({d % 2 for d in degs}) > 1:
         raise ValueError("mixed Λ-degree parity has no derivation parity")
     parity = (degs[0] + 1) % 2 if degs else 1
-    space = _ds_space(a.dim)
-    images = [ExtElem.zero(space) for _ in range(a.dim)]
-    for (key, s), c in a.terms.items():
-        images[s - 1] = images[s - 1] + ExtElem.monomial(space, key, c)
-    return SuperDerivation(space, parity, images)
+    return SuperDerivation(ds_space(a.dim), parity, _target_images(a.dim, a.terms))
+
+
+def _target_images(q, terms):
+    """For each ν = 1..q, the ExtElem Σ c·ω over the terms (ω, ν) ↦ c of a
+    CompElem term map: ds_ν's image under psi and under a Straightening."""
+    space = ds_space(q)
+    groups = [{} for _ in range(q)]
+    for (key, s), c in terms.items():
+        groups[s - 1][key] = c
+    return [ExtElem._raw(space, g) for g in groups]
 
 
 class OddFamily:
@@ -206,7 +208,7 @@ class Straightening:
         images = tuple(images)
         if len(images) != dim_s:
             raise ValueError("need one image per generator")
-        space = _ds_space(dim_s)
+        space = ds_space(dim_s)
         for nu, im in enumerate(images, start=1):
             if im.space != space:
                 raise ValueError("image lives in the wrong space")
@@ -265,12 +267,12 @@ class Straightening:
     @classmethod
     def from_json(cls, data):
         q, images = decode.fields(data, "straightening", "dim_s", "images")
-        space = _ds_space(decode.integer(q, "dim_s", 1, 62))
+        space = ds_space(decode.integer(q, "dim_s", 1, 62))
         return cls(q, [ExtElem.from_json(space, im) for im in decode.items(images, "images", q)])
 
 
 def identity_straightening(q):
-    space = _ds_space(q)
+    space = ds_space(q)
     return Straightening(q, [ExtElem.generator(space, nu) for nu in range(1, q + 1)])
 
 
@@ -332,7 +334,7 @@ def _kernel_rows(f_mat, q, mu, src_index):
     kernel = nullspace(transpose(f_mat), ncols=q)
     if len(kernel) < 2 * mu + 1:
         return []
-    space = _ds_space(q)
+    space = ds_space(q)
     kvecs = [ExtElem(space, {(nu,): c for nu, c in enumerate(v, start=1)}) for v in kernel]
     rows = []
     for pick in combinations(range(len(kvecs)), 2 * mu + 1):
@@ -370,8 +372,6 @@ def straighten(fam):
     f_mat = fam.f_matrix()
     if rank(f_mat) != n:
         raise ValueError("constant part is not injective")
-    space = _ds_space(q)
-    images = [ExtElem.generator(space, nu) for nu in range(1, q + 1)]
     D0 = [comp.degree_part(0) for comp in fam.comps]
     g_parts = {0: identity_straightening(q).component(0)}
     for mu in range(1, q + 1):
@@ -406,13 +406,9 @@ def straighten(fam):
             raise RuntimeError("internal invariant violated: inconsistent level %d" % mu)
         src_index = {key: c for c, key in enumerate(src)}
         sol = _canonicalize(sol, _kernel_rows(f_mat, q, mu, src_index))
-        terms = {}
-        for (K, t), c in zip(src, sol):
-            if c:
-                terms[(K, t)] = c
-                images[t - 1] = images[t - 1] + ExtElem.monomial(space, K, c)
-        g_parts[mu] = CompElem(q, terms)
-    return Straightening(q, images)
+        g_parts[mu] = CompElem(q, {kt: c for kt, c in zip(src, sol) if c})
+    return Straightening(q, _target_images(q, {kt: c for part in g_parts.values()
+                                               for kt, c in part.terms.items()}))
 
 
 class StraighteningReport:
@@ -429,21 +425,13 @@ def verify_straightening(fam, g):
     every exterior monomial σ, with G extended as a unital algebra morphism."""
     if fam.dim_s != g.dim_s:
         raise ValueError("family and straightening sizes differ")
-    q = fam.dim_s
     f_mat = fam.f_matrix()
+    sigmas = [(K, ExtElem.monomial(g.space, K)) for K in g.space.basis()]
     failures = []
     for i in range(1, fam.dim_v + 1):
         D = fam.as_superderivation(i)
-        for size in range(q + 1):
-            for K in combinations(range(1, q + 1), size):
-                lhs = D(g.apply_to_monomial(K))
-                rhs = {}
-                for s in K:
-                    rest, sgn = contract(K, s)
-                    c = sgn * f_mat[s - 1][i - 1]
-                    if c:
-                        for k, v in g.apply_to_monomial(rest).terms.items():
-                            add_term(rhs, k, c * v)
-                if lhs.terms != rhs:
-                    failures.append((i, K))
+        fcol = [row[i - 1] for row in f_mat]
+        for K, sigma in sigmas:
+            if D(g.apply_to_monomial(K)) != g.apply(sigma.insert(fcol)):
+                failures.append((i, K))
     return StraighteningReport(failures)

@@ -34,14 +34,10 @@ from math import gcd, lcm
 import random
 
 from . import decode
-from .exterior import ExtElem, ExtSpace
+from .exterior import ExtElem, ds_space
 from .lincomb import KeyLayout, LinComb, by_mask, max_degree, sym_ext_ints, sym_ext_product
 from .poly import Poly
-from .scalars import IndexSet, MultiDegree, format_scalar
-
-
-def _ext_space(p):
-    return ExtSpace(p, tuple("ds%d" % i for i in range(1, p + 1)))
+from .scalars import IndexSet, MultiDegree, format_scalar, iter_multidegrees
 
 
 class PolySuperFunc(LinComb):
@@ -146,7 +142,7 @@ class PolySuperFunc(LinComb):
         if len(point) != self.nvars:
             raise ValueError("point needs %d coordinates" % self.nvars)
         point = [Fraction(x) for x in point]
-        space = _ext_space(self.odd_dim)
+        space = ds_space(self.odd_dim)
         out = ExtElem.zero(space)
         for (exps, key), c in self.terms.items():
             for x, e in zip(point, exps):
@@ -443,10 +439,8 @@ def _random_poly(rng, nvars, max_degree=2):
 
 
 def _all_exponents(nvars, max_degree):
-    if nvars == 0:
-        return [()]
-    return [(head,) + tail for head in range(max_degree + 1)
-            for tail in _all_exponents(nvars - 1, max_degree - head)]
+    # the exponent vectors of total degree <= max_degree in increasing lex order
+    return sorted(e for tot in range(max_degree + 1) for e in iter_multidegrees(nvars, tot))
 
 
 def _random_superfunc(rng, nvars, odd_dim, max_degree=1):

@@ -6,8 +6,9 @@ and twisted-shift oracles are the exception: they compose the package's
 Sym ⊗ Λ elements, but add whole elements term by term instead of collecting
 into one dict, and sum each operator from its own definition rather than
 through the boundary map it equals.  The super de Rham oracles likewise work
-on the package's SuperForm and Poly elements: super_d_direct applies the
-super exterior derivative term by term in Poly arithmetic, and the
+on the package's SuperForm and Poly elements: curvature_by_components sums
+the coefficients of R = dA + A^A from partials and products, super_d_direct
+applies the super exterior derivative term by term in Poly arithmetic, and the
 cohomology and Delta oracles rank the images of one SuperForm per basis
 monomial in Fraction, through the fiberwise shifts written here on tuple
 keys (shift_direct), and the supermap commutator oracles multiply whole
@@ -463,6 +464,25 @@ def leibniz_solution_dim(n, mode):
 
 def _bump_slot(sym, alpha, delta):
     return MultiDegree(e + delta if t == alpha - 1 else e for t, e in enumerate(sym))
+
+
+def curvature_by_components(conn):
+    """R = dA + A^A component by component: the coefficient of dx_i dx_j,
+    i < j, in R_gb is d_i A_gb,j - d_j A_gb,i + sum_k (A_gk,i A_kb,j -
+    A_gk,j A_kb,i), with no wedge of forms."""
+    m, n = conn.dim_base, conn.dim_odd
+    out = [[{} for _ in range(n)] for _ in range(n)]
+    for g in range(1, n + 1):
+        for b in range(1, n + 1):
+            for i in range(1, m + 1):
+                for j in range(i + 1, m + 1):
+                    p = conn.entry(g, b, j).partial(i) - conn.entry(g, b, i).partial(j)
+                    for k in range(1, n + 1):
+                        p = p + conn.entry(g, k, i) * conn.entry(k, b, j) \
+                              - conn.entry(g, k, j) * conn.entry(k, b, i)
+                    if not p.is_zero():
+                        out[g - 1][b - 1][IndexSet((i, j))] = p
+    return out
 
 
 def super_d_direct(conn, omega):

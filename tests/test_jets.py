@@ -277,13 +277,18 @@ def test_factor_through_jet_needs_a_source_point(D, hat):
 
 
 # the zero operator, multidegrees missing from D (order 1 read at k = 3),
-# rank_in != rank_out and a fraction point
+# rank_in != rank_out, fraction points, and a negative half-integer point
+# shared by entries of degrees 0 to 3
 @pytest.mark.parametrize("D, k, point", [
     (PolyDiffOp.zero(2, 2, 1), 2, [Fraction(1, 2), 3]),
     (PolyDiffOp.coordinate_partial(1, 1), 3, [Fraction(-5, 3)]),
     (PolyDiffOp(2, 1, 2, {(0, 1): [[Poly.variable(2, 1)], [Poly.constant(2, 2)]]}),
      2, [Fraction(7, 4), Fraction(-1, 2)]),
     (PolyDiffOp(1, 2, 1, {(2,): [[p1({1: 1}), p1({0: 3})]]}), 2, [Fraction(2, 3)]),
+    (PolyDiffOp(2, 1, 1, {(0, 0): [[Poly(2, {(2, 1): 1, (0, 0): Fraction(-1, 3)})]],
+                          (1, 0): [[Poly(2, {(0, 1): 2})]],
+                          (0, 2): [[Poly.constant(2, 5)]]}),
+     2, [Fraction(-3, 2), Fraction(-1, 2)]),
 ])
 def test_factor_through_jet_matches_apply_examples(D, k, point):
     assert factor_through_jet(D, k, point) == factor_through_jet_by_apply(D, k, point)

@@ -19,6 +19,7 @@ from oracles import (
     _basis_forms,
     _degree_forms,
     cohomology_dims_direct,
+    curvature_by_components,
     delta_kernel_check_direct,
     form_vector,
     fraction_sparse_rank,
@@ -205,6 +206,17 @@ def test_curvature_constant_on_line_vanishes():
 def test_curvature_abelian_frozen():
     R = curvature(abelian_conn())
     assert R[0][0] == {IndexSet((1, 2)): C(2, -1)}
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.large_base_example])
+@given(st.data())
+def test_curvature_matches_components(data):
+    # the matrix wedge A^A against its components, up to 3|3, where the
+    # order of the two factors of A_gk ^ A_kb shows
+    m, n = data.draw(st.integers(1, 3), label="m"), data.draw(st.integers(1, 3), label="n")
+    conn = data.draw(connections(m, n, max_deg=2, max_entries=6), label="conn")
+    assert curvature(conn) == curvature_by_components(conn)
 
 
 def assert_matrix_curvature(R):
