@@ -1,48 +1,62 @@
 """Derivations and superderivations of the exterior algebra of a based space.
 
-A (super)derivation is stored by its generator images only; applying it
-expands the graded Leibniz rule in place, into one output dict, with no
-intermediate element built.  The classification splits an ungraded
-derivation into a generator-image part with odd-degree images and a
-left-multiplication part encoded by a single odd form.
+A superderivation is an element of ΛV* ⊗ V (`lemma:derivations-isomorphism`):
+a LinComb of one parity whose term (ω, s) ↦ c sends generator s to c·ω.
+Applying it, composing two and their superbracket all expand the graded
+Leibniz rule in place, into one output dict, with no intermediate element
+built.  The classification splits an ungraded derivation into a
+generator-image part with odd-degree images and a left-multiplication part
+encoded by a single odd form.
 """
 
 from fractions import Fraction
 
 from . import decode
 from .exterior import ExtElem
-from .lincomb import add_term, merge_sign
-from .scalars import EVEN, ODD, Parity
+from .lincomb import LinComb, add_term, merge_sign
+from .scalars import EVEN, IndexSet, Parity
+
+
+def _leibniz_terms(groups, parity, items):
+    """The Leibniz expansion over the (key, coeff) pairs of items of the
+    generator images groups, {s: {ω: c}}, the image replacing the t-th factor
+    of a monomial carrying the sign (−1)^(parity·t).  An image term ω of
+    degree |ω| moves to the front past the t factors before it,
+    head ∧ ω ∧ tail = (−1)^(t·|ω|) ω ∧ rest with rest the key less its t-th
+    index, so each (term, slot, image term) is one merge_sign call and one
+    Fraction product."""
+    terms = {}
+    for key, coeff in items:
+        for t, s in enumerate(key):
+            image = groups.get(s)
+            if image is None:
+                continue
+            c = -coeff if parity & t & 1 else coeff
+            rest = key[:t] + key[t + 1:]
+            for k, v in image.items():
+                out, sg = merge_sign(k, rest)
+                if out is not None:
+                    add_term(terms, out, c * v if (sg < 0) == bool(t & len(k) & 1) else -(c * v))
+    return terms
 
 
 def _leibniz(space, images, parity, a):
-    """Expand the generator images over a by the Leibniz rule, the image
-    replacing the t-th factor of a monomial carrying the sign (−1)^(parity·t).
-    An image term ω of degree |ω| moves to the front past the t factors
-    before it, head ∧ ω ∧ tail = (−1)^(t·|ω|) ω ∧ rest with rest the key less
-    its t-th index, so each (term of a, slot, image term) is one merge_sign
-    call and one Fraction product."""
-    images = [im.terms for im in images]
-    terms = {}
-    for key, coeff in a.terms.items():
-        for t in range(len(key)):
-            c = -coeff if parity & t & 1 else coeff
-            rest = key[:t] + key[t + 1:]
-            for k, v in images[key[t] - 1].items():
-                out, s = merge_sign(k, rest)
-                if out is not None:
-                    add_term(terms, out, c * v if (s < 0) == bool(t & len(k) & 1) else -(c * v))
-    return ExtElem._raw(space, terms)
+    """_leibniz_terms of a list of image ExtElems over a, as an ExtElem."""
+    groups = {s: im.terms for s, im in enumerate(images, start=1) if im.terms}
+    return ExtElem._raw(space, _leibniz_terms(groups, parity, a.terms.items()))
 
 
-class SuperDerivation:
-    """Graded-Leibniz operator on ΛV* determined by generator images.
+class SuperDerivation(LinComb):
+    """Graded-Leibniz operator on ΛV*, kept as its terms {(ω, s): c} in
+    ΛV* ⊗ V: generator s goes to the sum of c·ω over its terms.
 
     Parity bookkeeping follows the operator convention: an odd operator has
     even-degree images (it flips the degree parity of the generators), an
-    even operator has odd-degree images."""
+    even operator has odd-degree images.  Every element has one parity, the
+    zero map included, so + and == refuse operands of different parity."""
 
-    __slots__ = ("space", "parity", "images")
+    __slots__ = ("space", "parity", "_groups")
+    _DIMS = ("space", "parity")
 
     def __init__(self, space, parity, images):
         self.space = space
@@ -50,39 +64,76 @@ class SuperDerivation:
         images = tuple(images)
         if len(images) != space.dim:
             raise ValueError("need %d generator images" % space.dim)
-        bad = int(self.parity)
-        for im in images:
-            if im.space != space:
-                raise ValueError("image lives in the wrong space")
-            if not im.parity_part(bad).is_zero():
+        if any(im.space != space for im in images):
+            raise ValueError("image lives in the wrong space")
+        self.terms = {(k, s): c for s, im in enumerate(images, start=1)
+                      for k, c in im.terms.items()}
+        if any(len(k) % 2 == self.parity for k, _ in self.terms):
+            raise ValueError("a %s superderivation needs images of %s degree"
+                             % (self.parity.to_json(), "even" if self.parity else "odd"))
+
+    @classmethod
+    def _raw(cls, space, parity, terms):
+        # the parity is stored as a Parity on every path, so it adds in Z/2
+        e = object.__new__(cls)
+        e.space, e.terms = space, terms
+        e.parity = parity if type(parity) is Parity else Parity(parity)
+        return e
+
+    @classmethod
+    def from_terms(cls, space, terms, parity=None):
+        """The superderivation of a term map {(ω, s): c}.  Its parity is read
+        off the Λ-degrees, |ω| + 1 mod 2; it must be given for the zero map,
+        and a parity given for any other map must agree."""
+        out = {}
+        for (key, s), c in terms.items():
+            c = Fraction(c)
+            if not c:
+                continue
+            key = IndexSet(key)
+            if key and key[-1] > space.dim or not 1 <= s <= space.dim:
+                raise ValueError("term %r out of range for dim %d" % ((key, s), space.dim))
+            out[(key, s)] = c
+        degrees = {len(k) % 2 for k, _ in out}
+        if len(degrees) > 1:
+            raise ValueError("mixed Λ-degree parity has no derivation parity")
+        if degrees:
+            read = Parity.of(degrees.pop() + 1)
+            if parity is not None and Parity(parity) != read:
                 raise ValueError("a %s superderivation needs images of %s degree"
-                                 % (self.parity.to_json(), "even" if self.parity else "odd"))
-        self.images = images
+                                 % (Parity(parity).to_json(), "even" if parity else "odd"))
+            parity = read
+        elif parity is None:
+            raise ValueError("the zero map needs a parity")
+        return cls._raw(space, parity, out)
+
+    def _targets(self):
+        # {s: {ω: c}}, built on first use; the terms never change
+        if not hasattr(self, "_groups"):
+            self._groups = groups = {}
+            for (k, s), c in self.terms.items():
+                groups.setdefault(s, {})[k] = c
+        return self._groups
+
+    @property
+    def images(self):
+        """The generator images, one new ExtElem per generator."""
+        groups = self._targets()
+        return tuple(ExtElem._raw(self.space, dict(groups.get(s, ())))
+                     for s in range(1, self.space.dim + 1))
 
     def __call__(self, a):
         if a.space != self.space:
             raise ValueError("argument lives in the wrong space")
-        return _leibniz(self.space, self.images, int(self.parity), a)
+        return ExtElem._raw(self.space, _leibniz_terms(self._targets(), int(self.parity),
+                                                       a.terms.items()))
 
-    def __eq__(self, other):
-        if not isinstance(other, SuperDerivation):
-            return NotImplemented
-        if self.space != other.space or self.images != other.images:
-            return False
-        # the zero operator sits in both parity components
-        return self.parity == other.parity or all(im.is_zero() for im in self.images)
+    def lambda_degrees(self):
+        return sorted({len(k) for k, _ in self.terms})
 
-    __hash__ = None
-
-    def __add__(self, other):
-        if self.parity != other.parity or self.space != other.space:
-            raise ValueError("can only add superderivations of equal parity")
-        return SuperDerivation(self.space, self.parity,
-                               tuple(a + b for a, b in zip(self.images, other.images)))
-
-    def scale(self, c):
-        return SuperDerivation(self.space, self.parity,
-                               tuple(im.scale(c) for im in self.images))
+    def degree_part(self, deg):
+        """The terms whose ω has exterior degree deg, of the same parity."""
+        return self._like({kt: v for kt, v in self.terms.items() if len(kt[0]) == deg})
 
     def to_json(self):
         return {"parity": self.parity.to_json(),
@@ -93,6 +144,20 @@ class SuperDerivation:
         parity, images = decode.fields(data, "superderivation", "parity", "images")
         images = [ExtElem.from_json(space, im) for im in decode.items(images, "images", space.dim)]
         return cls(space, Parity.from_json(parity), images)
+
+
+def comp_product(a, b):
+    """The composition a∘b, by the product (ω⊗s)·(ω̃⊗s̃) = ω ∧ (s ⌟ ω̃) ⊗ s̃
+    on ΛV* ⊗ V: a applied to each term of b, kept under that term's target.
+    Its parity is a.parity + b.parity.  Not associative."""
+    if a.space != b.space:
+        raise ValueError("operands live in different spaces")
+    groups, parity = a._targets(), int(a.parity)
+    terms = {}
+    for (kb, s), cb in b.terms.items():
+        for k, c in _leibniz_terms(groups, parity, ((kb, cb),)).items():
+            add_term(terms, (k, s), c)
+    return SuperDerivation._raw(a.space, a.parity + b.parity, terms)
 
 
 def ungraded_extend(space, images, a):
@@ -192,20 +257,11 @@ def dimension_of_superderivation_space(n):
 
 
 def superbracket(D1, D2):
-    """⟦D1, D2⟧ = D1∘D2 − (−1)^{|D1||D2|} D2∘D1, returned by generator images."""
-    if D1.space != D2.space:
-        raise ValueError("operands live in different spaces")
-    space = D1.space
+    """⟦D1, D2⟧ = D1∘D2 − (−1)^{|D1||D2|} D2∘D1."""
     sign = -1 if int(D1.parity) * int(D2.parity) % 2 else 1
-    images = []
-    for mu in range(1, space.dim + 1):
-        g = ExtElem.generator(space, mu)
-        images.append(D1(D2(g)) - D2(D1(g)).scale(sign))
-    return SuperDerivation(space, D1.parity + D2.parity, images)
+    return comp_product(D1, D2) - comp_product(D2, D1).scale(sign)
 
 
 def insertion_derivation(space, nu):
     """The odd superderivation with images δ_{μν}·1; equals v_ν ⌟ · as an operator."""
-    images = [ExtElem.unit(space) if mu == nu else ExtElem.zero(space)
-              for mu in range(1, space.dim + 1)]
-    return SuperDerivation(space, ODD, images)
+    return SuperDerivation.from_terms(space, {((), nu): 1})

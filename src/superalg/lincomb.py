@@ -3,12 +3,13 @@
 Every element class of the package is a finite map from monomial keys to
 nonzero coefficients, together with the dimensions of the space it lives in.
 LinComb holds the plumbing they share; a subclass names its dimension slots
-in _DIMS and adds its constructors, products and JSON form.
+in _DIMS and adds its constructors, products and JSON form.  A key may be
+compound: a superderivation keys its terms by (exterior monomial, target
+generator), a differential operator by (multi-index, row, column).
 
 Exterior monomials are IndexSet keys, strictly increasing tuples of 1-based
-generator indices.  merge_sign, contract and replace are the only routines
-that reorder them; replace has no caller in the package, only in the tests
-(tests/oracles.py and tests/test_lincomb.py).
+generator indices.  merge_sign and contract are the only routines that
+reorder them.
 
 The int cores of Sym ⊗ Λ (sym_ext_ints, supermaps) and of the super de Rham
 forms (sderham) key a monomial by one int, laid out by KeyLayout: from the
@@ -70,19 +71,6 @@ def contract(key, i):
         return None, 0
     t = key.index(i)
     return _new(IndexSet, key[:t] + key[t + 1:]), -1 if t & 1 else 1
-
-
-def replace(key, i, j):
-    """Contract generator i, then wedge generator j on the left.
-
-    The result and product sign of the two steps, or (None, 0) when i is
-    absent or j survives in the rest.
-    """
-    rest, s1 = contract(key, i)
-    if rest is None:
-        return None, 0
-    out, s2 = merge_sign((j,), rest)
-    return out, s1 * s2
 
 
 def add_term(terms, key, c):

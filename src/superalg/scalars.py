@@ -51,13 +51,13 @@ class Parity(IntEnum):
     ODD = 1
 
     def __add__(self, other):
-        return Parity((int(self) + int(other)) % 2)
+        return _PARITIES[(int(self) + int(other)) % 2]
 
     __radd__ = __add__
 
     @classmethod
     def of(cls, degree):
-        return cls(degree % 2)
+        return _PARITIES[degree % 2]
 
     @property
     def sign(self):
@@ -78,6 +78,8 @@ class Parity(IntEnum):
 
 EVEN = Parity.EVEN
 ODD = Parity.ODD
+# the members by value, looked up without an Enum call
+_PARITIES = (EVEN, ODD)
 
 
 class IndexSet(tuple):

@@ -1,6 +1,8 @@
-"""The (non-associative) composition algebra on Λ S* ⊗ S and the
+"""Commuting odd families of superderivations of Λ S* and the
 degree-by-degree straightening solver.
 
+Composing two superderivations is the non-associative product
+(ω⊗s)·(ω̃⊗s̃) = ω ∧ (s ⌟ ω̃) ⊗ s̃ on Λ S* ⊗ S (derivations.comp_product).
 A family of commuting odd superderivations with injective degree-zero part
 is conjugated to its constant part by a generator substitution G; the solver
 finds G one exterior degree at a time, each step being an exact linear solve
@@ -11,124 +13,21 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import decode
-from .derivations import SuperDerivation
+from .derivations import SuperDerivation, comp_product
 from .exterior import ExtElem, ds_space
-from .lincomb import LinComb, add_term, contract, merge_sign
+from .lincomb import add_term, contract
 from .linalg import nullspace, rank, reduced, solve, transpose
-from .scalars import IndexSet, format_scalar
+from .scalars import EVEN, ODD, IndexSet, format_scalar
 
 
-class CompElem(LinComb):
-    """Element of Λ S* ⊗ S: finite sum of (index set, target generator) terms."""
-
-    __slots__ = ("dim",)
-    _DIMS = ("dim",)
-
-    def __init__(self, dim, terms=None):
-        self.dim = dim
-        out = {}
-        for (key, s), c in (terms or {}).items():
-            c = Fraction(c)
-            if not c:
-                continue
-            key = IndexSet(key)
-            if key and key[-1] > dim:
-                raise ValueError("index out of range")
-            if not 1 <= s <= dim:
-                raise ValueError("target generator %d out of range" % s)
-            out[(key, s)] = c
-        self.terms = out
-
-    @classmethod
-    def monomial(cls, dim, key, s, coeff=1):
-        return cls(dim, {(tuple(key), s): coeff})
-
-    def lambda_degrees(self):
-        return sorted({len(k) for k, _ in self.terms})
-
-    def degree_part(self, deg):
-        return CompElem._raw(self.dim,
-                             {kt: v for kt, v in self.terms.items() if len(kt[0]) == deg})
-
-    def is_lambda_homogeneous(self):
-        return len(self.lambda_degrees()) <= 1
-
-    def has_pure_degree_parity(self, parity):
-        return all(len(k) % 2 == parity for k, _ in self.terms)
-
-    def to_json(self):
-        rows = []
-        for (key, s) in sorted(self.terms, key=lambda kt: (len(kt[0]), kt[0], kt[1])):
-            rows.append({"coeff": format_scalar(self.terms[(key, s)]),
-                         "ext": list(key), "s": s})
-        return rows
-
-    @classmethod
-    def from_json(cls, dim, data):
-        def read(coeff, ext, s):
-            key = (decode.index_set(ext, "ext", dim), decode.integer(s, "s", 1, dim))
-            return key, decode.scalar(coeff, "coeff")
-        return cls(dim, decode.terms(data, "component", read, "coeff", "ext", "s"))
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for (key, s) in sorted(self.terms, key=lambda kt: (len(kt[0]), kt[0], kt[1])):
-            ext = "^".join("ds%d" % i for i in key) or "1"
-            bits.append("%s*%s@s%d" % (self.terms[(key, s)], ext, s))
-        return " + ".join(bits)
-
-
-def comp_product(a, b):
-    """(ω⊗s)·(ω̃⊗s̃) = ω ∧ (s ⌟ ω̃) ⊗ s̃, extended bilinearly.  Not associative."""
-    a._check(b)
-    terms = {}
-    for (ka, sa), ca in a.terms.items():
-        for (kb, sb), cb in b.terms.items():
-            mid, sgn1 = contract(kb, sa)
-            if mid is None:
-                continue
-            key, sgn2 = merge_sign(ka, mid)
-            if key is not None:
-                add_term(terms, (key, sb), sgn1 * sgn2 * ca * cb)
-    return a._like(terms)
-
-
-def comp_bracket(a, b):
-    """a·b − (−1)^{(|σ|+1)(|σ̂|+1)} b·a on Λ-homogeneous elements; matches the
-    superbracket of the corresponding superderivations."""
-    if not (a.is_lambda_homogeneous() and b.is_lambda_homogeneous()):
-        raise ValueError("bracket needs Λ-homogeneous operands")
-    da = (a.lambda_degrees() or [0])[0]
-    db = (b.lambda_degrees() or [0])[0]
-    sign = -1 if ((da + 1) * (db + 1)) % 2 else 1
-    return comp_product(a, b) - comp_product(b, a).scale(sign)
-
-
-def psi(a):
-    """The superderivation of Λ S* with generator images ds_ν ↦ Σ ω (over the
-    terms ω⊗s_ν of a).  Needs all Λ-degrees of one parity."""
-    degs = a.lambda_degrees()
-    if len({d % 2 for d in degs}) > 1:
-        raise ValueError("mixed Λ-degree parity has no derivation parity")
-    parity = (degs[0] + 1) % 2 if degs else 1
-    return SuperDerivation(ds_space(a.dim), parity, _target_images(a.dim, a.terms))
-
-
-def _target_images(q, terms):
-    """For each ν = 1..q, the ExtElem Σ c·ω over the terms (ω, ν) ↦ c of a
-    CompElem term map: ds_ν's image under psi and under a Straightening."""
-    space = ds_space(q)
-    groups = [{} for _ in range(q)]
-    for (key, s), c in terms.items():
-        groups[s - 1][key] = c
-    return [ExtElem._raw(space, g) for g in groups]
+def _insertion(space, fcol):
+    """The odd superderivation f ⌟ ·: generator ds_ν goes to the scalar f_ν."""
+    return SuperDerivation.from_terms(space, {((), nu): c for nu, c in enumerate(fcol, 1)}, ODD)
 
 
 class OddFamily:
-    """One odd superderivation of Λ S* per basis vector of V, each stored as
-    an element of Λ₊ S* ⊗ S (even exterior degrees only)."""
+    """One odd superderivation of Λ S* per basis vector of V, each an
+    element of Λ₊ S* ⊗ S (even exterior degrees only)."""
 
     __slots__ = ("dim_v", "dim_s", "comps")
 
@@ -136,10 +35,11 @@ class OddFamily:
         comps = tuple(comps)
         if len(comps) != dim_v:
             raise ValueError("need one component per basis vector of V")
+        space = ds_space(dim_s)
         for comp in comps:
-            if comp.dim != dim_s:
+            if comp.space != space:
                 raise ValueError("component lives in the wrong space")
-            if not comp.has_pure_degree_parity(0):
+            if comp.parity != ODD:
                 raise ValueError("components must sit in even exterior degrees")
         self.dim_v = dim_v
         self.dim_s = dim_s
@@ -155,32 +55,35 @@ class OddFamily:
 
     def f_matrix(self):
         """pr∘D: the constant part, as a dim_s x dim_v matrix."""
-        f = [[Fraction(0)] * self.dim_v for _ in range(self.dim_s)]
-        for i, comp in enumerate(self.comps):
-            for (key, s), c in comp.terms.items():
-                if not key:
-                    f[s - 1][i] = c
-        return f
-
-    def as_superderivation(self, i):
-        return psi(self.comps[i - 1])
+        return [[comp.terms.get(((), s), Fraction(0)) for comp in self.comps]
+                for s in range(1, self.dim_s + 1)]
 
     def to_json(self):
-        return {"dim_v": self.dim_v, "dim_s": self.dim_s,
-                "components": [c.to_json() for c in self.comps]}
+        return {"dim_v": self.dim_v, "dim_s": self.dim_s, "components": [
+            [{"coeff": format_scalar(comp.terms[kt]), "ext": list(kt[0]), "s": kt[1]}
+             for kt in sorted(comp.terms, key=lambda kt: (len(kt[0]), kt))]
+            for comp in self.comps]}
 
     @classmethod
     def from_json(cls, data):
         n, q, comps = decode.fields(data, "odd family", "dim_v", "dim_s", "components")
         n, q = decode.integer(n, "dim_v", 1), decode.integer(q, "dim_s", 1, 62)
-        return cls(n, q, [CompElem.from_json(q, c)
-                          for c in decode.items(comps, "components", n)])
+        def read(coeff, ext, s):
+            key = (decode.index_set(ext, "ext", q), decode.integer(s, "s", 1, q))
+            return key, decode.scalar(coeff, "coeff")
+        maps = [decode.terms(c, "component", read, "coeff", "ext", "s")
+                for c in decode.items(comps, "components", n)]
+        if any(len(k) % 2 for t in maps for (k, _), c in t.items() if c):
+            raise ValueError("components must sit in even exterior degrees")
+        space = ds_space(q)
+        return cls(n, q, [SuperDerivation.from_terms(space, t, ODD) for t in maps])
 
 
 def _square_vanishes(a, b):
     """Σ_ij dv_i dv_j ⊗ a_i·b_j = 0 in Sym² V* ⊗ (Λ S* ⊗ S), for equally long
-    lists a, b of CompElem indexed by a basis of V.  As dv_i dv_j = dv_j dv_i,
-    this is a_i·b_i = 0 for each i and a_i·b_j + a_j·b_i = 0 for i < j."""
+    lists a, b of superderivations indexed by a basis of V.  As
+    dv_i dv_j = dv_j dv_i, this is a_i·b_i = 0 for each i and
+    a_i·b_j + a_j·b_i = 0 for i < j."""
     for i in range(len(a)):
         if not comp_product(a[i], b[i]).is_zero():
             return False
@@ -232,12 +135,8 @@ class Straightening:
     __hash__ = None
 
     def component(self, mu):
-        """G_μ as a CompElem (exterior degree 2μ+1)."""
-        terms = {}
-        for nu, im in enumerate(self.images, start=1):
-            for key, c in im.degree_part(2 * mu + 1).terms.items():
-                terms[(key, nu)] = c
-        return CompElem(self.dim_s, terms)
+        """G_μ, the even superderivation of exterior degree 2μ+1."""
+        return SuperDerivation(self.space, EVEN, [im.degree_part(2 * mu + 1) for im in self.images])
 
     def apply_to_monomial(self, key):
         """Multiplicative extension on ds_key, key strictly increasing in
@@ -296,13 +195,8 @@ def conjugated_family(f_mat, g):
     ginv = [subst_inverse_image(g, nu) for nu in range(1, q + 1)]
     comps = []
     for i in range(n):
-        fcol = [f_mat[mu][i] for mu in range(q)]
-        terms = {}
-        for nu in range(1, q + 1):
-            img = g.apply(ginv[nu - 1].insert(fcol))
-            for key, c in img.terms.items():
-                terms[(key, nu)] = c
-        comps.append(CompElem(q, terms))
+        insert = _insertion(g.space, [f_mat[mu][i] for mu in range(q)])
+        comps.append(SuperDerivation(g.space, ODD, [g.apply(insert(x)) for x in ginv]))
     return OddFamily(n, q, comps)
 
 
@@ -372,20 +266,21 @@ def straighten(fam):
     f_mat = fam.f_matrix()
     if rank(f_mat) != n:
         raise ValueError("constant part is not injective")
-    D0 = [comp.degree_part(0) for comp in fam.comps]
+    space = ds_space(q)
+    # D_parts[nu] lists the degree-2ν parts of the components
+    D_parts = [[comp.degree_part(2 * nu) for comp in fam.comps] for nu in range(q // 2 + 1)]
     g_parts = {0: identity_straightening(q).component(0)}
     for mu in range(1, q + 1):
         # the right side Σ_i dv_i ⊗ rhs_parts[i]
-        rhs_parts = [CompElem.zero(q)] * n
+        rhs_parts = [SuperDerivation.zero(space, ODD)] * n
         for nu in range(1, mu + 1):
             if 2 * nu > q or 2 * (mu - nu) + 1 > q:
                 continue
             gk = g_parts.get(mu - nu)
             if gk is None or gk.is_zero():
                 continue
-            rhs_parts = [r - comp_product(comp.degree_part(2 * nu), gk)
-                         for r, comp in zip(rhs_parts, fam.comps)]
-        if not _square_vanishes(D0, rhs_parts):
+            rhs_parts = [r - comp_product(part, gk) for r, part in zip(rhs_parts, D_parts[nu])]
+        if not _square_vanishes(D_parts[0], rhs_parts):
             raise RuntimeError("internal invariant violated: right-hand side not closed")
         if 2 * mu + 1 > q:
             if not all(r.is_zero() for r in rhs_parts):
@@ -406,9 +301,8 @@ def straighten(fam):
             raise RuntimeError("internal invariant violated: inconsistent level %d" % mu)
         src_index = {key: c for c, key in enumerate(src)}
         sol = _canonicalize(sol, _kernel_rows(f_mat, q, mu, src_index))
-        g_parts[mu] = CompElem(q, {kt: c for kt, c in zip(src, sol) if c})
-    return Straightening(q, _target_images(q, {kt: c for part in g_parts.values()
-                                               for kt, c in part.terms.items()}))
+        g_parts[mu] = SuperDerivation.from_terms(space, dict(zip(src, sol)), EVEN)
+    return Straightening(q, sum(g_parts.values(), SuperDerivation.zero(space, EVEN)).images)
 
 
 class StraighteningReport:
@@ -428,10 +322,9 @@ def verify_straightening(fam, g):
     f_mat = fam.f_matrix()
     sigmas = [(K, ExtElem.monomial(g.space, K)) for K in g.space.basis()]
     failures = []
-    for i in range(1, fam.dim_v + 1):
-        D = fam.as_superderivation(i)
-        fcol = [row[i - 1] for row in f_mat]
+    for i, D in enumerate(fam.comps, start=1):
+        insert = _insertion(g.space, [row[i - 1] for row in f_mat])
         for K, sigma in sigmas:
-            if D(g.apply_to_monomial(K)) != g.apply(sigma.insert(fcol)):
+            if D(g.apply_to_monomial(K)) != g.apply(insert(sigma)):
                 failures.append((i, K))
     return StraighteningReport(failures)

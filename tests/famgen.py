@@ -3,11 +3,12 @@ and its straightening, by a permutation of the odd generators
 (straighten.conjugated_family builds the families), and the dense odd
 connections on which the super de Rham ranks fill in most."""
 
+from superalg.derivations import SuperDerivation
 from superalg.exterior import ExtElem
 from superalg.poly import Poly
-from superalg.scalars import IndexSet, inversion_sign
+from superalg.scalars import ODD, IndexSet, inversion_sign
 from superalg.sderham import OddConnection
-from superalg.straighten import CompElem, OddFamily, Straightening
+from superalg.straighten import OddFamily, Straightening
 
 
 def relabel_family(fam, perm):
@@ -19,7 +20,7 @@ def relabel_family(fam, perm):
             seq = [perm[k - 1] for k in key]
             key2 = (IndexSet(sorted(seq)), perm[s - 1])
             terms[key2] = terms.get(key2, 0) + inversion_sign(seq) * c
-        comps.append(CompElem(fam.dim_s, terms))
+        comps.append(SuperDerivation.from_terms(comp.space, terms, ODD))
     return OddFamily(fam.dim_v, fam.dim_s, comps)
 
 

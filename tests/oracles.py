@@ -20,7 +20,10 @@ and shifts back, the other applies the operator to every basis section
 (x − p)^β.  The exterior oracles multiply whole ExtElem elements with
 ExtElem.wedge: leibniz_by_wedges builds head ∧ image ∧ tail for every slot,
 and the straightening oracles wedge the generator images left to right
-without a memo.  fraction_evaluate evaluates a Poly in Fraction.
+without a memo.  comp_product_by_pairs composes two superderivations on
+their term maps in Λ S* ⊗ S, one contraction and one wedge per pair of
+terms, and replace is super_d_direct's own contract-then-wedge step.
+fraction_evaluate evaluates a Poly in Fraction.
 echelon_eager is the integer echelon as it removed a row's content after
 every step; linalg.echelon must store the same primitive rows.
 """
@@ -35,7 +38,7 @@ from superalg.cartan import ext_contract, ext_wedge
 from superalg.exterior import ExtElem
 from superalg.jets import PolySection, jet_multidegrees
 from superalg.liesuper import LieCheckReport
-from superalg.lincomb import add_term, contract, merge_sign, replace
+from superalg.lincomb import add_term, contract, merge_sign
 from superalg.poly import Poly
 from superalg.scalars import IndexSet, MultiDegree, cleared, iter_multidegrees
 from superalg.sderham import DeltaComponentReport, DeltaReport, SuperForm
@@ -485,6 +488,17 @@ def curvature_by_components(conn):
     return out
 
 
+def replace(key, i, j):
+    """Contract generator i, then wedge generator j on the left: the result
+    and product sign of the two steps, or (None, 0) when i is absent or j
+    survives in the rest."""
+    rest, s1 = contract(key, i)
+    if rest is None:
+        return None, 0
+    out, s2 = merge_sign((j,), rest)
+    return out, s1 * s2
+
+
 def super_d_direct(conn, omega):
     """The super exterior derivative applied term by term in Poly arithmetic.
 
@@ -796,6 +810,23 @@ def leibniz_by_wedges(space, images, parity, a):
             tail = ExtElem.monomial(space, key[t + 1:])
             out = out + head.wedge(img).wedge(tail)
     return out
+
+
+def comp_product_by_pairs(ta, tb):
+    """The product (ω⊗s)·(ω̃⊗s̃) = ω ∧ (s ⌟ ω̃) ⊗ s̃ of two term maps
+    {(ω, s): c}, one contraction and one wedge per pair of terms, on any
+    Λ-degrees: a mixed term map has no derivation parity, and the pairs
+    need none."""
+    terms = {}
+    for (ka, sa), ca in ta.items():
+        for (kb, sb), cb in tb.items():
+            mid, sgn1 = contract(kb, sa)
+            if mid is None:
+                continue
+            key, sgn2 = merge_sign(ka, mid)
+            if key is not None:
+                add_term(terms, (key, sb), sgn1 * sgn2 * ca * cb)
+    return terms
 
 
 def apply_DF_sum(space, images, a):

@@ -10,13 +10,13 @@ from hypothesis import given, settings, strategies as st
 
 from strat import small_fractions
 from superalg.derivations import SuperDerivation
-from superalg.exterior import ExtElem, ExtSpace
+from superalg.exterior import ExtElem, ExtSpace, ds_space
 from superalg.jets import PolyDiffOp, PolySection
 from superalg.poly import Poly
 from superalg.sderham import OddConnection, SuperForm
 from superalg.scalars import EVEN, ODD
 from superalg.straighten import (
-    CompElem,
+    OddFamily,
     Straightening,
     conjugated_family,
     identity_straightening,
@@ -96,11 +96,13 @@ def tensors(draw, kind):
 
 
 @st.composite
-def comp_elems(draw):
-    dim = draw(st.integers(1, 3))
-    terms = st.dictionaries(st.tuples(index_sets(dim), st.integers(1, dim)),
+def odd_families(draw):
+    # components of even Λ-degrees, zero ones too, so every one is odd
+    n, q = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    terms = st.dictionaries(st.tuples(index_sets(q, 0), st.integers(1, q)),
                             small_fractions(), max_size=4)
-    return dim, CompElem(dim, draw(terms))
+    comps = [SuperDerivation.from_terms(ds_space(q), draw(terms), ODD) for _ in range(n)]
+    return None, OddFamily(n, q, comps)
 
 
 @st.composite
@@ -167,7 +169,7 @@ CASES = {
                    lambda space, d: tensor_from_json("sym", space, d), _same),
     "tensor-ext": (tensors("ext"), lambda x: tensor_to_json("ext", x),
                    lambda space, d: tensor_from_json("ext", space, d), _same),
-    "CompElem": (comp_elems(), CompElem.to_json, CompElem.from_json, _same),
+    "OddFamily": (odd_families(), OddFamily.to_json, lambda _, d: OddFamily.from_json(d), _same),
     "Straightening": (straightenings(), Straightening.to_json,
                       lambda _, d: Straightening.from_json(d),
                       lambda g: (g.dim_s, g.images)),

@@ -8,16 +8,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 import superalg
-from oracles import fraction_sym_ext_terms
+from oracles import fraction_sym_ext_terms, replace
 from strat import small_fractions
+from superalg.derivations import SuperDerivation
 from superalg.exterior import ExtElem, ExtSpace
 from superalg.jets import PolyDiffOp, PolySection
-from superalg.lincomb import (KeyLayout, LinComb, contract, mask_sign, merge_sign, replace,
-                              sym_ext_terms)
+from superalg.lincomb import KeyLayout, LinComb, contract, mask_sign, merge_sign, sym_ext_terms
 from superalg.poly import Poly
 from superalg.scalars import IndexSet, MultiDegree, inversion_sign
 from superalg.sderham import SuperForm
-from superalg.straighten import CompElem
 from superalg.supermaps import PolySuperFunc
 
 
@@ -32,7 +31,8 @@ def _diff_op(d):
 ELEMENTS = {
     "Poly": lambda d: Poly.variable(d, 1).scale(Fraction(3, 2)),
     "ExtElem": lambda d: ExtElem.monomial(ExtSpace(d), (1, 2), -2),
-    "CompElem": lambda d: CompElem.monomial(d, (1, 2), 2, Fraction(1, 3)),
+    "SuperDerivation": lambda d: SuperDerivation.from_terms(ExtSpace(d),
+                                                            {((1, 2), 2): Fraction(1, 3)}),
     "PolySuperFunc": lambda d: PolySuperFunc.monomial(1, d, (2,), (1, 2), -1),
     "SuperForm": lambda d: SuperForm.monomial(d, 1, (1,), (1,), (1,), Poly.variable(d, 1)),
     "PolySection": lambda d: PolySection([Poly.zero(d), Poly.variable(d, 2).scale(-3)]),
@@ -68,12 +68,9 @@ def test_linear_plumbing(name):
     assert x.__hash__ is None
 
 
-# the methods every element class takes from LinComb; Parity adds in Z/2,
-# and SuperDerivation still hand-rolls them until it becomes a generator-image
-# operator class (ROADMAP item 5)
+# the methods every element class takes from LinComb; Parity adds in Z/2
 PLUMBING = {"__add__", "__sub__", "scale", "is_zero"}
-OWN_PLUMBING = {("lincomb", "LinComb"), ("scalars", "Parity"),
-                ("derivations", "SuperDerivation")}
+OWN_PLUMBING = {("lincomb", "LinComb"), ("scalars", "Parity")}
 
 
 def test_only_lincomb_defines_linear_plumbing():
@@ -92,6 +89,18 @@ def test_only_lincomb_defines_linear_plumbing():
                     defines.add((path.stem, cls.name))
     assert ("lincomb", "LinComb") in defines
     assert defines <= OWN_PLUMBING, sorted(defines - OWN_PLUMBING)
+
+
+def test_merge_sign_has_at_most_seven_call_sites():
+    # one sign/merge helper, called from few places: the wedge, the Leibniz
+    # core, cartan's wedge move and the super de Rham products
+    sites = []
+    for path in Path(superalg.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "merge_sign"):
+                sites.append("%s:%d" % (path.stem, node.lineno))
+    assert 0 < len(sites) <= 7, sorted(sites)
 
 
 # elements with several terms, for the scale paths

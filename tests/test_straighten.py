@@ -4,25 +4,23 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from famgen import pull_back_straightening, relabel_family
-from oracles import straightening_apply, straightening_monomial
+from oracles import comp_product_by_pairs, straightening_apply, straightening_monomial
 from strat import small_fractions
 
 from superalg.cartan import d_star_G
 from superalg.derivations import SuperDerivation, superbracket
-from superalg.exterior import ExtElem
+from superalg.exterior import ExtElem, ds_space
 from superalg.linalg import rank, transpose
-from superalg.scalars import EVEN, IndexSet, MultiDegree
+from superalg.lincomb import add_term
+from superalg.scalars import EVEN, ODD, IndexSet, MultiDegree, Parity
 from superalg.straighten import (
-    CompElem,
     OddFamily,
     Straightening,
-    comp_bracket,
     comp_product,
     conjugated_family,
     family_is_commuting,
     identity_straightening,
     level_operator_columns,
-    psi,
     straighten,
     subst_inverse_image,
     verify_straightening,
@@ -33,7 +31,8 @@ from itertools import combinations
 
 
 def mono(q, key, s, coeff=1):
-    return CompElem.monomial(q, key, s, coeff)
+    """The superderivation of Λ S*, dim S = q, sending ds_s to coeff·ds_key."""
+    return SuperDerivation.from_terms(ds_space(q), {(key, s): coeff})
 
 
 def all_pairs(q):
@@ -44,13 +43,29 @@ def all_pairs(q):
 
 
 @st.composite
-def comp_elems(draw, q, degrees=None):
+def term_maps(draw, q, degrees=None):
+    """Up to four terms {(ω, s): c} of Λ S* ⊗ S, dim S = q, with |ω| in
+    degrees, or of any Λ-degree."""
     pairs = [p for p in all_pairs(q) if degrees is None or len(p[0]) in degrees]
     picked = draw(st.lists(st.sampled_from(pairs), max_size=4, unique=True))
-    out = CompElem.zero(q)
-    for key, s in picked:
-        out = out + mono(q, key, s, draw(small_fractions()))
-    return out
+    return {p: draw(small_fractions()) for p in picked}
+
+
+@st.composite
+def comp_elems(draw, q, degrees=None):
+    """A superderivation with terms of Λ-degree in degrees, which share one
+    parity; with no degrees given, that parity is drawn."""
+    if degrees is None:
+        degrees = range(draw(st.sampled_from([0, 1]), label="degree parity"), q + 1, 2)
+    terms = draw(term_maps(q, degrees))
+    return SuperDerivation.from_terms(ds_space(q), terms, Parity.of(min(degrees) + 1))
+
+
+def split_by_parity(q, terms):
+    """The two superderivations of a term map's even and odd Λ-degree parts."""
+    return [SuperDerivation.from_terms(ds_space(q), {kt: c for kt, c in terms.items()
+                                                     if len(kt[0]) % 2 == d}, Parity.of(d + 1))
+            for d in (0, 1)]
 
 
 @st.composite
@@ -94,8 +109,10 @@ def test_product_not_associative():
     assert right == mono(2, (), 1, -1)
 
 
-@given(a=comp_elems(3), b=comp_elems(3), c=comp_elems(3), t=small_fractions())
-def test_product_bilinear(a, b, c, t):
+@given(data=st.data(), t=small_fractions())
+def test_product_bilinear(data, t):
+    degrees = data.draw(st.sampled_from([(0, 2), (1, 3)]), label="degrees")
+    a, b, c = (data.draw(comp_elems(3, degrees), label=name) for name in "abc")
     assert comp_product(a + b, c) == comp_product(a, c) + comp_product(b, c)
     assert comp_product(a, b + c) == comp_product(a, b) + comp_product(a, c)
     assert comp_product(a.scale(t), b) == comp_product(a, b).scale(t)
@@ -110,19 +127,43 @@ def test_product_degree_bookkeeping(data):
     b = data.draw(comp_elems(q, degrees={db}), label="b")
     prod = comp_product(a, b)
     assert prod.lambda_degrees() in ([], [da + db - 1])
+    assert prod.parity == a.parity + b.parity
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_product_matches_pairwise_oracle(data):
+    # the Leibniz route against one contraction and one wedge per pair of
+    # terms: on each pair of one-parity parts, and summed over the parts of
+    # two term maps of mixed Λ-degrees
+    q = data.draw(st.integers(1, 4), label="dim S")
+    ta = data.draw(term_maps(q), label="a")
+    tb = data.draw(term_maps(q), label="b")
+    total = {}
+    for a in split_by_parity(q, ta):
+        for b in split_by_parity(q, tb):
+            prod = comp_product(a, b)
+            assert prod.terms == comp_product_by_pairs(a.terms, b.terms)
+            assert prod.parity == a.parity + b.parity
+            for k, v in prod.terms.items():
+                add_term(total, k, v)
+    assert total == comp_product_by_pairs(ta, tb)
 
 
 def test_bracket_needs_homogeneous_operands():
-    a = mono(2, (), 1) + mono(2, (1,), 1)
+    # a term map of mixed Λ-degree parity is no superderivation, and
+    # superderivations of two parities do not add
+    with pytest.raises(ValueError, match="mixed Λ-degree parity"):
+        SuperDerivation.from_terms(ds_space(2), {((), 1): 1, ((1,), 1): 1})
     with pytest.raises(ValueError):
-        comp_bracket(a, mono(2, (), 2))
+        mono(2, (), 1) + mono(2, (1,), 1)
 
 
 def test_bracket_frozen_example():
     a = mono(3, (1, 2), 1)
     b = mono(3, (), 2)
-    assert comp_bracket(a, b) == mono(3, (1,), 1, -1)
-    assert comp_bracket(mono(2, (), 1), mono(2, (), 1)).is_zero()
+    assert superbracket(a, b) == mono(3, (1,), 1, -1)
+    assert superbracket(mono(2, (), 1), mono(2, (), 1)).is_zero()
 
 
 @given(data=st.data())
@@ -133,17 +174,35 @@ def test_bracket_matches_superderivation_bracket(data):
     db = data.draw(st.integers(0, q), label="deg b")
     a = data.draw(comp_elems(q, degrees={da}), label="a")
     b = data.draw(comp_elems(q, degrees={db}), label="b")
-    assert psi(comp_bracket(a, b)) == superbracket(psi(a), psi(b))
+    sign = -1 if (da + 1) * (db + 1) % 2 else 1
+    want = comp_product_by_pairs(a.terms, b.terms)
+    for k, v in comp_product_by_pairs(b.terms, a.terms).items():
+        add_term(want, k, -sign * v)
+    br = superbracket(a, b)
+    assert br.terms == want
+    assert br.parity == a.parity + b.parity
 
 
-def test_psi_frozen():
-    D = psi(mono(2, (), 1))
+def test_term_map_constructor_frozen():
+    D = mono(2, (), 1)
     space = D.space
-    assert int(D.parity) == 1
+    assert D.parity is ODD
     assert D(ExtElem.generator(space, 1)) == ExtElem.unit(space)
     assert D(ExtElem.generator(space, 2)).is_zero()
+    assert D.images == (ExtElem.unit(space), ExtElem.zero(space))
+    assert mono(2, (1,), 2, Fraction(1, 2)).parity is EVEN
+    with pytest.raises(ValueError, match="zero map needs a parity"):
+        SuperDerivation.from_terms(space, {((), 1): 0})
+    with pytest.raises(ValueError, match="an? even superderivation needs images of odd degree"):
+        SuperDerivation.from_terms(space, {((), 1): 1}, EVEN)
+    assert SuperDerivation.from_terms(space, {((), 1): 1}, ODD) == D
+    # the parity is a Parity on every path, so it adds in Z/2
+    for zero in (SuperDerivation.zero(space, 1), SuperDerivation.from_terms(space, {}, 1)):
+        assert zero.parity is ODD and zero.parity + D.parity is EVEN
+        assert comp_product(zero, D).parity is EVEN
+    # zeros of two parities are two elements, and == refuses to compare them
     with pytest.raises(ValueError):
-        psi(mono(2, (), 1) + mono(2, (1,), 1))
+        SuperDerivation.zero(space, ODD) == SuperDerivation.zero(space, EVEN)
 
 
 @given(data=st.data())
@@ -153,10 +212,10 @@ def test_commuting_check_matches_pairwise_brackets(data):
     comps = [data.draw(comp_elems(q, degrees={0, 2}), label="comp%d" % i)
              for i in range(n)]
     fam = OddFamily(n, q, comps)
-    zero = SuperDerivation(fam.as_superderivation(1).space, EVEN,
-                           [ExtElem.zero(fam.as_superderivation(1).space)] * q)
-    pairwise = all(superbracket(fam.as_superderivation(i), fam.as_superderivation(j)) == zero
-                   for i in range(1, n + 1) for j in range(i, n + 1))
+    gens = [ExtElem.generator(ds_space(q), nu) for nu in range(1, q + 1)]
+    # odd D_i, D_j commute when D_i D_j + D_j D_i kills every generator
+    pairwise = all((Di(Dj(g)) + Dj(Di(g))).is_zero()
+                   for i, Di in enumerate(fam.comps) for Dj in fam.comps[i:] for g in gens)
     assert family_is_commuting(fam) == pairwise
 
 
@@ -389,7 +448,7 @@ def test_straighten_above_the_cli_limit():
     f = [[Fraction(int(mu == 0))] for mu in range(8)]
     fam = conjugated_family(f, Straightening(8, images))
     g = straighten(fam)
-    assert g.component(1) != CompElem.zero(8)
+    assert g.component(1) != SuperDerivation.zero(g.space, EVEN)
     assert verify_straightening(fam, g).passed
 
 
@@ -415,8 +474,21 @@ def test_json_roundtrips():
     assert Straightening.from_json(g.to_json()) == g
     with pytest.raises(ValueError):
         OddFamily.from_json({"dim_v": 1, "dim_s": 3})
-    with pytest.raises(ValueError):
-        CompElem.from_json(2, [{"coeff": "1", "ext": [], "s": 1},
-                               {"coeff": "2", "ext": [], "s": 1}])
-    with pytest.raises(ValueError):
-        CompElem.from_json(2, {"coeff": "1"})
+
+    def family(*components):
+        return {"dim_v": len(components), "dim_s": 2, "components": list(components)}
+    with pytest.raises(ValueError, match="duplicate term"):
+        OddFamily.from_json(family([{"coeff": "1", "ext": [], "s": 1},
+                                    {"coeff": "2", "ext": [], "s": 1}]))
+    with pytest.raises(ValueError, match="component must be a list"):
+        OddFamily.from_json(family({"coeff": "1"}))
+    # an odd-degree term, alone or beside an even one, is refused after
+    # every component has decoded; a zero coefficient drops its term first
+    for comp in ([{"coeff": "1", "ext": [1], "s": 1}],
+                 [{"coeff": "1", "ext": [], "s": 1}, {"coeff": "1", "ext": [2], "s": 2}]):
+        with pytest.raises(ValueError, match="even exterior degrees"):
+            OddFamily.from_json(family(comp))
+        with pytest.raises(ValueError, match="duplicate term"):
+            OddFamily.from_json(family(comp, [{"coeff": "1", "ext": [], "s": 1}] * 2))
+    zero_odd = family([{"coeff": "0", "ext": [1], "s": 1}])
+    assert OddFamily.from_json(zero_odd).comps[0] == SuperDerivation.zero(ds_space(2), ODD)
